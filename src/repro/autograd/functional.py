@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.utils import backend as array_backend
 
 
 # --------------------------------------------------------------------------- #
@@ -235,23 +234,23 @@ def spectral_conv2d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: tuple[int,
     rows = _corner_indices(height, m1)
     cols = _corner_indices(width, m2)
 
-    x_ft = array_backend.fft2(x.data)
+    x_ft = np.fft.fft2(x.data)
     x_modes = x_ft[:, :, rows[:, None], cols[None, :]]  # (B, C_in, 2m1, 2m2)
     weight = w_real.data + 1j * w_imag.data
     prod = np.einsum("bimn,iomn->bomn", x_modes, weight)
     full = np.zeros((batch, c_out, height, width), dtype=complex)
     full[:, :, rows[:, None], cols[None, :]] = prod
-    out = np.real(array_backend.ifft2(full)).astype(x.data.dtype)
+    out = np.real(np.fft.ifft2(full)).astype(x.data.dtype)
 
     def backward(grad, accumulate):
         grad = np.asarray(grad)
-        g_p = array_backend.fft2(grad) / (height * width)
+        g_p = np.fft.fft2(grad) / (height * width)
         g_p_modes = g_p[:, :, rows[:, None], cols[None, :]]
         grad_weight = np.einsum("bimn,bomn->iomn", np.conj(x_modes), g_p_modes)
         g_x_modes = np.einsum("bomn,iomn->bimn", g_p_modes, np.conj(weight))
         g_x_full = np.zeros((batch, c_in, height, width), dtype=complex)
         g_x_full[:, :, rows[:, None], cols[None, :]] = g_x_modes
-        grad_x = (height * width) * np.real(array_backend.ifft2(g_x_full))
+        grad_x = (height * width) * np.real(np.fft.ifft2(g_x_full))
         accumulate(x, grad_x.astype(x.data.dtype))
         accumulate(w_real, np.real(grad_weight))
         accumulate(w_imag, np.imag(grad_weight))
@@ -284,7 +283,7 @@ def spectral_conv1d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: int, axis:
         )
     idx = _corner_indices(size, modes)
 
-    x_ft = array_backend.fft(x.data, axis=axis)
+    x_ft = np.fft.fft(x.data, axis=axis)
     x_modes = np.take(x_ft, idx, axis=axis)  # modes along `axis`
     weight = w_real.data + 1j * w_imag.data
 
@@ -299,11 +298,11 @@ def spectral_conv1d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: int, axis:
     indexer = [slice(None)] * 4
     indexer[axis] = idx
     full[tuple(indexer)] = prod
-    out = np.real(array_backend.ifft(full, axis=axis)).astype(x.data.dtype)
+    out = np.real(np.fft.ifft(full, axis=axis)).astype(x.data.dtype)
 
     def backward(grad, accumulate):
         grad = np.asarray(grad)
-        g_p = array_backend.fft(grad, axis=axis) / size
+        g_p = np.fft.fft(grad, axis=axis) / size
         g_p_modes = np.take(g_p, idx, axis=axis)
         if axis == -2:
             grad_weight = np.einsum("bimw,bomw->iom", np.conj(x_modes), g_p_modes)
@@ -313,7 +312,7 @@ def spectral_conv1d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: int, axis:
             g_x_modes = np.einsum("bohm,iom->bihm", g_p_modes, np.conj(weight))
         g_x_full = np.zeros((batch, c_in, height, width), dtype=complex)
         g_x_full[tuple(indexer)] = g_x_modes
-        grad_x = size * np.real(array_backend.ifft(g_x_full, axis=axis))
+        grad_x = size * np.real(np.fft.ifft(g_x_full, axis=axis))
         accumulate(x, grad_x.astype(x.data.dtype))
         accumulate(w_real, np.real(grad_weight))
         accumulate(w_imag, np.imag(grad_weight))

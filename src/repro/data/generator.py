@@ -33,7 +33,7 @@ from repro.data.labels import RichLabels
 from repro.data.sampling import DesignSample, SamplingStrategy, make_sampler
 from repro.data.shards import (
     ShardTask,
-    configure_worker,
+    attach_factorization_store,
     discard_stale_partials,
     engine_for_fidelity,
     engine_tag,
@@ -48,10 +48,10 @@ from repro.devices.factory import make_device
 from repro.fdfd.engine import (
     SolverEngine,
     available_engines,
+    default_factorization_cache,
     load_engine_tiers,
     split_engine_name,
 )
-from repro.utils import backend as array_backend
 from repro.utils.executor import ExecutorConfig, TaskFailure, TaskReport, execute_tasks
 from repro.utils.parallel import effective_workers
 from repro.utils.rng import get_rng
@@ -107,12 +107,6 @@ class GeneratorConfig:
     so leave it unset when exact byte-level reproducibility across store
     states matters more than throughput.  Shard fingerprints deliberately
     exclude it: attaching a store never invalidates resumable artifacts.
-
-    ``backend`` names the array backend every worker configures at startup
-    (``"numpy"``, ``"cupy"``, ``"torch"`` — see
-    :mod:`repro.utils.backend`).  It selects *where* dense array math runs,
-    not what it computes, so it is also excluded from shard fingerprints;
-    an unavailable backend fails at configuration time, not inside a worker.
 
     ``task_timeout`` / ``max_retries`` / ``retry_backoff`` set the
     fault-tolerance policy of the worker fabric (see
@@ -176,7 +170,6 @@ class GeneratorConfig:
     resume: bool = True
     design_id_offset: int = 0
     factorization_store: str | None = None
-    backend: str | None = None
     task_timeout: float | None = None
     max_retries: int = 2
     retry_backoff: float = 0.25
@@ -212,10 +205,6 @@ class DatasetGenerator:
         if config.chi3 is not None and config.wavelengths is not None:
             raise ValueError("broadband and nonlinear generation cannot be combined")
         self._validate_engine()
-        if config.backend:
-            # Resolve eagerly: a mis-provisioned backend (bad name, missing
-            # stack) should fail here, not inside the first pool worker.
-            array_backend.get_backend(config.backend)
 
     def _validate_engine(self) -> None:
         """Fail fast on unknown engine names instead of inside a worker."""
@@ -342,15 +331,58 @@ class DatasetGenerator:
             for task in pending:
                 task.return_labels = True
         initializer, initargs = None, ()
-        if config.factorization_store or config.backend:
-            # Warm every worker (or, serially, this process): select the
-            # array backend, then attach the shared store so fresh
-            # factorizations publish back through the same path.
-            initializer = configure_worker
-            initargs = (
-                config.backend,
-                str(config.factorization_store) if config.factorization_store else None,
-            )
+        previous_store = None
+        if config.factorization_store:
+            # Warm every worker (or, serially, this process): attach the
+            # shared store so fresh factorizations publish back through the
+            # same path.  In-process runs attach it to this process's default
+            # cache, so the caller's attachment is set aside and restored.
+            initializer = attach_factorization_store
+            initargs = (str(config.factorization_store),)
+            previous_store = default_factorization_cache.attach_store(None)
+        try:
+            self._execute(pending, results, num_workers, initializer, initargs)
+        finally:
+            if initializer is not None:
+                default_factorization_cache.attach_store(previous_store)
+
+        # Merge in plan order (fidelity-major, ascending design blocks): the
+        # exact order the serial loop produces.
+        labels: list[RichLabels] = []
+        design_ids: list[int] = []
+        for spec in plan:
+            shard_labels, shard_ids = results[spec.index]
+            labels.extend(shard_labels)
+            design_ids.extend(shard_ids)
+
+        metadata = {
+            "device": config.device_name,
+            "strategy": config.strategy,
+            "num_designs": config.num_designs,
+            "fidelities": list(config.fidelities),
+            "seed": config.seed,
+            "design_id_offset": int(config.design_id_offset or 0),
+            "device_kwargs": dict(config.device_kwargs or {}),
+            "engine": {
+                fidelity: engine_tag(engine_for_fidelity(config.engine, fidelity))
+                for fidelity in config.fidelities
+            },
+        }
+        if config.wavelengths is not None:
+            metadata["wavelengths"] = [float(w) for w in config.wavelengths]
+        if config.chi3 is not None:
+            metadata["chi3"] = float(config.chi3)
+            if config.intensities is not None:
+                metadata["intensities"] = [float(s) for s in config.intensities]
+        return PhotonicDataset.from_labels(labels, design_ids, metadata=metadata)
+
+    def _execute(self, pending, results, num_workers, initializer, initargs) -> None:
+        """Run the pending shards and collect their labels into ``results``.
+
+        Failed shards are salvaged from a complete artifact when one exists;
+        the rest surface together in a :class:`ShardExecutionError`.
+        """
+        config = self.config
         executor_config = ExecutorConfig(
             timeout=config.task_timeout,
             max_retries=max(int(config.max_retries), 0),
@@ -406,36 +438,6 @@ class DatasetGenerator:
                 results[task.spec.index] = output
         if shard_failures:
             raise ShardExecutionError(shard_failures, report)
-
-        # Merge in plan order (fidelity-major, ascending design blocks): the
-        # exact order the serial loop produces.
-        labels: list[RichLabels] = []
-        design_ids: list[int] = []
-        for spec in plan:
-            shard_labels, shard_ids = results[spec.index]
-            labels.extend(shard_labels)
-            design_ids.extend(shard_ids)
-
-        metadata = {
-            "device": config.device_name,
-            "strategy": config.strategy,
-            "num_designs": config.num_designs,
-            "fidelities": list(config.fidelities),
-            "seed": config.seed,
-            "design_id_offset": int(config.design_id_offset or 0),
-            "device_kwargs": dict(config.device_kwargs or {}),
-            "engine": {
-                fidelity: engine_tag(engine_for_fidelity(config.engine, fidelity))
-                for fidelity in config.fidelities
-            },
-        }
-        if config.wavelengths is not None:
-            metadata["wavelengths"] = [float(w) for w in config.wavelengths]
-        if config.chi3 is not None:
-            metadata["chi3"] = float(config.chi3)
-            if config.intensities is not None:
-                metadata["intensities"] = [float(s) for s in config.intensities]
-        return PhotonicDataset.from_labels(labels, design_ids, metadata=metadata)
 
     def _has_engine_instance(self) -> bool:
         engine = self.config.engine
@@ -565,15 +567,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=array_backend.backend_names(),
-        help=(
-            "array backend workers configure at startup (default: numpy, or "
-            "the REPRO_ARRAY_BACKEND environment variable)"
-        ),
-    )
-    parser.add_argument(
         "--resume",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -672,7 +665,6 @@ def main(argv: list[str] | None = None) -> int:
         shard_dir=args.shard_dir,
         resume=args.resume,
         factorization_store=args.factorization_store,
-        backend=args.backend,
         task_timeout=args.task_timeout,
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,

@@ -263,23 +263,6 @@ def attach_factorization_store(directory: str) -> None:
     default_factorization_cache.attach_store(FileFactorizationStore(directory))
 
 
-def configure_worker(backend: str | None, store_directory: str | None) -> None:
-    """Process-wide worker setup: array backend, then shared store.
-
-    ``run_tasks`` initializer for generation worker pools when either knob
-    is set (``GeneratorConfig(backend=..., factorization_store=...)``).
-    Backend selection must happen in the worker itself — a process default
-    set in the parent does not survive the pool's spawn/fork boundary.  Must
-    stay importable at module top level so process pools can pickle it.
-    """
-    if backend:
-        from repro.utils.backend import set_default_backend
-
-        set_default_backend(backend)
-    if store_directory:
-        attach_factorization_store(store_directory)
-
-
 def run_shard(task: ShardTask):
     """Execute one shard: simulate and label its designs at its fidelity.
 

@@ -16,8 +16,7 @@ the fidelity tier:
 * :class:`RefinedEngine` — mixed precision: the LU is factored in reduced
   (fp32/complex64) precision — roughly half the factorization time and
   memory — and fp64 accuracy is recovered by iterative refinement against
-  the full-precision operator.  Dense refinement math routes through the
-  array-backend seam (:mod:`repro.utils.backend`).
+  the full-precision operator.
 * :class:`RecycledEngine` — the optimization-loop tier: keeps the exact LU of
   a *reference* permittivity and solves nearby permittivities (consecutive
   Adam iterates differ only on the operator diagonal) with LU-preconditioned
@@ -61,7 +60,6 @@ import scipy.sparse.linalg as spla
 from repro.constants import EPSILON_0, MU_0
 from repro.fdfd.derivatives import derivative_operators
 from repro.fdfd.grid import Grid
-from repro.utils import backend as array_backend
 
 __all__ = [
     "eps_fingerprint",
@@ -84,7 +82,8 @@ __all__ = [
     "CountingEngine",
     "precision_dtype",
     "dtype_cache_tag",
-    "mixed_precision_refine",
+    "iterative_refine",
+    "RefinementError",
     "register_engine",
     "available_engines",
     "split_engine_name",
@@ -422,11 +421,16 @@ class FactorizationCache:
         return (grid, float(omega), fingerprint, tag)
 
     # -- cross-process store plumbing -------------------------------------------
-    def attach_store(self, store) -> None:
-        """Attach (or with ``None``, detach) a cross-process store."""
+    def attach_store(self, store):
+        """Attach (or with ``None``, detach) a cross-process store.
+
+        Returns the previously attached store (``None`` when there was none),
+        so a temporary attachment can be undone.
+        """
         with self._lock:
-            self._store = store
+            previous, self._store = self._store, store
             self._env_store = None
+            return previous
 
     @property
     def store(self):
@@ -792,40 +796,44 @@ def _factor_apply(entry):
     return apply
 
 
-def mixed_precision_refine(
-    matrix: sp.csr_matrix,
+class RefinementError(RuntimeError):
+    """Iterative refinement stopped contracting or ran out of sweeps."""
+
+
+def iterative_refine(
     apply_inverse,
     rhs: np.ndarray,
-    rtol: float = 1e-10,
-    max_sweeps: int = 20,
+    rtol: float,
+    max_sweeps: int,
+    matrix: sp.spmatrix | None = None,
+    delta: np.ndarray | None = None,
     x0: np.ndarray | None = None,
-    backend=None,
 ) -> tuple[np.ndarray, int, int]:
-    """Iterative refinement: fp64 residuals, reduced-precision corrections.
+    """Iterative refinement of a flat RHS stack ``(n_rhs, n)`` to ``rtol``.
 
-    The classic Wilkinson loop over a flat RHS stack ``(n_rhs, n)``::
+    The Wilkinson loop behind every "factor once, refine cheaply" tier::
 
-        r = b - A x          # true residual, fp64 operator
-        x += A~^{-1} r       # correction through the reduced-precision LU
+        x += M^{-1} r        # correction through an approximate LU M ~ A
+        r  = b - A x         # residual update
 
-    until every ``||r|| <= rtol * ||b||``.  ``apply_inverse`` takes a column
-    matrix (``(n, k)``) like ``SuperLU.solve``; the residuals are *true* fp64
-    residuals (one sparse matvec per sweep) — unlike the matvec-free
-    recurrence of :meth:`RecycledEngine._refine_solve`, which is only valid
-    when corrections come from an exact fp64 LU.  Dense vector arithmetic
-    runs on the array backend (``backend``, default process backend): the
-    NumPy path is literal NumPy at zero conversion cost, while GPU backends
-    keep the iterate/residual stacks on device between the host-side sparse
-    calls.
+    until every ``||r|| <= rtol * max(||b||, tiny)``.  ``apply_inverse``
+    takes a column matrix (``(n, k)``) like ``SuperLU.solve``; the whole
+    active stack sweeps together through one multi-RHS call.  The residual
+    update is the only variation:
 
-    Returns ``(x, sweeps, back_substitutions)``.  Raises ``RuntimeError``
-    when refinement stops contracting or the sweep budget runs out — a
-    reduced-precision tier must fail loudly, never return silently degraded
-    fields.
+    * ``delta`` given — ``A = M + diag(delta)`` with ``M`` an *exact* fp64
+      LU, so the residual follows the matvec-free recurrence
+      ``r <- -delta * correction`` (the recycled tier's diagonal drift);
+    * otherwise — the true fp64 residual ``b - A x`` through ``matrix`` (one
+      sparse matvec per sweep), required whenever ``M`` carries its own
+      factorization error (reduced-precision LUs).
+
+    ``matrix`` is also needed to start from a warm guess ``x0``.  Returns
+    ``(x, sweeps, back_substitutions)``.  Raises :class:`RefinementError`
+    as soon as any active row fails to contract, or when the sweep budget
+    runs out — callers either propagate it (never silently degraded fields)
+    or escalate to a stronger solver.
     """
-    if not isinstance(backend, array_backend.ArrayBackend):
-        backend = array_backend.get_backend(backend)
-    xp = backend.xp
     flat = np.asarray(rhs, dtype=np.complex128)
     if flat.ndim != 2:
         raise ValueError(f"rhs must be a flat stack (n_rhs, n); got shape {flat.shape}")
@@ -845,29 +853,27 @@ def mixed_precision_refine(
         if not active.any():
             return x, sweeps, back_substitutions
         if sweeps >= max_sweeps:
-            raise RuntimeError(
-                f"mixed-precision refinement did not reach rtol={rtol} in "
-                f"{max_sweeps} sweeps (worst relative residual "
+            raise RefinementError(
+                f"refinement did not reach rtol={rtol} in {max_sweeps} sweeps "
+                f"(worst relative residual "
                 f"{float(np.max(norms / np.maximum(b_norms, 1e-300))):.3e})"
             )
-        correction = np.asarray(apply_inverse(residual[active].T)).T
-        # Dense axpy on the backend namespace; host<->device bridging is the
-        # identity for NumPy.
-        updated = xp.add(
-            backend.asarray(x[active]), backend.asarray(correction, dtype=np.complex128)
-        )
-        x[active] = backend.to_numpy(updated)
-        residual[active] = flat[active] - (matrix @ x[active].T).T
-        new_norms = backend.to_numpy(
-            xp.linalg.norm(backend.asarray(residual[active]), None, 1)
-        )
-        if np.all(new_norms >= norms[active]) and np.any(new_norms > tol[active]):
-            raise RuntimeError(
-                "mixed-precision refinement stopped contracting "
-                f"(residual {float(new_norms.max()):.3e}); the reduced-precision "
-                "factorization does not precondition this operator"
+        # A slice keeps the all-active sweep free of fancy-index copies.
+        rows = slice(None) if active.all() else active
+        correction = np.asarray(apply_inverse(residual[rows].T)).T
+        x[rows] += correction
+        if delta is not None:
+            new_residual = -delta[None, :] * correction
+        else:
+            new_residual = flat[rows] - (matrix @ x[rows].T).T
+        new_norms = np.linalg.norm(new_residual, axis=1)
+        if np.any(new_norms >= norms[rows]):
+            raise RefinementError(
+                f"refinement stopped contracting (residual {float(new_norms.max()):.3e}); "
+                "the factorization does not precondition this operator"
             )
-        norms[active] = new_norms
+        residual[rows] = new_residual
+        norms[rows] = new_norms
         back_substitutions += int(active.sum())
         sweeps += 1
 
@@ -1103,19 +1109,17 @@ class RefinedEngine(SolverEngine):
     The factorization — the expensive, memory-bound step of a direct solve —
     runs in complex64 (on a row-equilibrated operator, see
     :class:`_PrecisionLU`), which halves factor memory and substantially cuts
-    factorization time even on CPU.  Full fp64 accuracy is then recovered by
-    :func:`mixed_precision_refine`: each sweep is one multi-RHS fp32
-    back-substitution plus one fp64 sparse matvec, and the loop terminates on
-    the *true* fp64 relative residual, so results match :class:`DirectEngine`
-    to ``rtol`` — a converged-or-raise contract, never silent fp32 fields.
+    factorization time.  Full fp64 accuracy is then recovered by
+    :func:`iterative_refine` on the true fp64 residual: each sweep is one
+    multi-RHS fp32 back-substitution plus one fp64 sparse matvec, and the
+    loop terminates on the fp64 relative residual, so results match
+    :class:`DirectEngine` to ``rtol``.  A stalled or exhausted refinement
+    raises :class:`RefinementError` — a converged-or-raise contract, never
+    silent fp32 fields.
 
-    This is the CPU template the future GPU tier reuses: the dense refinement
-    arithmetic already routes through the array-backend seam
-    (:mod:`repro.utils.backend`, the ``backend=`` knob), and swapping the
-    host SuperLU calls for device triangular solves is the only missing
-    piece.  ``precision="fp64"`` degenerates to an exact direct solve (the
-    first sweep's residual meets any reasonable ``rtol``), which is what
-    makes the precision knob safe to plumb through configs unconditionally.
+    ``precision="fp64"`` degenerates to an exact direct solve (the first
+    sweep's residual meets any reasonable ``rtol``), which is what makes the
+    precision knob safe to plumb through configs unconditionally.
 
     Factorizations live in the shared :class:`FactorizationCache` under the
     dtype-suffixed tag (``"refined-complex64"``), so fp32 and fp64 LUs of the
@@ -1131,17 +1135,11 @@ class RefinedEngine(SolverEngine):
         precision: str = "fp32",
         rtol: float = 1e-10,
         max_sweeps: int = 20,
-        backend=None,
         cache: FactorizationCache | None = None,
     ):
         self.dtype = precision_dtype(precision)
         self.rtol = float(rtol)
         self.max_sweeps = int(max_sweeps)
-        self.backend = (
-            backend
-            if isinstance(backend, array_backend.ArrayBackend)
-            else array_backend.get_backend(backend)
-        )
         self.cache = cache if cache is not None else default_factorization_cache
         self.stats = RefineStats()
         self._tag = dtype_cache_tag("refined", self.dtype)
@@ -1184,14 +1182,13 @@ class RefinedEngine(SolverEngine):
         matrix = assemble_system_matrix(grid, omega, eps_r)
         flat = rhs.reshape(rhs.shape[0], -1)
         guess = None if x0 is None else np.asarray(x0, dtype=complex).reshape(flat.shape)
-        x, sweeps, back_substitutions = mixed_precision_refine(
-            matrix,
+        x, sweeps, back_substitutions = iterative_refine(
             _factor_apply(entry),
             flat,
-            rtol=self.rtol,
-            max_sweeps=self.max_sweeps,
+            self.rtol,
+            self.max_sweeps,
+            matrix=matrix,
             x0=guess,
-            backend=self.backend,
         )
         self.stats.solves += rhs.shape[0]
         self.stats.sweeps += sweeps
@@ -1232,8 +1229,8 @@ class RecycledEngine(SolverEngine):
     omega^2 eps0 diag(d)``), which makes the *previous* factorization an
     excellent preconditioner.  The default ``method="auto"`` solve chain is
 
-    1. diagonal-update iterative refinement (:meth:`_refine_solve`) — each
-       sweep is one back-substitution against the reference LU plus an
+    1. diagonal-update iterative refinement (:func:`iterative_refine`) —
+       each sweep is one back-substitution against the reference LU plus an
        elementwise product (the diagonal structure of the perturbation makes
        the residual recurrence matvec-free), vectorized over the RHS stack;
     2. BiCGStab/GMRES preconditioned with the same reference LU when
@@ -1427,14 +1424,12 @@ class RecycledEngine(SolverEngine):
         entry = self._lu(grid, omega, reference)
         if self.dtype == np.dtype(np.complex128):
             return self._back_substitute(entry, rhs)
-        matrix = self._system_matrix(grid, omega, reference.eps)
-        flat = rhs.reshape(rhs.shape[0], -1)
-        x, _, back_substitutions = mixed_precision_refine(
-            matrix,
+        x, _, back_substitutions = iterative_refine(
             _factor_apply(entry),
-            flat,
-            rtol=self.rtol,
-            max_sweeps=self.max_sweeps,
+            rhs.reshape(rhs.shape[0], -1),
+            self.rtol,
+            self.max_sweeps,
+            matrix=self._system_matrix(grid, omega, reference.eps),
         )
         self.stats.krylov_iterations += back_substitutions
         return x.reshape(rhs.shape)
@@ -1454,79 +1449,6 @@ class RecycledEngine(SolverEngine):
             stale_fp, _ = references.popitem(last=False)
             self.cache.evict(grid, omega, stale_fp, tag=self._tag)
         return self._reference_solve(grid, omega, reference, rhs)
-
-    def _refine_solve(
-        self,
-        grid: Grid,
-        omega: float,
-        eps_r: np.ndarray,
-        rhs: np.ndarray,
-        reference: _RecycledReference,
-        x0: np.ndarray | None,
-    ) -> tuple[np.ndarray | None, float]:
-        """Diagonal-update iterative refinement against the reference LU.
-
-        ``A = A_ref + diag(delta)`` with ``delta = omega^2 eps0 (eps - eps_ref)``,
-        so the stationary iteration ``x += A_ref^{-1} r`` has the residual
-        recurrence ``r_{k+1} = -delta * (A_ref^{-1} r_k)``: each sweep costs
-        one back-substitution plus an elementwise product — no matvec, no
-        Krylov bookkeeping — and the whole right-hand-side stack sweeps
-        together through one multi-RHS ``lu.solve``.  Converges linearly at
-        rate ``rho(A_ref^{-1} diag(delta))``; a non-contracting sweep or the
-        sweep cap reports failure (``(None, inf)``) so the caller can fall
-        back to Krylov or refactorize.  Solutions are converged to
-        ``||b - A x|| <= rtol * ||b||`` — same contract as the Krylov path.
-
-        The matvec-free recurrence is only valid when corrections come from
-        an *exact* fp64 reference LU; with a reduced-precision reference the
-        correction carries its own factorization error, so each sweep instead
-        recomputes the true fp64 residual (one sparse matvec per sweep, as in
-        :func:`mixed_precision_refine`).
-        """
-        lu = self._lu(grid, omega, reference)
-        apply_inverse = _factor_apply(lu)
-        exact_lu = self.dtype == np.dtype(np.complex128)
-        matrix = None
-        if not exact_lu or x0 is not None:
-            matrix = self._system_matrix(grid, omega, eps_r)
-        delta = (
-            omega**2 * EPSILON_0 * (eps_r.ravel() - reference.eps.ravel())
-        ).astype(complex)
-        flat_rhs = rhs.reshape(rhs.shape[0], -1)
-        b_norms = np.linalg.norm(flat_rhs, axis=1)
-        tol = self.rtol * b_norms
-        if x0 is None:
-            x = np.zeros_like(flat_rhs)
-            residual = flat_rhs.copy()
-        else:
-            x = np.asarray(x0, dtype=complex).reshape(flat_rhs.shape).copy()
-            residual = flat_rhs - (matrix @ x.T).T
-        residual_norms = np.linalg.norm(residual, axis=1)
-        sweeps = 0
-        back_substitutions = 0
-        while True:
-            active = residual_norms > tol
-            if not active.any():
-                break
-            if sweeps >= self.max_sweeps:
-                return None, float("inf")
-            correction = np.asarray(apply_inverse(residual[active].T)).T
-            back_substitutions += int(active.sum())
-            x[active] += correction
-            if exact_lu:
-                new_residual = -delta[None, :] * correction
-            else:
-                new_residual = flat_rhs[active] - (matrix @ x[active].T).T
-            new_norms = np.linalg.norm(new_residual, axis=1)
-            if np.any(new_norms >= residual_norms[active]):
-                # Not contracting: the reference no longer preconditions this
-                # operator.  Report failure so the caller can escalate.
-                return None, float("inf")
-            residual[active] = new_residual
-            residual_norms[active] = new_norms
-            sweeps += 1
-        self.stats.krylov_iterations += back_substitutions
-        return x.reshape(rhs.shape), float(sweeps)
 
     def _krylov_solve(
         self,
@@ -1577,13 +1499,42 @@ class RecycledEngine(SolverEngine):
         reference: _RecycledReference,
         x0: np.ndarray | None,
     ) -> tuple[np.ndarray | None, float]:
-        """The recycled path: cheap refinement first, Krylov as the fallback."""
+        """The recycled path: cheap refinement first, Krylov as the fallback.
+
+        ``A = A_ref + diag(delta)`` with ``delta = omega^2 eps0 (eps - eps_ref)``,
+        so refinement against an exact fp64 reference LU runs the matvec-free
+        residual recurrence and converges linearly at rate
+        ``rho(A_ref^{-1} diag(delta))``.  A reduced-precision reference LU
+        carries its own factorization error, so refinement then tracks the
+        true fp64 residual instead.  Either way a stall or the sweep cap
+        escalates to Krylov against the same LU.
+        """
         if self.method == "auto":
-            solutions, iterations = self._refine_solve(
-                grid, omega, eps_r, rhs, reference, x0
-            )
-            if solutions is not None:
-                return solutions, iterations
+            lu = self._lu(grid, omega, reference)
+            exact_lu = self.dtype == np.dtype(np.complex128)
+            matrix = None
+            if not exact_lu or x0 is not None:
+                matrix = self._system_matrix(grid, omega, eps_r)
+            delta = None
+            if exact_lu:
+                delta = (
+                    omega**2 * EPSILON_0 * (eps_r.ravel() - reference.eps.ravel())
+                ).astype(complex)
+            try:
+                x, sweeps, back_substitutions = iterative_refine(
+                    _factor_apply(lu),
+                    rhs.reshape(rhs.shape[0], -1),
+                    self.rtol,
+                    self.max_sweeps,
+                    matrix=matrix,
+                    delta=delta,
+                    x0=x0,
+                )
+            except RefinementError:
+                pass
+            else:
+                self.stats.krylov_iterations += back_substitutions
+                return x.reshape(rhs.shape), float(sweeps)
         return self._krylov_solve(grid, omega, eps_r, rhs, reference, x0)
 
     # -- the solve ---------------------------------------------------------------

@@ -12,13 +12,16 @@ from repro.fdfd.engine import (
     DirectEngine,
     FactorizationCache,
     IterativeEngine,
+    RecycledEngine,
     RefinedEngine,
+    RefinementError,
     SolverEngine,
     available_engines,
     dtype_cache_tag,
     eps_fingerprint,
+    assemble_system_matrix,
+    iterative_refine,
     make_engine,
-    mixed_precision_refine,
     precision_dtype,
     resolve_engine,
 )
@@ -378,21 +381,116 @@ class TestRefinedEngine:
 
     def test_refinement_divergence_raises(self):
         """A non-contracting 'inverse' must fail loudly, never return junk."""
-        from repro.fdfd.engine import assemble_system_matrix
+        for update in ("true", "recurrence"):
+            problem = _refinement_problem(update, domain=1.2)
+            with pytest.raises(RefinementError):
+                iterative_refine(
+                    lambda r: 1e-3 * r, problem["rhs"], 1e-10, 5,
+                    matrix=problem["matrix"], delta=problem["delta"],
+                )
 
-        grid, eps, _ = _straight_waveguide(domain=1.2)
-        matrix = assemble_system_matrix(grid, OMEGA, eps)
-        rhs = np.stack(_point_sources(grid, 1)).reshape(1, -1)
+    def test_non_contracting_factorization_raises(self):
+        """RefinedEngine propagates a stall: converged-or-raise."""
+        grid, eps, _ = _straight_waveguide()
+        engine = RefinedEngine(precision="fp32", cache=FactorizationCache())
+        engine.cache.get_or_build(
+            grid, OMEGA, eps_fingerprint(eps), lambda: _ScaledIdentity(1e-3),
+            tag="refined-complex64",
+        )
         with pytest.raises(RuntimeError):
-            mixed_precision_refine(
-                matrix, lambda r: 1e-3 * r, rhs, rtol=1e-10, max_sweeps=5
-            )
+            engine.solve_batch(grid, OMEGA, eps, np.stack(_point_sources(grid, 1)))
 
     def test_fidelity_signature_carries_precision(self):
         fp32 = RefinedEngine(precision="fp32", cache=FactorizationCache())
         fp64 = RefinedEngine(precision="fp64", cache=FactorizationCache())
         assert fp32.fidelity_signature != fp64.fidelity_signature
         assert "complex64" in fp32.fidelity_signature
+
+
+class _ScaledIdentity:
+    """A 'factorization' whose corrections never contract the residual."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def solve(self, rhs):
+        return self.scale * np.asarray(rhs)
+
+
+def _refinement_problem(update, domain=3.0, n_rhs=2):
+    """One refinement system per residual update of :func:`iterative_refine`.
+
+    ``"true"``: a complex64 LU of ``A`` refined on the fp64 residual.
+    ``"recurrence"``: the exact LU of a reference operator refined towards
+    ``A = A_ref + diag(delta)`` on the matvec-free residual recurrence.
+    """
+    grid, eps, _ = _straight_waveguide(domain=domain)
+    rhs = np.stack(_point_sources(grid, n_rhs))
+    if update == "true":
+        target, delta = eps, None
+        lu = RefinedEngine(precision="fp32", cache=FactorizationCache()).factorize(
+            grid, OMEGA, eps
+        )
+    else:
+        target = eps + 0.01 * np.random.default_rng(0).random(eps.shape)
+        delta = (OMEGA**2 * constants.EPSILON_0 * (target - eps).ravel()).astype(complex)
+        lu = DirectEngine(cache=FactorizationCache()).factorize(grid, OMEGA, eps)
+    exact = DirectEngine(cache=FactorizationCache()).solve_batch(grid, OMEGA, target, rhs)
+    return {
+        "apply_inverse": lu.solve,
+        "rhs": rhs.reshape(n_rhs, -1),
+        "matrix": assemble_system_matrix(grid, OMEGA, target),
+        "delta": delta,
+        "exact": exact.reshape(n_rhs, -1),
+    }
+
+
+@pytest.mark.parametrize("update", ["true", "recurrence"])
+class TestIterativeRefine:
+    """The one refinement kernel behind the refined and recycled tiers."""
+
+    RTOL = 1e-10
+
+    def _refine(self, problem, x0=None, rhs=None):
+        return iterative_refine(
+            problem["apply_inverse"],
+            problem["rhs"] if rhs is None else rhs,
+            self.RTOL,
+            50,
+            matrix=problem["matrix"],
+            delta=problem["delta"],
+            x0=x0,
+        )
+
+    def test_converges_to_rtol_against_direct(self, update):
+        problem = _refinement_problem(update)
+        x, sweeps, back_substitutions = self._refine(problem)
+        rhs, exact = problem["rhs"], problem["exact"]
+        residual = rhs - (problem["matrix"] @ x.T).T
+        # The recurrence tracks the true residual up to fp64 roundoff.
+        assert np.all(
+            np.linalg.norm(residual, axis=1) <= 2 * self.RTOL * np.linalg.norm(rhs, axis=1)
+        )
+        assert np.max(np.abs(x - exact)) <= 1e-8 * np.max(np.abs(exact))
+        assert sweeps >= 1
+        assert sweeps <= back_substitutions <= sweeps * rhs.shape[0]
+
+    def test_warm_start_cuts_sweeps(self, update):
+        problem = _refinement_problem(update)
+        cold, cold_sweeps, _ = self._refine(problem)
+        guess = cold * (1.0 + 1e-6 * np.random.default_rng(3).random(cold.shape))
+        warm, warm_sweeps, _ = self._refine(problem, x0=guess)
+        assert warm_sweeps < cold_sweeps
+        np.testing.assert_allclose(warm, cold, atol=1e-8 * np.max(np.abs(cold)))
+
+    def test_zero_rhs_returns_zeros_without_sweeping(self, update):
+        problem = _refinement_problem(update)
+        problem["apply_inverse"] = _ScaledIdentity(np.nan).solve  # must not run
+        x, sweeps, back_substitutions = self._refine(
+            problem, rhs=np.zeros_like(problem["rhs"])
+        )
+        assert sweeps == 0 and back_substitutions == 0
+        assert x.shape == problem["rhs"].shape and not np.any(x)
 
 
 # --------------------------------------------------------------------------- #
@@ -867,6 +965,38 @@ class TestRecycledEngine:
         assert engine.stats.factorizations == 2
         exact = DirectEngine(cache=FactorizationCache()).solve_batch(grid, OMEGA, hard, rhs)
         np.testing.assert_allclose(result, exact, rtol=1e-12, atol=1e-18)
+
+    def test_non_contracting_refinement_escalates(self, monkeypatch):
+        """A refinement stall is caught and escalated, never propagated."""
+        import repro.fdfd.engine as engine_module
+
+        stalls = []
+
+        def spy(*args, **kwargs):
+            try:
+                return iterative_refine(*args, **kwargs)
+            except RefinementError as err:
+                stalls.append(err)
+                raise
+
+        monkeypatch.setattr(engine_module, "iterative_refine", spy)
+        grid, eps, _ = _straight_waveguide()
+        rhs = np.stack(_point_sources(grid, 1))
+        engine = RecycledEngine(
+            drift_threshold=100.0, max_krylov=10**6, cache=FactorizationCache()
+        )
+        engine.solve_batch(grid, OMEGA, eps, rhs)
+        fallbacks, krylov_iterations = engine.stats.fallbacks, engine.stats.krylov_iterations
+        # Far outside the reference LU's contraction radius.
+        hard = eps + 5.0 * np.random.default_rng(1).random(eps.shape)
+        result = engine.solve_batch(grid, OMEGA, hard, rhs)
+        assert stalls
+        assert (
+            engine.stats.fallbacks > fallbacks
+            or engine.stats.krylov_iterations > krylov_iterations
+        )
+        exact = DirectEngine(cache=FactorizationCache()).solve_batch(grid, OMEGA, hard, rhs)
+        np.testing.assert_allclose(result, exact, atol=1e-5 * np.max(np.abs(exact)))
 
     def test_warm_start_does_not_change_solution(self):
         from repro.fdfd.engine import RecycledEngine

@@ -782,11 +782,11 @@ class TestGeneratorStoreWiring:
             workers=1,
             factorization_store=str(store_dir),
         )
-        try:
-            dataset = DatasetGenerator(config).generate()
-        finally:
-            # The serial path attached the store to the process-default cache.
-            default_factorization_cache.attach_store(None)
+        store_before = default_factorization_cache.store
+        dataset = DatasetGenerator(config).generate()
+        # The serial run attached the store in this process; it must not
+        # outlive generate() and capture later, unrelated solves.
+        assert default_factorization_cache.store is store_before
         assert len(dataset) == 2
         assert len(list(store_dir.glob("*.fact"))) >= 1
 
