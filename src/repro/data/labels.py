@@ -58,6 +58,23 @@ class RichLabels:
         return float(sum(self.transmissions.values()))
 
 
+def spec_figure_of_merit(
+    port_weights: dict[str, float], transmissions: dict[str, float]
+) -> float:
+    """Figure of merit of one spec: ``sum_p w_p T_p`` over a weight norm.
+
+    The norm is the sum of the positive weights, as in
+    :meth:`Device.figure_of_merit`, so a perfect router scores 1.  A spec
+    with only penalty weights (e.g. a power limiter's "stay dark" state) is
+    normalized by ``sum |w|`` instead, which keeps its score in ``[-1, 0]``.
+    """
+    norm = sum(w for w in port_weights.values() if w > 0)
+    if norm <= 0:
+        norm = max(sum(abs(w) for w in port_weights.values()), 1e-12)
+    weighted = sum(w * transmissions.get(p, 0.0) for p, w in port_weights.items())
+    return float(weighted / norm)
+
+
 def extract_labels_batch(
     device: Device,
     density: np.ndarray,
@@ -196,13 +213,7 @@ def extract_labels_batch(
             eps_r = device.apply_state(device.eps_with_design(density), spec.state)
             eps_by_state[state_key] = eps_r
 
-        # Figure of merit restricted to this spec, normalized like
-        # Device.figure_of_merit.
-        positive = max(sum(w for w in spec.port_weights.values() if w > 0), 1e-12)
-        weighted = sum(
-            w * result.transmissions.get(p, 0.0) for p, w in spec.port_weights.items()
-        )
-        fom = float(weighted / positive)
+        fom = spec_figure_of_merit(spec.port_weights, result.transmissions)
 
         extras: dict[str, float] = {}
         if eval_nl is not None:

@@ -26,12 +26,13 @@ from repro.data.generator import (
     generate_dataset,
     main as generator_main,
 )
-from repro.data.labels import field_target
+from repro.data.labels import extract_labels_batch, field_target, spec_figure_of_merit
 from repro.data.shards import (
     engine_for_fidelity,
     plan_shards,
     shard_fingerprint,
 )
+from repro.devices.factory import make_device
 from repro.fdfd.engine import DirectEngine
 
 from tests.conftest import TINY_DEVICE_KWARGS
@@ -53,6 +54,29 @@ class TestLabels:
 
     def test_figure_of_merit_consistent_with_transmissions(self, labels):
         assert labels.figure_of_merit == pytest.approx(labels.transmissions["out"], rel=1e-9)
+
+    def test_spec_figure_of_merit_normalization(self):
+        transmissions = {"out1": 0.6, "out2": 0.3}
+        # Positive weights normalize by their sum: a perfect router scores 1.
+        assert spec_figure_of_merit({"out1": 1.0, "out2": -0.5}, transmissions) == pytest.approx(0.45)
+        assert spec_figure_of_merit({"out1": 2.0}, transmissions) == pytest.approx(0.6)
+        # All-penalty specs normalize by sum |w|, landing in [-1, 0].
+        assert spec_figure_of_merit({"out1": -0.5}, transmissions) == pytest.approx(-0.6)
+        assert spec_figure_of_merit(
+            {"out1": -0.5, "out2": -1.5}, transmissions
+        ) == pytest.approx(-(0.5 * 0.6 + 1.5 * 0.3) / 2.0)
+        assert spec_figure_of_merit({}, transmissions) == 0.0
+
+    def test_penalty_only_spec_label_fom(self):
+        """kerr_limiter's high-power spec has only a penalty weight."""
+        device = make_device("kerr_limiter", **TINY_DEVICE_KWARGS)
+        labels = extract_labels_batch(
+            device, np.full(device.design_shape, 0.5), with_gradient=False
+        )
+        penalty = labels[1]
+        assert all(w < 0 for w in device.specs[1].port_weights.values())
+        assert penalty.figure_of_merit == pytest.approx(-penalty.transmissions["out"], rel=1e-12)
+        assert -1.0 <= penalty.figure_of_merit <= 0.0
 
     def test_maxwell_residual_small(self, labels):
         assert labels.maxwell_residual < 1e-10
