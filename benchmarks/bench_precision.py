@@ -2,7 +2,7 @@
 
 The claim of :class:`~repro.fdfd.engine.RefinedEngine` is that the expensive
 step of a direct solve — the sparse LU factorization — can run in complex64
-(halving factor memory and cutting factorization time) while iterative
+(halving the factors' complex values and cutting factorization time) while iterative
 refinement against the fp64 operator recovers direct-solver accuracy.  This
 benchmark measures, across grid sizes:
 

@@ -402,7 +402,7 @@ class Tensor:
         """Gaussian error linear unit (tanh approximation)."""
         x = self.data
         c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * x**3)
+        inner = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         data = 0.5 * x * (1.0 + t)
 

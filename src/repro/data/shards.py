@@ -342,6 +342,13 @@ def save_shard(
     Arrays are stored losslessly; scalars ride in an embedded JSON header
     (JSON round-trips Python floats exactly), so a loaded shard is
     bit-identical to the in-memory labels.
+
+    Member compression: the complex fields and gradients (``ez_*``,
+    ``hx_*``, ``hy_*``, ``adjgrad_*``) are written ``ZIP_STORED`` — deflate
+    shrinks them only to ~96% at ~16x the cost of the write — and everything
+    else (densities, permittivities, sources, the header) ``ZIP_DEFLATED``.
+    ``np.load`` reads both kinds, and the zip CRC-32 still covers every
+    member, so shards written by ``np.savez_compressed`` load unchanged.
     """
     path = Path(path)
     arrays: dict[str, np.ndarray] = {}
@@ -385,11 +392,26 @@ def save_shard(
     # The temp name is dot-prefixed so a crash mid-write can never leave a
     # file matching the ``shard_*.npz`` glob the loader and resume scan — a
     # half-written partial must be invisible, not merely unlikely to load.
-    # (It keeps the ``.npz`` suffix because ``savez`` appends one otherwise.)
     tmp = path.with_name(f".{path.stem}.tmp-{os.getpid()}.npz")
-    np.savez_compressed(tmp, **arrays)
+    _write_npz(tmp, arrays)
     os.replace(tmp, path)
     return path
+
+
+#: Shard members written uncompressed (see :func:`save_shard`).
+_STORED_MEMBERS = ("ez_", "hx_", "hy_", "adjgrad_")
+
+
+def _write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """``np.savez_compressed`` with deflate skipped for :data:`_STORED_MEMBERS`."""
+    with zipfile.ZipFile(path, "w", allowZip64=True) as archive:
+        for name, array in arrays.items():
+            member = zipfile.ZipInfo(f"{name}.npy")
+            member.compress_type = (
+                zipfile.ZIP_STORED if name.startswith(_STORED_MEMBERS) else zipfile.ZIP_DEFLATED
+            )
+            with archive.open(member, "w", force_zip64=True) as handle:
+                np.lib.format.write_array(handle, np.asanyarray(array), allow_pickle=False)
 
 
 def load_shard(

@@ -1,5 +1,8 @@
 """Tests for MAPS-Data: labels, sampling strategies, datasets and analysis."""
 
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,7 @@ from repro.data.shards import (
     engine_for_fidelity,
     plan_shards,
     shard_fingerprint,
+    try_load_shard,
 )
 from repro.devices.factory import make_device
 from repro.fdfd.engine import DirectEngine
@@ -58,7 +62,8 @@ class TestLabels:
     def test_spec_figure_of_merit_normalization(self):
         transmissions = {"out1": 0.6, "out2": 0.3}
         # Positive weights normalize by their sum: a perfect router scores 1.
-        assert spec_figure_of_merit({"out1": 1.0, "out2": -0.5}, transmissions) == pytest.approx(0.45)
+        mixed = spec_figure_of_merit({"out1": 1.0, "out2": -0.5}, transmissions)
+        assert mixed == pytest.approx(0.45)
         assert spec_figure_of_merit({"out1": 2.0}, transmissions) == pytest.approx(0.6)
         # All-penalty specs normalize by sum |w|, landing in [-1, 0].
         assert spec_figure_of_merit({"out1": -0.5}, transmissions) == pytest.approx(-0.6)
@@ -391,6 +396,53 @@ class TestShardedGeneration:
         shards[1].write_bytes(shards[1].read_bytes()[:40])
         recovered = DatasetGenerator(config).generate()
         self._assert_bit_identical(first, recovered)
+
+    def test_field_members_stored_rest_deflated(self, tmp_path):
+        kwargs = {**self.CONFIG_KWARGS, "with_gradient": True, "num_designs": 2}
+        DatasetGenerator(GeneratorConfig(**kwargs, shard_dir=str(tmp_path))).generate()
+        (shard,) = tmp_path.glob("shard_*.npz")
+        with zipfile.ZipFile(shard) as archive:
+            members = {info.filename: info.compress_type for info in archive.infolist()}
+        assert "adjgrad_0.npy" in members and "__header__.npy" in members
+        for name, compression in members.items():
+            stored = name.startswith(("ez_", "hx_", "hy_", "adjgrad_"))
+            assert compression == (zipfile.ZIP_STORED if stored else zipfile.ZIP_DEFLATED), name
+
+    def test_savez_compressed_shard_loads_and_resumes(self, tmp_path, monkeypatch):
+        """Shards written by ``np.savez_compressed`` (all members deflated)."""
+        config = GeneratorConfig(**self.CONFIG_KWARGS, shard_dir=str(tmp_path))
+        first = DatasetGenerator(config).generate()
+        for shard in tmp_path.glob("shard_*.npz"):
+            with np.load(shard) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            np.savez_compressed(shard, **arrays)
+            with zipfile.ZipFile(shard) as archive:
+                assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+
+        import repro.data.generator as generator_module
+
+        def explode(task):
+            raise AssertionError("shard recomputed despite valid artifacts")
+
+        monkeypatch.setattr(generator_module, "run_shard", explode)
+        self._assert_bit_identical(first, DatasetGenerator(config).generate())
+
+    def test_bit_flip_in_stored_member_recomputed(self, tmp_path):
+        config = GeneratorConfig(**self.CONFIG_KWARGS, shard_dir=str(tmp_path))
+        first = DatasetGenerator(config).generate()
+        shard = sorted(tmp_path.glob("shard_*.npz"))[0]
+        with zipfile.ZipFile(shard) as archive:
+            info = archive.getinfo("ez_0.npy")
+        assert info.compress_type == zipfile.ZIP_STORED
+        raw = bytearray(shard.read_bytes())
+        # Local file header: 30 fixed bytes, then the name and extra field.
+        offset = info.header_offset
+        name_len, extra_len = struct.unpack("<HH", raw[offset + 26 : offset + 30])
+        data_start = offset + 30 + name_len + extra_len
+        raw[data_start + info.file_size // 2] ^= 0x01
+        shard.write_bytes(bytes(raw))
+        assert try_load_shard(shard) is None  # zip CRC-32 mismatch
+        self._assert_bit_identical(first, DatasetGenerator(config).generate())
 
     def test_engine_instances_rejected_for_parallel_runs(self):
         config = GeneratorConfig(

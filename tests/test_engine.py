@@ -4,8 +4,11 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro import constants
+from repro.devices.factory import available_devices, make_device
 from repro.fdfd import Grid, Port, Simulation
 from repro.fdfd.engine import (
     CountingEngine,
@@ -20,6 +23,7 @@ from repro.fdfd.engine import (
     dtype_cache_tag,
     eps_fingerprint,
     assemble_system_matrix,
+    factor_lu,
     iterative_refine,
     make_engine,
     precision_dtype,
@@ -236,6 +240,82 @@ class TestDirectEngine:
             engine.solve_batch(grid, OMEGA, eps, np.zeros((3, 3), dtype=complex))
         with pytest.raises(ValueError):
             engine.solve_batch(grid, OMEGA, eps[:-1], np.zeros((1, *grid.shape)))
+
+
+def _probe_residual(matrix, lu) -> float:
+    probe = np.ones(matrix.shape[0], dtype=matrix.dtype)
+    return float(np.linalg.norm(matrix @ lu.solve(probe) - probe) / np.linalg.norm(probe))
+
+
+def _equilibrated_fp32(matrix):
+    """The row-equilibrated complex64 operator the refined tier factors."""
+    row_scale = 1.0 / np.abs(matrix).max(axis=1).toarray().ravel()
+    return (sp.diags(row_scale) @ matrix).astype(np.complex64).tocsc()
+
+
+class TestFactorLu:
+    BOUNDS = {np.complex128: 1e-10, np.complex64: 1e-2}
+
+    @staticmethod
+    def _count_splu(monkeypatch):
+        calls = []
+        real = spla.splu
+
+        def counting(matrix, **kwargs):
+            calls.append(kwargs)
+            return real(matrix, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        return calls
+
+    @pytest.mark.parametrize("fidelity", ["low", "high"])
+    @pytest.mark.parametrize("name", available_devices())
+    def test_symmetric_mode_meets_bound_on_the_zoo(self, name, fidelity, monkeypatch):
+        device = make_device(name, fidelity=fidelity)
+        density = np.random.default_rng(0).uniform(size=device.design_shape)
+        spec = device.specs[0]
+        eps = device.apply_state(device.eps_with_design(density), spec.state)
+        matrix = assemble_system_matrix(
+            device.grid, constants.wavelength_to_omega(spec.wavelength), eps
+        )
+        calls = self._count_splu(monkeypatch)
+        for dtype, operator in (
+            (np.complex128, matrix),
+            (np.complex64, _equilibrated_fp32(matrix)),
+        ):
+            lu = factor_lu(operator)
+            assert np.dtype(lu.L.dtype) == np.dtype(dtype)
+            assert _probe_residual(operator, lu) <= self.BOUNDS[dtype]
+        # The symmetric-mode factor passed its probe: no fallback refactor.
+        assert [c.get("options") for c in calls] == [{"SymmetricMode": True}] * 2
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda x: 2.0 * x, lambda x: np.full_like(x, np.nan)],
+        ids=["inaccurate", "non-finite"],
+    )
+    def test_bad_factor_falls_back_to_default_pivoting(self, corrupt, monkeypatch):
+        grid, eps, _ = _straight_waveguide()
+        matrix = assemble_system_matrix(grid, OMEGA, eps)
+        calls = self._count_splu(monkeypatch)
+        counting = spla.splu
+
+        class Corrupted:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return corrupt(self.lu.solve(b))
+
+        def first_corrupted(matrix, **kwargs):
+            lu = counting(matrix, **kwargs)
+            return Corrupted(lu) if len(calls) == 1 else lu
+
+        monkeypatch.setattr(spla, "splu", first_corrupted)
+        lu = factor_lu(matrix)
+        assert len(calls) == 2 and calls[1] == {}
+        assert isinstance(lu, spla.SuperLU)
+        assert _probe_residual(matrix, lu) <= self.BOUNDS[np.complex128]
 
 
 class TestIterativeEngine:

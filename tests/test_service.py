@@ -32,6 +32,7 @@ from repro.fdfd.engine import (
     assemble_system_matrix,
     available_engines,
     eps_fingerprint,
+    factor_lu,
     make_engine,
     resolve_engine,
 )
@@ -112,6 +113,24 @@ class TestFileFactorizationStore:
         assert store.stats.hits == 1
         assert store.stats.publishes == 1
         assert len(store) == 1
+
+    def test_symmetric_mode_factor_roundtrip(self, tmp_path, tiny_problem):
+        """The engines' symmetric-mode factors persist and reload like any LU."""
+        grid, eps, fingerprint = tiny_problem
+        matrix = assemble_system_matrix(grid, OMEGA, eps)
+        lu = factor_lu(matrix)
+        store = FileFactorizationStore(tmp_path / "symmetric")
+        assert store.publish(grid, OMEGA, fingerprint, "direct", lu)
+        entry = store.load(grid, OMEGA, fingerprint, "direct")
+        assert isinstance(entry, StoredFactorization)
+        for b in _rhs_stack(grid, 2):
+            x = entry.solve(b.ravel())
+            assert _norm_close(x, lu.solve(b.ravel()), rtol=1e-12)
+            assert np.linalg.norm(matrix @ x - b.ravel()) <= 1e-10 * np.linalg.norm(b)
+        # Fewer stored factor entries than the partial-pivoting default.
+        default = FileFactorizationStore(tmp_path / "default")
+        assert default.publish(grid, OMEGA, fingerprint, "direct", spla.splu(matrix.tocsc()))
+        assert store.stats.bytes_written < default.stats.bytes_written
 
     def test_missing_artifact_is_a_miss(self, tmp_path, tiny_problem):
         grid, _, fingerprint = tiny_problem
