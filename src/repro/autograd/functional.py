@@ -2,12 +2,18 @@
 Fourier-domain operators used by the neural-operator surrogates.
 
 Each function takes and returns :class:`repro.autograd.Tensor` and registers a
-hand-written backward rule.  The Fourier operators use full complex FFTs on
-real inputs; the backward rules follow from Wirtinger calculus for linear maps
-(see the derivation in the docstring of :func:`spectral_conv2d`).
+hand-written backward rule.  The Fourier operators never form a full spectrum:
+only the ``2m`` retained frequencies per axis carry weights, so each transform
+is a truncated DFT, a small matmul against matrices cached per
+``(length, modes)``.  The backward rules follow from Wirtinger calculus for
+linear maps (see the derivation in the docstring of :func:`spectral_conv2d`)
+and reuse the same two transforms, because each is the other's adjoint.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,12 +203,116 @@ def _corner_indices(size: int, modes: int) -> np.ndarray:
     return np.concatenate([np.arange(modes), np.arange(size - modes, size)])
 
 
+class _TruncatedDFT(NamedTuple):
+    """Read-only DFT matrices of length ``n`` restricted to ``2m`` corner modes.
+
+    With ``F`` the ``(2m, n)`` rows ``F[k, j] = exp(-2πi k j / n)`` for the
+    retained frequencies ``k``:
+
+    * ``analysis`` is ``(n, 4m)`` real, the columns of ``[cos | -sin]``
+      interleaved per mode, so ``(x @ analysis).view(complex)`` is ``F x`` for
+      real ``x`` in one real matmul;
+    * ``synthesis`` is ``(4m, n)`` real, ``analysis.T / n``, so
+      ``u.view(float) @ synthesis`` is ``Re(F^H u) / n``: the real part of the
+      inverse DFT of a spectrum that is zero outside the retained modes;
+    * ``rows`` is ``F`` and ``inverse`` is ``F^H / n``, the complex
+      transforms along the second axis of a 2-D transform.
+    """
+
+    analysis: np.ndarray
+    synthesis: np.ndarray
+    rows: np.ndarray
+    inverse: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _truncated_dft(size: int, modes: int) -> _TruncatedDFT:
+    freqs = _corner_indices(size, modes)
+    # Reduce k*j modulo n in integers so the phase stays accurate for large n.
+    phase = (2.0 * np.pi / size) * (np.outer(freqs, np.arange(size)) % size)
+    rows = np.exp(-1j * phase)
+    analysis = np.ascontiguousarray(rows.T).view(np.float64)
+    matrices = _TruncatedDFT(
+        analysis=analysis,
+        synthesis=np.ascontiguousarray(analysis.T) / size,
+        rows=rows,
+        inverse=np.ascontiguousarray(rows.conj().T) / size,
+    )
+    for matrix in matrices:
+        matrix.flags.writeable = False
+    return matrices
+
+
+def _analyze(x: np.ndarray, dft: _TruncatedDFT) -> np.ndarray:
+    """Retained DFT modes of real ``x`` along its last axis, complex ``(..., 2m)``."""
+    return (x @ dft.analysis).view(np.complex128)
+
+
+def _synthesize(u: np.ndarray, dft: _TruncatedDFT) -> np.ndarray:
+    """``Re(IDFT(u))`` along the last axis for modes ``u`` of shape ``(..., 2m)``."""
+    return np.ascontiguousarray(u).view(np.float64) @ dft.synthesis
+
+
+def _modes_first(z: np.ndarray) -> np.ndarray:
+    """``(B, C, L, K)`` modes -> contiguous ``(K, B*L, C)``: one matrix per mode."""
+    batch, channels, length, count = z.shape
+    return np.ascontiguousarray(z.transpose(3, 0, 2, 1)).reshape(count, batch * length, channels)
+
+
+def _modes_last(z: np.ndarray, batch: int) -> np.ndarray:
+    """Inverse of :func:`_modes_first`: ``(K, B*L, C)`` -> ``(B, C, L, K)``."""
+    count, rows, channels = z.shape
+    return z.reshape(count, batch, rows // batch, channels).transpose(1, 3, 2, 0)
+
+
+def _spectral_mix(
+    x: Tensor, w_real: Tensor, w_imag: Tensor, analyze, synthesize, size: int
+) -> Tensor:
+    """``y = synthesize(analyze(x) · W)`` with per-mode complex channel mixing.
+
+    ``analyze`` maps a real ``(B, C, H, W)`` array to its ``K`` retained modes
+    as ``(B, C, L, K)``; ``synthesize`` maps such modes back to the real part
+    of the normalized inverse transform.  ``size`` is the number of points
+    transformed: ``analyze`` and ``size * synthesize`` are adjoint, so the
+    backward pass reuses both (see :func:`spectral_conv2d`).  The weights
+    ``(C_in, C_out, *modes)`` hold ``K`` modes per channel pair.
+    """
+    batch = x.shape[0]
+    c_in, c_out = w_real.shape[:2]
+    weight = (w_real.data + 1j * w_imag.data).reshape(c_in, c_out, -1)
+    weight = np.ascontiguousarray(weight.transpose(2, 0, 1))  # (K, C_in, C_out)
+    x_modes = _modes_first(analyze(x.data))  # (K, B*L, C_in)
+    out = synthesize(_modes_last(x_modes @ weight, batch))
+
+    def backward(grad, accumulate):
+        g_modes = _modes_first(analyze(np.asarray(grad)))  # size * G_P
+        grad_weight = (x_modes.conj().transpose(0, 2, 1) @ g_modes) / size
+        g_x_modes = g_modes @ weight.conj().transpose(0, 2, 1)  # size * G_X
+        grad_x = synthesize(_modes_last(g_x_modes, batch))
+        accumulate(x, grad_x)
+        grad_weight = grad_weight.transpose(1, 2, 0).reshape(w_real.shape)
+        accumulate(w_real, np.real(grad_weight))
+        accumulate(w_imag, np.imag(grad_weight))
+
+    return x._make_child(out.astype(x.data.dtype, copy=False), (x, w_real, w_imag), backward)
+
+
 def spectral_conv2d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: tuple[int, int]) -> Tensor:
     """FNO-style spectral convolution over the last two dimensions.
 
     ``y = Re( IFFT2( W ⊙ FFT2(x) ) )`` where the complex weights ``W`` act only
     on the lowest ``modes = (m1, m2)`` positive/negative frequencies and mix
     input channels into output channels.
+
+    Only the retained modes are ever formed.  With ``F_H`` (``2*m1 x H``) and
+    ``F_W`` (``2*m2 x W``) the truncated DFT matrices of the two axes (see
+    :class:`_TruncatedDFT`), the transform pair is::
+
+        A(x) = F_H · x · F_W^T                     # the retained block of FFT2(x)
+        S(U) = Re( F_H^H · U · conj(F_W) ) / (H*W)  # Re(IFFT2(U)) for U zero elsewhere
+
+    and ``y = S(W ⊙ A(x))``.  ``x · F_W^T`` is one real matmul against
+    ``[cos | -sin]``; ``F_H`` then acts on ``2*m2`` complex columns.
 
     Shapes
     ------
@@ -211,18 +321,18 @@ def spectral_conv2d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: tuple[int,
 
     Backward
     --------
-    With the unnormalized FFT pair (``numpy`` default), for real input ``x``
-    and real output ``y`` the cotangents are::
+    ``A`` and ``H*W * S`` are adjoint, so for real input ``x`` and real
+    output ``y`` Wirtinger calculus gives the cotangents::
 
-        G_P = FFT2(dL/dy) / (H*W)                 # cotangent of the product
+        G_P = A(dL/dy) / (H*W)                  # cotangent of the product
         dL/dW = conj(X) ⊙ G_P   (summed over batch)
         G_X  = conj(W) ⊙ G_P
-        dL/dx = H*W * Re(IFFT2(G_X))
+        dL/dx = H*W * S(G_X)
     """
     if x.ndim != 4:
         raise ValueError(f"spectral_conv2d expects (B, C, H, W), got {x.shape}")
     m1, m2 = modes
-    batch, c_in, height, width = x.shape
+    _, c_in, height, width = x.shape
     c_in_w, c_out = w_real.shape[0], w_real.shape[1]
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input {c_in}, weight {c_in_w}")
@@ -231,49 +341,39 @@ def spectral_conv2d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: tuple[int,
             f"weight shape {w_real.shape} does not match (C_in, C_out, 2*m1, 2*m2)="
             f"{(c_in, c_out, 2 * m1, 2 * m2)}"
         )
-    rows = _corner_indices(height, m1)
-    cols = _corner_indices(width, m2)
+    dft_h = _truncated_dft(height, m1)
+    dft_w = _truncated_dft(width, m2)
 
-    x_ft = np.fft.fft2(x.data)
-    x_modes = x_ft[:, :, rows[:, None], cols[None, :]]  # (B, C_in, 2m1, 2m2)
-    weight = w_real.data + 1j * w_imag.data
-    prod = np.einsum("bimn,iomn->bomn", x_modes, weight)
-    full = np.zeros((batch, c_out, height, width), dtype=complex)
-    full[:, :, rows[:, None], cols[None, :]] = prod
-    out = np.real(np.fft.ifft2(full)).astype(x.data.dtype)
+    def analyze(a):
+        block = dft_h.rows @ _analyze(a, dft_w)  # (B, C, 2m1, 2m2)
+        return block.reshape(a.shape[0], a.shape[1], 1, -1)
 
-    def backward(grad, accumulate):
-        grad = np.asarray(grad)
-        g_p = np.fft.fft2(grad) / (height * width)
-        g_p_modes = g_p[:, :, rows[:, None], cols[None, :]]
-        grad_weight = np.einsum("bimn,bomn->iomn", np.conj(x_modes), g_p_modes)
-        g_x_modes = np.einsum("bomn,iomn->bimn", g_p_modes, np.conj(weight))
-        g_x_full = np.zeros((batch, c_in, height, width), dtype=complex)
-        g_x_full[:, :, rows[:, None], cols[None, :]] = g_x_modes
-        grad_x = (height * width) * np.real(np.fft.ifft2(g_x_full))
-        accumulate(x, grad_x.astype(x.data.dtype))
-        accumulate(w_real, np.real(grad_weight))
-        accumulate(w_imag, np.imag(grad_weight))
+    def synthesize(u):
+        block = u.reshape(u.shape[0], u.shape[1], 2 * m1, 2 * m2)
+        return _synthesize(dft_h.inverse @ block, dft_w)
 
-    return x._make_child(out, (x, w_real, w_imag), backward)
+    return _spectral_mix(x, w_real, w_imag, analyze, synthesize, height * width)
 
 
 def spectral_conv1d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: int, axis: int) -> Tensor:
     """Factorized spectral convolution along a single spatial axis.
 
-    Used by the Factorized-FNO and NeurOLight blocks: a 1-D FFT is taken along
+    Used by the Factorized-FNO and NeurOLight blocks: a 1-D DFT is taken along
     ``axis`` (-1 or -2 of a ``(B, C, H, W)`` tensor), channel mixing is applied
-    to the lowest ``modes`` positive/negative frequencies and the inverse FFT
+    to the lowest ``modes`` positive/negative frequencies and the inverse DFT
     brings the signal back.  Weights have shape ``(C_in, C_out, 2*modes)``.
+
+    Both transforms are one real matmul against the truncated DFT matrices of
+    :class:`_TruncatedDFT`; ``axis=-2`` is handled on a transposed view.  The
+    backward rule is that of :func:`spectral_conv2d` with a single axis.
     """
     if x.ndim != 4:
         raise ValueError(f"spectral_conv1d expects (B, C, H, W), got {x.shape}")
     if axis not in (-1, -2, 2, 3):
         raise ValueError(f"axis must address a spatial dimension, got {axis}")
     axis = axis if axis < 0 else axis - 4
-    batch, c_in, height, width = x.shape
     size = x.shape[axis]
-    c_in_w, c_out = w_real.shape[0], w_real.shape[1]
+    c_in, c_in_w, c_out = x.shape[1], w_real.shape[0], w_real.shape[1]
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input {c_in}, weight {c_in_w}")
     if w_real.shape != (c_in, c_out, 2 * modes):
@@ -281,43 +381,18 @@ def spectral_conv1d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: int, axis:
             f"weight shape {w_real.shape} does not match (C_in, C_out, 2*modes)="
             f"{(c_in, c_out, 2 * modes)}"
         )
-    idx = _corner_indices(size, modes)
+    dft = _truncated_dft(size, modes)
 
-    x_ft = np.fft.fft(x.data, axis=axis)
-    x_modes = np.take(x_ft, idx, axis=axis)  # modes along `axis`
-    weight = w_real.data + 1j * w_imag.data
+    def last(a):  # the transformed axis last, as a view
+        return a if axis == -1 else a.swapaxes(-1, -2)
 
-    if axis == -2:
-        prod = np.einsum("bimw,iom->bomw", x_modes, weight)
-        out_shape = (batch, c_out, height, width)
-    else:
-        prod = np.einsum("bihm,iom->bohm", x_modes, weight)
-        out_shape = (batch, c_out, height, width)
+    def analyze(a):
+        return _analyze(last(a), dft)
 
-    full = np.zeros(out_shape, dtype=complex)
-    indexer = [slice(None)] * 4
-    indexer[axis] = idx
-    full[tuple(indexer)] = prod
-    out = np.real(np.fft.ifft(full, axis=axis)).astype(x.data.dtype)
+    def synthesize(u):
+        return last(_synthesize(u, dft))
 
-    def backward(grad, accumulate):
-        grad = np.asarray(grad)
-        g_p = np.fft.fft(grad, axis=axis) / size
-        g_p_modes = np.take(g_p, idx, axis=axis)
-        if axis == -2:
-            grad_weight = np.einsum("bimw,bomw->iom", np.conj(x_modes), g_p_modes)
-            g_x_modes = np.einsum("bomw,iom->bimw", g_p_modes, np.conj(weight))
-        else:
-            grad_weight = np.einsum("bihm,bohm->iom", np.conj(x_modes), g_p_modes)
-            g_x_modes = np.einsum("bohm,iom->bihm", g_p_modes, np.conj(weight))
-        g_x_full = np.zeros((batch, c_in, height, width), dtype=complex)
-        g_x_full[tuple(indexer)] = g_x_modes
-        grad_x = size * np.real(np.fft.ifft(g_x_full, axis=axis))
-        accumulate(x, grad_x.astype(x.data.dtype))
-        accumulate(w_real, np.real(grad_weight))
-        accumulate(w_imag, np.imag(grad_weight))
-
-    return x._make_child(out, (x, w_real, w_imag), backward)
+    return _spectral_mix(x, w_real, w_imag, analyze, synthesize, size)
 
 
 # --------------------------------------------------------------------------- #

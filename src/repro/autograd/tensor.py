@@ -147,7 +147,9 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=False)
+        # A float32 result stays float32; anything else becomes float64.
+        dtype = np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
+        out = Tensor(data, requires_grad=False, dtype=dtype)
         out.requires_grad = requires
         if requires:
             out._backward = backward
@@ -399,17 +401,40 @@ class Tensor:
         return self._make_child(data, (self,), backward)
 
     def gelu(self) -> "Tensor":
-        """Gaussian error linear unit (tanh approximation)."""
+        """Gaussian error linear unit (tanh approximation).
+
+        ``0.5 x (1 + t)`` with ``t = tanh(c (x + 0.044715 x^3))``.  Forward and
+        backward work in place on one or two temporaries; the closure keeps
+        only ``x`` and ``t``.  The temporaries are allocated with ``out=`` so
+        that a 0-d input still yields arrays, not scalars, to work in place on.
+        """
         x = self.data
         c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * (x * x * x))
-        t = np.tanh(inner)
-        data = 0.5 * x * (1.0 + t)
+        t = np.multiply(x, x, out=np.empty_like(x))
+        t *= 0.044715
+        t += 1.0
+        t *= x
+        t *= c
+        np.tanh(t, out=t)
+        data = t + 1.0
+        data *= x
+        data *= 0.5
 
         def backward(grad, accumulate):
-            dinner = c * (1.0 + 3 * 0.044715 * x**2)
-            dt = (1.0 - t**2) * dinner
-            accumulate(self, grad * (0.5 * (1.0 + t) + 0.5 * x * dt))
+            # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)
+            dx = np.multiply(x, x, out=np.empty_like(x))
+            dx *= 3 * 0.044715
+            dx *= c
+            dx += c
+            dx *= x
+            one_minus_t2 = np.multiply(t, t, out=np.empty_like(t))
+            np.subtract(1.0, one_minus_t2, out=one_minus_t2)
+            dx *= one_minus_t2
+            dx += t
+            dx += 1.0
+            dx *= 0.5
+            dx *= grad
+            accumulate(self, dx)
 
         return self._make_child(data, (self,), backward)
 

@@ -146,6 +146,151 @@ class TestSpectralConv:
             F.spectral_conv2d(x, wr, wr, (2, 2))
 
 
+def _fft_spectral_conv2d(x, w, modes, grad):
+    """Full-FFT reference for spectral_conv2d: output and x/w cotangents."""
+    batch, c_in, height, width = x.shape
+    c_out = w.shape[1]
+    rows = np.r_[0 : modes[0], height - modes[0] : height][:, None]
+    cols = np.r_[0 : modes[1], width - modes[1] : width][None, :]
+    x_modes = np.fft.fft2(x)[:, :, rows, cols]
+    full = np.zeros((batch, c_out, height, width), dtype=complex)
+    full[:, :, rows, cols] = np.einsum("bimn,iomn->bomn", x_modes, w)
+    out = np.real(np.fft.ifft2(full))
+    g_p = (np.fft.fft2(grad) / (height * width))[:, :, rows, cols]
+    grad_w = np.einsum("bimn,bomn->iomn", np.conj(x_modes), g_p)
+    g_x = np.zeros(x.shape, dtype=complex)
+    g_x[:, :, rows, cols] = np.einsum("bomn,iomn->bimn", g_p, np.conj(w))
+    return out, height * width * np.real(np.fft.ifft2(g_x)), grad_w
+
+
+def _fft_spectral_conv1d(x, w, modes, axis, grad):
+    """Full-FFT reference for spectral_conv1d along ``axis`` (moved last here)."""
+    x, grad = np.moveaxis(x, axis, -1), np.moveaxis(grad, axis, -1)
+    size = x.shape[-1]
+    idx = np.r_[0:modes, size - modes : size]
+    x_modes = np.fft.fft(x)[..., idx]
+    full = np.zeros(grad.shape, dtype=complex)
+    full[..., idx] = np.einsum("bihm,iom->bohm", x_modes, w)
+    out = np.real(np.fft.ifft(full))
+    g_p = (np.fft.fft(grad) / size)[..., idx]
+    grad_w = np.einsum("bihm,bohm->iom", np.conj(x_modes), g_p)
+    g_x = np.zeros(x.shape, dtype=complex)
+    g_x[..., idx] = np.einsum("bohm,iom->bihm", g_p, np.conj(w))
+    grad_x = size * np.real(np.fft.ifft(g_x))
+    return np.moveaxis(out, -1, axis), np.moveaxis(grad_x, -1, axis), grad_w
+
+
+def _run_spectral(kernel, x, w_real, w_imag, grad, *args):
+    tensors = [Tensor(a, requires_grad=True) for a in (x, w_real, w_imag)]
+    out = kernel(*tensors, *args)
+    out.backward(grad)
+    return out.data, tensors[0].grad, tensors[1].grad, tensors[2].grad
+
+
+def _relative(actual, expected):
+    return np.abs(actual - expected).max() / np.abs(expected).max()
+
+
+class TestSpectralConvAgainstFFT:
+    """The truncated-DFT kernels equal a full-FFT implementation."""
+
+    @pytest.mark.parametrize(
+        "shape,modes",
+        [
+            ((2, 4, 51, 51), (6, 6)),  # the odd size the surrogate benchmarks train at
+            ((2, 3, 7, 7), (2, 3)),
+            ((2, 3, 8, 8), (2, 3)),
+            ((2, 3, 9, 12), (3, 4)),  # H != W
+            ((1, 2, 6, 7), (3, 2)),  # 2*m1 == H
+            ((1, 2, 7, 8), (2, 4)),  # 2*m2 == W
+        ],
+    )
+    def test_spectral2d(self, shape, modes):
+        rng = np.random.default_rng(sum(shape) + sum(modes))
+        batch, c_in, height, width = shape
+        c_out = 3
+        w_shape = (c_in, c_out, 2 * modes[0], 2 * modes[1])
+        x = rng.normal(size=shape)
+        w_real, w_imag = rng.normal(size=w_shape), rng.normal(size=w_shape)
+        grad = rng.normal(size=(batch, c_out, height, width))
+        out, grad_x, grad_wr, grad_wi = _run_spectral(
+            F.spectral_conv2d, x, w_real, w_imag, grad, modes
+        )
+        ref_out, ref_x, ref_w = _fft_spectral_conv2d(x, w_real + 1j * w_imag, modes, grad)
+        assert _relative(out, ref_out) <= 1e-12
+        assert _relative(grad_x, ref_x) <= 1e-12
+        assert _relative(grad_wr, ref_w.real) <= 1e-12
+        assert _relative(grad_wi, ref_w.imag) <= 1e-12
+
+    @pytest.mark.parametrize("axis", [-1, -2, 2, 3])
+    @pytest.mark.parametrize(
+        "shape,modes",
+        [
+            ((2, 4, 51, 51), 6),
+            ((2, 3, 7, 7), 3),
+            ((2, 3, 8, 8), 3),
+            ((2, 3, 9, 12), 2),
+            ((1, 2, 8, 8), 4),  # 2*modes == N
+        ],
+    )
+    def test_spectral1d(self, shape, modes, axis):
+        rng = np.random.default_rng(sum(shape) + modes + axis)
+        batch, c_in, height, width = shape
+        c_out = 3
+        w_shape = (c_in, c_out, 2 * modes)
+        x = rng.normal(size=shape)
+        w_real, w_imag = rng.normal(size=w_shape), rng.normal(size=w_shape)
+        grad = rng.normal(size=(batch, c_out, height, width))
+        out, grad_x, grad_wr, grad_wi = _run_spectral(
+            F.spectral_conv1d, x, w_real, w_imag, grad, modes, axis
+        )
+        ref_out, ref_x, ref_w = _fft_spectral_conv1d(x, w_real + 1j * w_imag, modes, axis, grad)
+        assert _relative(out, ref_out) <= 1e-12
+        assert _relative(grad_x, ref_x) <= 1e-12
+        assert _relative(grad_wr, ref_w.real) <= 1e-12
+        assert _relative(grad_wi, ref_w.imag) <= 1e-12
+
+    def test_spectral2d_gradient_odd_size(self):
+        x = tensor_of((2, 2, 7, 9), seed=0)
+        wr = tensor_of((2, 3, 4, 6), seed=1, scale=0.1)
+        wi = tensor_of((2, 3, 4, 6), seed=2, scale=0.1)
+        err = check_gradient(lambda x, wr, wi: F.spectral_conv2d(x, wr, wi, (2, 3)), [x, wr, wi])
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_spectral1d_gradient_odd_size(self, axis):
+        x = tensor_of((2, 2, 7, 9), seed=0)
+        wr = tensor_of((2, 3, 6), seed=1, scale=0.1)
+        wi = tensor_of((2, 3, 6), seed=2, scale=0.1)
+        err = check_gradient(
+            lambda x, wr, wi: F.spectral_conv1d(x, wr, wi, 3, axis=axis), [x, wr, wi]
+        )
+        assert err < 1e-4
+
+    def test_dft_cache_is_shared_and_read_only(self):
+        matrices = F._truncated_dft(13, 4)
+        assert F._truncated_dft(13, 4) is matrices
+        for matrix in matrices:
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kernel", ["2d", "1d"])
+    def test_float32_input(self, kernel):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 2, 7, 8)), requires_grad=True, dtype=np.float32)
+        w_shape = (2, 3, 4, 4) if kernel == "2d" else (2, 3, 4)
+        wr = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        wi = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        if kernel == "2d":
+            out = F.spectral_conv2d(x, wr, wi, (2, 2))
+        else:
+            out = F.spectral_conv1d(x, wr, wi, 2, axis=-2)
+        assert out.data.dtype == np.float32
+        out.backward(np.ones(out.shape))
+        assert x.grad.dtype == np.float32
+        assert wr.grad.dtype == np.float64
+
+
 class TestDropoutSoftplus:
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.ones((4, 4)))

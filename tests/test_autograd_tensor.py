@@ -84,6 +84,23 @@ class TestGradients:
         x = tensor_of((3, 4), seed=2)
         assert check_gradient(func, [x]) < 1e-4
 
+    @pytest.mark.parametrize("shape", [(), (3, 4), (2, 3, 5, 5)])
+    def test_gelu_matches_closed_form(self, shape):
+        rng = np.random.default_rng(7)
+        x = 3.0 * rng.normal(size=shape)
+        grad = rng.normal(size=shape)
+        c = np.sqrt(2.0 / np.pi)
+        t = np.tanh(c * (x + 0.044715 * x**3))
+        expected = 0.5 * x * (1.0 + t)
+        expected_grad = grad * (
+            0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
+        )
+        tensor = Tensor(x, requires_grad=True)
+        out = tensor.gelu()
+        out.backward(grad)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(tensor.grad, expected_grad, rtol=1e-13, atol=1e-15)
+
     def test_broadcast_add_gradient(self):
         a = tensor_of((3, 4), seed=0)
         b = tensor_of((4,), seed=1)
