@@ -60,6 +60,7 @@ import scipy.sparse.linalg as spla
 from repro.constants import EPSILON_0, MU_0
 from repro.fdfd.derivatives import derivative_operators
 from repro.fdfd.grid import Grid
+from repro.utils.cache import BoundedCache
 
 __all__ = [
     "eps_fingerprint",
@@ -115,12 +116,7 @@ def eps_fingerprint(eps_r: np.ndarray) -> str:
 # --------------------------------------------------------------------------- #
 # operator assembly (shared, permittivity-independent parts cached)
 # --------------------------------------------------------------------------- #
-_OPERATOR_CACHE: OrderedDict[tuple[Grid, float], dict] = OrderedDict()
-
-
-def _operator_cache_maxsize() -> int:
-    """Capacity of the operator cache (``REPRO_OPERATOR_CACHE_SIZE``, min 1)."""
-    return max(1, int(os.environ.get("REPRO_OPERATOR_CACHE_SIZE", "8")))
+_OPERATOR_CACHE = BoundedCache(8)
 
 
 def operators(grid: Grid, omega: float) -> dict:
@@ -128,22 +124,18 @@ def operators(grid: Grid, omega: float) -> dict:
 
     The returned dict contains ``Dxf``/``Dxb``/``Dyf``/``Dyb`` and
     ``curl_curl`` (the permittivity-independent part of the Maxwell operator).
-    Cached process-wide with true LRU behaviour — a hit refreshes the entry,
-    so a hot grid survives however many cold ones pass through.  Capacity is
-    controlled by ``REPRO_OPERATOR_CACHE_SIZE`` (default 8, read on insert).
+    Cached process-wide for the 8 most recently used ``(grid, omega)`` pairs;
+    a hit refreshes the entry, so a hot grid survives however many cold ones
+    pass through.
     """
     key = (grid, float(omega))
     entry = _OPERATOR_CACHE.get(key)
     if entry is None:
-        derivs = derivative_operators(grid, float(omega))
-        derivs["curl_curl"] = (
-            derivs["Dxf"] @ derivs["Dxb"] + derivs["Dyf"] @ derivs["Dyb"]
+        entry = derivative_operators(grid, float(omega))
+        entry["curl_curl"] = (
+            entry["Dxf"] @ entry["Dxb"] + entry["Dyf"] @ entry["Dyb"]
         ) / MU_0
-        while len(_OPERATOR_CACHE) >= _operator_cache_maxsize():
-            _OPERATOR_CACHE.popitem(last=False)
-        _OPERATOR_CACHE[key] = entry = derivs
-    else:
-        _OPERATOR_CACHE.move_to_end(key)
+        _OPERATOR_CACHE.put(key, entry)
     return entry
 
 
@@ -407,11 +399,9 @@ class FactorizationCache:
     def __init__(self, maxsize: int | None = None, store=None):
         if maxsize is None:
             maxsize = int(os.environ.get("REPRO_FACTORIZATION_CACHE_SIZE", "8"))
-        if maxsize <= 0:
-            raise ValueError(f"maxsize must be positive, got {maxsize}")
         self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
-        self._sizes: dict[tuple, int] = {}
+        # key -> (entry, estimated bytes)
+        self._entries = BoundedCache(maxsize)
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._store = store
@@ -475,11 +465,10 @@ class FactorizationCache:
         """
         key = self._key(grid, omega, fingerprint, tag)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
+            cached = self._entries.get(key)
+            if cached is not None:
                 self.stats.hits += 1
-                return entry
+                return cached[0]
             self.stats.misses += 1
         store = self.store
         entry = None
@@ -499,50 +488,50 @@ class FactorizationCache:
         return entry
 
     def _insert(self, key: tuple, entry) -> None:
+        size = _entry_nbytes(entry)
         with self._lock:
-            if key in self._entries:  # lost a build race: last insert wins
-                self.stats.current_bytes -= self._sizes.pop(key, 0)
-                del self._entries[key]
-            while len(self._entries) >= self.maxsize:
-                stale, _ = self._entries.popitem(last=False)
-                self.stats.current_bytes -= self._sizes.pop(stale, 0)
+            lost_race = self._entries.pop(key)  # last insert wins
+            if lost_race is not None:
+                self.stats.current_bytes -= lost_race[1]
+            for _, (_, stale_size) in self._entries.put(key, (entry, size)):
+                self.stats.current_bytes -= stale_size
                 self.stats.evictions += 1
-            size = _entry_nbytes(entry)
-            self._entries[key] = entry
-            self._sizes[key] = size
             self.stats.current_bytes += size
 
     def peek(self, grid: Grid, omega: float, fingerprint: str, tag: str = "direct"):
-        """Return a cached entry without building or touching LRU order."""
-        with self._lock:
-            return self._entries.get(self._key(grid, omega, fingerprint, tag))
+        """Return a cached entry (refreshed, like any hit) without building or counting."""
+        cached = self._entries.get(self._key(grid, omega, fingerprint, tag))
+        return None if cached is None else cached[0]
 
     def evict(self, grid: Grid, omega: float, fingerprint: str, tag: str | None = None) -> int:
         """Drop entries for one operator (all tags unless one is given)."""
         with self._lock:
             if tag is not None:
-                key = self._key(grid, omega, fingerprint, tag)
-                if self._entries.pop(key, None) is None:
-                    return 0
-                self.stats.current_bytes -= self._sizes.pop(key, 0)
-                return 1
-            prefix = (grid, float(omega), fingerprint)
-            stale = [key for key in self._entries if key[:3] == prefix]
-            for key in stale:
-                del self._entries[key]
-                self.stats.current_bytes -= self._sizes.pop(key, 0)
-            return len(stale)
+                keys = [self._key(grid, omega, fingerprint, tag)]
+            else:
+                prefix = (grid, float(omega), fingerprint)
+                keys = [key for key in self._entries.keys() if key[:3] == prefix]
+            dropped = 0
+            for key in keys:
+                cached = self._entries.pop(key)
+                if cached is not None:
+                    self.stats.current_bytes -= cached[1]
+                    dropped += 1
+            return dropped
 
     def clear(self) -> None:
-        """Drop every cached factorization and reset the statistics."""
+        """Drop every cached factorization and reset the statistics.
+
+        The statistics are reset in place, so a :func:`scoped_stats` block
+        that clears the cache keeps observing it.
+        """
         with self._lock:
             self._entries.clear()
-            self._sizes.clear()
-            self.stats = CacheStats()
+            self.stats.reset()
+            self.stats.current_bytes = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 default_factorization_cache = FactorizationCache()

@@ -14,12 +14,12 @@ first), which is how the multi-mode devices (MDM) address higher-order modes.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.constants import C_0
+from repro.utils.cache import BoundedCache
 
 
 @dataclass
@@ -109,31 +109,30 @@ def _guided_modes(
     return modes
 
 
-# Process-wide cache of solved mode lines.  Port cross-sections are tiny and
-# rarely change (an optimization loop re-solves the *same* lines every
-# iteration: the design region does not touch the ports), so modes are cached
-# by cross-section content.  A solve that asked for at least as many modes —
-# or that found every guided mode the line supports — serves smaller requests,
-# mirroring the per-Simulation mode cache.
-_MODE_CACHE: "OrderedDict[tuple, tuple[int, list[ModeProfile]]]" = OrderedDict()
-_MODE_CACHE_MAX = 512
+# Process-wide cache of solved mode lines: key -> (num_modes the solve asked
+# for, guided modes found).  Port cross-sections are tiny and rarely change (an
+# optimization loop re-solves the *same* lines every iteration: the design
+# region does not touch the ports), so modes are cached by cross-section
+# content, which also keeps in-place permittivity edits from reading stale
+# modes.
+_MODE_CACHE = BoundedCache(512)
 
 
 def _cached_modes(key: tuple, num_modes: int) -> list[ModeProfile] | None:
+    """Cached modes for ``key`` if the entry can serve ``num_modes``.
+
+    Mode selection is incremental (the first ``k`` modes do not depend on how
+    many were requested), so an entry serves any request it solved for — or
+    any request at all when it found fewer modes than it asked for, meaning
+    the line guides no more.
+    """
     entry = _MODE_CACHE.get(key)
     if entry is None:
         return None
     solved_for, modes = entry
     if solved_for >= num_modes or len(modes) < solved_for:
-        _MODE_CACHE.move_to_end(key)
         return modes[:num_modes]
     return None
-
-
-def _store_modes(key: tuple, num_modes: int, modes: list[ModeProfile]) -> None:
-    while len(_MODE_CACHE) >= _MODE_CACHE_MAX:
-        _MODE_CACHE.popitem(last=False)
-    _MODE_CACHE[key] = (num_modes, modes)
 
 
 def solve_slab_modes(
@@ -215,7 +214,7 @@ def solve_slab_modes_batch(
             modes = _guided_modes(
                 eigvals[position], eigvecs[position], lines[index], dl_um, k0, num_modes
             )
-            _store_modes(keys[index], num_modes, modes)
+            _MODE_CACHE.put(keys[index], (num_modes, modes))
             results[index] = modes
     return results
 

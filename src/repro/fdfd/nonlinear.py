@@ -573,7 +573,6 @@ class NonlinearSimulation(Simulation):
         if not specs:
             return []
 
-        self._current_fingerprint()
         requests: dict[str, int] = {}
         for spec in specs:
             self._port(spec.source_port)

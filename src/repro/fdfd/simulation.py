@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,6 +37,7 @@ from repro.fdfd.grid import Grid
 from repro.fdfd.modes import ModeProfile, mode_source_amplitude, solve_slab_modes_batch
 from repro.fdfd.monitors import Port, mode_overlap, poynting_flux_through_port
 from repro.fdfd.solver import FdfdSolver, FieldSolution
+from repro.utils.cache import BoundedCache
 
 
 # Process-wide cache of normalization results.  The normalization structure is
@@ -45,25 +45,9 @@ from repro.fdfd.solver import FdfdSolver, FieldSolution
 # and frequency) — not by the design — so every iteration of an optimization
 # loop, and every Simulation instance of the same device family, recomputes a
 # byte-identical (flux, overlap) pair.  Keying on the cross-section content
-# lets them all share one computation.  Bounded LRU; entries are tiny floats.
-_NORMALIZATION_CACHE: OrderedDict[tuple, tuple[float, complex]] = OrderedDict()
-_NORMALIZATION_CACHE_MAX = 256
-_NORMALIZATION_CACHE_LOCK = threading.Lock()
-
-
-def _normalization_cache_get(key: tuple) -> tuple[float, complex] | None:
-    with _NORMALIZATION_CACHE_LOCK:
-        entry = _NORMALIZATION_CACHE.get(key)
-        if entry is not None:
-            _NORMALIZATION_CACHE.move_to_end(key)
-        return entry
-
-
-def _normalization_cache_put(key: tuple, value: tuple[float, complex]) -> None:
-    with _NORMALIZATION_CACHE_LOCK:
-        while len(_NORMALIZATION_CACHE) >= _NORMALIZATION_CACHE_MAX:
-            _NORMALIZATION_CACHE.popitem(last=False)
-        _NORMALIZATION_CACHE[key] = value
+# lets them all share one computation, and keeps in-place edits of ``eps_r``
+# from ever reading a stale entry.  Entries are tiny floats.
+_NORMALIZATION_CACHE = BoundedCache(256)
 
 
 # Process-wide cache of complete solve results, keyed end-to-end: design
@@ -71,18 +55,32 @@ def _normalization_cache_put(key: tuple, value: tuple[float, complex]) -> None:
 # set), wavelength/grid, port geometry and the engine's fidelity signature.
 # Entries are full SimulationResults (field maps included), so the default
 # capacity is deliberately modest; serving deployments with memory to spare
-# raise REPRO_RESULT_CACHE_SIZE, and 0 disables the cache entirely.  Entries
-# are copied on both store and hit — callers may mutate what they receive
-# without corrupting what later callers are served.
-_RESULT_CACHE: OrderedDict[tuple, "SimulationResult"] = OrderedDict()
+# raise REPRO_RESULT_CACHE_SIZE (read on every use), and 0 disables the cache
+# entirely.  Entries are copied on both store and hit — callers may mutate
+# what they receive without corrupting what later callers are served.
+_RESULT_CACHE = BoundedCache(32)
 _RESULT_CACHE_LOCK = threading.Lock()
 _RESULT_CACHE_HITS = 0
 _RESULT_CACHE_MISSES = 0
 
 
-def _result_cache_maxsize() -> int:
-    """Capacity of the result cache (``REPRO_RESULT_CACHE_SIZE``, 0 disables)."""
-    return int(os.environ.get("REPRO_RESULT_CACHE_SIZE", "32"))
+def _result_cache() -> BoundedCache | None:
+    """The result cache at its ``REPRO_RESULT_CACHE_SIZE`` capacity (None: disabled).
+
+    A changed size re-homes the most recent entries into a cache of the new
+    capacity.
+    """
+    global _RESULT_CACHE
+    maxsize = int(os.environ.get("REPRO_RESULT_CACHE_SIZE", "32"))
+    if maxsize <= 0:
+        return None
+    with _RESULT_CACHE_LOCK:
+        if _RESULT_CACHE.maxsize != maxsize:
+            resized = BoundedCache(maxsize)
+            for key in _RESULT_CACHE.keys():
+                resized.put(key, _RESULT_CACHE.get(key))
+            _RESULT_CACHE = resized
+        return _RESULT_CACHE
 
 
 def _copy_result(result: "SimulationResult") -> "SimulationResult":
@@ -98,26 +96,11 @@ def _copy_result(result: "SimulationResult") -> "SimulationResult":
     )
 
 
-def _result_cache_get(key: tuple) -> "SimulationResult | None":
+def _count_result_lookups(hits: int, misses: int) -> None:
     global _RESULT_CACHE_HITS, _RESULT_CACHE_MISSES
     with _RESULT_CACHE_LOCK:
-        entry = _RESULT_CACHE.get(key)
-        if entry is None:
-            _RESULT_CACHE_MISSES += 1
-            return None
-        _RESULT_CACHE.move_to_end(key)
-        _RESULT_CACHE_HITS += 1
-        return _copy_result(entry)
-
-
-def _result_cache_put(key: tuple, result: "SimulationResult") -> None:
-    maxsize = _result_cache_maxsize()
-    if maxsize <= 0:
-        return
-    with _RESULT_CACHE_LOCK:
-        while len(_RESULT_CACHE) >= maxsize:
-            _RESULT_CACHE.popitem(last=False)
-        _RESULT_CACHE[key] = _copy_result(result)
+        _RESULT_CACHE_HITS += hits
+        _RESULT_CACHE_MISSES += misses
 
 
 def result_cache_stats() -> dict:
@@ -266,11 +249,6 @@ class Simulation:
         self.ports = {p.name: p for p in ports}
         self.solver = FdfdSolver(grid, self.omega, engine=engine)
         self._eps_fingerprint = eps_fingerprint(eps_r)
-        self._norm_cache: dict[tuple[str, int], tuple[float, complex]] = {}
-        # Port modes of the *current* permittivity: name -> (num_modes the
-        # solve was asked for, guided modes found).  Invalidated with the
-        # normalization cache whenever the permittivity changes.
-        self._mode_cache: dict[str, tuple[int, list[ModeProfile]]] = {}
 
     @property
     def engine(self) -> SolverEngine:
@@ -282,24 +260,19 @@ class Simulation:
 
         Recomputed from content on every solve so that in-place mutation of
         ``eps_r`` (instead of :meth:`set_permittivity`) can never hit a stale
-        cached factorization — or a stale normalization, which is tied to the
-        permittivity through the source-port cross-section.
+        cached factorization.  Port modes and normalizations need no such
+        check: their process-wide caches are keyed by port cross-section
+        content.
         """
-        fingerprint = eps_fingerprint(self.eps_r)
-        if fingerprint != self._eps_fingerprint:
-            self._norm_cache.clear()
-            self._mode_cache.clear()
-            self._eps_fingerprint = fingerprint
-        return fingerprint
+        self._eps_fingerprint = eps_fingerprint(self.eps_r)
+        return self._eps_fingerprint
 
     # -- permittivity handling ----------------------------------------------------
     def set_permittivity(self, eps_r: np.ndarray) -> None:
-        """Replace the permittivity map (invalidates every derived cache).
+        """Replace the permittivity map and evict the superseded factorization.
 
-        Both the solver factorization *and* the normalization cache are tied to
-        the permittivity: the normalization waveguide is extruded from the
-        source-port cross-section, so its flux/overlap must be recomputed when
-        the design changes.
+        Port modes and normalizations follow automatically: both are cached
+        by the content of the port cross-sections they are derived from.
         """
         eps_r = np.asarray(eps_r, dtype=float)
         if eps_r.shape != self.grid.shape:
@@ -309,8 +282,6 @@ class Simulation:
         old_fingerprint = self._eps_fingerprint
         self.eps_r = eps_r
         self._eps_fingerprint = eps_fingerprint(eps_r)
-        self._norm_cache.clear()
-        self._mode_cache.clear()
         # Evict only the superseded design operator — but *every* engine tag
         # of it (tag=None): a direct LU, an iterative ILU and a recycled
         # preconditioner of the old permittivity are all equally superseded,
@@ -324,71 +295,33 @@ class Simulation:
         self.solver._solved_fingerprints.discard(old_fingerprint)
 
     # -- sources ----------------------------------------------------------------------
-    @staticmethod
-    def _cached_modes_sufficient(
-        cached: tuple[int, list[ModeProfile]] | None, num_modes: int
-    ) -> bool:
-        """Whether a cache entry can serve a request for ``num_modes`` modes.
-
-        Sufficient if the cached solve asked for at least as many modes, or
-        found fewer than it asked for (meaning every guided mode of the
-        cross-section is already in the entry).
-        """
-        if cached is None:
-            return False
-        solved_for, modes = cached
-        return solved_for >= num_modes or len(modes) < solved_for
-
-    def _modes(self, port_name: str, num_modes: int) -> list[ModeProfile]:
-        """Cached guided modes of a port for the current permittivity.
-
-        A cached solve that asked for at least ``num_modes`` serves any
-        smaller request (mode selection is incremental, so the first ``k``
-        modes are independent of how many were requested).  Callers must have
-        validated the fingerprint via :meth:`_current_fingerprint` first.
-        """
-        cached = self._mode_cache.get(port_name)
-        if self._cached_modes_sufficient(cached, num_modes):
-            return cached[1][:num_modes]
-        port = self._port(port_name)
-        modes = port.solve_modes(self.eps_r, self.grid, self.omega, num_modes=num_modes)
-        self._mode_cache[port_name] = (num_modes, modes)
-        return modes
-
     def _prepare_port_modes(self, requests: dict[str, int]) -> None:
-        """Solve all missing port modes in one batched eigendecomposition.
+        """Solve all requested port modes in one batched eigendecomposition.
 
         ``requests`` maps port names to the number of modes needed.  Every
-        port line that is not already cached (with enough modes) is solved
-        through :func:`~repro.fdfd.modes.solve_slab_modes_batch`, so a batch
-        of excitations pays one LAPACK dispatch per distinct line length
-        instead of one dense eigendecomposition per port per excitation.
+        port line is passed to :func:`~repro.fdfd.modes.solve_slab_modes_batch`
+        at once, so the lines its cache cannot serve cost one LAPACK dispatch
+        per distinct line length instead of one dense eigendecomposition per
+        port per excitation.
         """
-        missing: list[tuple[str, int]] = []
-        for name, num_modes in requests.items():
-            if not self._cached_modes_sufficient(self._mode_cache.get(name), num_modes):
-                missing.append((name, num_modes))
-        if not missing:
+        if not requests:
             return
-        num_modes = max(n for _, n in missing)
-        lines = [
-            self._port(name).eps_line(self.eps_r, self.grid) for name, _ in missing
-        ]
-        solved = solve_slab_modes_batch(lines, self.grid.dl, self.omega, num_modes)
-        for (name, _), modes in zip(missing, solved):
-            self._mode_cache[name] = (num_modes, modes)
+        lines = [self._port(name).eps_line(self.eps_r, self.grid) for name in requests]
+        solve_slab_modes_batch(lines, self.grid.dl, self.omega, max(requests.values()))
 
     def port_modes(self, port_name: str, num_modes: int = 2) -> list[ModeProfile]:
-        """Guided modes of a port cross-section for the current permittivity."""
-        self._port(port_name)
-        self._current_fingerprint()
-        return self._modes(port_name, num_modes)
+        """Guided modes of a port cross-section for the current permittivity.
+
+        Served from the process-wide line cache of :mod:`repro.fdfd.modes`,
+        which a solve for at least ``num_modes`` modes already satisfies.
+        """
+        port = self._port(port_name)
+        return port.solve_modes(self.eps_r, self.grid, self.omega, num_modes=num_modes)
 
     def mode_source(self, port_name: str, mode_index: int = 0) -> np.ndarray:
         """Current source injecting the given port mode."""
         port = self._port(port_name)
-        self._current_fingerprint()
-        modes = self._modes(port_name, mode_index + 1)
+        modes = self.port_modes(port_name, mode_index + 1)
         if len(modes) <= mode_index:
             raise ValueError(
                 f"port {port_name!r} guides only {len(modes)} mode(s); "
@@ -416,13 +349,9 @@ class Simulation:
         loops (whose design never touches the port lines) and sibling
         Simulation instances skip the normalization solve entirely.
         """
-        key = (port_name, mode_index)
-        if key in self._norm_cache:
-            return self._norm_cache[key]
-
         port = self._port(port_name)
         eps_line = port.eps_line(self.eps_r, self.grid)
-        shared_key = (
+        key = (
             self.grid,
             self.omega,
             # Results are engine-fidelity-specific: a surrogate's normalization
@@ -437,10 +366,9 @@ class Simulation:
             mode_index,
             eps_line.tobytes(),
         )
-        shared = _normalization_cache_get(shared_key)
-        if shared is not None:
-            self._norm_cache[key] = shared
-            return shared
+        cached = _NORMALIZATION_CACHE.get(key)
+        if cached is not None:
+            return cached
         eps_norm, monitor = normalization_geometry(self.grid, port, eps_line)
         modes = port.solve_modes(eps_norm, self.grid, self.omega, num_modes=mode_index + 1)
         if len(modes) <= mode_index:
@@ -459,8 +387,7 @@ class Simulation:
         )
         overlap = mode_overlap(solution.ez, monitor, monitor_modes[mode_index], self.grid)
         result = (abs(float(flux)), overlap)
-        self._norm_cache[key] = result
-        _normalization_cache_put(shared_key, result)
+        _NORMALIZATION_CACHE.put(key, result)
         return result
 
     # -- forward solves ----------------------------------------------------------------------
@@ -533,23 +460,24 @@ class Simulation:
         if not specs:
             return []
 
-        # Validate the permittivity once (clears stale mode/normalization
-        # caches after in-place mutation), then consult the end-to-end result
-        # cache: excitations whose complete query — design, spec, wavelength,
-        # port geometry, engine fidelity — was answered before skip the solver
-        # entirely.  Only the leftover subset is solved below.
+        # Fingerprint the permittivity once (catching in-place mutation),
+        # then consult the end-to-end result cache: excitations whose complete
+        # query — design, spec, wavelength, port geometry, engine fidelity —
+        # was answered before skip the solver entirely.  Only the leftover
+        # subset is solved below.
         fingerprint = self._current_fingerprint()
-        use_cache = workspace is None and _result_cache_maxsize() > 0
+        result_cache = _result_cache() if workspace is None else None
         cached: dict[int, SimulationResult] = {}
         cache_keys: dict[int, tuple] = {}
-        if use_cache:
+        if result_cache is not None:
             signature = self.solver.engine.fidelity_signature
             for index, spec in enumerate(specs):
                 key = self._result_key(fingerprint, signature, spec)
                 cache_keys[index] = key
-                hit = _result_cache_get(key)
+                hit = result_cache.get(key)
                 if hit is not None:
-                    cached[index] = hit
+                    cached[index] = _copy_result(hit)
+            _count_result_lookups(hits=len(cached), misses=len(specs) - len(cached))
         pending = [index for index in range(len(specs)) if index not in cached]
         if not pending:
             return [cached[index] for index in range(len(specs))]
@@ -585,7 +513,7 @@ class Simulation:
         x0 = None
         keys = None
         if workspace is not None:
-            # use_cache is False here, so pending_specs is the full batch.
+            # The result cache is off here, so pending_specs is the full batch.
             keys = guess_keys
             if keys is None:
                 keys = [(spec.source_port, spec.mode_index, self.wavelength) for spec in specs]
@@ -608,8 +536,8 @@ class Simulation:
             results[index] = result
         for index, spec, source, solution in zip(pending, pending_specs, sources, solutions):
             result = self._measure(spec, source, solution)
-            if use_cache:
-                _result_cache_put(cache_keys[index], result)
+            if result_cache is not None:
+                result_cache.put(cache_keys[index], _copy_result(result))
             results[index] = result
         return results
 
@@ -673,7 +601,7 @@ class Simulation:
                 solution.ez, solution.hx, solution.hy, monitor, self.grid
             )
             fluxes[name] = float(flux)
-            modes = self._modes(name, 1)
+            modes = self.port_modes(name, 1)
             if modes:
                 overlap = mode_overlap(solution.ez, monitor, modes[0], self.grid)
             else:

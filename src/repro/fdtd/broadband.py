@@ -25,9 +25,6 @@ wavelength) with 2 runs plus cheap per-wavelength DFT bookkeeping.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 import numpy as np
 
 from repro.constants import MU_0, omega_to_wavelength, wavelength_to_omega
@@ -37,14 +34,13 @@ from repro.fdfd.monitors import Port, poynting_flux_through_port
 from repro.fdfd.pml import create_sfactor
 from repro.fdfd.simulation import SimulationResult, normalization_geometry
 from repro.fdtd.core import run_pulsed
+from repro.utils.cache import BoundedCache
 
 # Broadband normalization runs are fully determined by the source-port
 # cross-section, grid, wavelength set and stepping parameters — not by the
 # design — so optimization loops and sibling simulations share one run.
 # Values are small per-wavelength (flux, overlap) arrays.
-_NORM_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_NORM_CACHE_MAX = 64
-_NORM_CACHE_LOCK = threading.Lock()
+_NORM_CACHE = BoundedCache(64)
 
 
 def _e_to_h(ez: np.ndarray, grid: Grid, omega: float) -> tuple[np.ndarray, np.ndarray]:
@@ -176,43 +172,6 @@ class FdtdSimulation:
             )
         return fluxes, overlaps
 
-    def _normalization(
-        self, port: Port, mode_index: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-wavelength incident flux and modal overlap of the source.
-
-        Same reference structure as the FDFD facade
-        (:func:`normalization_geometry`), excited by the same band-centre
-        pulse as the device run and measured wavelength-by-wavelength.
-        Cached — :meth:`solve` computes it alongside the device run (one
-        batched time-domain integration) whenever the cache misses.
-        """
-        eps_line = port.eps_line(self.eps_r, self.grid)
-        key = self._normalization_key(port, mode_index, eps_line)
-        with _NORM_CACHE_LOCK:
-            hit = _NORM_CACHE.get(key)
-            if hit is not None:
-                _NORM_CACHE.move_to_end(key)
-                return hit
-
-        eps_norm, monitor = normalization_geometry(self.grid, port, eps_line)
-        modes = port.solve_modes(
-            eps_norm, self.grid, self.omega_center, num_modes=mode_index + 1
-        )
-        if len(modes) <= mode_index:
-            raise ValueError(
-                f"normalization waveguide for port {port.name!r} does not guide "
-                f"mode {mode_index}"
-            )
-        source = port.scatter_line(mode_source_amplitude(modes[mode_index]), self.grid)
-        fields = self._run(eps_norm, source)
-        result = self._measure_normalization(fields, eps_norm, monitor, mode_index)
-        with _NORM_CACHE_LOCK:
-            while len(_NORM_CACHE) >= _NORM_CACHE_MAX:
-                _NORM_CACHE.popitem(last=False)
-            _NORM_CACHE[key] = result
-        return result
-
     # -- the broadband solve ---------------------------------------------------
     def solve(
         self,
@@ -245,10 +204,7 @@ class FdtdSimulation:
         # over both geometries instead of paying for two runs.
         eps_line = port.eps_line(self.eps_r, self.grid)
         key = self._normalization_key(port, mode_index, eps_line)
-        with _NORM_CACHE_LOCK:
-            norm = _NORM_CACHE.get(key)
-            if norm is not None:
-                _NORM_CACHE.move_to_end(key)
+        norm = _NORM_CACHE.get(key)
         if norm is not None:
             fields = self._run(self.eps_r, source)
         else:
@@ -263,10 +219,7 @@ class FdtdSimulation:
             )
             fields = stacked[:, 0]
             norm = self._measure_normalization(stacked[:, 1], eps_norm, monitor, mode_index)
-            with _NORM_CACHE_LOCK:
-                while len(_NORM_CACHE) >= _NORM_CACHE_MAX:
-                    _NORM_CACHE.popitem(last=False)
-                _NORM_CACHE[key] = norm
+            _NORM_CACHE.put(key, norm)
         norm_fluxes, norm_overlaps = norm
 
         results = []

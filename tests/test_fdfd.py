@@ -10,7 +10,7 @@ from repro.fdfd import Grid, Port, Simulation, solve_slab_modes
 from repro.fdfd.derivatives import derivative_operators
 from repro.fdfd.modes import overlap_coefficient
 from repro.fdfd.monitors import mode_overlap, poynting_flux_through_port
-from repro.fdfd.engine import DirectEngine, FactorizationCache
+from repro.fdfd.engine import CountingEngine, DirectEngine, FactorizationCache
 from repro.fdfd.pml import create_sfactor
 from repro.fdfd.solver import FdfdSolver
 
@@ -396,19 +396,22 @@ class TestSimulation:
         """Regression: normalization flux/overlap must not survive a design change."""
         grid, eps, ports = _straight_waveguide()
         sim = Simulation(grid, eps, 1.55, ports)
-        sim.solve("in")
-        assert sim._norm_cache
-        stale = dict(sim._norm_cache)
+        stale = sim.solve("in")
         # Widen the feeding waveguide: the port cross-section (and therefore the
         # normalization run) changes, so the cached values would be wrong.
         wider = np.full(grid.shape, constants.EPS_SIO2)
         y = grid.y_coords()
         wider[:, np.abs(y - grid.size_y / 2) <= 0.6] = constants.EPS_SI
         sim.set_permittivity(wider)
-        assert not sim._norm_cache
         result = sim.solve("in")
-        stale_flux = stale[("in", 0)][0]
+        # A counting engine carries its own fidelity token, so the fresh
+        # simulation computes its normalization instead of sharing sim's.
+        expected = Simulation(grid, wider, 1.55, ports, engine=CountingEngine()).solve("in")
+        assert result.input_flux == expected.input_flux
+        assert result.input_overlap == expected.input_overlap
+        stale_flux = stale.input_flux
         assert abs(result.input_flux - stale_flux) / stale_flux > 1e-6
+        assert result.input_overlap != stale.input_overlap
 
     def test_mode_source_is_on_port_line_only(self, straight_result):
         sim, _ = straight_result
