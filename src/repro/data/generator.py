@@ -91,13 +91,18 @@ class GeneratorConfig:
     (``"direct"``, ``"iterative"``, ``"recycled"``, or a promoted surrogate
     checkpoint ``"neural:<checkpoint.npz>"``), an engine instance — serial
     runs only — or a ``{fidelity: name}`` mapping with an optional ``"*"``
-    default.  ``workers`` fans shards out across processes (0 = all available
-    cores); ``shard_size`` fixes the shard layout independently of the worker
-    count; ``shard_dir`` persists shards as resumable artifacts
-    (``resume=False`` forces recomputation).  ``design_id_offset`` shifts the
-    global design ids of the run — active-learning loops use it to append new
-    designs to an existing shard directory without colliding with the ids
-    already there.
+    default.  The exact tier (``None``, ``"direct"`` or an alias) labels
+    through condensed factorizations: each design factors only its design
+    region's Schur complement against an exterior factored once per device
+    and wavelength (see :func:`~repro.data.labels.extract_labels_batch`).
+    With ``factorization_store`` set, operators are factored in full, since
+    the store persists only full LUs.  ``workers`` fans shards out across
+    processes (0 = all available cores); ``shard_size`` fixes the shard
+    layout independently of the worker count; ``shard_dir`` persists shards
+    as resumable artifacts (``resume=False`` forces recomputation).
+    ``design_id_offset`` shifts the global design ids of the run —
+    active-learning loops use it to append new designs to an existing shard
+    directory without colliding with the ids already there.
 
     ``factorization_store`` names a directory shared by every worker (and by
     later runs): each worker's factorization cache falls through to it, so the

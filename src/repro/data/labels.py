@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.devices.base import Device, TargetSpec
-from repro.fdfd.engine import SolverEngine
+from repro.fdfd.engine import DirectEngine, SolverEngine, selects_direct
 from repro.fdfd.simulation import Simulation
 from repro.invdes.adjoint import (
     FieldBackend,
@@ -119,7 +119,13 @@ def extract_labels_batch(
     engine:
         Solver engine or registry name (``"direct"``, ``"iterative"``, ...)
         selecting the fidelity tier of the default numerical backend.
-        Mutually exclusive with ``backend``.
+        Mutually exclusive with ``backend``.  The exact tier (None,
+        ``"direct"`` or an alias of it) is built with the device's design
+        region, so each design factors only its condensed operator against
+        an exterior factored once per device and wavelength (see
+        :class:`~repro.fdfd.engine.DirectEngine`).  The choice depends only
+        on the device and the design, so serial, pooled and resumed runs
+        label identically.  Engine instances are used as given.
     wavelengths:
         Broadband mode: label every spec at each of these wavelengths
         (overriding the specs' own), wavelength-major, forward-only
@@ -141,6 +147,11 @@ def extract_labels_batch(
         analogue of ``wavelengths``.
     """
     if backend is None:
+        if selects_direct(engine):
+            geometry = device.geometry
+            engine = DirectEngine(
+                design_region=geometry.design_slice, exterior_eps=geometry.eps_background
+            )
         backend = NumericalFieldBackend(engine=engine)
     elif engine is not None:
         raise ValueError("pass either backend or engine, not both")

@@ -10,7 +10,9 @@ the fidelity tier:
 * :class:`DirectEngine` — exact sparse solves via SuperLU.  One factorization
   is computed per ``(grid, omega, permittivity)`` triple and reused for
   arbitrarily many right-hand sides (forward, adjoint and normalization solves
-  are triangular back-substitutions against the same LU).
+  are triangular back-substitutions against the same LU).  Given a device's
+  design region, it factors the fixed exterior once and each design only
+  on the region (the Schur complement), which is how labels are made.
 * :class:`IterativeEngine` — BiCGStab/GMRES with an incomplete-LU
   preconditioner: a cheap, approximate low-fidelity tier.
 * :class:`RefinedEngine` — mixed precision: the LU is factored in reduced
@@ -89,6 +91,7 @@ __all__ = [
     "register_engine",
     "available_engines",
     "split_engine_name",
+    "selects_direct",
     "make_engine",
     "resolve_engine",
 ]
@@ -398,7 +401,16 @@ class FactorizationCache:
 
     def __init__(self, maxsize: int | None = None, store=None):
         if maxsize is None:
-            maxsize = int(os.environ.get("REPRO_FACTORIZATION_CACHE_SIZE", "8"))
+            raw = os.environ.get("REPRO_FACTORIZATION_CACHE_SIZE", "8")
+            try:
+                maxsize = int(raw)
+            except ValueError:
+                maxsize = 0
+            if maxsize < 1:
+                raise ValueError(
+                    f"REPRO_FACTORIZATION_CACHE_SIZE={raw!r} is not a cache size; "
+                    "set it to an integer of at least 1"
+                )
         self.maxsize = maxsize
         # key -> (entry, estimated bytes)
         self._entries = BoundedCache(maxsize)
@@ -529,6 +541,10 @@ class FactorizationCache:
             self._entries.clear()
             self.stats.reset()
             self.stats.current_bytes = 0
+
+    def keys(self) -> list[tuple]:
+        """Cached keys ``(grid, omega, fingerprint, tag)``, least recently used first."""
+        return self._entries.keys()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -711,6 +727,114 @@ def factor_lu(matrix: sp.spmatrix) -> spla.SuperLU:
         if residual <= bound:  # False for NaN/inf
             break
     return lu
+
+
+# --------------------------------------------------------------------------- #
+# design-region condensation: the fixed exterior factored once per device
+# --------------------------------------------------------------------------- #
+#: Columns of ``A_EE^{-1} A_EI`` back-substituted at a time while an exterior
+#: is built.  Only their ring rows are kept, so the transient is one
+#: ``(n_E, 32)`` block (~4 MB on a 104^2 grid), not the full ``(n_E, k)``.
+_EXTERIOR_BLOCK = 32
+
+
+class _Exterior:
+    """The part of a device operator no design touches, factored once.
+
+    Split the unknowns into the design rectangle ``I`` and the exterior
+    ``E``: ``A = [[A_II, A_IE], [A_EI, A_EE]]``.  A design moves only the
+    diagonal of ``A_II``; ``A_EE`` carries the fixed exterior permittivity
+    and the couplings are pure curl-curl stencil.  This holds the LU of
+    ``A_EE`` and the design-independent part of the Schur complement
+    ``S = A_II - A_IE A_EE^{-1} A_EI``.  Its correction term is a dense
+    ``k x k`` block on the ``k`` border cells the stencil couples to the
+    exterior ring, computed with ``k`` exterior back-substitutions.  ``S``
+    is kept as a CSC template whose diagonal a design overwrites, the way
+    :func:`_system_template` serves the full operator.
+    """
+
+    def __init__(self, grid: Grid, omega: float, eps_r: np.ndarray, region: tuple):
+        inside = np.zeros(grid.shape, dtype=bool)
+        inside[region] = True
+        self.interior = np.flatnonzero(inside.ravel())
+        self.exterior = np.flatnonzero(~inside.ravel())
+        matrix = assemble_system_matrix(grid, omega, eps_r)
+        exterior_rows = matrix[self.exterior]
+        self.a_ei = exterior_rows[:, self.interior].tocsr()
+        self.a_ie = matrix[self.interior][:, self.exterior].tocsr()
+        self.lu = factor_lu(exterior_rows[:, self.exterior])
+
+        ring = np.union1d(
+            np.flatnonzero(self.a_ei.getnnz(axis=1)), np.flatnonzero(self.a_ie.getnnz(axis=0))
+        )
+        border = np.union1d(
+            np.flatnonzero(self.a_ei.getnnz(axis=0)), np.flatnonzero(self.a_ie.getnnz(axis=1))
+        )
+        coupling = self.a_ei[:, border].tocsc()
+        ring_rows = np.empty((ring.size, border.size), dtype=complex)
+        for start in range(0, border.size, _EXTERIOR_BLOCK):
+            block = slice(start, start + _EXTERIOR_BLOCK)
+            ring_rows[:, block] = self.lu.solve(coupling[:, block].toarray())[ring]
+        correction = self.a_ie[border][:, ring] @ ring_rows
+
+        # curl-curl on the design rectangle (the system template carries an
+        # explicit diagonal) minus the correction.  The COO -> CSC conversion
+        # sums duplicates without dropping zeros, so the diagonal is always
+        # present to overwrite.
+        curl_curl = _system_template(grid, omega)["matrix"][self.interior][:, self.interior].tocoo()
+        rows, cols = np.meshgrid(border, border, indexing="ij")
+        schur = sp.coo_matrix(
+            (
+                np.concatenate([curl_curl.data, -correction.ravel()]),
+                (
+                    np.concatenate([curl_curl.row, rows.ravel()]),
+                    np.concatenate([curl_curl.col, cols.ravel()]),
+                ),
+            ),
+            shape=curl_curl.shape,
+        ).tocsc()
+        column_of = np.repeat(np.arange(schur.shape[1]), np.diff(schur.indptr))
+        self.diag_positions = np.flatnonzero(schur.indices == column_of)
+        self.base_diagonal = schur.data[self.diag_positions].copy()
+        self.schur = schur
+        self.nbytes = _entry_nbytes(self.lu) + _entry_nbytes((schur, self.a_ei, self.a_ie))
+
+    def schur_complement(self, omega: float, eps_r: np.ndarray) -> sp.csc_matrix:
+        """``S(eps_r)``: the template with the design's diagonal written in."""
+        data = self.schur.data.copy()
+        diagonal = omega**2 * EPSILON_0 * np.asarray(eps_r).ravel()[self.interior]
+        data[self.diag_positions] = self.base_diagonal + diagonal
+        return sp.csc_matrix((data, self.schur.indices, self.schur.indptr), shape=self.schur.shape)
+
+
+class _CondensedLU:
+    """Exact solves of ``A(eps_r)`` from a shared :class:`_Exterior` and the LU of ``S``.
+
+    Exposes SuperLU's ``solve(b)`` for 1-D and column right-hand sides.  Per
+    right-hand side: ``y = A_EE^{-1} b_E``, ``x_I = S^{-1} (b_I - A_IE y)``,
+    ``x_E = y - A_EE^{-1} A_EI x_I``.
+    """
+
+    __slots__ = ("exterior", "lu")
+
+    def __init__(self, exterior: _Exterior, omega: float, eps_r: np.ndarray):
+        self.exterior = exterior
+        self.lu = factor_lu(exterior.schur_complement(omega, eps_r))
+
+    @property
+    def nbytes(self) -> int:
+        # The exterior is cached (and counted) under its own key.
+        return _entry_nbytes(self.lu)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        outer = self.exterior
+        b = np.asarray(b)
+        y = outer.lu.solve(b[outer.exterior])
+        x_interior = self.lu.solve(b[outer.interior] - outer.a_ie @ y)
+        x = np.empty(b.shape, dtype=y.dtype)
+        x[outer.interior] = x_interior
+        x[outer.exterior] = y - outer.lu.solve(outer.a_ei @ x_interior)
+        return x
 
 
 class _PrecisionLU:
@@ -1015,12 +1139,37 @@ class DirectEngine(SolverEngine):
     All right-hand sides of a batch are solved in a single
     ``lu.solve`` call on a 2-D RHS matrix, and the factorization itself is
     shared across batches (and across engine instances using the same cache).
+
+    With a ``design_region`` (a device's ``design_slice``) and the
+    ``exterior_eps`` outside it, an operator that matches ``exterior_eps``
+    everywhere outside the region is *condensed*: the exterior block is
+    factored once per ``(grid, omega, exterior)`` (cache tag
+    ``"exterior"``), and each design factors only its Schur complement on
+    the region (tag ``"condensed"``).  Every other operator — and every
+    operator while the cache has a factorization store, which persists only
+    full SuperLU artifacts — is factored in full under tag ``"direct"``.
+    Both paths are exact.
     """
 
     name = "direct"
 
-    def __init__(self, cache: FactorizationCache | None = None):
+    def __init__(
+        self,
+        cache: FactorizationCache | None = None,
+        design_region: tuple[slice, slice] | None = None,
+        exterior_eps: np.ndarray | None = None,
+    ):
+        if (design_region is None) != (exterior_eps is None):
+            raise ValueError("design_region and exterior_eps go together")
         self.cache = cache if cache is not None else default_factorization_cache
+        self.design_region = design_region
+        if design_region is not None:
+            self._outside = np.ones(np.shape(exterior_eps), dtype=bool)
+            self._outside[design_region] = False
+            self._exterior_eps = np.asarray(exterior_eps)[self._outside]
+            digest = hashlib.sha1(eps_fingerprint(self._exterior_eps).encode())
+            digest.update(repr(design_region).encode())
+            self._exterior_fingerprint = digest.hexdigest()
 
     @property
     def fidelity_signature(self) -> tuple:
@@ -1028,18 +1177,45 @@ class DirectEngine(SolverEngine):
         # engine (direct or recycled) may share cached results.
         return ("exact",)
 
+    def _condenses(self, grid: Grid, eps_r: np.ndarray) -> bool:
+        return (
+            self.design_region is not None
+            and grid.shape == self._outside.shape
+            and self.cache.store is None
+            and np.array_equal(np.asarray(eps_r)[self._outside], self._exterior_eps)
+        )
+
     def factorize(
         self, grid: Grid, omega: float, eps_r: np.ndarray, fingerprint: str | None = None
-    ) -> spla.SuperLU:
-        """LU factorization of ``A(eps_r)``, shared through the cache."""
+    ):
+        """Factorization of ``A(eps_r)`` (a SuperLU or a condensed LU), shared through the cache."""
         if fingerprint is None:
             fingerprint = eps_fingerprint(eps_r)
+        if self._condenses(grid, eps_r):
+            return self.cache.get_or_build(
+                grid,
+                omega,
+                fingerprint,
+                lambda: _CondensedLU(self._exterior(grid, omega, eps_r), omega, eps_r),
+                tag="condensed",
+            )
         return self.cache.get_or_build(
             grid,
             omega,
             fingerprint,
             lambda: factor_lu(assemble_system_matrix(grid, omega, eps_r)),
             tag="direct",
+        )
+
+    def _exterior(self, grid: Grid, omega: float, eps_r: np.ndarray) -> _Exterior:
+        # Built lazily by the first condensed build; ``eps_r`` matches the
+        # exterior outside the region, and the region's values do not enter.
+        return self.cache.get_or_build(
+            grid,
+            omega,
+            self._exterior_fingerprint,
+            lambda: _Exterior(grid, omega, eps_r, self.design_region),
+            tag="exterior",
         )
 
     def solve_batch(self, grid, omega, eps_r, rhs, fingerprint=None, x0=None):
@@ -1694,6 +1870,21 @@ def load_engine_tiers() -> None:
             __import__(module)
         except ImportError:  # pragma: no cover - optional stack unavailable
             pass
+
+
+def selects_direct(engine) -> bool:
+    """Whether an engine argument selects the plain exact tier.
+
+    True for None and for any registry alias of :class:`DirectEngine`
+    (``"direct"``, ``"superlu"``, ``"high"``); False for engine instances
+    and every other name.
+    """
+    if engine is None:
+        return True
+    if not isinstance(engine, str):
+        return False
+    key, spec = split_engine_name(engine)
+    return spec is None and _ENGINE_FACTORIES.get(key) is DirectEngine
 
 
 def make_engine(name: str, **kwargs) -> SolverEngine:
