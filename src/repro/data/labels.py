@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.devices.base import Device, TargetSpec
+from repro.devices.base import Device, TargetSpec, positive_weight_norm
 from repro.fdfd.engine import DirectEngine, SolverEngine, selects_direct
 from repro.fdfd.simulation import Simulation
 from repro.invdes.adjoint import (
@@ -68,7 +68,7 @@ def spec_figure_of_merit(
     with only penalty weights (e.g. a power limiter's "stay dark" state) is
     normalized by ``sum |w|`` instead, which keeps its score in ``[-1, 0]``.
     """
-    norm = sum(w for w in port_weights.values() if w > 0)
+    norm = positive_weight_norm(port_weights)
     if norm <= 0:
         norm = max(sum(abs(w) for w in port_weights.values()), 1e-12)
     weighted = sum(w * transmissions.get(p, 0.0) for p, w in port_weights.items())
@@ -161,14 +161,26 @@ def extract_labels_batch(
         raise ValueError("intensities is the nonlinear sweep axis; pass nonlinearity too")
     if nonlinearity is not None and wavelengths is not None:
         raise ValueError("broadband and nonlinear labels cannot be combined")
+    count = len(device.specs)
     if specs is None:
-        specs = list(range(len(device.specs)))
+        specs = list(range(count))
     resolved: list[tuple[int, TargetSpec]] = []
     for spec in specs:
         if isinstance(spec, int):
-            resolved.append((spec, device.specs[spec]))
-        else:
+            if not -count <= spec < count:
+                raise ValueError(
+                    f"spec index {spec} out of range for device {device.name!r} "
+                    f"with {count} specs"
+                )
+            # Record the canonical (non-negative) index, as shards store it.
+            resolved.append((range(count)[spec], device.specs[spec]))
+        elif spec in device.specs:
             resolved.append((device.specs.index(spec), spec))
+        else:
+            raise ValueError(
+                f"expected an index or a member of device.specs of {device.name!r}; "
+                f"got {spec!r}"
+            )
 
     if nonlinearity is None:
         evaluations = evaluate_specs(

@@ -59,6 +59,11 @@ class TargetSpec:
         return list(self.port_weights)
 
 
+def positive_weight_norm(port_weights: dict[str, float]) -> float:
+    """Sum of the positive port weights: the score of a perfect router."""
+    return sum(w for w in port_weights.values() if w > 0)
+
+
 @dataclass
 class DeviceGeometry:
     """Concrete geometry of a device at one fidelity level."""
@@ -226,9 +231,7 @@ class Device:
                 for port, w in spec.port_weights.items()
             )
             total += spec.weight * contribution
-            weight_sum += spec.weight * max(
-                sum(w for w in spec.port_weights.values() if w > 0), 1e-12
-            )
+            weight_sum += spec.weight * max(positive_weight_norm(spec.port_weights), 1e-12)
         return float(total / weight_sum) if weight_sum else 0.0
 
     def initial_density(self, kind: str = "uniform", rng=None) -> np.ndarray:

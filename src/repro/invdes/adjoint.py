@@ -1,19 +1,20 @@
-"""Per-excitation adjoint gradients on top of the solver-engine layer.
+"""Per-excitation objectives and adjoint gradients across the fidelity tiers.
 
-:func:`evaluate_spec` runs the forward simulation for one
-:class:`~repro.devices.base.TargetSpec`, evaluates the objective, performs the
-adjoint solve and chains the permittivity gradient back to the design density.
-:func:`evaluate_specs` is the batched form: specs sharing a simulation
-(same wavelength and device state) are grouped onto one
-:class:`~repro.fdfd.simulation.Simulation`, their forward solves go through
-one :meth:`~repro.fdfd.simulation.Simulation.solve_multi` call and their
-adjoint solves through one batched back-substitution — the operator is
-factorized exactly once per design and reused for forward, adjoint and
-normalization solves via the shared factorization cache.
+:func:`evaluate_specs` is the one spec-evaluation loop: it groups the specs,
+builds each group's permittivity, runs one forward per group, evaluates every
+objective and, for gradients, runs the adjoint and chains the permittivity
+gradient back to the design density.  What differs between the tiers sits
+behind three private physics adapters (``group_key``, ``forward``,
+``adjoint``): linear FDFD (one :class:`~repro.fdfd.simulation.Simulation`
+per wavelength and device state, solves batched through a
+:class:`FieldBackend` against one factorization), the Kerr fixed point
+(:class:`~repro.fdfd.nonlinear.NonlinearSimulation`) and broadband FDTD (one
+pulsed :class:`~repro.fdtd.broadband.FdtdSimulation` run per excitation,
+forward-only).  Broadband evaluation expands the specs wavelength-major, so
+the frequency-domain tiers need no per-wavelength pass of their own.
 
-The actual field solves go through a :class:`FieldBackend`, so the same code
-path serves the numerical solver engines (direct, iterative) and the neural
-surrogates of Table II / Figure 6.
+The field backend lets the linear tier serve the numerical solver engines
+(direct, iterative) and the neural surrogates of Table II / Figure 6 alike.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.constants import wavelength_to_omega
-from repro.devices.base import Device, TargetSpec
+from repro.devices.base import Device, TargetSpec, positive_weight_norm
 from repro.fdfd.engine import SolverEngine, SolveWorkspace, resolve_engine
 from repro.fdfd.simulation import ExcitationSpec, Simulation, SimulationResult
 from repro.invdes.objectives import CompositeObjective, objective_for_spec
@@ -133,19 +134,13 @@ class NumericalFieldBackend(FieldBackend):
     def forward_results(
         self, sim: Simulation, specs: list[TargetSpec]
     ) -> list[SimulationResult]:
-        excitations = [
-            ExcitationSpec(
-                source_port=spec.source_port,
-                mode_index=spec.source_mode,
-                monitor_ports=tuple(spec.monitored_ports()),
-            )
-            for spec in specs
-        ]
         workspace = self._active_workspace(sim)
         guess_keys = None
         if workspace is not None:
             guess_keys = [self._spec_key("forward", sim, spec) for spec in specs]
-        return sim.solve_multi(excitations, workspace=workspace, guess_keys=guess_keys)
+        return sim.solve_multi(
+            _excitations(specs), workspace=workspace, guess_keys=guess_keys
+        )
 
     def adjoint_fields(
         self, sim: Simulation, specs: list[TargetSpec], adjoint_sources: list[np.ndarray]
@@ -188,257 +183,90 @@ def simulation_group_key(spec: TargetSpec) -> tuple:
     return (spec.wavelength, tuple(sorted(spec.state.items())))
 
 
-def evaluate_specs(
-    device: Device,
-    density: np.ndarray,
-    specs: list[TargetSpec] | None = None,
-    backend: FieldBackend | None = None,
-    objectives: dict[int, CompositeObjective] | None = None,
-    compute_gradient: bool = True,
-    eps_postprocess=None,
-    wavelength_shift: float = 0.0,
-    wavelengths=None,
-    nonlinearity=None,
-) -> list[SpecEvaluation]:
-    """Objective values and density gradients for many specs, batched.
+def _excitations(specs: list[TargetSpec]) -> list[ExcitationSpec]:
+    return [
+        ExcitationSpec(
+            source_port=spec.source_port,
+            mode_index=spec.source_mode,
+            monitor_ports=tuple(spec.monitored_ports()),
+        )
+        for spec in specs
+    ]
 
-    Specs are grouped by ``(wavelength, device state)``; each group shares one
-    :class:`Simulation` (one factorization), one batched forward solve and one
-    batched adjoint solve.  Results are returned in the order of ``specs``.
 
-    Parameters
-    ----------
-    device:
-        The benchmark device providing geometry and ports.
-    density:
-        Design density in ``[0, 1]`` on the design region.
-    specs:
-        Excitation specs to evaluate (``device.specs`` by default).
-    backend:
-        Field backend (numerical, engine-backed by default).
-    objectives:
-        Optional per-spec objective overrides keyed by position in ``specs``;
-        unlisted specs get the mode-transmission objective built from their
-        port weights.
-    compute_gradient:
-        If False, skip the adjoint solves (used for dataset labelling where
-        only the forward quantities are needed).
-    eps_postprocess:
-        Optional callable applied to the permittivity before simulation
-        (temperature drift of variation-aware corners).
-    wavelength_shift:
-        Added to every spec wavelength (laser drift corner).
-    wavelengths:
-        Broadband mode: evaluate every spec at each of these wavelengths
-        (overriding the specs' own) and return the evaluations
-        wavelength-major — ``[eval(w0, spec0), eval(w0, spec1), ...,
-        eval(w1, spec0), ...]`` — with each evaluation's ``spec`` carrying
-        its wavelength.  Forward-only (``compute_gradient`` must be False).
-        With a time-domain engine (``"fdtd"``) all wavelengths of an
-        excitation come from *one* pulsed run
-        (:class:`repro.fdtd.broadband.FdtdSimulation`); any other engine
-        falls back to one frequency-domain solve per wavelength, which is
-        how the FDTD labels are cross-validated.
-    nonlinearity:
-        A :class:`~repro.fdfd.nonlinear.KerrNonlinearity`: converge each spec
-        as a Kerr fixed point (``eps_eff = eps + chi3 |E|^2``) instead of a
-        linear solve.  The chi3 map comes from
-        :meth:`~repro.devices.base.Device.chi3_map` and the injected power is
-        ``spec.state["power"] * nonlinearity.source_scale`` (``power``
-        defaults to 1).  Gradients go *through* the converged fixed point via
-        the implicit-function adjoint; each evaluation carries its
-        :class:`~repro.fdfd.nonlinear.NonlinearStats`.  Engine-backed only —
-        the inner solves ride ``backend.engine`` through the ordinary
-        registry (``"recycled"`` makes the outer iterations diagonal-update
-        cheap); neural field backends are not supported.
+class _LinearPhysics:
+    """Linear FDFD: one :class:`Simulation` per group, solved through the backend.
+
+    The backend batches the group's forward and adjoint right-hand sides
+    against one factorization and threads its warm-start workspace.
     """
-    backend = backend or NumericalFieldBackend()
-    if specs is None:
-        specs = device.specs
-    if not specs:
-        return []
-    if nonlinearity is not None:
-        if wavelengths is not None:
-            raise ValueError("broadband and nonlinear evaluation cannot be combined")
-        return _evaluate_specs_nonlinear(
-            device,
-            np.asarray(density, dtype=float),
-            list(specs),
-            backend,
-            objectives,
-            compute_gradient,
-            eps_postprocess,
-            wavelength_shift,
-            nonlinearity,
-        )
-    if wavelengths is not None:
-        if compute_gradient:
-            raise ValueError(
-                "broadband evaluation is forward-only; pass compute_gradient=False"
-            )
-        return _evaluate_specs_broadband(
-            device,
-            density,
-            list(specs),
-            backend,
-            objectives,
-            eps_postprocess,
-            wavelength_shift,
-            [float(w) for w in np.atleast_1d(wavelengths)],
-        )
-    density = np.asarray(density, dtype=float)
 
-    groups: dict[tuple, list[int]] = {}
-    for index, spec in enumerate(specs):
-        groups.setdefault(simulation_group_key(spec), []).append(index)
+    group_key = staticmethod(simulation_group_key)
 
-    evaluations: list[SpecEvaluation | None] = [None] * len(specs)
-    scale = device.geometry.eps_core - device.geometry.eps_clad
-    for indices in groups.values():
-        group_specs = [specs[i] for i in indices]
-        reference = group_specs[0]
+    def __init__(self, device: Device, backend: FieldBackend):
+        self.device = device
+        self.backend = backend
 
-        eps = device.eps_with_design(density)
-        eps = device.apply_state(eps, reference.state)
-        if eps_postprocess is not None:
-            eps = eps_postprocess(eps)
-        wavelength = reference.wavelength + wavelength_shift
+    def forward(self, eps, specs, wavelength_shift):
         sim = Simulation(
-            device.grid, eps, wavelength, device.geometry.ports, engine=backend.engine
-        )
-
-        results = backend.forward_results(sim, group_specs)
-
-        values = []
-        adjoint_sources = []
-        for position, spec, result in zip(indices, group_specs, results):
-            objective = None if objectives is None else objectives.get(position)
-            objective = objective or objective_for_spec(spec)
-            value, adjoint_source = objective.value_and_adjoint_source(sim, result)
-            values.append(float(value))
-            adjoint_sources.append(adjoint_source)
-
-        if not compute_gradient:
-            for position, spec, result, value in zip(indices, group_specs, results, values):
-                evaluations[position] = SpecEvaluation(
-                    spec=spec,
-                    objective_value=value,
-                    grad_density=np.zeros(device.design_shape),
-                    transmissions=dict(result.transmissions),
-                    result=result,
-                )
-            continue
-
-        lams = backend.adjoint_fields(sim, group_specs, adjoint_sources)
-        for position, spec, result, value, lam in zip(
-            indices, group_specs, results, values, lams
-        ):
-            grad_eps = sim.solver.permittivity_gradient(result.ez, lam)
-            # Chain rule: eps = eps_clad + (eps_core - eps_clad) * rho inside the
-            # design region (device states add permittivity independently of rho).
-            grad_density = grad_eps[device.geometry.design_slice] * scale
-            evaluations[position] = SpecEvaluation(
-                spec=spec,
-                objective_value=value,
-                grad_density=grad_density,
-                transmissions=dict(result.transmissions),
-                result=result,
-                adjoint_field=lam,
-            )
-    return evaluations
-
-
-def _evaluate_specs_nonlinear(
-    device: Device,
-    density: np.ndarray,
-    specs: list[TargetSpec],
-    backend: FieldBackend,
-    objectives: dict[int, CompositeObjective] | None,
-    compute_gradient: bool,
-    eps_postprocess,
-    wavelength_shift: float,
-    nonlinearity,
-) -> list[SpecEvaluation]:
-    """Kerr fixed-point evaluations of every spec (see ``nonlinearity=``).
-
-    The grouping mirrors the linear path — one
-    :class:`~repro.fdfd.nonlinear.NonlinearSimulation` per ``(wavelength,
-    device state)`` — but each excitation is its own fixed point (no
-    superposition), and a ``power`` state additionally scales the injected
-    source, so power-sweep specs of the Kerr zoo devices land in distinct
-    groups with distinct converged permittivities.
-    """
-    from repro.fdfd.nonlinear import NonlinearSimulation
-
-    if not isinstance(backend, NumericalFieldBackend):
-        raise ValueError(
-            "nonlinear evaluation drives the engine seam directly; only the "
-            "numerical field backend is supported"
-        )
-    engine = backend.engine
-    chi3_map = device.chi3_map(nonlinearity.chi3)
-
-    groups: dict[tuple, list[int]] = {}
-    for index, spec in enumerate(specs):
-        groups.setdefault(simulation_group_key(spec), []).append(index)
-
-    evaluations: list[SpecEvaluation | None] = [None] * len(specs)
-    scale = device.geometry.eps_core - device.geometry.eps_clad
-    for indices in groups.values():
-        group_specs = [specs[i] for i in indices]
-        reference = group_specs[0]
-
-        eps = device.eps_with_design(density)
-        eps = device.apply_state(eps, reference.state)
-        if eps_postprocess is not None:
-            eps = eps_postprocess(eps)
-        wavelength = reference.wavelength + wavelength_shift
-        power = float(reference.state.get("power", 1.0))
-        sim = NonlinearSimulation.from_nonlinearity(
-            device.grid,
+            self.device.grid,
             eps,
-            wavelength,
-            device.geometry.ports,
-            chi3_map,
-            nonlinearity,
-            engine=engine,
-            source_scale=power * nonlinearity.source_scale,
+            specs[0].wavelength + wavelength_shift,
+            self.device.geometry.ports,
+            engine=self.backend.engine,
         )
+        results = self.backend.forward_results(sim, specs)
+        return sim, [sim] * len(specs), results, [None] * len(specs)
 
-        excitations = [
-            ExcitationSpec(
-                source_port=spec.source_port,
-                mode_index=spec.source_mode,
-                monitor_ports=tuple(spec.monitored_ports()),
+    def adjoint(self, sim, specs, results, adjoint_sources):
+        return self.backend.adjoint_fields(sim, specs, adjoint_sources)
+
+
+class _KerrPhysics:
+    """Kerr fixed point: one :class:`~repro.fdfd.nonlinear.NonlinearSimulation`
+    per group, each excitation converged on its own (no superposition).
+
+    A ``power`` state scales the injected source, so power-sweep specs land in
+    distinct groups.  The adjoint goes through the converged fixed point; chi3
+    is a fixed material map of the device, so the linear chain rule on the
+    permittivity gradient is complete.
+    """
+
+    group_key = staticmethod(simulation_group_key)
+
+    def __init__(self, device: Device, backend: FieldBackend, nonlinearity):
+        if not isinstance(backend, NumericalFieldBackend):
+            raise ValueError(
+                "nonlinear evaluation drives the engine seam directly; only the "
+                "numerical field backend is supported"
             )
-            for spec in group_specs
+        self.device = device
+        self.engine = backend.engine
+        self.nonlinearity = nonlinearity
+        self.chi3_map = device.chi3_map(nonlinearity.chi3)
+
+    def forward(self, eps, specs, wavelength_shift):
+        from repro.fdfd.nonlinear import NonlinearSimulation
+
+        power = float(specs[0].state.get("power", 1.0))
+        sim = NonlinearSimulation.from_nonlinearity(
+            self.device.grid,
+            eps,
+            specs[0].wavelength + wavelength_shift,
+            self.device.geometry.ports,
+            self.chi3_map,
+            self.nonlinearity,
+            engine=self.engine,
+            source_scale=power * self.nonlinearity.source_scale,
+        )
+        results = sim.solve_multi(_excitations(specs))
+        return sim, [sim] * len(specs), results, list(sim.last_stats)
+
+    def adjoint(self, sim, specs, results, adjoint_sources):
+        return [
+            sim.solve_adjoint(result.ez, source)
+            for result, source in zip(results, adjoint_sources)
         ]
-        results = sim.solve_multi(excitations)
-        stats = list(sim.last_stats)
-
-        for position, spec, result, stat in zip(indices, group_specs, results, stats):
-            objective = None if objectives is None else objectives.get(position)
-            objective = objective or objective_for_spec(spec)
-            value, adjoint_source = objective.value_and_adjoint_source(sim, result)
-            if compute_gradient:
-                lam = sim.solve_adjoint(result.ez, adjoint_source)
-                grad_eps = sim.solver.permittivity_gradient(result.ez, lam)
-                # chi3 is a fixed material map of the device (not a function of
-                # the density), so the linear chain rule is complete.
-                grad_density = grad_eps[device.geometry.design_slice] * scale
-            else:
-                lam = None
-                grad_density = np.zeros(device.design_shape)
-            evaluations[position] = SpecEvaluation(
-                spec=spec,
-                objective_value=float(value),
-                grad_density=grad_density,
-                transmissions=dict(result.transmissions),
-                result=result,
-                adjoint_field=lam,
-                nonlinear_stats=stat,
-            )
-    return evaluations
 
 
 class _BroadbandObjectiveContext:
@@ -468,79 +296,30 @@ class _BroadbandObjectiveContext:
         return self._solver
 
 
-def _evaluate_specs_broadband(
-    device: Device,
-    density: np.ndarray,
-    specs: list[TargetSpec],
-    backend: FieldBackend,
-    objectives: dict[int, CompositeObjective] | None,
-    eps_postprocess,
-    wavelength_shift: float,
-    wavelengths: list[float],
-) -> list[SpecEvaluation]:
-    """Forward-only evaluations of every spec at every wavelength.
-
-    See :func:`evaluate_specs` (``wavelengths=``) for the contract.  The
-    time-domain fast path activates only for an explicitly selected ``fdtd``
-    engine; everything else loops per wavelength over the standard
-    frequency-domain path, so the two tiers are drop-in comparable.
+class _FdtdPhysics:
+    """Broadband time domain: one pulsed run per (excitation, state) group
+    serves every wavelength.  Forward-only, so it has no adjoint.
     """
-    if not wavelengths:
-        return []
-    engine = backend.engine
-    if isinstance(engine, str):
-        engine = resolve_engine(engine)
-    from repro.fdtd.engine import FdtdFrequencyEngine
 
-    if not isinstance(engine, FdtdFrequencyEngine):
-        evaluations: list[SpecEvaluation] = []
-        for w in wavelengths:
-            shifted = [replace(spec, wavelength=w) for spec in specs]
-            evaluations.extend(
-                evaluate_specs(
-                    device,
-                    density,
-                    specs=shifted,
-                    backend=backend,
-                    objectives=objectives,
-                    compute_gradient=False,
-                    eps_postprocess=eps_postprocess,
-                    wavelength_shift=wavelength_shift,
-                )
-            )
-        return evaluations
+    @staticmethod
+    def group_key(spec: TargetSpec) -> tuple:
+        return (spec.source_port, spec.source_mode, tuple(sorted(spec.state.items())))
 
-    from repro.fdtd.broadband import FdtdSimulation
+    def __init__(self, device: Device, engine, wavelengths: list[float]):
+        self.device = device
+        self.engine = engine
+        self.wavelengths = wavelengths
 
-    density = np.asarray(density, dtype=float)
-    run_wavelengths = [w + wavelength_shift for w in wavelengths]
+    def forward(self, eps, specs, wavelength_shift):
+        from repro.fdtd.broadband import FdtdSimulation
 
-    # One pulsed run covers every wavelength, so grouping only splits on what
-    # changes the time-domain problem: the excitation and the device state.
-    groups: dict[tuple, list[int]] = {}
-    for index, spec in enumerate(specs):
-        key = (spec.source_port, spec.source_mode, tuple(sorted(spec.state.items())))
-        groups.setdefault(key, []).append(index)
-
-    results_by_spec: list[list[SimulationResult] | None] = [None] * len(specs)
-    contexts_by_state: dict[tuple, list[_BroadbandObjectiveContext]] = {}
-    for (source_port, source_mode, state_key), indices in groups.items():
-        group_specs = [specs[i] for i in indices]
-        reference = group_specs[0]
-        eps = device.eps_with_design(density)
-        eps = device.apply_state(eps, reference.state)
-        if eps_postprocess is not None:
-            eps = eps_postprocess(eps)
-        monitor_ports: list[str] = []
-        for spec in group_specs:
-            for name in spec.monitored_ports():
-                if name not in monitor_ports:
-                    monitor_ports.append(name)
+        engine = self.engine
+        run_wavelengths = [w + wavelength_shift for w in self.wavelengths]
         sim = FdtdSimulation(
-            device.grid,
+            self.device.grid,
             eps,
             run_wavelengths,
-            device.geometry.ports,
+            self.device.geometry.ports,
             courant=engine.courant,
             tau_s=engine.tau_s,
             decay_tol=engine.decay_tol,
@@ -548,33 +327,169 @@ def _evaluate_specs_broadband(
             check_every=engine.check_every,
             precision=engine.precision,
         )
-        group_results = sim.solve(
-            source_port=source_port, mode_index=source_mode, monitor_ports=monitor_ports
+        monitor_ports = list(
+            dict.fromkeys(name for spec in specs for name in spec.monitored_ports())
         )
-        if state_key not in contexts_by_state:
-            contexts_by_state[state_key] = [
-                _BroadbandObjectiveContext(device.grid, eps, w, sim.ports)
-                for w in run_wavelengths
-            ]
-        for i in indices:
-            results_by_spec[i] = group_results
+        per_wavelength = sim.solve(
+            source_port=specs[0].source_port,
+            mode_index=specs[0].source_mode,
+            monitor_ports=monitor_ports,
+        )
+        contexts = [
+            _BroadbandObjectiveContext(self.device.grid, eps, w, sim.ports)
+            for w in run_wavelengths
+        ]
+        slots = [self.wavelengths.index(spec.wavelength) for spec in specs]
+        contexts = [contexts[k] for k in slots]
+        return sim, contexts, [per_wavelength[k] for k in slots], [None] * len(specs)
 
-    evaluations = []
-    for k, w in enumerate(wavelengths):
-        for index, spec in enumerate(specs):
-            result = results_by_spec[index][k]
-            context = contexts_by_state[tuple(sorted(spec.state.items()))][k]
-            objective = None if objectives is None else objectives.get(index)
+
+def evaluate_specs(
+    device: Device,
+    density: np.ndarray,
+    specs: list[TargetSpec] | None = None,
+    backend: FieldBackend | None = None,
+    objectives: dict[int, CompositeObjective] | None = None,
+    compute_gradient: bool = True,
+    eps_postprocess=None,
+    wavelength_shift: float = 0.0,
+    wavelengths=None,
+    nonlinearity=None,
+) -> list[SpecEvaluation]:
+    """Objective values and density gradients for many specs, batched.
+
+    One loop serves every fidelity tier: specs are grouped by the tier's
+    physics adapter (see the module docstring) and each group shares one
+    forward and, for gradients, one adjoint.  Results are returned in the
+    order of ``specs``.
+
+    Parameters
+    ----------
+    device:
+        The benchmark device providing geometry and ports.
+    density:
+        Design density in ``[0, 1]`` on the design region.
+    specs:
+        Excitation specs to evaluate (``device.specs`` by default).
+    backend:
+        Field backend (numerical, engine-backed by default).  The linear tier
+        solves each group through it: one factorization, one batched forward
+        and one batched adjoint solve.
+    objectives:
+        Optional per-spec objective overrides keyed by position in ``specs``;
+        unlisted specs get the mode-transmission objective built from their
+        port weights.
+    compute_gradient:
+        If False, skip the adjoint solves (used for dataset labelling where
+        only the forward quantities are needed).
+    eps_postprocess:
+        Optional callable applied to the permittivity before simulation
+        (temperature drift of variation-aware corners).
+    wavelength_shift:
+        Added to every spec wavelength (laser drift corner).
+    wavelengths:
+        Broadband mode: evaluate every spec at each of these wavelengths
+        (overriding the specs' own) and return the evaluations
+        wavelength-major — ``[eval(w0, spec0), eval(w0, spec1), ...,
+        eval(w1, spec0), ...]`` — with each evaluation's ``spec`` carrying
+        its wavelength; ``objectives`` keep applying to their spec at every
+        wavelength.  Forward-only (``compute_gradient`` must be False).
+        With a time-domain engine (``"fdtd"``) all wavelengths of an
+        excitation come from *one* pulsed run
+        (:class:`repro.fdtd.broadband.FdtdSimulation`); any other engine
+        solves once per wavelength, which is how the FDTD labels are
+        cross-validated.
+    nonlinearity:
+        A :class:`~repro.fdfd.nonlinear.KerrNonlinearity`: converge each spec
+        as a Kerr fixed point (``eps_eff = eps + chi3 |E|^2``) instead of a
+        linear solve.  The chi3 map comes from
+        :meth:`~repro.devices.base.Device.chi3_map` and the injected power is
+        ``spec.state["power"] * nonlinearity.source_scale`` (``power``
+        defaults to 1).  Gradients go *through* the converged fixed point via
+        the implicit-function adjoint; each evaluation carries its
+        :class:`~repro.fdfd.nonlinear.NonlinearStats`.  Engine-backed only —
+        the inner solves ride ``backend.engine`` through the ordinary
+        registry (``"recycled"`` makes the outer iterations diagonal-update
+        cheap); neural field backends are not supported.
+    """
+    backend = backend or NumericalFieldBackend()
+    if specs is None:
+        specs = device.specs
+    if not specs:
+        return []
+    density = np.asarray(density, dtype=float)
+    physics = _LinearPhysics(device, backend)
+    if nonlinearity is not None:
+        if wavelengths is not None:
+            raise ValueError("broadband and nonlinear evaluation cannot be combined")
+        physics = _KerrPhysics(device, backend, nonlinearity)
+    if wavelengths is not None:
+        if compute_gradient:
+            raise ValueError(
+                "broadband evaluation is forward-only; pass compute_gradient=False"
+            )
+        wavelengths = [float(w) for w in np.atleast_1d(wavelengths)]
+        n = len(specs)
+        specs = [replace(spec, wavelength=w) for w in wavelengths for spec in specs]
+        if objectives is not None:
+            objectives = {
+                k * n + i: objective
+                for k in range(len(wavelengths))
+                for i, objective in objectives.items()
+            }
+        from repro.fdtd.engine import FdtdFrequencyEngine
+
+        engine = backend.engine
+        if isinstance(engine, str):
+            engine = resolve_engine(engine)
+        if isinstance(engine, FdtdFrequencyEngine):
+            physics = _FdtdPhysics(device, engine, wavelengths)
+
+    groups: dict[tuple, list[int]] = {}
+    for index, spec in enumerate(specs):
+        groups.setdefault(physics.group_key(spec), []).append(index)
+
+    evaluations: list[SpecEvaluation | None] = [None] * len(specs)
+    scale = device.geometry.eps_core - device.geometry.eps_clad
+    for indices in groups.values():
+        group_specs = [specs[i] for i in indices]
+        eps = device.eps_with_design(density)
+        eps = device.apply_state(eps, group_specs[0].state)
+        if eps_postprocess is not None:
+            eps = eps_postprocess(eps)
+        sim, contexts, results, stats = physics.forward(eps, group_specs, wavelength_shift)
+
+        values = []
+        adjoint_sources = []
+        for position, spec, context, result in zip(indices, group_specs, contexts, results):
+            objective = None if objectives is None else objectives.get(position)
             objective = objective or objective_for_spec(spec)
-            value, _ = objective.value_and_adjoint_source(context, result)
-            evaluations.append(
-                SpecEvaluation(
-                    spec=replace(spec, wavelength=w),
-                    objective_value=float(value),
-                    grad_density=np.zeros(device.design_shape),
-                    transmissions=dict(result.transmissions),
-                    result=result,
-                )
+            value, adjoint_source = objective.value_and_adjoint_source(context, result)
+            values.append(float(value))
+            adjoint_sources.append(adjoint_source)
+
+        lams = [None] * len(indices)
+        if compute_gradient:
+            lams = physics.adjoint(sim, group_specs, results, adjoint_sources)
+        for position, spec, result, value, lam, stat in zip(
+            indices, group_specs, results, values, lams, stats
+        ):
+            if compute_gradient:
+                grad_eps = sim.solver.permittivity_gradient(result.ez, lam)
+                # Chain rule: eps = eps_clad + (eps_core - eps_clad) * rho inside
+                # the design region (device states add permittivity
+                # independently of rho).
+                grad_density = grad_eps[device.geometry.design_slice] * scale
+            else:
+                grad_density = np.zeros(device.design_shape)
+            evaluations[position] = SpecEvaluation(
+                spec=spec,
+                objective_value=value,
+                grad_density=grad_density,
+                transmissions=dict(result.transmissions),
+                result=result,
+                adjoint_field=lam,
+                nonlinear_stats=stat,
             )
     return evaluations
 
@@ -640,9 +555,7 @@ def evaluate_all_specs(
         spec = evaluation.spec
         total += spec.weight * evaluation.objective_value
         grad += spec.weight * evaluation.grad_density
-        weight_norm += spec.weight * max(
-            sum(w for w in spec.port_weights.values() if w > 0), 1e-12
-        )
+        weight_norm += spec.weight * max(positive_weight_norm(spec.port_weights), 1e-12)
     if weight_norm > 0:
         total /= weight_norm
         grad /= weight_norm

@@ -2,6 +2,7 @@
 
 import struct
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,6 +83,17 @@ class TestLabels:
         assert all(w < 0 for w in device.specs[1].port_weights.values())
         assert penalty.figure_of_merit == pytest.approx(-penalty.transmissions["out"], rel=1e-12)
         assert -1.0 <= penalty.figure_of_merit <= 0.0
+
+    def test_spec_selection_is_canonical_and_validated(self):
+        device = make_device("wdm", dl=0.1)
+        density = np.full(device.design_shape, 0.5)
+        labels = extract_labels_batch(device, density, specs=[-1, 0], with_gradient=False)
+        assert [lab.spec_index for lab in labels] == [len(device.specs) - 1, 0]
+        with pytest.raises(ValueError, match=r"'wdm' with 2 specs"):
+            extract_labels_batch(device, density, specs=[2], with_gradient=False)
+        stranger = replace(device.specs[0], source_mode=1)
+        with pytest.raises(ValueError, match="an index or a member of device.specs"):
+            extract_labels_batch(device, density, specs=[stranger], with_gradient=False)
 
     def test_maxwell_residual_small(self, labels):
         assert labels.maxwell_residual < 1e-10

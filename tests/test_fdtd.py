@@ -16,6 +16,7 @@ from repro.data.labels import extract_labels_batch
 from repro.devices.factory import make_device
 from repro.fdfd.engine import make_engine
 from repro.fdfd.grid import Grid
+from repro.fdfd.simulation import Simulation
 from repro.fdtd.broadband import FdtdSimulation
 from repro.fdtd.core import (
     FdtdStepper,
@@ -27,6 +28,7 @@ from repro.fdtd.core import (
 )
 from repro.fdtd.engine import FdtdFrequencyEngine
 from repro.invdes.adjoint import NumericalFieldBackend, evaluate_specs
+from repro.invdes.objectives import objective_for_spec
 
 
 def _grid(n: int = 50, dl: float = 0.05, npml: int = 10) -> Grid:
@@ -301,6 +303,79 @@ class TestBroadbandPlumbing:
                 )[0]
                 assert evaluation.objective_value == pytest.approx(
                     manual.objective_value, rel=1e-12
+                )
+
+    def test_objective_overrides_apply_at_every_wavelength(self, device, density):
+        """``objectives`` stay keyed by spec position under ``wavelengths``."""
+        from dataclasses import replace
+
+        # The same excitation twice: only the first copy gets the override.
+        spec = device.specs[0]
+        specs = [spec, spec]
+        n = len(specs)
+        flux = {0: objective_for_spec(spec, kind="flux")}
+        broad = evaluate_specs(
+            device,
+            density,
+            specs=specs,
+            backend=NumericalFieldBackend(engine="direct"),
+            objectives=flux,
+            compute_gradient=False,
+            wavelengths=self.WLS,
+        )
+        for k, w in enumerate(self.WLS):
+            manual = evaluate_specs(
+                device,
+                density,
+                specs=[replace(s, wavelength=w) for s in specs],
+                objectives=flux,
+                compute_gradient=False,
+            )
+            for j in range(n):
+                assert broad[k * n + j].objective_value == pytest.approx(
+                    manual[j].objective_value, rel=1e-12
+                )
+
+        engine = make_engine("fdtd", courant=0.99, decay_tol=1e-3, precision="single")
+        eps_r = device.eps_with_design(density)
+
+        def hand_built():
+            sim = FdtdSimulation(
+                device.grid,
+                eps_r,
+                self.WLS,
+                device.geometry.ports,
+                courant=engine.courant,
+                tau_s=engine.tau_s,
+                decay_tol=engine.decay_tol,
+                max_steps=engine.max_steps,
+                check_every=engine.check_every,
+                precision=engine.precision,
+            )
+            return sim.solve(
+                source_port=spec.source_port,
+                mode_index=spec.source_mode,
+                monitor_ports=spec.monitored_ports(),
+            )
+
+        # Warm the normalization cache so both runs below integrate the
+        # device alone and are bitwise comparable.
+        hand_built()
+        broad = evaluate_specs(
+            device,
+            density,
+            specs=specs,
+            backend=NumericalFieldBackend(engine=engine),
+            objectives=flux,
+            compute_gradient=False,
+            wavelengths=self.WLS,
+        )
+        for k, (w, result) in enumerate(zip(self.WLS, hand_built())):
+            context = Simulation(device.grid, eps_r, w, device.geometry.ports)
+            for j, objective in enumerate([flux[0], objective_for_spec(spec)]):
+                expected, _ = objective.value_and_adjoint_source(context, result)
+                assert broad[k * n + j].objective_value == pytest.approx(
+                    expected, rel=1e-12
                 )
 
     def test_fdtd_labels_are_wavelength_major(self, device, density):
