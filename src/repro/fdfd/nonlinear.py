@@ -62,7 +62,6 @@ from repro.fdfd.engine import (
 )
 from repro.fdfd.grid import Grid
 from repro.fdfd.simulation import Simulation, SimulationResult
-from repro.fdfd.solver import FieldSolution
 
 __all__ = [
     "ConvergenceError",
@@ -551,54 +550,20 @@ class NonlinearSimulation(Simulation):
         # to the actually injected power.
         return flux * self.source_scale**2, overlap * self.source_scale
 
+    def mode_source(self, port_name: str, mode_index: int = 0) -> np.ndarray:
+        """The injected mode source: the linear one scaled by ``source_scale``."""
+        return super().mode_source(port_name, mode_index) * self.source_scale
+
     def solve_multi(self, excitations, workspace=None, guess_keys=None):
         if workspace is not None:
             raise ValueError(
                 "nonlinear solves manage their own iteration; warm-start "
                 "workspaces are not supported"
             )
-        from repro.fdfd.simulation import ExcitationSpec
-
-        specs = []
-        for excitation in excitations:
-            if isinstance(excitation, ExcitationSpec):
-                specs.append(excitation)
-            elif isinstance(excitation, (tuple, list)):
-                specs.append(ExcitationSpec(*excitation))
-            else:
-                raise TypeError(
-                    "excitations must be ExcitationSpec instances or "
-                    f"(source_port, mode_index) tuples; got {type(excitation)!r}"
-                )
+        specs = self._excitation_specs(excitations)
         if not specs:
             return []
-
-        requests: dict[str, int] = {}
-        for spec in specs:
-            self._port(spec.source_port)
-            if spec.source is None:
-                needed = spec.mode_index + 1
-                requests[spec.source_port] = max(requests.get(spec.source_port, 0), needed)
-            monitors = spec.monitor_ports
-            if monitors is None:
-                monitors = [name for name in self.ports if name != spec.source_port]
-            for name in monitors:
-                requests[name] = max(requests.get(name, 0), 1)
-        self._prepare_port_modes(requests)
-
-        sources = []
-        for spec in specs:
-            if spec.source is None:
-                sources.append(
-                    self.mode_source(spec.source_port, spec.mode_index) * self.source_scale
-                )
-            else:
-                source = np.asarray(spec.source, dtype=complex)
-                if source.shape != self.grid.shape:
-                    raise ValueError(
-                        f"source shape {source.shape} does not match grid {self.grid.shape}"
-                    )
-                sources.append(source)
+        sources = self._excitation_sources(specs)
 
         self.last_stats = []
         results: list[SimulationResult] = []
@@ -606,8 +571,7 @@ class NonlinearSimulation(Simulation):
             ez, stats = self.kerr.solve(self.eps_r, self.chi3, source)
             self.last_stats.append(stats)
             hx, hy = self.solver.e_to_h(ez)
-            solution = FieldSolution(ez=ez, hx=hx, hy=hy, omega=self.omega)
-            results.append(self._measure(spec, source, solution))
+            results.append(self._measure(spec, source, ez, hx, hy))
         return results
 
     def solve_adjoint(self, ez: np.ndarray, adjoint_source: np.ndarray) -> np.ndarray:

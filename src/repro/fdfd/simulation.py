@@ -13,6 +13,13 @@ factorize-once/solve-many call; normalization runs share the same process-wide
 factorization cache, so repeated simulations of the same feeding waveguide are
 back-substitutions rather than fresh factorizations.
 
+Port measurement is one function, :func:`measure_ports`: every tier — this
+facade, the Kerr :class:`~repro.fdfd.nonlinear.NonlinearSimulation`, the
+broadband :class:`~repro.fdtd.broadband.FdtdSimulation` and the neural field
+backend — produces its fields its own way and hands them to it, together with
+the incident flux and overlap that :func:`measure_incident` takes from the
+source port's reference waveguide.
+
 On top of the factorization sharing, fully *identical* queries — same design
 fingerprint, excitation spec, wavelength, port geometry and engine fidelity —
 are served from a process-wide result cache without touching the solver at
@@ -36,7 +43,7 @@ from repro.fdfd.engine import SolverEngine, SolveWorkspace, eps_fingerprint
 from repro.fdfd.grid import Grid
 from repro.fdfd.modes import ModeProfile, mode_source_amplitude, solve_slab_modes_batch
 from repro.fdfd.monitors import Port, mode_overlap, poynting_flux_through_port
-from repro.fdfd.solver import FdfdSolver, FieldSolution
+from repro.fdfd.solver import FdfdSolver
 from repro.utils.cache import BoundedCache
 
 
@@ -161,6 +168,109 @@ def normalization_geometry(
     return eps_norm, monitor
 
 
+def port_table(ports: list[Port]) -> dict[str, Port]:
+    """Ports keyed by name; rejects an empty list and duplicate names."""
+    if not ports:
+        raise ValueError("at least one port is required")
+    names = [p.name for p in ports]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate port names: {names}")
+    return {p.name: p for p in ports}
+
+
+def find_port(ports: dict[str, Port], name: str) -> Port:
+    """The port called ``name``; a KeyError listing the available names otherwise."""
+    if name not in ports:
+        raise KeyError(f"unknown port {name!r}; available: {sorted(ports)}")
+    return ports[name]
+
+
+def port_mode_source(
+    port: Port, eps_r: np.ndarray, grid: Grid, omega: float, mode_index: int
+) -> np.ndarray:
+    """Current source injecting guided mode ``mode_index`` of the port cross-section."""
+    modes = port.solve_modes(eps_r, grid, omega, num_modes=mode_index + 1)
+    if len(modes) <= mode_index:
+        raise ValueError(
+            f"port {port.name!r} guides only {len(modes)} mode(s); "
+            f"mode {mode_index} requested"
+        )
+    return port.scatter_line(mode_source_amplitude(modes[mode_index]), grid)
+
+
+def measure_incident(
+    ez: np.ndarray,
+    hx: np.ndarray,
+    hy: np.ndarray,
+    eps_norm: np.ndarray,
+    monitor: Port,
+    grid: Grid,
+    omega: float,
+    mode_index: int,
+) -> tuple[float, complex]:
+    """Incident ``(flux, overlap)`` of a normalization run at its monitor.
+
+    ``eps_norm`` and ``monitor`` come from :func:`normalization_geometry`; the
+    overlap is taken with the monitor line's own guided mode ``mode_index``.
+    """
+    flux = poynting_flux_through_port(ez, hx, hy, monitor, grid)
+    modes = monitor.solve_modes(eps_norm, grid, omega, num_modes=mode_index + 1)
+    return abs(float(flux)), mode_overlap(ez, monitor, modes[mode_index], grid)
+
+
+def measure_ports(
+    ez: np.ndarray,
+    hx: np.ndarray,
+    hy: np.ndarray,
+    source: np.ndarray,
+    eps_r: np.ndarray,
+    grid: Grid,
+    omega: float,
+    wavelength: float,
+    ports: dict[str, Port],
+    source_port: str,
+    mode_index: int,
+    monitor_ports: list[str] | tuple[str, ...] | None,
+    incident: tuple[float, complex],
+) -> SimulationResult:
+    """Port fluxes, S-parameters and transmissions of one solved field.
+
+    The one port measurement of every tier (FDFD, Kerr, FDTD, neural): each
+    monitor port gets the Poynting flux through it and the overlap with its
+    fundamental mode, divided by the ``incident`` ``(flux, overlap)`` of the
+    same source in the reference waveguide (:func:`measure_incident`).
+    ``monitor_ports`` None measures every port except the source port.
+    """
+    norm_flux, norm_overlap = incident
+    if monitor_ports is None:
+        monitor_ports = [name for name in ports if name != source_port]
+    fluxes: dict[str, float] = {}
+    s_params: dict[str, complex] = {}
+    transmissions: dict[str, float] = {}
+    for name in monitor_ports:
+        monitor = find_port(ports, name)
+        flux = poynting_flux_through_port(ez, hx, hy, monitor, grid)
+        fluxes[name] = float(flux)
+        modes = monitor.solve_modes(eps_r, grid, omega, num_modes=1)
+        overlap = mode_overlap(ez, monitor, modes[0], grid) if modes else 0.0j
+        s_params[name] = complex(overlap / norm_overlap) if norm_overlap else 0.0j
+        transmissions[name] = float(np.clip(flux / norm_flux, 0.0, None)) if norm_flux else 0.0
+    return SimulationResult(
+        ez=ez,
+        hx=hx,
+        hy=hy,
+        source=source,
+        wavelength=wavelength,
+        source_port=source_port,
+        source_mode=mode_index,
+        fluxes=fluxes,
+        s_params=s_params,
+        transmissions=transmissions,
+        input_flux=norm_flux,
+        input_overlap=norm_overlap,
+    )
+
+
 @dataclass
 class SimulationResult:
     """Everything measured in one forward solve.
@@ -237,16 +347,11 @@ class Simulation:
         eps_r = np.asarray(eps_r, dtype=float)
         if eps_r.shape != grid.shape:
             raise ValueError(f"eps_r shape {eps_r.shape} does not match grid {grid.shape}")
-        if not ports:
-            raise ValueError("at least one port is required")
-        names = [p.name for p in ports]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate port names: {names}")
+        self.ports = port_table(ports)
         self.grid = grid
         self.eps_r = eps_r
         self.wavelength = float(wavelength)
         self.omega = wavelength_to_omega(wavelength)
-        self.ports = {p.name: p for p in ports}
         self.solver = FdfdSolver(grid, self.omega, engine=engine)
         self._eps_fingerprint = eps_fingerprint(eps_r)
 
@@ -320,20 +425,12 @@ class Simulation:
 
     def mode_source(self, port_name: str, mode_index: int = 0) -> np.ndarray:
         """Current source injecting the given port mode."""
-        port = self._port(port_name)
-        modes = self.port_modes(port_name, mode_index + 1)
-        if len(modes) <= mode_index:
-            raise ValueError(
-                f"port {port_name!r} guides only {len(modes)} mode(s); "
-                f"mode {mode_index} requested"
-            )
-        amplitude = mode_source_amplitude(modes[mode_index])
-        return port.scatter_line(amplitude, self.grid)
+        return port_mode_source(
+            self._port(port_name), self.eps_r, self.grid, self.omega, mode_index
+        )
 
     def _port(self, name: str) -> Port:
-        if name not in self.ports:
-            raise KeyError(f"unknown port {name!r}; available: {sorted(self.ports)}")
-        return self.ports[name]
+        return find_port(self.ports, name)
 
     # -- normalization run ----------------------------------------------------------------
     def _normalization(self, port_name: str, mode_index: int) -> tuple[float, complex]:
@@ -370,23 +467,10 @@ class Simulation:
         if cached is not None:
             return cached
         eps_norm, monitor = normalization_geometry(self.grid, port, eps_line)
-        modes = port.solve_modes(eps_norm, self.grid, self.omega, num_modes=mode_index + 1)
-        if len(modes) <= mode_index:
-            raise ValueError(
-                f"normalization waveguide for port {port_name!r} does not guide mode "
-                f"{mode_index}"
-            )
-        source = port.scatter_line(mode_source_amplitude(modes[mode_index]), self.grid)
-
+        source = port_mode_source(port, eps_norm, self.grid, self.omega, mode_index)
         solution = self.solver.solve(eps_norm, source)
-        flux = poynting_flux_through_port(
-            solution.ez, solution.hx, solution.hy, monitor, self.grid
-        )
-        monitor_modes = monitor.solve_modes(
-            eps_norm, self.grid, self.omega, num_modes=mode_index + 1
-        )
-        overlap = mode_overlap(solution.ez, monitor, monitor_modes[mode_index], self.grid)
-        result = (abs(float(flux)), overlap)
+        fields = (solution.ez, solution.hx, solution.hy)
+        result = measure_incident(*fields, eps_norm, monitor, self.grid, self.omega, mode_index)
         _NORMALIZATION_CACHE.put(key, result)
         return result
 
@@ -446,17 +530,7 @@ class Simulation:
 
         Returns the :class:`SimulationResult` per excitation, in order.
         """
-        specs = []
-        for excitation in excitations:
-            if isinstance(excitation, ExcitationSpec):
-                specs.append(excitation)
-            elif isinstance(excitation, (tuple, list)):
-                specs.append(ExcitationSpec(*excitation))
-            else:
-                raise TypeError(
-                    "excitations must be ExcitationSpec instances or "
-                    f"(source_port, mode_index) tuples; got {type(excitation)!r}"
-                )
+        specs = self._excitation_specs(excitations)
         if not specs:
             return []
 
@@ -482,33 +556,7 @@ class Simulation:
         if not pending:
             return [cached[index] for index in range(len(specs))]
         pending_specs = [specs[index] for index in pending]
-
-        # Solve every port mode the batch needs — sources and monitors alike
-        # — in one batched pass.
-        requests: dict[str, int] = {}
-        for spec in pending_specs:
-            self._port(spec.source_port)
-            if spec.source is None:
-                needed = spec.mode_index + 1
-                requests[spec.source_port] = max(requests.get(spec.source_port, 0), needed)
-            monitors = spec.monitor_ports
-            if monitors is None:
-                monitors = [name for name in self.ports if name != spec.source_port]
-            for name in monitors:
-                requests[name] = max(requests.get(name, 0), 1)
-        self._prepare_port_modes(requests)
-
-        sources = []
-        for spec in pending_specs:
-            if spec.source is None:
-                sources.append(self.mode_source(spec.source_port, spec.mode_index))
-            else:
-                source = np.asarray(spec.source, dtype=complex)
-                if source.shape != self.grid.shape:
-                    raise ValueError(
-                        f"source shape {source.shape} does not match grid {self.grid.shape}"
-                    )
-                sources.append(source)
+        sources = self._excitation_sources(pending_specs)
 
         x0 = None
         keys = None
@@ -535,11 +583,58 @@ class Simulation:
         for index, result in cached.items():
             results[index] = result
         for index, spec, source, solution in zip(pending, pending_specs, sources, solutions):
-            result = self._measure(spec, source, solution)
+            result = self._measure(spec, source, solution.ez, solution.hx, solution.hy)
             if result_cache is not None:
                 result_cache.put(cache_keys[index], _copy_result(result))
             results[index] = result
         return results
+
+    @staticmethod
+    def _excitation_specs(excitations: list[ExcitationSpec | tuple]) -> list[ExcitationSpec]:
+        specs = []
+        for excitation in excitations:
+            if isinstance(excitation, ExcitationSpec):
+                specs.append(excitation)
+            elif isinstance(excitation, (tuple, list)):
+                specs.append(ExcitationSpec(*excitation))
+            else:
+                raise TypeError(
+                    "excitations must be ExcitationSpec instances or "
+                    f"(source_port, mode_index) tuples; got {type(excitation)!r}"
+                )
+        return specs
+
+    def _excitation_sources(self, specs: list[ExcitationSpec]) -> list[np.ndarray]:
+        """The current source of every excitation.
+
+        Every port mode the batch needs — sources and monitors alike — is
+        solved first in one batched pass.
+        """
+        requests: dict[str, int] = {}
+        for spec in specs:
+            self._port(spec.source_port)
+            if spec.source is None:
+                needed = spec.mode_index + 1
+                requests[spec.source_port] = max(requests.get(spec.source_port, 0), needed)
+            monitors = spec.monitor_ports
+            if monitors is None:
+                monitors = [name for name in self.ports if name != spec.source_port]
+            for name in monitors:
+                requests[name] = max(requests.get(name, 0), 1)
+        self._prepare_port_modes(requests)
+
+        sources = []
+        for spec in specs:
+            if spec.source is None:
+                sources.append(self.mode_source(spec.source_port, spec.mode_index))
+            else:
+                source = np.asarray(spec.source, dtype=complex)
+                if source.shape != self.grid.shape:
+                    raise ValueError(
+                        f"source shape {source.shape} does not match grid {self.grid.shape}"
+                    )
+                sources.append(source)
+        return sources
 
     def _result_key(self, fingerprint: str, signature: tuple, spec: ExcitationSpec) -> tuple:
         """End-to-end cache key of one excitation against the current design.
@@ -583,45 +678,28 @@ class Simulation:
         )
 
     def _measure(
-        self, spec: ExcitationSpec, source: np.ndarray, solution: FieldSolution
+        self,
+        spec: ExcitationSpec,
+        source: np.ndarray,
+        ez: np.ndarray,
+        hx: np.ndarray,
+        hy: np.ndarray,
     ) -> SimulationResult:
-        """Normalize and run every monitor on one forward solution."""
-        norm_flux, norm_overlap = self._normalization(spec.source_port, spec.mode_index)
-
-        monitor_ports = spec.monitor_ports
-        if monitor_ports is None:
-            monitor_ports = [name for name in self.ports if name != spec.source_port]
-
-        fluxes: dict[str, float] = {}
-        s_params: dict[str, complex] = {}
-        transmissions: dict[str, float] = {}
-        for name in monitor_ports:
-            monitor = self._port(name)
-            flux = poynting_flux_through_port(
-                solution.ez, solution.hx, solution.hy, monitor, self.grid
-            )
-            fluxes[name] = float(flux)
-            modes = self.port_modes(name, 1)
-            if modes:
-                overlap = mode_overlap(solution.ez, monitor, modes[0], self.grid)
-            else:
-                overlap = 0.0 + 0.0j
-            s_params[name] = complex(overlap / norm_overlap) if norm_overlap else 0.0j
-            transmissions[name] = float(np.clip(flux / norm_flux, 0.0, None)) if norm_flux else 0.0
-
-        return SimulationResult(
-            ez=solution.ez,
-            hx=solution.hx,
-            hy=solution.hy,
-            source=source,
-            wavelength=self.wavelength,
-            source_port=spec.source_port,
-            source_mode=spec.mode_index,
-            fluxes=fluxes,
-            s_params=s_params,
-            transmissions=transmissions,
-            input_flux=norm_flux,
-            input_overlap=norm_overlap,
+        """Normalize and run every monitor on one forward field (:func:`measure_ports`)."""
+        return measure_ports(
+            ez,
+            hx,
+            hy,
+            source,
+            self.eps_r,
+            self.grid,
+            self.omega,
+            self.wavelength,
+            self.ports,
+            spec.source_port,
+            spec.mode_index,
+            spec.monitor_ports,
+            self._normalization(spec.source_port, spec.mode_index),
         )
 
     # -- physics checks -------------------------------------------------------------------------

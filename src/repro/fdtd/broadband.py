@@ -4,11 +4,12 @@
 :class:`repro.fdfd.simulation.Simulation`: same grid, permittivity and port
 semantics, but constructed with a *list* of wavelengths.  A single pulsed run
 with running DFTs (see :mod:`repro.fdtd.core`) yields the frequency-domain
-fields at every wavelength at once; each is then normalized and measured
-exactly like an FDFD solve — Poynting flux and modal overlap per port,
-divided by the flux/overlap of the same source travelling the extruded
-reference waveguide (:func:`repro.fdfd.simulation.normalization_geometry`,
-also computed broadband from one time-domain run).  The per-wavelength
+fields at every wavelength at once; each is then measured by the FDFD
+tier's own :func:`~repro.fdfd.simulation.measure_ports` — Poynting flux and
+modal overlap per port, divided by the flux/overlap of the same source
+travelling the extruded reference waveguide
+(:func:`repro.fdfd.simulation.normalization_geometry`, also computed
+broadband from one time-domain run).  The per-wavelength
 results are ordinary :class:`~repro.fdfd.simulation.SimulationResult`
 objects, so every downstream consumer (labels, objectives, datasets) works
 unchanged.
@@ -27,19 +28,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.constants import MU_0, omega_to_wavelength, wavelength_to_omega
+from repro.constants import MU_0, wavelength_to_omega
 from repro.fdfd.grid import Grid
-from repro.fdfd.modes import mode_source_amplitude, overlap_coefficient, solve_slab_modes
-from repro.fdfd.monitors import Port, poynting_flux_through_port
+from repro.fdfd.monitors import Port
 from repro.fdfd.pml import create_sfactor
-from repro.fdfd.simulation import SimulationResult, normalization_geometry
+from repro.fdfd.simulation import (
+    SimulationResult,
+    find_port,
+    measure_incident,
+    measure_ports,
+    normalization_geometry,
+    port_mode_source,
+    port_table,
+)
 from repro.fdtd.core import run_pulsed
 from repro.utils.cache import BoundedCache
 
 # Broadband normalization runs are fully determined by the source-port
 # cross-section, grid, wavelength set and stepping parameters — not by the
 # design — so optimization loops and sibling simulations share one run.
-# Values are small per-wavelength (flux, overlap) arrays.
+# Values are small lists of per-wavelength incident (flux, overlap) pairs.
 _NORM_CACHE = BoundedCache(64)
 
 
@@ -103,18 +111,13 @@ class FdtdSimulation:
         wavelengths = [float(w) for w in np.atleast_1d(wavelengths)]
         if not wavelengths:
             raise ValueError("at least one wavelength is required")
-        if not ports:
-            raise ValueError("at least one port is required")
-        names = [p.name for p in ports]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate port names: {names}")
+        self.ports = port_table(ports)
         self.grid = grid
         self.eps_r = eps_r
         self.wavelengths = wavelengths
         self.omegas = np.array([wavelength_to_omega(w) for w in wavelengths])
         #: Band-centre frequency: where the source mode is solved.
         self.omega_center = float(self.omegas.mean())
-        self.ports = {p.name: p for p in ports}
         self._params = dict(
             courant=courant,
             tau_s=tau_s,
@@ -123,10 +126,6 @@ class FdtdSimulation:
             check_every=check_every,
             precision=precision,
         )
-    def _port(self, name: str) -> Port:
-        if name not in self.ports:
-            raise KeyError(f"unknown port {name!r}; available: {sorted(self.ports)}")
-        return self.ports[name]
 
     def _run(self, eps_r: np.ndarray, currents: np.ndarray) -> np.ndarray:
         return run_pulsed(
@@ -153,25 +152,6 @@ class FdtdSimulation:
             eps_line.tobytes(),
         )
 
-    def _measure_normalization(
-        self, fields: np.ndarray, eps_norm: np.ndarray, monitor: Port, mode_index: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-wavelength incident flux and modal overlap at the far monitor."""
-        fluxes = np.empty(len(self.omegas))
-        overlaps = np.empty(len(self.omegas), dtype=complex)
-        for k, omega in enumerate(self.omegas):
-            hx, hy = _e_to_h(fields[k], self.grid, omega)
-            fluxes[k] = abs(
-                poynting_flux_through_port(fields[k], hx, hy, monitor, self.grid)
-            )
-            monitor_modes = solve_slab_modes(
-                monitor.eps_line(eps_norm, self.grid), self.grid.dl, omega, mode_index + 1
-            )
-            overlaps[k] = overlap_coefficient(
-                monitor.extract_line(fields[k], self.grid), monitor_modes[mode_index]
-            )
-        return fluxes, overlaps
-
     # -- the broadband solve ---------------------------------------------------
     def solve(
         self,
@@ -182,19 +162,8 @@ class FdtdSimulation:
         """One pulsed run; returns one result per wavelength, in order."""
         if source_port is None:
             source_port = next(iter(self.ports))
-        port = self._port(source_port)
-        if monitor_ports is None:
-            monitor_ports = [name for name in self.ports if name != source_port]
-
-        modes = port.solve_modes(
-            self.eps_r, self.grid, self.omega_center, num_modes=mode_index + 1
-        )
-        if len(modes) <= mode_index:
-            raise ValueError(
-                f"port {source_port!r} guides only {len(modes)} mode(s); "
-                f"mode {mode_index} requested"
-            )
-        source = port.scatter_line(mode_source_amplitude(modes[mode_index]), self.grid)
+        port = find_port(self.ports, source_port)
+        source = port_mode_source(port, self.eps_r, self.grid, self.omega_center, mode_index)
 
         # The normalization waveguide extrudes the source port's own
         # cross-section, so its guided mode — and hence its injected current —
@@ -204,8 +173,8 @@ class FdtdSimulation:
         # over both geometries instead of paying for two runs.
         eps_line = port.eps_line(self.eps_r, self.grid)
         key = self._normalization_key(port, mode_index, eps_line)
-        norm = _NORM_CACHE.get(key)
-        if norm is not None:
+        incident = _NORM_CACHE.get(key)
+        if incident is not None:
             fields = self._run(self.eps_r, source)
         else:
             eps_norm, monitor = normalization_geometry(self.grid, port, eps_line)
@@ -218,50 +187,38 @@ class FdtdSimulation:
                 **self._params,
             )
             fields = stacked[:, 0]
-            norm = self._measure_normalization(stacked[:, 1], eps_norm, monitor, mode_index)
-            _NORM_CACHE.put(key, norm)
-        norm_fluxes, norm_overlaps = norm
+            incident = [
+                measure_incident(
+                    stacked[k, 1],
+                    *_e_to_h(stacked[k, 1], self.grid, omega),
+                    eps_norm,
+                    monitor,
+                    self.grid,
+                    omega,
+                    mode_index,
+                )
+                for k, omega in enumerate(self.omegas)
+            ]
+            _NORM_CACHE.put(key, incident)
 
         results = []
-        for k, omega in enumerate(self.omegas):
-            ez = fields[k]
-            hx, hy = _e_to_h(ez, self.grid, omega)
-            fluxes: dict[str, float] = {}
-            s_params: dict[str, complex] = {}
-            transmissions: dict[str, float] = {}
-            norm_flux = float(norm_fluxes[k])
-            norm_overlap = complex(norm_overlaps[k])
-            for name in monitor_ports:
-                monitor = self._port(name)
-                flux = poynting_flux_through_port(ez, hx, hy, monitor, self.grid)
-                fluxes[name] = float(flux)
-                monitor_modes = solve_slab_modes(
-                    monitor.eps_line(self.eps_r, self.grid), self.grid.dl, omega, 1
-                )
-                if monitor_modes:
-                    overlap = overlap_coefficient(
-                        monitor.extract_line(ez, self.grid), monitor_modes[0]
-                    )
-                else:
-                    overlap = 0.0 + 0.0j
-                s_params[name] = complex(overlap / norm_overlap) if norm_overlap else 0.0j
-                transmissions[name] = (
-                    float(np.clip(flux / norm_flux, 0.0, None)) if norm_flux else 0.0
-                )
+        for k, (wavelength, omega) in enumerate(zip(self.wavelengths, self.omegas)):
+            hx, hy = _e_to_h(fields[k], self.grid, omega)
             results.append(
-                SimulationResult(
-                    ez=ez,
-                    hx=hx,
-                    hy=hy,
-                    source=source,
-                    wavelength=float(omega_to_wavelength(omega)),
-                    source_port=source_port,
-                    source_mode=mode_index,
-                    fluxes=fluxes,
-                    s_params=s_params,
-                    transmissions=transmissions,
-                    input_flux=norm_flux,
-                    input_overlap=norm_overlap,
+                measure_ports(
+                    fields[k],
+                    hx,
+                    hy,
+                    source,
+                    self.eps_r,
+                    self.grid,
+                    omega,
+                    wavelength,
+                    self.ports,
+                    source_port,
+                    mode_index,
+                    monitor_ports,
+                    incident[k],
                 )
             )
         return results

@@ -28,8 +28,7 @@ from repro.data.labels import standardize_input
 from repro.devices.base import TargetSpec
 from repro.fdfd.engine import SolverEngine, register_engine
 from repro.fdfd.grid import Grid
-from repro.fdfd.monitors import mode_overlap, poynting_flux_through_port
-from repro.fdfd.simulation import Simulation, SimulationResult
+from repro.fdfd.simulation import Simulation, SimulationResult, measure_ports
 from repro.invdes.adjoint import FieldBackend
 from repro.nn.module import Module
 from repro.train.trainer import predict
@@ -165,35 +164,20 @@ class NeuralFieldBackend(FieldBackend):
         source = sim.mode_source(spec.source_port, spec.source_mode)
         ez = self.predict_field(sim, source)
         hx, hy = sim.solver.e_to_h(ez)
-        norm_flux, norm_overlap = sim._normalization(spec.source_port, spec.source_mode)
-
-        fluxes: dict[str, float] = {}
-        s_params: dict[str, complex] = {}
-        transmissions: dict[str, float] = {}
-        for name in spec.monitored_ports():
-            port = sim.ports[name]
-            flux = poynting_flux_through_port(ez, hx, hy, port, sim.grid)
-            fluxes[name] = float(flux)
-            modes = port.solve_modes(sim.eps_r, sim.grid, sim.omega, num_modes=1)
-            overlap = mode_overlap(ez, port, modes[0], sim.grid) if modes else 0.0j
-            s_params[name] = complex(overlap / norm_overlap) if norm_overlap else 0.0j
-            transmissions[name] = (
-                float(np.clip(flux / norm_flux, 0.0, None)) if norm_flux else 0.0
-            )
-
-        return SimulationResult(
-            ez=ez,
-            hx=hx,
-            hy=hy,
-            source=source,
-            wavelength=sim.wavelength,
-            source_port=spec.source_port,
-            source_mode=spec.source_mode,
-            fluxes=fluxes,
-            s_params=s_params,
-            transmissions=transmissions,
-            input_flux=norm_flux,
-            input_overlap=norm_overlap,
+        return measure_ports(
+            ez,
+            hx,
+            hy,
+            source,
+            sim.eps_r,
+            sim.grid,
+            sim.omega,
+            sim.wavelength,
+            sim.ports,
+            spec.source_port,
+            spec.source_mode,
+            spec.monitored_ports(),
+            sim._normalization(spec.source_port, spec.source_mode),
         )
 
     def adjoint_field(

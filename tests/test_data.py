@@ -352,6 +352,33 @@ class TestShardPlanning:
         other_engine = replace(config, engine="iterative")
         assert base != shard_fingerprint(other_engine, spec, densities, stages)
 
+    @pytest.mark.parametrize(
+        "config_kwargs, expected",
+        [
+            ({}, "a2e452abc360e9684eab060a46a2bab47ac75cdf"),
+            (
+                dict(with_gradient=False, wavelengths=(1.53, 1.57)),
+                "2924b24c4dbc3653f4d8e71ca97bda72f280ab3d",
+            ),
+            (
+                dict(device_name="kerr_limiter", chi3=1.1e8),
+                "f5c8068bd7d2adcab66f750391f0d965c07506a7",
+            ),
+            (
+                dict(device_name="kerr_limiter", chi3=1.1e8, intensities=(1.0, 2.0)),
+                "910f6e2905d6664039fc5d56519a05175d0a69bb",
+            ),
+        ],
+        ids=["linear", "wavelengths", "chi3", "chi3_intensities"],
+    )
+    def test_fingerprint_is_pinned(self, config_kwargs, expected):
+        """Resumable artifacts are found by fingerprint: any change to the
+        hashed payload orphans every shard written before it."""
+        config = GeneratorConfig(**config_kwargs)
+        spec = plan_shards(config, num_designs=2)[0]
+        densities = [np.linspace(0.0, 1.0, 16).reshape(4, 4), np.full((4, 4), 0.5)]
+        assert shard_fingerprint(config, spec, densities, ["random", "random"]) == expected
+
 
 class TestShardedGeneration:
     CONFIG_KWARGS = dict(

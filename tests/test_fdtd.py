@@ -17,6 +17,7 @@ from repro.devices.factory import make_device
 from repro.fdfd.engine import make_engine
 from repro.fdfd.grid import Grid
 from repro.fdfd.simulation import Simulation
+from repro.fdfd.solver import FdfdSolver
 from repro.fdtd.broadband import FdtdSimulation
 from repro.fdtd.core import (
     FdtdStepper,
@@ -29,6 +30,7 @@ from repro.fdtd.core import (
 from repro.fdtd.engine import FdtdFrequencyEngine
 from repro.invdes.adjoint import NumericalFieldBackend, evaluate_specs
 from repro.invdes.objectives import objective_for_spec
+from repro.utils.cache import BoundedCache
 
 
 def _grid(n: int = 50, dl: float = 0.05, npml: int = 10) -> Grid:
@@ -196,7 +198,9 @@ class TestFdtdSimulation:
 
     def test_one_run_many_wavelengths_and_norm_cache(self, device, eps_r, monkeypatch):
         """First solve runs device+reference batched; repeats hit the cache."""
-        wavelengths = [1.53, 1.55, 1.57]
+        # 1.574 does not survive a wavelength -> omega -> wavelength round
+        # trip bit for bit: results must report the requested wavelength.
+        wavelengths = [1.53, 1.55, 1.574]
         calls = []
         real_run = broadband.run_pulsed
 
@@ -211,7 +215,7 @@ class TestFdtdSimulation:
         # Cache miss: exactly one time integration, device and normalization
         # reference stacked as a batch of two.
         assert calls == [2]
-        assert [r.wavelength for r in results] == pytest.approx(wavelengths)
+        assert [r.wavelength for r in results] == wavelengths
         for result in results:
             assert result.ez.shape == device.grid.shape
             assert set(result.transmissions) == {"out"}
@@ -236,6 +240,40 @@ class TestFdtdSimulation:
         sim = FdtdSimulation(device.grid, eps_r, [1.50, 1.60], device.geometry.ports)
         lo, hi = sim.solve()
         assert lo.transmissions["out"] != pytest.approx(hi.transmissions["out"], abs=1e-4)
+
+    @pytest.mark.parametrize("name", ["bending", "wdm"])
+    def test_measurement_matches_fdfd_on_exact_fields(self, name, monkeypatch):
+        """Fed exact frequency-domain fields, the broadband facade measures
+        what :class:`Simulation` measures, to rounding: both tiers share one
+        port measurement, so only the field solve may differ between them."""
+
+        def exact_run(grid, eps, currents, omegas, **kwargs):
+            eps = np.broadcast_to(eps, currents.shape)
+            return np.array(
+                [
+                    [FdfdSolver(grid, omega).solve(e, j).ez for e, j in zip(eps, currents)]
+                    for omega in omegas
+                ]
+            )
+
+        monkeypatch.setattr(broadband, "run_pulsed", exact_run)
+        monkeypatch.setattr(broadband, "_NORM_CACHE", BoundedCache(4))
+        device = make_device(name, domain=3.0, design_size=1.4, dl=0.1)
+        density = np.random.default_rng(5).uniform(0.2, 0.8, device.design_shape)
+        eps_r = device.eps_with_design(density)
+        wavelength = device.specs[0].wavelength
+        ports = device.geometry.ports
+        (fdtd,) = FdtdSimulation(device.grid, eps_r, [wavelength], ports).solve()
+        fdfd = Simulation(device.grid, eps_r, wavelength, ports).solve()
+
+        assert fdtd.wavelength == fdfd.wavelength
+        for attr in ("fluxes", "s_params", "transmissions"):
+            measured, reference = getattr(fdtd, attr), getattr(fdfd, attr)
+            assert list(measured) == list(reference)
+            for port, value in reference.items():
+                assert measured[port] == pytest.approx(value, rel=1e-10, abs=0.0)
+        assert fdtd.input_flux == pytest.approx(fdfd.input_flux, rel=1e-10, abs=0.0)
+        assert fdtd.input_overlap == pytest.approx(fdfd.input_overlap, rel=1e-10, abs=0.0)
 
 
 class TestEngineRegistration:
