@@ -3,7 +3,8 @@
 Two identical surrogates start from the same seed dataset and the same
 weights; each round both may label the same *number* of new designs at the
 exact tier — but the **active** arm scores a candidate pool by surrogate
-disagreement against the cheap iterative tier and labels only the top-k,
+disagreement against the physics tier (``cheap_engine``, exact ``direct``
+by default) and labels only the top-k,
 while the **random** arm labels an arbitrary k of the same pool.  The figure
 of merit is the exact-solve budget each arm spends to reach the same test
 N-L2: ``label_budget_ratio < 1`` means active acquisition reached the random

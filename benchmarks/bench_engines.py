@@ -9,8 +9,7 @@ sizes:
 * ``sequential`` — the seed behaviour: every right-hand side pays a fresh
   factorization (what independent throwaway solvers per call site did),
 * ``direct_batched`` — one :class:`~repro.fdfd.engine.DirectEngine`
-  factorization, all RHS stacked into a single multi-RHS solve,
-* ``iterative`` — the ILU-preconditioned low-fidelity tier.
+  factorization, all RHS stacked into a single multi-RHS solve.
 
 Run directly (``python benchmarks/bench_engines.py``) or through pytest.
 Emits the standard ``BENCH_engines.json`` record.
@@ -30,11 +29,7 @@ from common import print_table, write_bench_record  # noqa: E402
 
 from repro.constants import wavelength_to_omega  # noqa: E402
 from repro.devices.factory import make_device  # noqa: E402
-from repro.fdfd.engine import (  # noqa: E402
-    DirectEngine,
-    FactorizationCache,
-    IterativeEngine,
-)
+from repro.fdfd.engine import DirectEngine, FactorizationCache  # noqa: E402
 
 NUM_RHS = 6
 REPEATS = 3
@@ -69,7 +64,7 @@ def _time(fn, repeats: int = REPEATS) -> float:
 
 
 def run_benchmark(domains=DOMAINS, num_rhs=NUM_RHS) -> dict:
-    """Time the three solve strategies and return the record dict."""
+    """Time the two solve strategies and return the record dict."""
     results = []
     for domain in domains:
         grid, omega, eps, rhs = _bend_problem(domain)
@@ -85,12 +80,8 @@ def run_benchmark(domains=DOMAINS, num_rhs=NUM_RHS) -> dict:
         def batched():
             DirectEngine(cache=FactorizationCache()).solve_batch(grid, omega, eps, rhs)
 
-        def iterative():
-            IterativeEngine(cache=FactorizationCache()).solve_batch(grid, omega, eps, rhs)
-
         t_seq = _time(sequential)
         t_bat = _time(batched)
-        t_itr = _time(iterative)
         results.append(
             {
                 "grid": list(grid.shape),
@@ -98,9 +89,7 @@ def run_benchmark(domains=DOMAINS, num_rhs=NUM_RHS) -> dict:
                 "num_rhs": len(rhs),
                 "sequential_s": t_seq,
                 "direct_batched_s": t_bat,
-                "iterative_s": t_itr,
                 "speedup_batched_vs_sequential": t_seq / t_bat,
-                "speedup_iterative_vs_sequential": t_seq / t_itr,
             }
         )
 
@@ -110,14 +99,13 @@ def run_benchmark(domains=DOMAINS, num_rhs=NUM_RHS) -> dict:
             r["num_rhs"],
             f"{r['sequential_s'] * 1e3:.1f}",
             f"{r['direct_batched_s'] * 1e3:.1f}",
-            f"{r['iterative_s'] * 1e3:.1f}",
             f"{r['speedup_batched_vs_sequential']:.1f}x",
         ]
         for r in results
     ]
     print_table(
         "Engine throughput (6 RHS per operator)",
-        ["grid", "#rhs", "seq [ms]", "batched [ms]", "iterative [ms]", "speedup"],
+        ["grid", "#rhs", "seq [ms]", "batched [ms]", "speedup"],
         rows,
     )
     record = {"results": results}

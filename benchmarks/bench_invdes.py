@@ -1,4 +1,4 @@
-"""Inverse-design optimization-loop throughput: direct vs iterative vs recycled.
+"""Inverse-design optimization-loop throughput: direct vs recycled.
 
 Every Adam step of an adjoint optimization changes the permittivity, so the
 content-keyed factorization cache never hits and the direct engine pays a full
@@ -44,7 +44,7 @@ from repro.invdes import AdjointOptimizer, InverseDesignProblem  # noqa: E402
 # run, where per-iteration operator drift is small.
 DEVICES = ({"name": "bending", "dl": 0.05}, {"name": "crossing", "dl": 0.05})
 DEVICE_KWARGS = dict(domain=4.0, design_size=2.0)
-ENGINES = ("direct", "iterative", "recycled")
+ENGINES = ("direct", "recycled")
 ITERATIONS = 16
 REPEATS = 2
 LEARNING_RATE = 0.02
@@ -52,10 +52,6 @@ LEARNING_RATE = 0.02
 
 def _fresh_engine(name: str):
     """Engine instance with a private cache, so runs cannot share LUs."""
-    if name == "iterative":
-        # The ILU tier needs a residual tolerance tight enough for adjoint
-        # gradients; everything else stays at the engine defaults.
-        return make_engine(name, rtol=1e-8, cache=FactorizationCache())
     return make_engine(name, cache=FactorizationCache())
 
 
@@ -156,7 +152,6 @@ def run_benchmark(devices=DEVICES, iterations=ITERATIONS, record_name="invdes") 
         [
             r["device"],
             f"{r['engines']['direct']['iterations_per_s']:.2f}",
-            f"{r['engines']['iterative']['iterations_per_s']:.2f}",
             f"{r['engines']['recycled']['iterations_per_s']:.2f}",
             f"{r['speedup_recycled_vs_direct']:.2f}x",
             f"{r['gradient_cosine_recycled_vs_direct']:.6f}",
@@ -166,7 +161,7 @@ def run_benchmark(devices=DEVICES, iterations=ITERATIONS, record_name="invdes") 
     ]
     print_table(
         f"Inverse-design loop throughput ({iterations} Adam iterations)",
-        ["device", "direct it/s", "iterative it/s", "recycled it/s",
+        ["device", "direct it/s", "recycled it/s",
          "speedup", "grad cosine", "FoM drift"],
         rows,
     )

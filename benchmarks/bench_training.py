@@ -2,9 +2,9 @@
 
 Exercises the full generate→train→serve loop at benchmark scale:
 
-1. **Generate** a paired multi-fidelity dataset through the sharded generator
-   (low tier solved iteratively, high tier exactly — same grid, so samples
-   pair by design), persisting shard artifacts.
+1. **Generate** a paired two-tier dataset through the sharded generator
+   (both tiers solved exactly on one grid, so samples pair by design),
+   persisting shard artifacts.
 2. **Train** the field-model zoo (FNO / F-FNO / UNet / NeurOLight) through the
    streaming :class:`~repro.data.loader.ShardDataLoader` under each fidelity
    curriculum (none / warmup / mixed / finetune).
@@ -48,9 +48,9 @@ MODELS = ("fno", "ffno", "unet", "neurolight")
 
 
 def generation_config(shard_dir: str, quick: bool) -> GeneratorConfig:
-    # Explicit dl keeps both fidelity tiers on one grid: the tiers differ by
-    # solver engine (iterative vs exact), which is what lets low/high samples
-    # of one design pair up for curriculum training.
+    # Explicit dl keeps both fidelity tiers on one grid, which is what lets
+    # low/high samples of one design pair up for curriculum training.  Both
+    # tiers are labelled by the exact solver.
     device_kwargs = dict(DEVICE_KWARGS, dl=0.1)
     if quick:
         device_kwargs = dict(domain=3.0, design_size=1.4, dl=0.1)
@@ -62,7 +62,7 @@ def generation_config(shard_dir: str, quick: bool) -> GeneratorConfig:
         with_gradient=False,
         seed=0,
         device_kwargs=device_kwargs,
-        engine={"low": "iterative", "high": "direct"},
+        engine="direct",
         shard_size=2,
         shard_dir=shard_dir,
     )
@@ -260,7 +260,7 @@ def run(quick: bool) -> dict:
         "generation_seconds": round(generation_seconds, 3),
         "num_samples": len(merged),
         "fidelities": list(config.fidelities),
-        "engines": {"low": "iterative", "high": "direct"},
+        "engines": {"low": "direct", "high": "direct"},
         "matrix": rows,
         "promotion": promotion,
     }

@@ -7,7 +7,7 @@ Run with::
 The loop alternates train → evaluate → acquire → regenerate: each round the
 current surrogate is promoted to a checkpoint-backed ``neural:<checkpoint.npz>``
 engine, a pool of candidate designs is scored by how much the surrogate
-disagrees with the cheap ``iterative`` tier, and only the top-k designs are
+disagrees with the exact ``direct`` tier, and only the top-k designs are
 labelled at the exact tier (``workers=``/``resume`` work here like in any
 generation run — the seed shards are reused on rerun).  New shards append to
 the same directory; ``ShardDataLoader.refresh()`` folds them in without

@@ -14,7 +14,7 @@ result is bit-identical to the serial path for the same seed), ``shard_dir=``
 persists resumable artifacts (``resume=True`` reuses finished shards on
 rerun), and ``engine=`` selects the solver fidelity tier end-to-end — a
 registry name, a promoted surrogate ``"neural:<checkpoint.npz>"``, or a
-per-fidelity mapping such as ``{"low": "iterative", "high": "direct"}``.
+per-fidelity mapping such as ``{"low": "neural:<checkpoint.npz>", "*": "direct"}``.
 The same knobs are available on the command line via
 ``python -m repro.data.generator``.
 
@@ -56,8 +56,8 @@ def main() -> None:
             with_gradient=False,
             strategy_kwargs=dict(iterations=4 if QUICK else 10) if strategy != "random" else None,
             device_kwargs=DEVICE_KWARGS,
-            # or "iterative", "neural:<checkpoint.npz>", or a per-fidelity
-            # mapping like {"low": "iterative", "high": "direct"}
+            # or "neural:<checkpoint.npz>", or a per-fidelity mapping like
+            # {"low": "neural:<checkpoint.npz>", "*": "direct"}
             engine="direct",
             workers=2,
         )

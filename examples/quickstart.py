@@ -7,8 +7,8 @@ Run with::
 The script walks through the three MAPS components at their smallest scale:
 build a benchmark device, simulate it with the FDFD solver, run a short
 adjoint optimization (``engine="recycled"``, the optimization-loop solver
-tier) and print the optimization trajectory.  Other tiers — ``"iterative"``,
-``"direct"``, or a promoted surrogate ``"neural:<checkpoint.npz>"`` — are a
+tier) and print the optimization trajectory.  Other tiers — the exact
+``"direct"`` or a promoted surrogate ``"neural:<checkpoint.npz>"`` — are a
 one-line swap.
 
 Set ``REPRO_EXAMPLES_QUICK=1`` for a seconds-scale smoke run (used by CI).
@@ -42,8 +42,9 @@ def main() -> None:
     #    engine="recycled" is the optimization-loop solver tier: instead of
     #    re-factorizing the Maxwell operator every Adam step, it recycles the
     #    previous factorization (plus warm-started solves) for ~2x faster
-    #    iterations at identical gradients.  Drop the argument (or pass
-    #    engine="iterative"/"neural") to pick another fidelity tier.
+    #    iterations at identical gradients.  Drop the argument (exact direct
+    #    solves) or pass engine="neural:<checkpoint.npz>" to pick another
+    #    solver tier.
     problem = InverseDesignProblem(device, engine="recycled")
     optimizer = AdjointOptimizer(
         problem, learning_rate=0.2, beta_schedule={0: 4.0, 10: 8.0, 20: 16.0}

@@ -33,12 +33,12 @@ from repro.train import Trainer, make_curriculum, make_model
 QUICK = os.environ.get("REPRO_EXAMPLES_QUICK", "") not in ("", "0")
 SHARD_DIR = Path("streaming_shards_quick" if QUICK else "streaming_shards")
 CHECKPOINT = Path("bend_surrogate.npz")
-# One grid for both fidelity tiers: the tiers differ by solver engine
-# (cheap iterative vs exact direct), so low/high samples pair per design.
+# The two fidelity tiers are the MAPS discretizations (low = 0.1 um and
+# high = 0.05 um cells), both labelled by the exact solver.
 DEVICE_KWARGS = (
-    dict(domain=3.0, design_size=1.4, dl=0.1)
+    dict(domain=3.0, design_size=1.4)
     if QUICK
-    else dict(domain=3.5, design_size=1.8, dl=0.1)
+    else dict(domain=3.5, design_size=1.8)
 )
 
 
@@ -53,7 +53,7 @@ def main() -> None:
         with_gradient=False,
         seed=0,
         device_kwargs=DEVICE_KWARGS,
-        engine={"low": "iterative", "high": "direct"},
+        engine="direct",
         shard_size=2,
         shard_dir=str(SHARD_DIR),
     )
@@ -66,8 +66,8 @@ def main() -> None:
     )
     train_loader, test_loader = loader.split(train_fraction=0.75, rng=0)
 
-    # 3. Warmup curriculum: cheap tier first, then everything with the exact
-    #    tier's labels weighted double.
+    # 3. Warmup curriculum: the coarse tier first, then everything with the
+    #    fine tier's labels weighted double.
     curriculum = make_curriculum(
         "warmup", fidelities=config.fidelities, loss_weights={"high": 2.0}
     )

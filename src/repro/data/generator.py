@@ -15,7 +15,7 @@ merged dataset is bit-identical regardless of worker count — parallelism is a
 throughput knob, never a label change.  The solver fidelity tier is selected
 end-to-end with ``engine=`` (a registry name — including a promoted surrogate
 checkpoint ``"neural:<checkpoint.npz>"`` — or a per-fidelity mapping such as
-``{"low": "iterative", "high": "direct"}``).
+``{"low": "neural:<checkpoint.npz>", "high": "direct"}``).
 
 Run ``python -m repro.data.generator --help`` for the command-line interface.
 """
@@ -88,7 +88,7 @@ class GeneratorConfig:
     """Configuration of one dataset-generation run.
 
     ``engine`` selects the solver fidelity tier end-to-end: a registry name
-    (``"direct"``, ``"iterative"``, ``"recycled"``, or a promoted surrogate
+    (``"direct"``, ``"recycled"``, or a promoted surrogate
     checkpoint ``"neural:<checkpoint.npz>"``), an engine instance — serial
     runs only — or a ``{fidelity: name}`` mapping with an optional ``"*"``
     default.  The exact tier (``None``, ``"direct"`` or an alias) labels
@@ -127,14 +127,15 @@ class GeneratorConfig:
 
     Examples
     --------
-    Paired two-tier generation, four worker processes, resumable artifacts::
+    Paired two-tier generation (the fidelities differ by grid step), four
+    worker processes, resumable artifacts::
 
         config = GeneratorConfig(
             device_name="bending",
             strategy="random",
             num_designs=32,
             fidelities=("low", "high"),
-            engine={"low": "iterative", "high": "direct"},
+            engine="direct",
             workers=4,
             shard_dir="shards",   # rerunning resumes finished shards
         )
@@ -493,7 +494,7 @@ def generate_dataset(
 # command-line interface: python -m repro.data.generator
 # --------------------------------------------------------------------------- #
 def _parse_engine(value: str | None) -> str | dict | None:
-    """Parse ``--engine``: a name, or a ``low=iterative,high=direct`` mapping."""
+    """Parse ``--engine``: a name, or a ``low=neural:model.npz,high=direct`` mapping."""
     if value is None or "=" not in value:
         return value
     mapping: dict[str, str] = {}
@@ -528,7 +529,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "examples:\n"
             "  # paired two-tier dataset, 4 workers, resumable shards\n"
             "  python -m repro.data.generator --fidelities low high \\\n"
-            "      --engine low=iterative,high=direct --workers 4 --shard-dir shards\n"
+            "      --engine direct --workers 4 --shard-dir shards\n"
             "  # rerun with --shard-dir and --resume (the default) to reuse\n"
             "  # finished shards; --no-resume forces recomputation\n"
             "  # label with a promoted surrogate checkpoint\n"
@@ -550,9 +551,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=_parse_engine,
         default=None,
         help=(
-            'solver engine name ("direct", "iterative", "recycled", or a '
-            'promoted surrogate "neural:<checkpoint.npz>"), or a per-fidelity '
-            'mapping "low=iterative,high=direct"'
+            'solver engine name ("direct", "recycled", or a promoted '
+            'surrogate "neural:<checkpoint.npz>"), or a per-fidelity mapping '
+            '"low=neural:<checkpoint.npz>,high=direct"'
         ),
     )
     parser.add_argument(

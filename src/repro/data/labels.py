@@ -117,7 +117,7 @@ def extract_labels_batch(
     backend:
         Field backend used for the solves (engine-backed numerical default).
     engine:
-        Solver engine or registry name (``"direct"``, ``"iterative"``, ...)
+        Solver engine or registry name (``"direct"``, ``"recycled"``, ...)
         selecting the fidelity tier of the default numerical backend.
         Mutually exclusive with ``backend``.  The exact tier (None,
         ``"direct"`` or an alias of it) is built with the device's design

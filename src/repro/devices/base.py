@@ -197,7 +197,7 @@ class Device:
         """Build a :class:`Simulation` for a design density and device state.
 
         ``engine`` selects the solver fidelity tier (an engine instance or a
-        registry name such as ``"iterative"`` or ``"neural:<checkpoint>"``);
+        registry name such as ``"recycled"`` or ``"neural:<checkpoint>"``);
         None solves exactly.
         """
         eps = self.eps_with_design(density)

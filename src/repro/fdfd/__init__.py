@@ -14,15 +14,16 @@ Every linear solve in the package flows through the pluggable engine layer in
 * :class:`~repro.fdfd.engine.DirectEngine` — exact SuperLU solves; one
   factorization per ``(grid, omega, permittivity)`` serves arbitrarily many
   stacked right-hand sides (forward, adjoint and normalization solves).
-* :class:`~repro.fdfd.engine.IterativeEngine` — ILU-preconditioned
-  BiCGStab/GMRES, the cheap approximate tier.
+  Every LU in the package is an exact complex128 factor built by
+  :func:`~repro.fdfd.engine.factor_lu`.
 * :class:`~repro.fdfd.engine.RecycledEngine` — the optimization-loop tier:
-  exact-LU-preconditioned Krylov solves recycled across the nearby operators
-  an optimizer visits, with warm starts threaded through a
-  :class:`~repro.fdfd.engine.SolveWorkspace`.
+  the exact LU of a reference permittivity refines (then preconditions
+  BiCGStab for) the nearby operators an optimizer visits, with warm starts
+  threaded through a :class:`~repro.fdfd.engine.SolveWorkspace`.
 * ``"neural"`` — a trained surrogate (registered by :mod:`repro.surrogate`),
-  making fidelity selection (``"high"``/``"low"``/``"neural"``) a one-line
-  engine swap.
+  making the switch between an exact tier and a learned one a one-line
+  engine swap.  Discretization fidelity (a device's ``fidelity="low"`` or
+  ``"high"``) sets the grid, not the engine.
 * :class:`~repro.fdfd.engine.FactorizationCache` — a process-wide LRU keyed by
   ``(grid, omega, eps fingerprint)``, shared by every engine instance so that
   independent call sites (simulations, normalization runs, adjoint solves,
@@ -51,7 +52,6 @@ from repro.fdfd.grid import Grid
 from repro.fdfd.engine import (
     DirectEngine,
     FactorizationCache,
-    IterativeEngine,
     RecycledEngine,
     SolverEngine,
     SolveWorkspace,
@@ -80,7 +80,6 @@ __all__ = [
     "FdfdSolver",
     "SolverEngine",
     "DirectEngine",
-    "IterativeEngine",
     "RecycledEngine",
     "SolveWorkspace",
     "FactorizationCache",

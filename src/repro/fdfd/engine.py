@@ -13,22 +13,20 @@ the fidelity tier:
   are triangular back-substitutions against the same LU).  Given a device's
   design region, it factors the fixed exterior once and each design only
   on the region (the Schur complement), which is how labels are made.
-* :class:`IterativeEngine` — BiCGStab/GMRES with an incomplete-LU
-  preconditioner: a cheap, approximate low-fidelity tier.
-* :class:`RefinedEngine` — mixed precision: the LU is factored in reduced
-  (fp32/complex64) precision — ~0.6x the factor bytes (the complex values
-  halve, their indices do not) — and fp64 accuracy is recovered by
-  iterative refinement against the full-precision operator.
 * :class:`RecycledEngine` — the optimization-loop tier: keeps the exact LU of
   a *reference* permittivity and solves nearby permittivities (consecutive
-  Adam iterates differ only on the operator diagonal) with LU-preconditioned
-  Krylov iterations, refactorizing only when the design drifts too far or the
-  iteration counts creep up.
+  Adam iterates differ only on the operator diagonal) by iterative
+  refinement against that LU, then LU-preconditioned BiCGStab, refactorizing
+  only when the design drifts too far or the iteration counts creep up.
 * ``"neural"`` — a trained surrogate registered by
   :mod:`repro.surrogate.neural_solver` (see :class:`NeuralEngine` there).
 * ``"service"`` — the coalescing async front-end registered by
   :mod:`repro.service.solve_service`: requests from concurrent call sites
   are micro-batched into single ``solve_batch`` calls on a backing tier.
+
+Every LU a tier builds is an exact complex128 SuperLU factor from
+:func:`factor_lu`.  Fidelity in the MAPS sense is a device's grid step, not
+an approximate solver.
 
 Engines are stateless with respect to the problem: all per-operator state
 lives in the process-wide :class:`FactorizationCache`, keyed by the grid, the
@@ -76,16 +74,11 @@ __all__ = [
     "SolveWorkspace",
     "SolverEngine",
     "DirectEngine",
-    "IterativeEngine",
-    "RefinedEngine",
-    "RefineStats",
     "RecycledEngine",
     "RecycleStats",
     "scoped_stats",
     "CountingEngine",
     "factor_lu",
-    "precision_dtype",
-    "dtype_cache_tag",
     "iterative_refine",
     "RefinementError",
     "register_engine",
@@ -272,10 +265,9 @@ def scoped_stats(*holders):
     """Observe the stats of engines/caches over one bounded piece of work.
 
     Each holder (anything with a ``.stats`` counters dataclass — a
-    :class:`RecycledEngine`, a :class:`RefinedEngine`, a
-    :class:`FactorizationCache`, ...) temporarily gets a zeroed stats object
-    (gauges carried over); the list of those scoped objects is yielded in
-    holder order.  On exit the scoped counts are merged back into the
+    :class:`RecycledEngine`, a :class:`FactorizationCache`, ...) temporarily
+    gets a zeroed stats object (gauges carried over); the list of those
+    scoped objects is yielded in holder order.  On exit the scoped counts are merged back into the
     cumulative stats, which are reinstalled — so a caller sees exactly what
     happened inside the ``with`` block while global accounting (benchmark
     totals, cache hit rates) stays intact.
@@ -367,10 +359,11 @@ class FactorizationCache:
     """Process-wide LRU cache of sparse factorizations.
 
     Keys are ``(grid, omega, eps fingerprint)``; values are whatever a solver
-    engine stores for that operator (a SuperLU object for the direct engine,
-    an incomplete LU plus the assembled matrix for the iterative one).  The
-    cache is deliberately engine-agnostic: entries are namespaced by a ``tag``
-    so direct and iterative factorizations of the same operator coexist.
+    engine stores for that operator (a SuperLU object for the direct and
+    recycled engines, a condensed LU or a factored exterior for the direct
+    engine's design-region solves).  The cache is deliberately
+    engine-agnostic: entries are namespaced by a ``tag`` so every engine's
+    factorizations of the same operator coexist.
 
     Most code never touches the cache directly — engines share
     :data:`default_factorization_cache` unless given their own.  Direct use
@@ -637,60 +630,8 @@ class SolveWorkspace:
 
 
 # --------------------------------------------------------------------------- #
-# mixed precision: reduced-precision factorizations + fp64 refinement
+# the one LU factorization
 # --------------------------------------------------------------------------- #
-#: Accepted ``precision=`` spellings and the complex factor dtype they mean.
-_PRECISION_ALIASES = {
-    "fp64": np.complex128,
-    "double": np.complex128,
-    "float64": np.complex128,
-    "complex128": np.complex128,
-    "fp32": np.complex64,
-    "single": np.complex64,
-    "float32": np.complex64,
-    "complex64": np.complex64,
-}
-
-
-def precision_dtype(precision) -> np.dtype:
-    """Normalize a precision spec to the complex dtype factorizations use.
-
-    Accepts the ``fp64``/``fp32`` (and ``double``/``single``, real or complex
-    NumPy dtype name) spellings used by engine constructors, configs and the
-    CLI.  Only the two complex LAPACK precisions exist, so anything else is a
-    hard error rather than a silent fp64 fallback.
-    """
-    if isinstance(precision, str):
-        key = precision.lower().strip()
-        if key not in _PRECISION_ALIASES:
-            raise ValueError(
-                f"unknown precision {precision!r}; expected one of "
-                f"{sorted(_PRECISION_ALIASES)}"
-            )
-        return np.dtype(_PRECISION_ALIASES[key])
-    dtype = np.dtype(precision)
-    if dtype.name in _PRECISION_ALIASES:
-        return np.dtype(_PRECISION_ALIASES[dtype.name])
-    raise ValueError(f"unsupported factorization dtype {dtype.name!r}")
-
-
-def dtype_cache_tag(base: str, dtype) -> str:
-    """Cache/store tag for factorizations of ``dtype`` under a base tag.
-
-    Full precision keeps the bare base tag (existing fp64 artifacts stay
-    valid); reduced precisions get a dtype-suffixed namespace, so fp32 and
-    fp64 factorizations of the same operator can never collide in the
-    :class:`FactorizationCache` or in a store directory.  The dtype goes in
-    the *tag*, not the fingerprint: store consumers parse raw permittivity
-    fingerprints back out of artifact filenames (``list_extras``), which a
-    fingerprint suffix would corrupt.
-    """
-    dtype = precision_dtype(dtype)
-    if dtype == np.dtype(np.complex128):
-        return base
-    return f"{base}-{dtype.name}"
-
-
 #: SuperLU settings tried in order by :func:`factor_lu`.  The FDFD operator
 #: is structurally (and, up to PML scaling, numerically) complex symmetric, so
 #: a minimum-degree ordering of ``A + A^T`` with diagonal pivots keeps ~44%
@@ -703,11 +644,9 @@ _LU_SETTINGS = (
 )
 
 #: Largest relative probe residual ``|A x - b| / |b|`` a symmetric-mode
-#: factor may leave.  Worst cases measured over the device zoo (both
-#: fidelities, binary and random designs): ~5e-13 at complex128 and ~2e-4 at
-#: (equilibrated) complex64; the complex64 bound only needs to keep
-#: iterative refinement contracting.
-_LU_PROBE_BOUND = {np.dtype(np.complex128): 1e-10, np.dtype(np.complex64): 1e-2}
+#: factor may leave.  The worst case measured over the device zoo (both
+#: fidelities, binary and random designs) is ~5e-13.
+_LU_PROBE_BOUND = 1e-10
 
 
 def factor_lu(matrix: sp.spmatrix) -> spla.SuperLU:
@@ -719,12 +658,11 @@ def factor_lu(matrix: sp.spmatrix) -> spla.SuperLU:
     returned as is.  Every LU factorization in the package goes through here.
     """
     matrix = matrix.tocsc()
-    bound = _LU_PROBE_BOUND[np.dtype(matrix.dtype)]
     probe = np.ones(matrix.shape[0], dtype=matrix.dtype)
     for settings in _LU_SETTINGS:
         lu = spla.splu(matrix, **settings)
         residual = np.linalg.norm(matrix @ lu.solve(probe) - probe) / np.linalg.norm(probe)
-        if residual <= bound:  # False for NaN/inf
+        if residual <= _LU_PROBE_BOUND:  # False for NaN/inf
             break
     return lu
 
@@ -837,117 +775,6 @@ class _CondensedLU:
         return x
 
 
-class _PrecisionLU:
-    """A SuperLU factorization of the row-equilibrated reduced-precision operator.
-
-    Wraps the fp32 SuperLU together with the fp64 row-equilibration scale:
-    the factored matrix is ``D A`` with ``D = diag(1/max_j |A_ij|)``, computed
-    *before* the downcast — FDFD operator entries span ~1e17–1e20, close
-    enough to fp32's ~3.4e38 ceiling that pivot growth inside an unscaled
-    factorization can overflow, and equilibration also tightens the
-    refinement contraction rate.  ``solve`` applies the scale and casts into
-    the factor dtype, so it approximates ``A^{-1} b`` directly (solving
-    ``(D A) x = D b`` needs no unscaling of ``x``).
-
-    Exposes the SuperLU artifact surface (``L``/``U``/``perm_r``/``perm_c``/
-    ``shape``/``nnz``/``solve``) so :class:`FileFactorizationStore` persists
-    and probe-validates it like any exact LU; the scale rides along as a
-    store extra (see :func:`_factor_apply`).
-    """
-
-    __slots__ = ("lu", "row_scale", "dtype")
-
-    from_store = False
-
-    def __init__(self, lu: spla.SuperLU, row_scale: np.ndarray):
-        self.lu = lu
-        self.row_scale = np.ascontiguousarray(row_scale, dtype=np.float64)
-        self.dtype = np.dtype(lu.L.dtype)
-
-    # -- SuperLU artifact surface ------------------------------------------------
-    @property
-    def L(self):
-        return self.lu.L
-
-    @property
-    def U(self):
-        return self.lu.U
-
-    @property
-    def perm_r(self):
-        return self.lu.perm_r
-
-    @property
-    def perm_c(self):
-        return self.lu.perm_c
-
-    @property
-    def shape(self):
-        return self.lu.shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self.lu.L.nnz + self.lu.U.nnz)
-
-    @property
-    def nbytes(self) -> int:
-        itemsize = self.dtype.itemsize
-        return int(self.nnz * (itemsize + 4) + self.row_scale.nbytes)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Reduced-precision approximation of ``A^{-1} b`` (column RHS layout)."""
-        b = np.asarray(b)
-        scaled = self.row_scale[:, None] * b if b.ndim == 2 else self.row_scale * b
-        # SuperLU's "safe" casting refuses complex128 RHS against a complex64
-        # factorization; the downcast is the point of this tier.
-        return self.lu.solve(scaled.astype(self.dtype, copy=False))
-
-    def factor_solve(self, b: np.ndarray) -> np.ndarray:
-        """Back-substitution on the *equilibrated* system, no row scaling.
-
-        This is what a store artifact reconstructs (only the factors are
-        persisted; the scale rides as an extra), so the publish-time probe
-        self-check compares against this, not :meth:`solve`.
-        """
-        return self.lu.solve(np.asarray(b).astype(self.dtype, copy=False))
-
-
-def _build_precision_lu(grid: Grid, omega: float, eps_r: np.ndarray, dtype):
-    """Factor ``A(eps_r)`` in ``dtype``: plain SuperLU at fp64, equilibrated below."""
-    dtype = precision_dtype(dtype)
-    matrix = assemble_system_matrix(grid, omega, eps_r)
-    if dtype == np.dtype(np.complex128):
-        return factor_lu(matrix)
-    row_max = np.abs(matrix).max(axis=1).toarray().ravel()
-    row_scale = 1.0 / np.maximum(row_max, np.finfo(np.float64).tiny)
-    scaled = sp.diags(row_scale) @ matrix
-    return _PrecisionLU(factor_lu(scaled.astype(dtype)), row_scale)
-
-
-def _factor_apply(entry):
-    """A ``b -> approx A^{-1} b`` callable from a live or store-mapped entry.
-
-    Live :class:`_PrecisionLU` objects (and exact SuperLUs) already apply
-    their own equilibration.  Store-mapped reduced-precision artifacts hold
-    the *equilibrated* factors with the scale riding as the ``row_scale``
-    extra, so the scale is re-applied around the mapped triangular solves
-    here.  Accepts both 1-D and column-matrix right-hand sides, like
-    ``SuperLU.solve``.
-    """
-    extras = getattr(entry, "extras", None) or {}
-    row_scale = extras.get("row_scale") if getattr(entry, "from_store", False) else None
-    if row_scale is None:
-        return entry.solve
-    row_scale = np.asarray(row_scale, dtype=np.float64).ravel()
-
-    def apply(b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b)
-        scaled = row_scale[:, None] * b if b.ndim == 2 else row_scale * b
-        return entry.solve(scaled)
-
-    return apply
-
-
 class RefinementError(RuntimeError):
     """Iterative refinement stopped contracting or ran out of sweeps."""
 
@@ -957,34 +784,27 @@ def iterative_refine(
     rhs: np.ndarray,
     rtol: float,
     max_sweeps: int,
+    delta: np.ndarray,
     matrix: sp.spmatrix | None = None,
-    delta: np.ndarray | None = None,
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Iterative refinement of a flat RHS stack ``(n_rhs, n)`` to ``rtol``.
 
-    The Wilkinson loop behind every "factor once, refine cheaply" tier::
+    The recycled tier's inner loop.  ``apply_inverse`` is the exact LU of a
+    reference operator ``M`` and the target is ``A = M + diag(delta)`` (the
+    diagonal drift between Adam iterates), so each sweep is::
 
-        x += M^{-1} r        # correction through an approximate LU M ~ A
-        r  = b - A x         # residual update
+        x += M^{-1} r              # correction through the reference LU
+        r <- -delta * correction   # matvec-free residual recurrence
 
     until every ``||r|| <= rtol * max(||b||, tiny)``.  ``apply_inverse``
     takes a column matrix (``(n, k)``) like ``SuperLU.solve``; the whole
-    active stack sweeps together through one multi-RHS call.  The residual
-    update is the only variation:
-
-    * ``delta`` given — ``A = M + diag(delta)`` with ``M`` an *exact* fp64
-      LU, so the residual follows the matvec-free recurrence
-      ``r <- -delta * correction`` (the recycled tier's diagonal drift);
-    * otherwise — the true fp64 residual ``b - A x`` through ``matrix`` (one
-      sparse matvec per sweep), required whenever ``M`` carries its own
-      factorization error (reduced-precision LUs).
-
-    ``matrix`` is also needed to start from a warm guess ``x0``.  Returns
-    ``(x, sweeps, back_substitutions)``.  Raises :class:`RefinementError`
-    as soon as any active row fails to contract, or when the sweep budget
-    runs out — callers either propagate it (never silently degraded fields)
-    or escalate to a stronger solver.
+    active stack sweeps together through one multi-RHS call.  ``matrix``
+    (``A``) is needed only to form the starting residual of a warm guess
+    ``x0``.  Returns ``(x, sweeps, back_substitutions)``.  Raises
+    :class:`RefinementError` as soon as any active row fails to contract,
+    or when the sweep budget runs out, so the caller can escalate to a
+    stronger solver.
     """
     flat = np.asarray(rhs, dtype=np.complex128)
     if flat.ndim != 2:
@@ -1014,10 +834,7 @@ def iterative_refine(
         rows = slice(None) if active.all() else active
         correction = np.asarray(apply_inverse(residual[rows].T)).T
         x[rows] += correction
-        if delta is not None:
-            new_residual = -delta[None, :] * correction
-        else:
-            new_residual = flat[rows] - (matrix @ x[rows].T).T
+        new_residual = -delta[None, :] * correction
         new_norms = np.linalg.norm(new_residual, axis=1)
         if np.any(new_norms >= norms[rows]):
             raise RefinementError(
@@ -1048,9 +865,9 @@ class SolverEngine:
     --------
     Engines are usually selected by registry name at a call site::
 
-        sim = Simulation(grid, eps_r, wavelength, ports, engine="iterative")
+        sim = Simulation(grid, eps_r, wavelength, ports, engine="direct")
         problem = InverseDesignProblem(device, engine="recycled")
-        config = GeneratorConfig(engine={"low": "iterative", "high": "direct"})
+        config = GeneratorConfig(engine={"low": "neural:model.npz", "*": "direct"})
 
     or driven directly — one factorization, many right-hand sides::
 
@@ -1173,8 +990,10 @@ class DirectEngine(SolverEngine):
 
     @property
     def fidelity_signature(self) -> tuple:
-        # Exact solves: results depend only on the operator, so every exact
-        # engine (direct or recycled) may share cached results.
+        # Exact solves: results depend only on the operator, so every
+        # direct engine (full or condensed) may share cached results.
+        # Recycled solves are only rtol-converged and carry their own
+        # signature.
         return ("exact",)
 
     def _condenses(self, grid: Grid, eps_r: np.ndarray) -> bool:
@@ -1228,179 +1047,6 @@ class DirectEngine(SolverEngine):
         return np.ascontiguousarray(solutions.T).reshape(rhs.shape)
 
 
-class IterativeEngine(SolverEngine):
-    """Approximate Krylov solves preconditioned with an incomplete LU.
-
-    The cheap low-fidelity tier: the ILU factorization is much sparser (and
-    faster to compute) than the exact LU, and the Krylov iteration stops at a
-    configurable residual tolerance.  The preconditioner is cached exactly
-    like the direct factorization, so batches still pay assembly and ILU once.
-    """
-
-    name = "iterative"
-    supports_warm_start = True
-
-    def __init__(
-        self,
-        method: str = "bicgstab",
-        rtol: float = 1e-8,
-        maxiter: int = 2000,
-        drop_tol: float = 1e-5,
-        fill_factor: float = 20.0,
-        cache: FactorizationCache | None = None,
-    ):
-        if method not in ("bicgstab", "gmres"):
-            raise ValueError(f"unknown Krylov method {method!r}; expected bicgstab or gmres")
-        self.method = method
-        self.rtol = float(rtol)
-        self.maxiter = int(maxiter)
-        self.drop_tol = float(drop_tol)
-        self.fill_factor = float(fill_factor)
-        self.cache = cache if cache is not None else default_factorization_cache
-
-    @property
-    def fidelity_signature(self) -> tuple:
-        # Approximate solves: results depend on the Krylov configuration, so
-        # only identically-configured iterative engines may share them.
-        return (self.name, self.method, self.rtol, self.maxiter)
-
-    def _prepare(self, grid, omega, eps_r, fingerprint):
-        if fingerprint is None:
-            fingerprint = eps_fingerprint(eps_r)
-
-        def build():
-            matrix = assemble_system_matrix(grid, omega, eps_r).tocsc()
-            ilu = spla.spilu(matrix, drop_tol=self.drop_tol, fill_factor=self.fill_factor)
-            return matrix, ilu
-
-        return self.cache.get_or_build(grid, omega, fingerprint, build, tag="iterative")
-
-    def solve_batch(self, grid, omega, eps_r, rhs, fingerprint=None, x0=None):
-        eps_r, rhs = self._check_batch(grid, eps_r, rhs)
-        matrix, ilu = self._prepare(grid, omega, eps_r, fingerprint)
-        preconditioner = spla.LinearOperator(matrix.shape, ilu.solve, dtype=complex)
-        krylov = spla.bicgstab if self.method == "bicgstab" else spla.gmres
-        solutions = np.empty_like(rhs)
-        for index, b in enumerate(rhs.reshape(rhs.shape[0], -1)):
-            guess = None if x0 is None else np.asarray(x0[index], dtype=complex).ravel()
-            x, info = krylov(
-                matrix, b, x0=guess, rtol=self.rtol, maxiter=self.maxiter, M=preconditioner
-            )
-            if info > 0:
-                raise RuntimeError(
-                    f"{self.method} did not converge to rtol={self.rtol} within "
-                    f"{self.maxiter} iterations (rhs {index})"
-                )
-            if info < 0:
-                raise RuntimeError(f"{self.method} failed with illegal input (info={info})")
-            solutions[index] = x.reshape(grid.shape)
-        return solutions
-
-
-@dataclass
-class RefineStats(StatsCounters):
-    """What a :class:`RefinedEngine` actually did, for tests and benchmarks."""
-
-    factorizations: int = 0
-    solves: int = 0
-    sweeps: int = 0
-    back_substitutions: int = 0
-
-
-class RefinedEngine(SolverEngine):
-    """Mixed-precision tier: reduced-precision LU, fp64 iterative refinement.
-
-    The factorization — the expensive, memory-bound step of a direct solve —
-    runs in complex64 (on a row-equilibrated operator, see
-    :class:`_PrecisionLU`), which stores ~0.6x the fp64 factor bytes (the
-    complex values halve, their indices do not) and can cut factorization
-    time.  Full fp64 accuracy is then recovered by
-    :func:`iterative_refine` on the true fp64 residual: each sweep is one
-    multi-RHS fp32 back-substitution plus one fp64 sparse matvec, and the
-    loop terminates on the fp64 relative residual, so results match
-    :class:`DirectEngine` to ``rtol``.  A stalled or exhausted refinement
-    raises :class:`RefinementError` — a converged-or-raise contract, never
-    silent fp32 fields.
-
-    ``precision="fp64"`` degenerates to an exact direct solve (the first
-    sweep's residual meets any reasonable ``rtol``), which is what makes the
-    precision knob safe to plumb through configs unconditionally.
-
-    Factorizations live in the shared :class:`FactorizationCache` under the
-    dtype-suffixed tag (``"refined-complex64"``), so fp32 and fp64 LUs of the
-    same operator never collide, in memory or in a
-    :class:`~repro.service.FileFactorizationStore` directory.
-    """
-
-    name = "refined"
-    supports_warm_start = True
-
-    def __init__(
-        self,
-        precision: str = "fp32",
-        rtol: float = 1e-10,
-        max_sweeps: int = 20,
-        cache: FactorizationCache | None = None,
-    ):
-        self.dtype = precision_dtype(precision)
-        self.rtol = float(rtol)
-        self.max_sweeps = int(max_sweeps)
-        self.cache = cache if cache is not None else default_factorization_cache
-        self.stats = RefineStats()
-        self._tag = dtype_cache_tag("refined", self.dtype)
-
-    @property
-    def fidelity_signature(self) -> tuple:
-        # Refined solves are rtol-converged in fp64: results depend on the
-        # factor dtype and the refinement tolerance, nothing per-instance.
-        return (self.name, self.dtype.name, self.rtol)
-
-    def factorize(
-        self, grid: Grid, omega: float, eps_r: np.ndarray, fingerprint: str | None = None
-    ):
-        """The reduced-precision LU, shared (and persisted) through the cache."""
-        if fingerprint is None:
-            fingerprint = eps_fingerprint(eps_r)
-        built: list = []
-
-        def build():
-            self.stats.factorizations += 1
-            built.append(_build_precision_lu(grid, omega, eps_r, self.dtype))
-            return built[-1]
-
-        def payload():
-            # Only invoked when a publish follows a fresh build; the
-            # equilibration scale must travel with the equilibrated factors.
-            if built and isinstance(built[-1], _PrecisionLU):
-                return {"row_scale": built[-1].row_scale}
-            return None
-
-        return self.cache.get_or_build(
-            grid, omega, fingerprint, build, tag=self._tag, store_payload=payload
-        )
-
-    def solve_batch(self, grid, omega, eps_r, rhs, fingerprint=None, x0=None):
-        eps_r, rhs = self._check_batch(grid, eps_r, rhs)
-        if fingerprint is None:
-            fingerprint = eps_fingerprint(eps_r)
-        entry = self.factorize(grid, omega, eps_r, fingerprint)
-        matrix = assemble_system_matrix(grid, omega, eps_r)
-        flat = rhs.reshape(rhs.shape[0], -1)
-        guess = None if x0 is None else np.asarray(x0, dtype=complex).reshape(flat.shape)
-        x, sweeps, back_substitutions = iterative_refine(
-            _factor_apply(entry),
-            flat,
-            self.rtol,
-            self.max_sweeps,
-            matrix=matrix,
-            x0=guess,
-        )
-        self.stats.solves += rhs.shape[0]
-        self.stats.sweeps += sweeps
-        self.stats.back_substitutions += back_substitutions
-        return x.reshape(rhs.shape)
-
-
 @dataclass
 class RecycleStats(StatsCounters):
     """What a :class:`RecycledEngine` actually did, for tests and benchmarks."""
@@ -1432,13 +1078,13 @@ class RecycledEngine(SolverEngine):
     each iteration would pay a fresh SuperLU factorization.  But consecutive
     operators differ only on the diagonal (``A(eps + d) = A(eps) +
     omega^2 eps0 diag(d)``), which makes the *previous* factorization an
-    excellent preconditioner.  The default ``method="auto"`` solve chain is
+    excellent preconditioner.  A recycled solve runs
 
     1. diagonal-update iterative refinement (:func:`iterative_refine`) —
        each sweep is one back-substitution against the reference LU plus an
        elementwise product (the diagonal structure of the perturbation makes
        the residual recurrence matvec-free), vectorized over the RHS stack;
-    2. BiCGStab/GMRES preconditioned with the same reference LU when
+    2. BiCGStab preconditioned with the same reference LU when
        refinement does not contract (each Krylov iteration costs matvecs and
        back-substitutions, but converges for any drift the LU still roughly
        preconditions);
@@ -1466,14 +1112,6 @@ class RecycledEngine(SolverEngine):
     further.  Reference LUs live in the shared :class:`FactorizationCache`
     under the ``"recycled"`` tag, so ``Simulation.set_permittivity`` eviction
     and cache-size limits apply to them like to any other factorization.
-
-    ``precision="fp32"`` factors the reference LUs in complex64 (see
-    :class:`RefinedEngine`): cheaper and smaller factorizations at the cost
-    of extra refinement sweeps, with every path still converging on the true
-    fp64 residual to ``rtol`` — exact-fingerprint hits included, which are a
-    single back-substitution only at full precision.  fp32 references are
-    cached and persisted under a dtype-suffixed tag so they never collide
-    with fp64 ones.
     """
 
     name = "recycled"
@@ -1481,31 +1119,22 @@ class RecycledEngine(SolverEngine):
 
     def __init__(
         self,
-        method: str = "auto",
         rtol: float = 1e-6,
         maxiter: int = 200,
         max_sweeps: int = 16,
         drift_threshold: float = 0.1,
         max_krylov: int = 6,
         max_references: int = 4,
-        precision: str = "fp64",
         cache: FactorizationCache | None = None,
     ):
-        if method not in ("auto", "bicgstab", "gmres"):
-            raise ValueError(
-                f"unknown method {method!r}; expected auto, bicgstab or gmres"
-            )
         if max_references < 1:
             raise ValueError(f"max_references must be at least 1, got {max_references}")
-        self.method = method
         self.rtol = float(rtol)
         self.maxiter = int(maxiter)
         self.max_sweeps = int(max_sweeps)
         self.drift_threshold = float(drift_threshold)
         self.max_krylov = int(max_krylov)
         self.max_references = int(max_references)
-        self.dtype = precision_dtype(precision)
-        self._tag = dtype_cache_tag("recycled", self.dtype)
         self.cache = cache if cache is not None else default_factorization_cache
         self._references: dict[tuple, OrderedDict[str, _RecycledReference]] = {}
         self._scratch: dict[tuple, sp.csr_matrix] = {}
@@ -1515,11 +1144,7 @@ class RecycledEngine(SolverEngine):
     def fidelity_signature(self) -> tuple:
         # Recycled solves are exact on reference hits but rtol-converged in
         # between; identically-configured recycled engines may share results.
-        # The factor dtype extends the signature only off the fp64 default,
-        # so existing fp64 result-cache keys stay stable.
-        if self.dtype == np.dtype(np.complex128):
-            return (self.name, self.method, self.rtol)
-        return (self.name, self.method, self.rtol, self.dtype.name)
+        return (self.name, self.rtol)
 
     # -- reference bookkeeping --------------------------------------------------
     def _lu(self, grid: Grid, omega: float, reference: _RecycledReference):
@@ -1528,30 +1153,20 @@ class RecycledEngine(SolverEngine):
         Counting factorizations here (not in :meth:`_refactorize`) keeps the
         stats truthful when an evicted reference LU has to be rebuilt.
         """
-        built: list = []
 
         def build():
             self.stats.factorizations += 1
-            built.append(_build_precision_lu(grid, omega, reference.eps, self.dtype))
-            return built[-1]
+            return factor_lu(assemble_system_matrix(grid, omega, reference.eps))
 
-        def payload():
-            # The reference permittivity travels with the published LU so
-            # other processes can adopt the reference itself (see
-            # warm_from_store); reduced-precision factors also need their
-            # equilibration scale.
-            extras = {"eps": reference.eps}
-            if built and isinstance(built[-1], _PrecisionLU):
-                extras["row_scale"] = built[-1].row_scale
-            return extras
-
+        # The reference permittivity travels with the published LU so other
+        # processes can adopt the reference itself (see warm_from_store).
         return self.cache.get_or_build(
             grid,
             omega,
             reference.fingerprint,
             build,
-            tag=self._tag,
-            store_payload=payload,
+            tag="recycled",
+            store_payload=lambda: {"eps": reference.eps},
         )
 
     def warm_from_store(self, grid: Grid, omega: float, limit: int | None = None) -> int:
@@ -1574,7 +1189,7 @@ class RecycledEngine(SolverEngine):
         budget = self.max_references if limit is None else int(limit)
         adopted = 0
         for fingerprint, eps in store.list_extras(
-            grid, omega, tag=self._tag, name="eps", limit=budget
+            grid, omega, tag="recycled", name="eps", limit=budget
         ):
             if fingerprint in references or len(references) >= self.max_references:
                 continue
@@ -1611,33 +1226,12 @@ class RecycledEngine(SolverEngine):
             return scratch
         return update_system_diagonal(scratch, grid, omega, eps_r)
 
-    @staticmethod
-    def _back_substitute(lu: spla.SuperLU, rhs: np.ndarray) -> np.ndarray:
-        solutions = lu.solve(rhs.reshape(rhs.shape[0], -1).T)
-        return np.ascontiguousarray(solutions.T).reshape(rhs.shape)
-
     def _reference_solve(
         self, grid: Grid, omega: float, reference: _RecycledReference, rhs: np.ndarray
     ) -> np.ndarray:
-        """Solve at the reference permittivity itself against its own LU.
-
-        At fp64 this is one exact back-substitution.  With a reduced-precision
-        reference LU a bare back-substitution only carries fp32 accuracy, so
-        the solution is refined against the true fp64 operator to ``rtol`` —
-        the contract (converged or exact) is precision-independent.
-        """
-        entry = self._lu(grid, omega, reference)
-        if self.dtype == np.dtype(np.complex128):
-            return self._back_substitute(entry, rhs)
-        x, _, back_substitutions = iterative_refine(
-            _factor_apply(entry),
-            rhs.reshape(rhs.shape[0], -1),
-            self.rtol,
-            self.max_sweeps,
-            matrix=self._system_matrix(grid, omega, reference.eps),
-        )
-        self.stats.krylov_iterations += back_substitutions
-        return x.reshape(rhs.shape)
+        """Solve at the reference permittivity itself: one exact back-substitution."""
+        solutions = self._lu(grid, omega, reference).solve(rhs.reshape(rhs.shape[0], -1).T)
+        return np.ascontiguousarray(solutions.T).reshape(rhs.shape)
 
     def _refactorize(
         self,
@@ -1652,7 +1246,7 @@ class RecycledEngine(SolverEngine):
         references[fingerprint] = reference
         while len(references) > self.max_references:
             stale_fp, _ = references.popitem(last=False)
-            self.cache.evict(grid, omega, stale_fp, tag=self._tag)
+            self.cache.evict(grid, omega, stale_fp, tag="recycled")
         return self._reference_solve(grid, omega, reference, rhs)
 
     def _krylov_solve(
@@ -1664,11 +1258,10 @@ class RecycledEngine(SolverEngine):
         reference: _RecycledReference,
         x0: np.ndarray | None,
     ) -> tuple[np.ndarray | None, float]:
-        """LU-preconditioned BiCGStab/GMRES; ``(None, inf)`` on non-convergence."""
+        """LU-preconditioned BiCGStab; ``(None, inf)`` on non-convergence."""
         matrix = self._system_matrix(grid, omega, eps_r)
         lu = self._lu(grid, omega, reference)
-        preconditioner = spla.LinearOperator(matrix.shape, _factor_apply(lu), dtype=complex)
-        method = "gmres" if self.method == "gmres" else "bicgstab"
+        preconditioner = spla.LinearOperator(matrix.shape, lu.solve, dtype=complex)
         solutions = np.empty_like(rhs)
         worst = 0
         for index, b in enumerate(rhs.reshape(rhs.shape[0], -1)):
@@ -1678,16 +1271,10 @@ class RecycledEngine(SolverEngine):
                 iterations[0] += 1
 
             guess = None if x0 is None else np.asarray(x0[index], dtype=complex).ravel()
-            if method == "bicgstab":
-                x, info = spla.bicgstab(
-                    matrix, b, x0=guess, rtol=self.rtol, maxiter=self.maxiter,
-                    M=preconditioner, callback=callback,
-                )
-            else:
-                x, info = spla.gmres(
-                    matrix, b, x0=guess, rtol=self.rtol, maxiter=self.maxiter,
-                    M=preconditioner, callback=callback, callback_type="pr_norm",
-                )
+            x, info = spla.bicgstab(
+                matrix, b, x0=guess, rtol=self.rtol, maxiter=self.maxiter,
+                M=preconditioner, callback=callback,
+            )
             if info != 0:
                 return None, float("inf")
             solutions[index] = x.reshape(grid.shape)
@@ -1707,39 +1294,29 @@ class RecycledEngine(SolverEngine):
         """The recycled path: cheap refinement first, Krylov as the fallback.
 
         ``A = A_ref + diag(delta)`` with ``delta = omega^2 eps0 (eps - eps_ref)``,
-        so refinement against an exact fp64 reference LU runs the matvec-free
+        so refinement against the exact reference LU runs the matvec-free
         residual recurrence and converges linearly at rate
-        ``rho(A_ref^{-1} diag(delta))``.  A reduced-precision reference LU
-        carries its own factorization error, so refinement then tracks the
-        true fp64 residual instead.  Either way a stall or the sweep cap
-        escalates to Krylov against the same LU.
+        ``rho(A_ref^{-1} diag(delta))``.  A stall or the sweep cap escalates
+        to Krylov against the same LU.
         """
-        if self.method == "auto":
-            lu = self._lu(grid, omega, reference)
-            exact_lu = self.dtype == np.dtype(np.complex128)
-            matrix = None
-            if not exact_lu or x0 is not None:
-                matrix = self._system_matrix(grid, omega, eps_r)
-            delta = None
-            if exact_lu:
-                delta = (
-                    omega**2 * EPSILON_0 * (eps_r.ravel() - reference.eps.ravel())
-                ).astype(complex)
-            try:
-                x, sweeps, back_substitutions = iterative_refine(
-                    _factor_apply(lu),
-                    rhs.reshape(rhs.shape[0], -1),
-                    self.rtol,
-                    self.max_sweeps,
-                    matrix=matrix,
-                    delta=delta,
-                    x0=x0,
-                )
-            except RefinementError:
-                pass
-            else:
-                self.stats.krylov_iterations += back_substitutions
-                return x.reshape(rhs.shape), float(sweeps)
+        lu = self._lu(grid, omega, reference)
+        matrix = None if x0 is None else self._system_matrix(grid, omega, eps_r)
+        delta = (omega**2 * EPSILON_0 * (eps_r.ravel() - reference.eps.ravel())).astype(complex)
+        try:
+            x, sweeps, back_substitutions = iterative_refine(
+                lu.solve,
+                rhs.reshape(rhs.shape[0], -1),
+                self.rtol,
+                self.max_sweeps,
+                delta,
+                matrix=matrix,
+                x0=x0,
+            )
+        except RefinementError:
+            pass
+        else:
+            self.stats.krylov_iterations += back_substitutions
+            return x.reshape(rhs.shape), float(sweeps)
         return self._krylov_solve(grid, omega, eps_r, rhs, reference, x0)
 
     # -- the solve ---------------------------------------------------------------
@@ -1752,8 +1329,7 @@ class RecycledEngine(SolverEngine):
         reference = references.get(fingerprint)
         if reference is not None:
             # Exact fingerprint match (e.g. the unchanged normalization
-            # waveguide): a pure back-substitution at fp64 (exact like
-            # DirectEngine), refined to rtol at reduced precision.
+            # waveguide): a pure back-substitution, exact like DirectEngine.
             references.move_to_end(fingerprint)
             self.stats.exact_solves += 1
             return self._reference_solve(grid, omega, reference, rhs)
@@ -1890,9 +1466,8 @@ def selects_direct(engine) -> bool:
 def make_engine(name: str, **kwargs) -> SolverEngine:
     """Instantiate a solver engine by name.
 
-    ``"direct"``/``"high"`` build the exact :class:`DirectEngine`,
-    ``"iterative"``/``"low"``/``"bicgstab"``/``"gmres"`` the approximate
-    :class:`IterativeEngine`, ``"recycled"`` the optimization-loop
+    ``"direct"``/``"superlu"``/``"high"`` build the exact
+    :class:`DirectEngine`, ``"recycled"`` the optimization-loop
     :class:`RecycledEngine`, ``"fdtd"`` the time-domain tier (registered when
     :mod:`repro.fdtd` is imported), and ``"neural"`` the surrogate engine
     (requires ``model=...``; registered when :mod:`repro.surrogate` is
@@ -1950,9 +1525,4 @@ def resolve_engine(engine: SolverEngine | str | None, **kwargs) -> SolverEngine:
 register_engine("direct", DirectEngine)
 register_engine("superlu", DirectEngine)
 register_engine("high", DirectEngine)
-register_engine("iterative", IterativeEngine)
-register_engine("low", IterativeEngine)
-register_engine("bicgstab", lambda **kw: IterativeEngine(method="bicgstab", **kw))
-register_engine("gmres", lambda **kw: IterativeEngine(method="gmres", **kw))
 register_engine("recycled", RecycledEngine)
-register_engine("refined", RefinedEngine)

@@ -6,8 +6,9 @@ transmissions and S-parameters of a device described by a permittivity map and
 a list of ports.
 
 All linear solves go through the pluggable engine layer
-(:mod:`repro.fdfd.engine`): ``Simulation(..., engine="iterative")`` or
-``engine="neural"`` swaps the fidelity tier without touching any other code.
+(:mod:`repro.fdfd.engine`): ``Simulation(..., engine="recycled")`` or
+``engine="neural:<checkpoint.npz>"`` swaps the solver tier without touching
+any other code.
 :meth:`Simulation.solve_multi` batches every excitation of a device into one
 factorize-once/solve-many call; normalization runs share the same process-wide
 factorization cache, so repeated simulations of the same feeding waveguide are
@@ -332,8 +333,8 @@ class Simulation:
     ports:
         All device ports.  The first port is the default source port.
     engine:
-        Solver engine, engine name (``"direct"``, ``"iterative"``,
-        ``"neural"``, ...) or None for exact direct solves.
+        Solver engine, engine name (``"direct"``, ``"recycled"``,
+        ``"neural:<checkpoint.npz>"``, ...) or None for exact direct solves.
     """
 
     def __init__(
@@ -388,8 +389,8 @@ class Simulation:
         self.eps_r = eps_r
         self._eps_fingerprint = eps_fingerprint(eps_r)
         # Evict only the superseded design operator — but *every* engine tag
-        # of it (tag=None): a direct LU, an iterative ILU and a recycled
-        # preconditioner of the old permittivity are all equally superseded,
+        # of it (tag=None): a direct LU and a recycled reference LU of the
+        # old permittivity are equally superseded,
         # and must not squat in the LRU.  Normalization factorizations solved
         # through the same solver are left to LRU aging: they are keyed by
         # content, other simulations of the same device may share them, and
@@ -520,9 +521,9 @@ class Simulation:
         tuples.
 
         With a ``workspace`` (:class:`~repro.fdfd.engine.SolveWorkspace`),
-        previously stored fields become Krylov initial guesses and the new
-        fields are stored back — the warm-start loop of iterative/recycled
-        engines.  ``guess_keys`` (one hashable per excitation) defaults to
+        previously stored fields become refinement and Krylov initial guesses
+        and the new fields are stored back — the warm-start loop of the
+        recycled engine.  ``guess_keys`` (one hashable per excitation) defaults to
         ``(source_port, mode_index, wavelength)``; callers sharing one
         workspace across device states or corner variants must pass keys that
         disambiguate them.  Workspace-driven solves bypass the result cache

@@ -4,8 +4,9 @@ The toolkit abstracts the physics while exposing the optimization steps.  All
 field computation is delegated to a :class:`~repro.invdes.adjoint.FieldBackend`
 sitting on the solver-engine layer of :mod:`repro.fdfd.engine`: the default
 :class:`~repro.invdes.adjoint.NumericalFieldBackend` accepts any engine
-(exact direct, iterative low-fidelity, or the ``"neural"`` surrogate tier), so
-switching the fidelity of an entire optimization is one constructor argument.
+(exact direct, the recycled optimization-loop tier, or the ``"neural"``
+surrogate tier), so switching the solver of an entire optimization is one
+constructor argument.
 Forward and adjoint solves of a design are batched against a single shared
 factorization — the adjoint method costs one back-substitution, not a second
 factorization.

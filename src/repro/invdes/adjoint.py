@@ -14,7 +14,7 @@ forward-only).  Broadband evaluation expands the specs wavelength-major, so
 the frequency-domain tiers need no per-wavelength pass of their own.
 
 The field backend lets the linear tier serve the numerical solver engines
-(direct, iterative) and the neural surrogates of Table II / Figure 6 alike.
+(direct, recycled) and the neural surrogates of Table II / Figure 6 alike.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class FieldBackend:
 
 
 class NumericalFieldBackend(FieldBackend):
-    """Exact or iterative fields from a solver engine (the default backend).
+    """Fields from a solver engine (the default backend).
 
     Parameters
     ----------

@@ -66,11 +66,11 @@ class InverseDesignProblem:
         Field backend (numerical FDFD by default; a neural surrogate backend
         can be plugged in for AI-driven design).
     engine:
-        Solver engine or engine name (``"direct"``, ``"iterative"``,
-        ``"recycled"``, ...) for the default numerical backend — the one-line
-        fidelity swap.  ``engine="recycled"`` is the optimization-loop tier:
-        consecutive iterations recycle the previous factorization as a Krylov
-        preconditioner instead of refactorizing.  Ignored when an explicit
+        Solver engine or engine name (``"direct"``, ``"recycled"``, ...) for
+        the default numerical backend — the one-line solver swap.
+        ``engine="recycled"`` is the optimization-loop tier: consecutive
+        iterations refine against the previous factorization (BiCGStab
+        preconditioned by it as the fallback) instead of refactorizing.  Ignored when an explicit
         ``backend`` is given.
     workspace:
         Optional :class:`~repro.fdfd.engine.SolveWorkspace`.  By default the

@@ -36,9 +36,9 @@ Three properties make the store safe to share:
 
 The store is engine-agnostic at the key level but only knows how to persist
 SuperLU-like objects (``L``/``U``/``perm_r``/``perm_c`` — the ``"direct"``
-and ``"recycled"`` cache tags); entries it cannot persist (e.g. the iterative
-tier's ``(matrix, ilu)`` tuples) are declined, which the cache treats as
-"store not applicable".  Artifacts may carry extra arrays: the recycled tier
+and ``"recycled"`` cache tags); entries it cannot persist (anything without
+those factors) are declined, which the cache treats as "store not
+applicable".  Artifacts may carry extra arrays: the recycled tier
 publishes its reference permittivity alongside the LU, which is what lets a
 fresh process adopt recycled references (see
 :meth:`~repro.fdfd.engine.RecycledEngine` and :meth:`list_extras`).
@@ -82,24 +82,12 @@ _ALIGN = 64
 #: cleanly.
 _PROBE_RTOL = 1e-3
 
-#: Per-factor-dtype overrides: complex64 factors replay the probe with fp32
-#: rounding (measured ~1e-6 on the equilibrated operators the refined tier
-#: factors), so the corruption threshold scales accordingly.
-_PROBE_RTOLS = {"complex64": 1e-2}
 
-
-def _probe_rtol(dtype) -> float:
-    """Probe tolerance for artifacts holding factors of ``dtype``."""
-    return _PROBE_RTOLS.get(np.dtype(dtype).name, _PROBE_RTOL)
-
-
-def _probe_matches(
-    candidate: np.ndarray, expected: np.ndarray, rtol: float = _PROBE_RTOL
-) -> bool:
+def _probe_matches(candidate: np.ndarray, expected: np.ndarray) -> bool:
     scale = float(np.linalg.norm(expected))
     if scale == 0.0 or not np.isfinite(scale):  # pragma: no cover - degenerate
         return bool(np.allclose(candidate, expected))
-    return float(np.linalg.norm(np.asarray(candidate) - expected)) <= rtol * scale
+    return float(np.linalg.norm(np.asarray(candidate) - expected)) <= _PROBE_RTOL * scale
 
 
 def default_store_budget_bytes() -> int:
@@ -277,14 +265,9 @@ class FileFactorizationStore:
             dtype = np.dtype(snapshot.L.dtype)
             n = snapshot.shape[0]
             probe_b = _probe_rhs(fingerprint, n)
-            # Only the factors are persisted, so the probe must go through the
-            # factor-level solve: reduced-precision entries wrap their factors
-            # with an equilibration their artifact will not carry
-            # (``factor_solve`` is the unwrapped back-substitution).
-            factor_solve = getattr(entry, "factor_solve", entry.solve)
-            probe_x = np.asarray(factor_solve(probe_b))
+            probe_x = np.asarray(entry.solve(probe_b))
             rebuilt = snapshot.solve(probe_b)
-            if not _probe_matches(rebuilt, probe_x, _probe_rtol(dtype)):
+            if not _probe_matches(rebuilt, probe_x):
                 raise StoreArtifactError("factor snapshot does not reproduce solves")
         except Exception:
             with self._lock:
@@ -329,9 +312,8 @@ class FileFactorizationStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         header: dict = {"version": _FORMAT_VERSION, "n": int(n), "arrays": {}}
         if dtype is not None:
-            # Factor precision, declared so loads scale the probe tolerance
-            # without sniffing array dtypes (absent in pre-precision artifacts,
-            # which are all complex128).
+            # The factor dtype, declared for readers of the artifact (absent
+            # in the oldest artifacts, which are all complex128).
             header["dtype"] = np.dtype(dtype).name
         # Lay the segments out first so the header can declare absolute
         # offsets and the total size (the structural truncation check).
@@ -496,8 +478,7 @@ class FileFactorizationStore:
         if self.validate:
             probe_b = _probe_rhs(fingerprint, header["n"])
             probe_x = self._map_array(path, arrays["probe_x"])
-            rtol = _probe_rtol(header.get("dtype", "complex128"))
-            if not _probe_matches(entry.solve(probe_b), probe_x, rtol):
+            if not _probe_matches(entry.solve(probe_b), probe_x):
                 raise StoreArtifactError(f"{path} failed the probe-solve validation")
         return entry
 

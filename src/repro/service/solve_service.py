@@ -14,11 +14,11 @@ never serializes unrelated operators).
 a future, ``solve``/``solve_batch`` to block) into an asyncio loop running on
 a background thread, grouped by ``(engine fidelity signature, grid, omega,
 eps fingerprint)`` — the signature carries everything that shapes results
-(tier, Krylov configuration, factor *precision*), so an fp32 ``refined``
-request can never coalesce with an fp64 one, while equal-fidelity requests
-coalesce even when issued through distinct engine instances — and each group
-is flushed as a *single* ``solve_batch`` call once a micro-batching window
-elapses or the group reaches a maximum batch size.
+(tier and convergence tolerance), so an exact ``direct`` request can never
+coalesce with an ``rtol``-converged ``recycled`` one, while equal-fidelity
+requests coalesce even when issued through distinct engine instances — and
+each group is flushed as a *single* ``solve_batch`` call once a
+micro-batching window elapses or the group reaches a maximum batch size.
 Under concurrent same-operator load this turns N racing factorizations into
 one, and N per-request back-substitutions into one stacked one.  Coalescing
 is purely an execution-order change: the direct tier's stacked solve is
@@ -306,8 +306,8 @@ class SolveService:
         ``(n, nx, ny)``; the future's result has the same shape.  Requests
         sharing ``(engine fidelity signature, grid, omega, fingerprint)``
         that arrive within the micro-batching window are solved in one
-        engine call — the signature includes the factor precision, so
-        mixed-precision tiers group strictly by dtype.
+        engine call — the signature includes the tier and its tolerance, so
+        exact and converged solves never share a batch.
 
         ``timeout`` (seconds, default: the service-level setting) bounds how
         long this request may wait end to end; on expiry its future fails

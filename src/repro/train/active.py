@@ -11,9 +11,9 @@ and the dataset grows where the model is weakest.  One
 2. **evaluate** — validation error on a fixed exact-labelled hold-out set;
 3. **acquire** — a pool of candidate designs is drawn and *scored*:
    ``"disagreement"`` promotes the current model to a checkpoint-backed
-   ``neural:<ckpt>`` engine and measures how far its fields deviate from the
-   cheap iterative tier (places where the cheap physics and the surrogate
-   disagree are places the exact solver has something to teach);
+   ``neural:<ckpt>`` engine and measures how far its fields deviate from
+   the physics tier's (places where the physics and the surrogate disagree
+   are places the exact solver has something to teach);
    ``"residual"`` scores the Maxwell-equation residual of the surrogate's own
    prediction (no extra solve at all); ``"random"`` is the baseline;
 4. **regenerate** — only the top-k candidates are labelled at the *exact*
@@ -83,7 +83,8 @@ class ActiveLearningConfig:
     ``acquire_per_round`` best are labelled exactly — the ratio between the
     two is the acquisition pressure.  ``acquisition`` picks the score
     (``"disagreement"``, ``"residual"`` or the ``"random"`` baseline);
-    ``cheap_engine`` is the tier the disagreement score solves against.
+    ``cheap_engine`` is the tier the disagreement score solves against (the
+    exact ``"direct"`` tier by default).
     With ``weight_by_score`` the acquired labels carry their normalized
     acquisition score as a per-sample loss weight (clipped to
     ``[1, max_weight]``), so the trainer leans into the samples the loop
@@ -95,7 +96,7 @@ class ActiveLearningConfig:
     acquire_per_round: int = 4
     epochs_per_round: int = 6
     acquisition: str = "disagreement"
-    cheap_engine: str = "iterative"
+    cheap_engine: str = "direct"
     weight_by_score: bool = True
     max_weight: float = 4.0
     checkpoint_name: str = "active_surrogate.npz"

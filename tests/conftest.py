@@ -87,7 +87,7 @@ def tiny_shard_run(tmp_path_factory):
     in 12 single-design shards — a shard count far above the per-epoch batch
     count, which is what the bounded-memory loader tests need.  The explicit
     ``dl`` keeps both fidelity tiers on one grid (the tiers differ by solver
-    engine), so samples stack across fidelities.
+    engine: recycled against direct), so samples stack across fidelities.
     """
     shard_dir = tmp_path_factory.mktemp("shards")
     config = GeneratorConfig(
@@ -98,7 +98,7 @@ def tiny_shard_run(tmp_path_factory):
         with_gradient=False,
         seed=0,
         device_kwargs=TINY_DEVICE_KWARGS,
-        engine={"low": "iterative", "high": "direct"},
+        engine={"low": "recycled", "high": "direct"},
         shard_size=1,
         shard_dir=str(shard_dir),
     )

@@ -158,7 +158,6 @@ class TestFallbacks:
         assert selects_direct(None) and selects_direct("direct") and selects_direct("HIGH")
         assert selects_direct("superlu")
         assert not selects_direct("recycled")
-        assert not selects_direct("iterative")
         assert not selects_direct(DirectEngine())
 
     def test_region_and_exterior_go_together(self):

@@ -267,14 +267,18 @@ class TestGenerator:
             DatasetGenerator(
                 GeneratorConfig(fidelities=("low", "high"), engine={"high": "quantum"})
             )
+        # An unregistered name in a mapping fails when the generator is
+        # built, not inside a worker.
+        with pytest.raises(ValueError, match="unknown engine 'iterative'"):
+            DatasetGenerator(GeneratorConfig(engine={"low": "iterative"}))
 
     def test_typoed_engine_mapping_key_rejected(self):
         """A mapping key matching no fidelity must not fall back silently."""
         with pytest.raises(ValueError, match="match no configured fidelity"):
-            DatasetGenerator(GeneratorConfig(engine={"lo": "iterative"}))
+            DatasetGenerator(GeneratorConfig(engine={"lo": "recycled"}))
         # "*" is the documented default key and stays accepted.
         DatasetGenerator(
-            GeneratorConfig(fidelities=("low", "high"), engine={"low": "iterative", "*": "direct"})
+            GeneratorConfig(fidelities=("low", "high"), engine={"low": "recycled", "*": "direct"})
         )
 
     def test_engine_selection_reaches_metadata(self):
@@ -285,9 +289,9 @@ class TestGenerator:
             seed=1,
             with_gradient=False,
             device_kwargs=TINY_DEVICE_KWARGS,
-            engine="iterative",
+            engine="recycled",
         )
-        assert dataset.metadata["engine"] == {"low": "iterative"}
+        assert dataset.metadata["engine"] == {"low": "recycled"}
 
 
 class TestEngineForFidelity:
@@ -296,10 +300,10 @@ class TestEngineForFidelity:
         assert engine_for_fidelity("direct", "high") == "direct"
         engine = DirectEngine()
         assert engine_for_fidelity(engine, "low") is engine
-        mapping = {"low": "iterative", "*": "direct"}
-        assert engine_for_fidelity(mapping, "low") == "iterative"
+        mapping = {"low": "recycled", "*": "direct"}
+        assert engine_for_fidelity(mapping, "low") == "recycled"
         assert engine_for_fidelity(mapping, "high") == "direct"
-        assert engine_for_fidelity({"low": "iterative"}, "high") is None
+        assert engine_for_fidelity({"low": "recycled"}, "high") is None
 
     def test_invalid_type_rejected(self):
         with pytest.raises(TypeError):
@@ -349,7 +353,7 @@ class TestShardPlanning:
         assert base != shard_fingerprint(config, spec, bumped, stages)
         from dataclasses import replace
 
-        other_engine = replace(config, engine="iterative")
+        other_engine = replace(config, engine="recycled")
         assert base != shard_fingerprint(other_engine, spec, densities, stages)
 
     @pytest.mark.parametrize(
@@ -506,8 +510,8 @@ class TestGeneratorCLI:
     def test_engine_argument_parsing(self):
         assert _parse_engine(None) is None
         assert _parse_engine("direct") == "direct"
-        assert _parse_engine("low=iterative,high=direct") == {
-            "low": "iterative",
+        assert _parse_engine("low=recycled,high=direct") == {
+            "low": "recycled",
             "high": "direct",
         }
         import argparse

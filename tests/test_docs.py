@@ -1,9 +1,10 @@
 """Documentation-rot gates: the docs must stay executable and complete.
 
 The README quickstart is *executed* (not just rendered), README links must
-resolve, the engine-registry table must cover every registered engine, and
-every example script must be documented and quick-mode capable (CI runs them
-all with ``REPRO_EXAMPLES_QUICK=1``).
+resolve, the engine-registry table must cover every registered engine, every
+engine name the docs and examples select must exist, and every example
+script must be documented and quick-mode capable (CI runs them all with
+``REPRO_EXAMPLES_QUICK=1``).
 """
 
 import re
@@ -44,6 +45,47 @@ def test_readme_engine_table_covers_registry():
     text = README.read_text()
     for name in available_engines():
         assert f"`{name}`" in text, f"engine {name!r} missing from README table"
+
+
+#: Engine selections written as string literals: ``engine="name"``,
+#: ``make_engine("name")``, the values of ``engine={...: "name"}`` mappings
+#: and the generator CLI's ``--engine a=name,b=name``.
+_ENGINE_LITERAL = re.compile(r"""(?:\bengine\s*=\s*|make_engine\(\s*)["']([^"']+)["']""")
+_ENGINE_MAPPING = re.compile(r"\bengine\s*=\s*\{([^}]*)\}")
+_MAPPING_VALUE = re.compile(r""":\s*["']([^"']+)["']""")
+_ENGINE_FLAG = re.compile(r"--engine[ =]([\w.:<>/=,-]+)")
+
+
+def _selected_engine_names(text: str) -> set[str]:
+    names = set(_ENGINE_LITERAL.findall(text))
+    for body in _ENGINE_MAPPING.findall(text):
+        names.update(_MAPPING_VALUE.findall(body))
+    for value in _ENGINE_FLAG.findall(text):
+        names.update(item.partition("=")[2] or item for item in value.split(","))
+    return names
+
+
+def test_documented_engine_names_are_registered():
+    """No doc or example selects an engine name the registry does not know."""
+    from repro.fdfd.engine import available_engines, load_engine_tiers, split_engine_name
+
+    load_engine_tiers()
+    registered = set(available_engines())
+    sources = [
+        README,
+        *sorted((REPO / "docs").glob("*.md")),
+        *sorted((REPO / "examples").glob("*.py")),
+    ]
+    seen = set()
+    for path in sources:
+        for name in _selected_engine_names(path.read_text()):
+            base, _ = split_engine_name(name)
+            seen.add(base)
+            assert base in registered, (
+                f"{path.relative_to(REPO)} selects engine {name!r}, "
+                f"not in the registry {sorted(registered)}"
+            )
+    assert {"direct", "recycled", "neural"} <= seen  # the scan finds real selections
 
 
 def test_examples_documented_and_quick_capable():

@@ -14,19 +14,15 @@ from repro.fdfd.engine import (
     CountingEngine,
     DirectEngine,
     FactorizationCache,
-    IterativeEngine,
     RecycledEngine,
-    RefinedEngine,
     RefinementError,
     SolverEngine,
     available_engines,
-    dtype_cache_tag,
     eps_fingerprint,
     assemble_system_matrix,
     factor_lu,
     iterative_refine,
     make_engine,
-    precision_dtype,
     resolve_engine,
 )
 from repro.fdfd.simulation import ExcitationSpec
@@ -141,9 +137,9 @@ class TestFactorizationCache:
         cache = FactorizationCache(maxsize=4)
         grid = Grid(nx=20, ny=20, dl=0.1, npml=5)
         cache.get_or_build(grid, OMEGA, "fp", lambda: "direct-entry", tag="direct")
-        cache.get_or_build(grid, OMEGA, "fp", lambda: "ilu-entry", tag="iterative")
+        cache.get_or_build(grid, OMEGA, "fp", lambda: "recycled-entry", tag="recycled")
         assert cache.stats.misses == 2
-        assert cache.peek(grid, OMEGA, "fp", tag="iterative") == "ilu-entry"
+        assert cache.peek(grid, OMEGA, "fp", tag="recycled") == "recycled-entry"
 
     def test_invalid_maxsize(self):
         with pytest.raises(ValueError):
@@ -264,14 +260,8 @@ def _probe_residual(matrix, lu) -> float:
     return float(np.linalg.norm(matrix @ lu.solve(probe) - probe) / np.linalg.norm(probe))
 
 
-def _equilibrated_fp32(matrix):
-    """The row-equilibrated complex64 operator the refined tier factors."""
-    row_scale = 1.0 / np.abs(matrix).max(axis=1).toarray().ravel()
-    return (sp.diags(row_scale) @ matrix).astype(np.complex64).tocsc()
-
-
 class TestFactorLu:
-    BOUNDS = {np.complex128: 1e-10, np.complex64: 1e-2}
+    BOUND = 1e-10
 
     @staticmethod
     def _count_splu(monkeypatch):
@@ -296,15 +286,11 @@ class TestFactorLu:
             device.grid, constants.wavelength_to_omega(spec.wavelength), eps
         )
         calls = self._count_splu(monkeypatch)
-        for dtype, operator in (
-            (np.complex128, matrix),
-            (np.complex64, _equilibrated_fp32(matrix)),
-        ):
-            lu = factor_lu(operator)
-            assert np.dtype(lu.L.dtype) == np.dtype(dtype)
-            assert _probe_residual(operator, lu) <= self.BOUNDS[dtype]
+        lu = factor_lu(matrix)
+        assert np.dtype(lu.L.dtype) == np.dtype(np.complex128)
+        assert _probe_residual(matrix, lu) <= self.BOUND
         # The symmetric-mode factor passed its probe: no fallback refactor.
-        assert [c.get("options") for c in calls] == [{"SymmetricMode": True}] * 2
+        assert [c.get("options") for c in calls] == [{"SymmetricMode": True}]
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -332,42 +318,7 @@ class TestFactorLu:
         lu = factor_lu(matrix)
         assert len(calls) == 2 and calls[1] == {}
         assert isinstance(lu, spla.SuperLU)
-        assert _probe_residual(matrix, lu) <= self.BOUNDS[np.complex128]
-
-
-class TestIterativeEngine:
-    def test_matches_direct_on_bend(self, tiny_bend):
-        density = np.clip(
-            0.5 + 0.2 * np.random.default_rng(2).normal(size=tiny_bend.design_shape), 0, 1
-        )
-        eps = tiny_bend.eps_with_design(density)
-        grid = tiny_bend.grid
-        omega = constants.wavelength_to_omega(tiny_bend.specs[0].wavelength)
-        rhs = np.stack(_point_sources(grid, 2, seed=3))
-        exact = DirectEngine(cache=FactorizationCache()).solve_batch(grid, omega, eps, rhs)
-        approx = IterativeEngine(rtol=1e-10, cache=FactorizationCache()).solve_batch(
-            grid, omega, eps, rhs
-        )
-        scale = np.max(np.abs(exact))
-        np.testing.assert_allclose(approx, exact, atol=1e-6 * scale)
-
-    def test_simulation_with_iterative_engine(self):
-        grid, eps, ports = _straight_waveguide()
-        direct = Simulation(grid, eps, 1.55, ports)
-        iterative = Simulation(grid, eps, 1.55, ports, engine="iterative")
-        t_direct = direct.solve("in").transmissions["out"]
-        t_iter = iterative.solve("in").transmissions["out"]
-        assert t_iter == pytest.approx(t_direct, rel=1e-4)
-
-    def test_invalid_method(self):
-        with pytest.raises(ValueError):
-            IterativeEngine(method="jacobi")
-
-    def test_nonconvergence_raises(self):
-        grid, eps, _ = _straight_waveguide()
-        engine = IterativeEngine(rtol=1e-14, maxiter=1, cache=FactorizationCache())
-        with pytest.raises(RuntimeError):
-            engine.solve_batch(grid, OMEGA, eps, np.stack(_point_sources(grid, 1)))
+        assert _probe_residual(matrix, lu) <= self.BOUND
 
 
 # --------------------------------------------------------------------------- #
@@ -376,132 +327,32 @@ class TestIterativeEngine:
 class TestRegistry:
     def test_names_available(self):
         names = available_engines()
-        for name in ("direct", "iterative", "high", "low", "refined"):
+        for name in ("direct", "superlu", "high", "recycled"):
             assert name in names
 
     def test_make_engine(self):
         assert isinstance(make_engine("direct"), DirectEngine)
         assert isinstance(make_engine("high"), DirectEngine)
-        assert isinstance(make_engine("low"), IterativeEngine)
-        assert isinstance(make_engine("refined"), RefinedEngine)
-        assert make_engine("gmres").method == "gmres"
+        assert isinstance(make_engine("recycled"), RecycledEngine)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            make_engine("quantum")
+        # A name no tier registers fails loudly, never falls back to a tier.
+        for name in ("quantum", "iterative", "low", "bicgstab", "gmres", "refined"):
+            assert name not in available_engines()
+            with pytest.raises(ValueError, match="unknown engine"):
+                make_engine(name)
 
     def test_resolve_engine(self):
         engine = DirectEngine()
         assert resolve_engine(engine) is engine
         assert isinstance(resolve_engine(None), DirectEngine)
-        assert isinstance(resolve_engine("iterative"), IterativeEngine)
+        assert isinstance(resolve_engine("recycled"), RecycledEngine)
         with pytest.raises(TypeError):
             resolve_engine(42)
 
     def test_neural_engine_requires_model(self):
         with pytest.raises(ValueError):
             make_engine("neural")
-
-
-# --------------------------------------------------------------------------- #
-# mixed-precision refined tier
-# --------------------------------------------------------------------------- #
-class TestRefinedEngine:
-    def test_precision_aliases(self):
-        for alias in ("fp32", "single", "float32", "complex64"):
-            assert precision_dtype(alias) == np.dtype(np.complex64)
-        for alias in ("fp64", "double", "float64", "complex128"):
-            assert precision_dtype(alias) == np.dtype(np.complex128)
-        with pytest.raises(ValueError):
-            precision_dtype("fp16")
-
-    def test_dtype_cache_tags_never_collide(self):
-        # fp64 keeps the bare tag (artifact back-compat); fp32 gets a suffix.
-        assert dtype_cache_tag("refined", np.complex128) == "refined"
-        assert dtype_cache_tag("refined", np.complex64) == "refined-complex64"
-
-    def test_fp32_factors_refine_to_fp64_accuracy(self):
-        grid, eps, _ = _straight_waveguide()
-        rhs = np.stack(_point_sources(grid, 3))
-        reference = DirectEngine(cache=FactorizationCache()).solve_batch(
-            grid, OMEGA, eps, rhs
-        )
-        engine = RefinedEngine(precision="fp32", rtol=1e-10, cache=FactorizationCache())
-        result = engine.solve_batch(grid, OMEGA, eps, rhs)
-        scale = np.max(np.abs(reference))
-        assert np.max(np.abs(result - reference)) <= 1e-9 * scale
-        assert engine.stats.factorizations == 1
-        assert engine.stats.solves == 3
-        assert engine.stats.sweeps >= 1
-        # The cached factor really is single precision.
-        entry = engine.cache.peek(
-            grid, OMEGA, eps_fingerprint(eps), tag="refined-complex64"
-        )
-        assert entry is not None and np.dtype(entry.dtype) == np.dtype(np.complex64)
-
-    def test_fp64_precision_degenerates_to_direct(self):
-        grid, eps, _ = _straight_waveguide()
-        rhs = np.stack(_point_sources(grid, 1))
-        reference = DirectEngine(cache=FactorizationCache()).solve_batch(
-            grid, OMEGA, eps, rhs
-        )
-        engine = RefinedEngine(precision="fp64", cache=FactorizationCache())
-        result = engine.solve_batch(grid, OMEGA, eps, rhs)
-        np.testing.assert_allclose(result, reference, rtol=1e-12, atol=1e-18)
-        assert engine.stats.sweeps == 1  # exact LU: first correction converges
-
-    def test_precisions_key_distinct_cache_entries(self):
-        grid, eps, _ = _straight_waveguide()
-        fingerprint = eps_fingerprint(eps)
-        rhs = np.stack(_point_sources(grid, 1))
-        cache = FactorizationCache(maxsize=4)
-        RefinedEngine(precision="fp32", cache=cache).solve_batch(
-            grid, OMEGA, eps, rhs, fingerprint=fingerprint
-        )
-        RefinedEngine(precision="fp64", cache=cache).solve_batch(
-            grid, OMEGA, eps, rhs, fingerprint=fingerprint
-        )
-        # Two factorizations, never a cross-precision hit.
-        assert cache.stats.misses == 2 and cache.stats.hits == 0
-        assert cache.peek(grid, OMEGA, fingerprint, tag="refined-complex64") is not None
-        assert cache.peek(grid, OMEGA, fingerprint, tag="refined") is not None
-
-    def test_warm_start_skips_converged_refinement(self):
-        grid, eps, _ = _straight_waveguide()
-        rhs = np.stack(_point_sources(grid, 1))
-        engine = RefinedEngine(precision="fp32", cache=FactorizationCache())
-        cold = engine.solve_batch(grid, OMEGA, eps, rhs)
-        cold_sweeps = engine.stats.sweeps
-        warm = engine.solve_batch(grid, OMEGA, eps, rhs, x0=cold)
-        assert engine.stats.sweeps - cold_sweeps <= cold_sweeps
-        np.testing.assert_allclose(warm, cold, rtol=1e-9, atol=1e-16)
-
-    def test_refinement_divergence_raises(self):
-        """A non-contracting 'inverse' must fail loudly, never return junk."""
-        for update in ("true", "recurrence"):
-            problem = _refinement_problem(update, domain=1.2)
-            with pytest.raises(RefinementError):
-                iterative_refine(
-                    lambda r: 1e-3 * r, problem["rhs"], 1e-10, 5,
-                    matrix=problem["matrix"], delta=problem["delta"],
-                )
-
-    def test_non_contracting_factorization_raises(self):
-        """RefinedEngine propagates a stall: converged-or-raise."""
-        grid, eps, _ = _straight_waveguide()
-        engine = RefinedEngine(precision="fp32", cache=FactorizationCache())
-        engine.cache.get_or_build(
-            grid, OMEGA, eps_fingerprint(eps), lambda: _ScaledIdentity(1e-3),
-            tag="refined-complex64",
-        )
-        with pytest.raises(RuntimeError):
-            engine.solve_batch(grid, OMEGA, eps, np.stack(_point_sources(grid, 1)))
-
-    def test_fidelity_signature_carries_precision(self):
-        fp32 = RefinedEngine(precision="fp32", cache=FactorizationCache())
-        fp64 = RefinedEngine(precision="fp64", cache=FactorizationCache())
-        assert fp32.fidelity_signature != fp64.fidelity_signature
-        assert "complex64" in fp32.fidelity_signature
 
 
 class _ScaledIdentity:
@@ -514,24 +365,13 @@ class _ScaledIdentity:
         return self.scale * np.asarray(rhs)
 
 
-def _refinement_problem(update, domain=3.0, n_rhs=2):
-    """One refinement system per residual update of :func:`iterative_refine`.
-
-    ``"true"``: a complex64 LU of ``A`` refined on the fp64 residual.
-    ``"recurrence"``: the exact LU of a reference operator refined towards
-    ``A = A_ref + diag(delta)`` on the matvec-free residual recurrence.
-    """
+def _refinement_problem(domain=3.0, n_rhs=2):
+    """The exact LU of a reference operator refined towards ``A = A_ref + diag(delta)``."""
     grid, eps, _ = _straight_waveguide(domain=domain)
     rhs = np.stack(_point_sources(grid, n_rhs))
-    if update == "true":
-        target, delta = eps, None
-        lu = RefinedEngine(precision="fp32", cache=FactorizationCache()).factorize(
-            grid, OMEGA, eps
-        )
-    else:
-        target = eps + 0.01 * np.random.default_rng(0).random(eps.shape)
-        delta = (OMEGA**2 * constants.EPSILON_0 * (target - eps).ravel()).astype(complex)
-        lu = DirectEngine(cache=FactorizationCache()).factorize(grid, OMEGA, eps)
+    target = eps + 0.01 * np.random.default_rng(0).random(eps.shape)
+    delta = (OMEGA**2 * constants.EPSILON_0 * (target - eps).ravel()).astype(complex)
+    lu = DirectEngine(cache=FactorizationCache()).factorize(grid, OMEGA, eps)
     exact = DirectEngine(cache=FactorizationCache()).solve_batch(grid, OMEGA, target, rhs)
     return {
         "apply_inverse": lu.solve,
@@ -542,9 +382,9 @@ def _refinement_problem(update, domain=3.0, n_rhs=2):
     }
 
 
-@pytest.mark.parametrize("update", ["true", "recurrence"])
+@pytest.mark.parametrize("update", ["recurrence"])
 class TestIterativeRefine:
-    """The one refinement kernel behind the refined and recycled tiers."""
+    """The recycled tier's refinement kernel on its matvec-free residual update."""
 
     RTOL = 1e-10
 
@@ -554,13 +394,13 @@ class TestIterativeRefine:
             problem["rhs"] if rhs is None else rhs,
             self.RTOL,
             50,
+            problem["delta"],
             matrix=problem["matrix"],
-            delta=problem["delta"],
             x0=x0,
         )
 
     def test_converges_to_rtol_against_direct(self, update):
-        problem = _refinement_problem(update)
+        problem = _refinement_problem()
         x, sweeps, back_substitutions = self._refine(problem)
         rhs, exact = problem["rhs"], problem["exact"]
         residual = rhs - (problem["matrix"] @ x.T).T
@@ -573,7 +413,7 @@ class TestIterativeRefine:
         assert sweeps <= back_substitutions <= sweeps * rhs.shape[0]
 
     def test_warm_start_cuts_sweeps(self, update):
-        problem = _refinement_problem(update)
+        problem = _refinement_problem()
         cold, cold_sweeps, _ = self._refine(problem)
         guess = cold * (1.0 + 1e-6 * np.random.default_rng(3).random(cold.shape))
         warm, warm_sweeps, _ = self._refine(problem, x0=guess)
@@ -581,13 +421,19 @@ class TestIterativeRefine:
         np.testing.assert_allclose(warm, cold, atol=1e-8 * np.max(np.abs(cold)))
 
     def test_zero_rhs_returns_zeros_without_sweeping(self, update):
-        problem = _refinement_problem(update)
+        problem = _refinement_problem()
         problem["apply_inverse"] = _ScaledIdentity(np.nan).solve  # must not run
         x, sweeps, back_substitutions = self._refine(
             problem, rhs=np.zeros_like(problem["rhs"])
         )
         assert sweeps == 0 and back_substitutions == 0
         assert x.shape == problem["rhs"].shape and not np.any(x)
+
+    def test_divergence_raises(self, update):
+        """A non-contracting 'inverse' must fail loudly, never return junk."""
+        problem = _refinement_problem(domain=1.2)
+        with pytest.raises(RefinementError):
+            iterative_refine(lambda r: 1e-3 * r, problem["rhs"], 1e-10, 5, problem["delta"])
 
 
 # --------------------------------------------------------------------------- #
@@ -737,7 +583,7 @@ GRID_SIZES = [
 
 
 class TestEngineEquivalence:
-    """Direct and iterative tiers agree on objectives *and* adjoint gradients."""
+    """Direct and recycled tiers agree on objectives *and* adjoint gradients."""
 
     @staticmethod
     def _density(device):
@@ -753,7 +599,7 @@ class TestEngineEquivalence:
         )
 
     @pytest.mark.parametrize("device_kwargs", GRID_SIZES)
-    @pytest.mark.parametrize("engine_name", ["direct", "iterative"])
+    @pytest.mark.parametrize("engine_name", ["direct"])
     def test_forward_and_adjoint_consistency(self, engine_name, device_kwargs):
         from repro.devices.factory import make_device
 
@@ -762,10 +608,7 @@ class TestEngineEquivalence:
         reference = self._evaluate(
             device, density, DirectEngine(cache=FactorizationCache())
         )
-        if engine_name == "direct":
-            engine = DirectEngine(cache=FactorizationCache())
-        else:
-            engine = IterativeEngine(rtol=1e-12, cache=FactorizationCache())
+        engine = make_engine(engine_name, cache=FactorizationCache())
         evaluation = self._evaluate(device, density, engine)
 
         assert evaluation.objective_value == pytest.approx(
@@ -787,9 +630,12 @@ class TestEngineEquivalence:
         device = make_device("bending", **device_kwargs)
         density = self._density(device)
         exact = self._evaluate(device, density, DirectEngine(cache=FactorizationCache()))
-        approx = self._evaluate(
-            device, density, IterativeEngine(rtol=1e-12, cache=FactorizationCache())
-        )
+        # A nearby design installs the reference LU, so the evaluation under
+        # test runs the recycled (refinement) path, not a fresh factorization.
+        engine = RecycledEngine(rtol=1e-12, cache=FactorizationCache())
+        self._evaluate(device, np.clip(density + 0.01, 0, 1), engine)
+        approx = self._evaluate(device, density, engine)
+        assert engine.stats.recycled_solves > 0
         for port, value in exact.transmissions.items():
             assert approx.transmissions[port] == pytest.approx(value, abs=1e-8)
 
@@ -957,9 +803,11 @@ class TestRecycledEngine:
         from repro.fdfd.engine import RecycledEngine
 
         with pytest.raises(ValueError):
-            RecycledEngine(method="jacobi")
-        with pytest.raises(ValueError):
             RecycledEngine(max_references=0)
+        # One solve chain and one factor precision: no method or precision knob.
+        for knob in (dict(method="gmres"), dict(precision="fp32")):
+            with pytest.raises(TypeError):
+                RecycledEngine(**knob)
 
     def test_exact_fingerprint_match_is_direct(self):
         from repro.fdfd.engine import RecycledEngine
@@ -1135,13 +983,13 @@ class TestSetPermittivityEviction:
         sim = Simulation(grid, eps, 1.55, ports, engine=DirectEngine(cache=cache))
         old_fingerprint = sim._eps_fingerprint
         # Factorizations of the current design under several engine tags, as
-        # left behind by direct / iterative / recycled runs of the same design.
-        for tag in ("direct", "iterative", "recycled"):
+        # left behind by direct / condensed / recycled runs of the same design.
+        for tag in ("direct", "condensed", "recycled"):
             cache.get_or_build(
                 grid, sim.omega, old_fingerprint, lambda tag=tag: f"{tag}-entry", tag=tag
             )
         sim.set_permittivity(eps + 0.5)
-        for tag in ("direct", "iterative", "recycled"):
+        for tag in ("direct", "condensed", "recycled"):
             assert cache.peek(grid, sim.omega, old_fingerprint, tag=tag) is None
 
 
@@ -1151,12 +999,14 @@ class TestFidelitySignature:
     def test_exact_engines_share(self):
         assert DirectEngine().fidelity_signature == DirectEngine().fidelity_signature
 
-    def test_iterative_signature_tracks_parameters(self):
-        a = IterativeEngine(rtol=1e-8, cache=FactorizationCache())
-        b = IterativeEngine(rtol=1e-8, cache=FactorizationCache())
-        c = IterativeEngine(rtol=1e-3, cache=FactorizationCache())
+    def test_recycled_signature_tracks_parameters(self):
+        a = RecycledEngine(rtol=1e-8, cache=FactorizationCache())
+        b = RecycledEngine(rtol=1e-8, cache=FactorizationCache())
+        c = RecycledEngine(rtol=1e-3, cache=FactorizationCache())
         assert a.fidelity_signature == b.fidelity_signature
         assert a.fidelity_signature != c.fidelity_signature
+        # rtol-converged solves never share results with exact ones.
+        assert a.fidelity_signature != DirectEngine().fidelity_signature
 
     def test_default_signature_is_per_instance(self):
         class OpaqueEngine(SolverEngine):

@@ -1,14 +1,14 @@
 """Cross-engine parity matrix: every fidelity tier must agree with ``direct``.
 
 One parametrized suite asserting forward fields, adjoint gradients and
-``evaluate_specs`` labels agree across ``direct`` x ``iterative`` x
-``recycled`` x ``refined`` (mixed-precision iterative refinement) on two
-devices x two grid sizes — the single place engine regressions surface.  The ``neural`` tier (registered from a checkpoint) is
-exercised for plumbing, not accuracy: a surrogate's numbers depend on its
-training, so it is asserted to run end to end and produce finite,
-well-shaped results.  The nonlinear (Kerr) tier gets its own matrix:
-Born vs Newton, recycled-inner vs direct-inner fixed points, and the
-``chi3 = 0`` linear limit, across the two Kerr zoo devices x two grids.
+``evaluate_specs`` labels agree between ``direct`` and ``recycled`` on two
+devices x two grid sizes — the single place engine regressions surface.
+The ``neural`` tier (registered from a checkpoint) is exercised for
+plumbing, not accuracy: a surrogate's numbers depend on its training, so it
+is asserted to run end to end and produce finite, well-shaped results.
+The nonlinear (Kerr) tier gets its own matrix: Born vs Newton,
+recycled-inner vs direct-inner fixed points, and the ``chi3 = 0`` linear
+limit, across the two Kerr zoo devices x two grids.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ CASES = [
 ]
 CASE_IDS = [case[0] for case in CASES]
 
-ENGINES = ["iterative", "recycled", "refined"]
+ENGINES = ["recycled"]
 
 
 def _density(device) -> np.ndarray:

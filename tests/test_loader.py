@@ -308,7 +308,7 @@ class TestRefresh:
             with_gradient=False,
             seed=0,
             device_kwargs=dict(domain=3.0, design_size=1.4, dl=0.1),
-            engine={"low": "iterative", "high": "direct"},
+            engine={"low": "recycled", "high": "direct"},
             shard_size=2,
             shard_dir=str(tmp_path / "shards"),
         )
@@ -469,7 +469,7 @@ class TestRefresh:
             replace(
                 append_config,
                 fidelities=("medium",),
-                engine="iterative",
+                engine="recycled",
                 device_kwargs=dict(config.device_kwargs),
             )
         ).generate()

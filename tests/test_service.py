@@ -28,7 +28,6 @@ from repro.fdfd.engine import (
     DirectEngine,
     FactorizationCache,
     RecycledEngine,
-    RefinedEngine,
     assemble_system_matrix,
     available_engines,
     eps_fingerprint,
@@ -113,6 +112,9 @@ class TestFileFactorizationStore:
         assert store.stats.hits == 1
         assert store.stats.publishes == 1
         assert len(store) == 1
+        # The header declares the factor dtype of every artifact.
+        header = store._read_header(store.path_for(grid, OMEGA, fingerprint, "direct"))
+        assert header["dtype"] == "complex128"
 
     def test_symmetric_mode_factor_roundtrip(self, tmp_path, tiny_problem):
         """The engines' symmetric-mode factors persist and reload like any LU."""
@@ -248,50 +250,6 @@ class TestFileFactorizationStore:
         assert store.stats.pruned == 1
         assert store.load(grid, OMEGA, fingerprint_b, "direct") is not None
         assert store.load(grid, OMEGA, fingerprint, "direct") is None
-
-    def test_precision_keyed_artifacts_coexist(self, tmp_path, tiny_problem):
-        """fp32 and fp64 factors of one operator persist as distinct artifacts."""
-        grid, eps, fingerprint = tiny_problem
-        store = FileFactorizationStore(tmp_path)
-        rhs = _rhs_stack(grid, 1)
-        for precision in ("fp32", "fp64"):
-            cache = FactorizationCache(store=store)
-            RefinedEngine(precision=precision, cache=cache).solve_batch(
-                grid, OMEGA, eps, rhs, fingerprint=fingerprint
-            )
-        assert store.stats.publishes == 2
-        assert len(store) == 2  # dtype-suffixed tags: no clobbering
-        for tag, dtype_name in (("refined-complex64", "complex64"), ("refined", "complex128")):
-            path = store.path_for(grid, OMEGA, fingerprint, tag)
-            assert path.exists()
-            assert store._read_header(path)["dtype"] == dtype_name
-
-    def test_wrong_precision_warm_store_is_a_miss(self, tmp_path, tiny_problem):
-        grid, eps, fingerprint = tiny_problem
-        store = FileFactorizationStore(tmp_path)
-        rhs = _rhs_stack(grid, 1)
-        warm = FactorizationCache(store=store)
-        RefinedEngine(precision="fp32", cache=warm).solve_batch(
-            grid, OMEGA, eps, rhs, fingerprint=fingerprint
-        )
-        assert warm.stats.factorizations == 1
-
-        # fp64 must not adopt the fp32 artifact: store miss, fresh build.
-        cold64 = FactorizationCache(store=store)
-        reference = RefinedEngine(precision="fp64", cache=cold64).solve_batch(
-            grid, OMEGA, eps, rhs, fingerprint=fingerprint
-        )
-        assert cold64.stats.store_misses == 1
-        assert cold64.stats.factorizations == 1
-
-        # Matching precision maps the artifact without factorizing.
-        cold32 = FactorizationCache(store=store)
-        result = RefinedEngine(precision="fp32", cache=cold32).solve_batch(
-            grid, OMEGA, eps, rhs, fingerprint=fingerprint
-        )
-        assert cold32.stats.store_hits == 1
-        assert cold32.stats.factorizations == 0
-        assert _norm_close(result, reference, rtol=1e-7)
 
     def _three_artifacts(self, tmp_path, grid, eps):
         """Three same-sized artifacts with strictly increasing mtimes."""
