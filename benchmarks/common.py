@@ -18,6 +18,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy
+import scipy
+
 from repro.data.dataset import PhotonicDataset, split_dataset
 from repro.data.generator import generate_dataset
 from repro.train.models import make_model
@@ -130,6 +133,10 @@ def write_bench_record(name: str, record: dict) -> Path:
             "platform": platform.platform(),
             "python": platform.python_version(),
             "processor": platform.processor() or "unknown",
+            "cpu_count": os.cpu_count(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "record": record,
     }

@@ -80,22 +80,27 @@ def conv2d(
     bias:
         Optional bias of shape ``(C_out,)``.
     stride, padding:
-        Integer stride and symmetric zero padding.
+        Integer stride (``>= 1``) and symmetric zero padding (``>= 0``).
+
+    The patches are laid out channel-major, as columns of shape
+    ``(B, C_in·kH·kW, Ho·Wo)``, so the forward pass is the kernel matrix
+    ``(C_out, C_in·kH·kW)`` times the columns, broadcast over the batch, and
+    its result already has the ``(B, C_out, Ho, Wo)`` layout.  For a 1×1,
+    stride-1, unpadded kernel the columns are a view of ``x`` and the input
+    gradient is a reshape of ``kernelᵀ @ grad``: no copies on either pass.
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d expects (B, C, H, W), got {x.shape}")
     if weight.ndim != 4:
         raise ValueError(f"weight must be (C_out, C_in, kH, kW), got {weight.shape}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ValueError(f"padding must be >= 0, got {padding}")
     batch, c_in, height, width = x.shape
     c_out, c_in_w, k_h, k_w = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input has {c_in}, weight expects {c_in_w}")
-
-    xp = np.pad(
-        x.data,
-        ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        mode="constant",
-    )
     h_out = (height + 2 * padding - k_h) // stride + 1
     w_out = (width + 2 * padding - k_w) // stride + 1
     if h_out <= 0 or w_out <= 0:
@@ -104,54 +109,51 @@ def conv2d(
             f"{(k_h, k_w)}, stride {stride}, padding {padding}"
         )
 
-    # im2col: gather all receptive-field patches into a (B*Ho*Wo, C*kh*kw)
-    # matrix so both the forward and the backward pass are single BLAS matmuls.
-    strides = xp.strides
+    xp = x.data
+    if padding:
+        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    # Channel-major im2col: a (B, C, kh, kw, Ho, Wo) view of the padded input,
+    # flattened to (B, C*kh*kw, Ho*Wo).  The reshape copies unless the view is
+    # already contiguous, as it is for a 1x1 stride-1 kernel.
+    s_b, s_c, s_h, s_w = xp.strides
     patches = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(batch, c_in, h_out, w_out, k_h, k_w),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * stride,
-            strides[3] * stride,
-            strides[2],
-            strides[3],
-        ),
+        shape=(batch, c_in, k_h, k_w, h_out, w_out),
+        strides=(s_b, s_c, s_h, s_w, s_h * stride, s_w * stride),
         writeable=False,
     )
-    columns = np.ascontiguousarray(patches.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        batch * h_out * w_out, c_in * k_h * k_w
-    )
+    columns = patches.reshape(batch, c_in * k_h * k_w, h_out * w_out)
     kernel_matrix = weight.data.reshape(c_out, c_in * k_h * k_w)
-    out = (columns @ kernel_matrix.T).reshape(batch, h_out, w_out, c_out)
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    out = (kernel_matrix @ columns).reshape(batch, c_out, h_out, w_out)
     if bias is not None:
         out += bias.data.reshape(1, -1, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad, accumulate):
-        grad = np.asarray(grad)
-        grad_matrix = grad.transpose(0, 2, 3, 1).reshape(batch * h_out * w_out, c_out)
-        grad_w = (grad_matrix.T @ columns).reshape(c_out, c_in, k_h, k_w)
-        grad_columns = grad_matrix @ kernel_matrix
-        grad_patches = grad_columns.reshape(batch, h_out, w_out, c_in, k_h, k_w)
-        grad_xp = np.zeros_like(xp)
-        # Scatter-add the patch gradients back onto the padded input.
-        for u in range(k_h):
-            for v in range(k_w):
-                grad_xp[
-                    :, :, u : u + stride * h_out : stride, v : v + stride * w_out : stride
-                ] += grad_patches[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-        if padding > 0:
-            grad_x = grad_xp[:, :, padding:-padding, padding:-padding]
+        grad = np.asarray(grad).reshape(batch, c_out, h_out * w_out)
+        # Weight gradient: one GEMM per sample over Ho*Wo, summed over the
+        # batch; BLAS reads the transposed columns without a copy.
+        grad_w = (grad @ columns.transpose(0, 2, 1)).sum(axis=0)
+        grad_columns = kernel_matrix.T @ grad
+        if k_h == k_w == stride == 1:
+            # Each column is one input pixel: no patches overlap.
+            grad_xp = grad_columns.reshape(xp.shape)
         else:
-            grad_x = grad_xp
-        accumulate(x, grad_x)
-        accumulate(weight, grad_w)
+            grad_patches = grad_columns.reshape(batch, c_in, k_h, k_w, h_out, w_out)
+            grad_xp = np.zeros_like(xp)
+            # Scatter-add the patch gradients back onto the padded input.
+            for u in range(k_h):
+                for v in range(k_w):
+                    grad_xp[
+                        :, :, u : u + stride * h_out : stride, v : v + stride * w_out : stride
+                    ] += grad_patches[:, :, u, v]
+        if padding:
+            grad_xp = grad_xp[:, :, padding:-padding, padding:-padding]
+        accumulate(x, grad_xp)
+        accumulate(weight, grad_w.reshape(weight.shape))
         if bias is not None:
-            accumulate(bias, grad.sum(axis=(0, 2, 3)))
+            accumulate(bias, grad.sum(axis=(0, 2)))
 
     return x._make_child(out, parents, backward)
 

@@ -49,6 +49,8 @@ class Conv2d(Module):
         if padding == "same":
             if stride != 1:
                 raise ValueError("padding='same' requires stride=1")
+            if kernel_size % 2 == 0:
+                raise ValueError(f"padding='same' requires an odd kernel_size, got {kernel_size}")
             padding = kernel_size // 2
         self.in_channels = in_channels
         self.out_channels = out_channels

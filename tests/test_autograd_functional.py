@@ -37,16 +37,106 @@ class TestPadCrop:
             F.crop2d(Tensor(np.ones((1, 1, 2, 2))), (3, 2))
 
 
+def conv2d_reference(x, w, b, stride, padding):
+    """Direct nested-loop cross-correlation and its three gradients for the
+    seed ``grad_out``: returns ``(out, backward)``."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    _, _, k_h, k_w = w.shape
+    h_out = (xp.shape[2] - k_h) // stride + 1
+    w_out = (xp.shape[3] - k_w) // stride + 1
+
+    def window(i, j):
+        return xp[:, :, i * stride : i * stride + k_h, j * stride : j * stride + k_w]
+
+    out = np.empty((x.shape[0], w.shape[0], h_out, w_out))
+    for i in range(h_out):
+        for j in range(w_out):
+            out[:, :, i, j] = np.einsum("bcuv,ocuv->bo", window(i, j), w) + b
+
+    def backward(grad_out):
+        grad_xp = np.zeros_like(xp)
+        grad_w = np.zeros_like(w)
+        for i in range(h_out):
+            for j in range(w_out):
+                g = grad_out[:, :, i, j]
+                grad_w += np.einsum("bo,bcuv->ocuv", g, window(i, j))
+                grad_xp[
+                    :, :, i * stride : i * stride + k_h, j * stride : j * stride + k_w
+                ] += np.einsum("bo,ocuv->bcuv", g, w)
+        h, w_in = x.shape[2:]
+        grad_x = grad_xp[:, :, padding : padding + h, padding : padding + w_in]
+        return grad_x, grad_w, grad_out.sum(axis=(0, 2, 3))
+
+    return out, backward
+
+
+def assert_rel_close(actual, expected, rtol=1e-12):
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
 class TestConv2d:
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 0)])
-    def test_gradients(self, stride, padding):
+    @pytest.mark.parametrize(
+        "stride,padding,kernel",
+        [
+            pytest.param(1, 0, (3, 3), id="1-0"),
+            pytest.param(1, 1, (3, 3), id="1-1"),
+            pytest.param(2, 1, (3, 3), id="2-1"),
+            pytest.param(2, 0, (3, 3), id="2-0"),
+            pytest.param(1, 0, (1, 1), id="1x1"),
+            pytest.param(2, 1, (2, 3), id="2x3-2-1"),
+        ],
+    )
+    def test_gradients(self, stride, padding, kernel):
         x = tensor_of((2, 3, 6, 7), seed=0)
-        w = tensor_of((4, 3, 3, 3), seed=1)
+        w = tensor_of((4, 3, *kernel), seed=1)
         b = tensor_of((4,), seed=2)
         err = check_gradient(
             lambda x, w, b: F.conv2d(x, w, b, stride=stride, padding=padding), [x, w, b]
         )
         assert err < 1e-4
+
+    @pytest.mark.parametrize(
+        "x_shape,w_shape,stride,padding",
+        [
+            *[
+                pytest.param(
+                    (2, 3, 7, 6), (4, 3, 3, 3), stride, padding, id=f"3x3-s{stride}-p{padding}"
+                )
+                for stride in (1, 2)
+                for padding in (0, 1)
+            ],
+            pytest.param((2, 5, 9, 8), (3, 5, 1, 1), 1, 0, id="1x1"),
+            pytest.param((2, 5, 9, 8), (3, 5, 1, 1), 2, 1, id="1x1-s2-p1"),
+            pytest.param((2, 3, 7, 9), (2, 3, 2, 3), 2, 1, id="2x3-s2-p1"),
+            pytest.param((1, 1, 20, 18), (1, 1, 5, 5), 1, 0, id="blur-5x5"),
+            pytest.param((1, 1, 24, 22), (1, 1, 11, 11), 1, 0, id="fabrication-11x11"),
+            pytest.param((1, 1, 26, 24), (1, 1, 13, 13), 1, 0, id="fabrication-13x13"),
+        ],
+    )
+    def test_matches_direct_reference(self, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=w_shape[:1]), requires_grad=True)
+        out = F.conv2d(x, w, b, stride=stride, padding=padding)
+        expected, reference_backward = conv2d_reference(x.data, w.data, b.data, stride, padding)
+        assert out.shape == expected.shape
+        assert_rel_close(out.data, expected)
+
+        grad_out = rng.normal(size=out.shape)
+        out.backward(grad_out)
+        for tensor, expected_grad in zip((x, w, b), reference_backward(grad_out)):
+            assert_rel_close(tensor.grad, expected_grad)
+
+    @pytest.mark.parametrize(
+        "kwargs,argument", [(dict(stride=0), "stride"), (dict(padding=-1), "padding")]
+    )
+    def test_invalid_stride_or_padding_raises(self, kwargs, argument):
+        x = Tensor(np.zeros((1, 1, 4, 4)))
+        w = Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ValueError, match=argument):
+            F.conv2d(x, w, **kwargs)
 
     def test_output_shape(self):
         x = Tensor(np.zeros((1, 2, 8, 8)))

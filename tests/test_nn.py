@@ -90,6 +90,12 @@ class TestLayers:
         with pytest.raises(ValueError):
             nn.Conv2d(1, 1, kernel_size=3, stride=2, padding="same")
 
+    def test_conv2d_same_padding_requires_odd_kernel(self):
+        # An even kernel cannot pad symmetrically to keep the size: k=2 with
+        # padding k//2 would map 8x8 to 9x9.
+        with pytest.raises(ValueError, match="odd kernel_size"):
+            nn.Conv2d(1, 1, kernel_size=2, padding="same")
+
     def test_groupnorm_normalizes(self):
         layer = nn.GroupNorm(2, 4)
         x = Tensor(np.random.default_rng(0).normal(size=(2, 4, 8, 8)) * 5 + 3)
