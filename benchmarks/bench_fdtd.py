@@ -46,7 +46,7 @@ from common import print_table, write_bench_record  # noqa: E402
 import repro.fdtd.broadband as broadband  # noqa: E402
 from repro.devices.factory import make_device  # noqa: E402
 from repro.fdfd.engine import DirectEngine, FactorizationCache  # noqa: E402
-from repro.invdes.adjoint import NumericalFieldBackend, evaluate_specs  # noqa: E402
+from repro.invdes.adjoint import NumericalFieldBackend, Sweep, evaluate_specs  # noqa: E402
 
 BAND = (1.53, 1.57)
 WAVELENGTH_COUNTS = (5, 9, 15)
@@ -74,7 +74,7 @@ def _forward(device, density, backend, wavelengths):
         density,
         backend=backend,
         compute_gradient=False,
-        wavelengths=wavelengths,
+        sweep=Sweep(wavelengths=wavelengths),
     )
 
 

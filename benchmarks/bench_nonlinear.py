@@ -40,7 +40,7 @@ from repro.devices.factory import make_device  # noqa: E402
 from repro.fdfd.engine import FactorizationCache, make_engine  # noqa: E402
 from repro.fdfd.nonlinear import KerrNonlinearity, NonlinearSimulation  # noqa: E402
 import repro.fdfd.simulation as _simulation  # noqa: E402
-from repro.invdes.adjoint import evaluate_specs  # noqa: E402
+from repro.invdes.adjoint import Sweep, evaluate_specs  # noqa: E402
 from tests.helpers.fd_grad import (  # noqa: E402
     fd_gradient,
     gradient_cosine,
@@ -126,15 +126,13 @@ def _gradient_vs_fd(device_name: str, pixels: int) -> float:
     """Cosine between the implicit-function adjoint and central differences."""
     device = make_device(device_name, **PROBE_KWARGS)
     density = np.random.default_rng(3).uniform(0.3, 0.7, device.design_shape)
-    nonlinearity = KerrNonlinearity(rtol=1e-10)
+    sweep = Sweep(nonlinearity=KerrNonlinearity(rtol=1e-10))
     spec = device.specs[-1]
-    evaluation = evaluate_specs(
-        device, density, specs=[spec], nonlinearity=nonlinearity
-    )[0]
+    evaluation = evaluate_specs(device, density, specs=[spec], sweep=sweep)[0]
 
     def value(d):
         return evaluate_specs(
-            device, d, specs=[spec], nonlinearity=nonlinearity, compute_gradient=False
+            device, d, specs=[spec], sweep=sweep, compute_gradient=False
         )[0].objective_value
 
     where = sample_pixels(density.shape, count=pixels, rng=0)

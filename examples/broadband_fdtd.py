@@ -10,7 +10,7 @@ source port once and extracts fields at *every* requested wavelength with
 running DFTs.  This script evaluates the WDM demultiplexer across the
 1.53-1.57 um band both ways, prints the per-wavelength transmissions side by
 side (they agree to ~0.2%), compares wall-clock, and finishes by generating a
-small broadband-labelled shard dataset — the same ``wavelengths=`` knob,
+small broadband-labelled shard dataset — the same ``Sweep(wavelengths=...)``,
 plumbed through the sharded generator (CLI: ``--wavelengths``).
 
 Set ``REPRO_EXAMPLES_QUICK=1`` for a seconds-scale smoke run (used by CI).
@@ -24,7 +24,7 @@ import numpy as np
 from repro.data.generator import generate_dataset
 from repro.devices import make_device
 from repro.fdfd.engine import make_engine
-from repro.invdes.adjoint import NumericalFieldBackend, evaluate_specs
+from repro.invdes.adjoint import NumericalFieldBackend, Sweep, evaluate_specs
 
 QUICK = os.environ.get("REPRO_EXAMPLES_QUICK", "") not in ("", "0")
 
@@ -46,10 +46,11 @@ def main() -> None:
     #    call also integrates the straight-waveguide normalization reference
     #    (as a second batch item of the same run); it is cached process-wide
     #    afterwards, so later designs pay a single integration each.
+    band = Sweep(wavelengths=wavelengths)
     fdtd = NumericalFieldBackend(engine=make_engine("fdtd", precision="single"))
     start = time.perf_counter()
     broadband = evaluate_specs(
-        device, density, backend=fdtd, compute_gradient=False, wavelengths=wavelengths
+        device, density, backend=fdtd, compute_gradient=False, sweep=band
     )
     fdtd_s = time.perf_counter() - start
 
@@ -58,7 +59,7 @@ def main() -> None:
     direct = NumericalFieldBackend(engine=make_engine("direct"))
     start = time.perf_counter()
     reference = evaluate_specs(
-        device, density, backend=direct, compute_gradient=False, wavelengths=wavelengths
+        device, density, backend=direct, compute_gradient=False, sweep=band
     )
     fdfd_s = time.perf_counter() - start
 
@@ -83,7 +84,7 @@ def main() -> None:
     print(f"FDTD (one pulsed run): {fdtd_s:.2f}s   "
           f"FDFD ({len(wavelengths)} solves): {fdfd_s:.2f}s")
 
-    # 5. Broadband shards: the same knob rides through the sharded generator
+    # 5. Broadband shards: the same sweep rides through the sharded generator
     #    (forward-only — gradients stay single-wavelength), giving datasets
     #    with one sample per (design, fidelity, wavelength, excitation).
     dataset = generate_dataset(
@@ -93,7 +94,7 @@ def main() -> None:
         fidelities=("low",),
         with_gradient=False,
         engine="fdtd",
-        wavelengths=tuple(wavelengths),
+        sweep=band,
         shard_dir="broadband_shards",
     )
     sampled = sorted({float(s.wavelength) for s in (dataset[i] for i in range(len(dataset)))})

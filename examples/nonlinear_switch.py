@@ -17,8 +17,9 @@ This script walks the whole nonlinear tier end to end:
 3. optimize the device with the implicit-function adjoint
    (``InverseDesignProblem(..., nonlinearity=...)``) so low power exits one
    port and high power the other;
-4. generate a small intensity-swept nonlinear dataset (the same ``chi3`` /
-   ``intensities`` knobs ride the sharded generator CLI).
+4. generate a small intensity-swept nonlinear dataset with a
+   ``Sweep(nonlinearity=..., intensities=...)`` (the sharded generator CLI
+   spells it ``--chi3`` / ``--intensities``).
 
 Set ``REPRO_EXAMPLES_QUICK=1`` for a seconds-scale smoke run (used by CI).
 """
@@ -31,7 +32,7 @@ from repro.data.generator import generate_dataset
 from repro.devices import make_device
 from repro.fdfd.engine import make_engine
 from repro.fdfd.nonlinear import KerrNonlinearity, NonlinearSimulation
-from repro.invdes import AdjointOptimizer, InverseDesignProblem
+from repro.invdes import AdjointOptimizer, InverseDesignProblem, Sweep
 
 QUICK = os.environ.get("REPRO_EXAMPLES_QUICK", "") not in ("", "0")
 
@@ -123,17 +124,18 @@ def main() -> None:
         "optimized design, transmissions vs power",
     )
 
-    # 4. Nonlinear datasets: ``chi3`` switches the sharded generator onto the
-    #    Kerr tier and ``intensities`` sweeps the drive per design (CLI:
-    #    ``--chi3 1.3e8 --intensities 0.5 1 2``).
+    # 4. Nonlinear datasets: a sweep with a ``chi3`` nonlinearity switches the
+    #    sharded generator onto the Kerr tier and ``intensities`` sweeps the
+    #    drive per design (CLI: ``--chi3 1.3e8 --intensities 0.5 1 2``).
     dataset = generate_dataset(
         "kerr_switch",
         "random",
         num_designs=2,
         fidelities=("low",),
         with_gradient=False,
-        chi3=device.chi3,
-        intensities=(0.5, 1.0),
+        sweep=Sweep(
+            nonlinearity=KerrNonlinearity(chi3=device.chi3), intensities=(0.5, 1.0)
+        ),
         device_kwargs=dict(domain=3.0, design_size=1.4),
         shard_dir="kerr_shards",
     )

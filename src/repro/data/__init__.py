@@ -19,6 +19,7 @@ The subpackage provides
 """
 
 from repro.data.labels import RichLabels, extract_labels, standardize_input
+from repro.invdes.adjoint import Sweep
 from repro.data.sampling import (
     SamplingStrategy,
     RandomSampling,
@@ -53,6 +54,7 @@ __all__ = [
     "RichLabels",
     "extract_labels",
     "standardize_input",
+    "Sweep",
     "SamplingStrategy",
     "RandomSampling",
     "OptTrajSampling",

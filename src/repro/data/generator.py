@@ -52,6 +52,8 @@ from repro.fdfd.engine import (
     load_engine_tiers,
     split_engine_name,
 )
+from repro.fdfd.nonlinear import KerrNonlinearity
+from repro.invdes.adjoint import Sweep
 from repro.utils.executor import ExecutorConfig, TaskFailure, TaskReport, execute_tasks
 from repro.utils.parallel import effective_workers
 from repro.utils.rng import get_rng
@@ -145,6 +147,23 @@ class GeneratorConfig:
     worker processes, live engine instances cannot)::
 
         config = GeneratorConfig(engine="neural:bend_surrogate.npz", workers=4)
+
+    ``sweep`` labels every spec at several operating points (see
+    :class:`~repro.invdes.adjoint.Sweep`): a band of wavelengths (forward-only,
+    so ``with_gradient=False``; ``engine="fdtd"`` covers the band with one
+    pulsed run per excitation) or the Kerr fixed point at several drive
+    powers::
+
+        config = GeneratorConfig(
+            device_name="kerr_limiter",
+            sweep=Sweep(
+                nonlinearity=KerrNonlinearity(chi3=1.1e8), intensities=(0.5, 1.0)
+            ),
+        )
+
+    Shard fingerprints stamp the nonlinearity by its ``chi3`` alone, so a
+    generator sweep accepts no other Kerr setting.  The default ``Sweep()``
+    keeps the linear solves and every pre-existing artifact fingerprint.
     """
 
     device_name: str = "bending"
@@ -152,20 +171,7 @@ class GeneratorConfig:
     num_designs: int = 32
     fidelities: tuple[str, ...] = ("low",)
     with_gradient: bool = True
-    #: Broadband mode: label every spec at each of these wavelengths instead
-    #: of its own (forward-only — requires ``with_gradient=False``).  With
-    #: ``engine="fdtd"`` one pulsed time-domain run per excitation covers the
-    #: whole set; other engines solve once per wavelength.
-    wavelengths: tuple[float, ...] | None = None
-    #: Nonlinear mode: label every spec at the converged Kerr fixed point
-    #: with this chi3 (``eps_eff = eps + chi3 |E|^2`` over the device's
-    #: nonlinear-material map).  None keeps the linear solves — and keeps
-    #: every pre-existing artifact fingerprint bit-identical.
-    chi3: float | None = None
-    #: Intensity axis of nonlinear runs (requires ``chi3``): label each spec
-    #: at every one of these source scales, intensity-major — the nonlinear
-    #: analogue of ``wavelengths``.
-    intensities: tuple[float, ...] | None = None
+    sweep: Sweep = Sweep()
     seed: int = 0
     strategy_kwargs: dict | None = None
     device_kwargs: dict | None = None
@@ -199,17 +205,16 @@ class DatasetGenerator:
         #: many unreadable worker artifacts the parent recovered in-process.
         self.last_task_report: TaskReport | None = None
         self.last_shard_recoveries: int = 0
-        if config.wavelengths is not None and config.with_gradient:
+        config.sweep.check_gradient(config.with_gradient)
+        kerr = config.sweep.nonlinearity
+        chi3 = getattr(kerr, "chi3", None)
+        if kerr is not None and (chi3 is None or kerr != KerrNonlinearity(chi3=chi3)):
+            # Fingerprints stamp chi3 alone: any other Kerr setting would let
+            # resume reuse artifacts labelled at different solver settings.
             raise ValueError(
-                "broadband generation (wavelengths=...) is forward-only; "
-                "set with_gradient=False"
+                "generator sweeps take a nonlinearity of chi3 alone: "
+                f"KerrNonlinearity(chi3=<float>), got {kerr!r}"
             )
-        if config.intensities is not None and config.chi3 is None:
-            raise ValueError(
-                "intensities is the nonlinear sweep axis; set chi3 too"
-            )
-        if config.chi3 is not None and config.wavelengths is not None:
-            raise ValueError("broadband and nonlinear generation cannot be combined")
         self._validate_engine()
 
     def _validate_engine(self) -> None:
@@ -374,12 +379,7 @@ class DatasetGenerator:
                 for fidelity in config.fidelities
             },
         }
-        if config.wavelengths is not None:
-            metadata["wavelengths"] = [float(w) for w in config.wavelengths]
-        if config.chi3 is not None:
-            metadata["chi3"] = float(config.chi3)
-            if config.intensities is not None:
-                metadata["intensities"] = [float(s) for s in config.intensities]
+        metadata.update(config.sweep.stamp())
         return PhotonicDataset.from_labels(labels, design_ids, metadata=metadata)
 
     def _execute(self, pending, results, num_workers, initializer, initargs) -> None:
@@ -466,9 +466,7 @@ def generate_dataset(
     engine: SolverEngine | str | dict | None = None,
     workers: int = 1,
     shard_dir: str | None = None,
-    wavelengths: tuple[float, ...] | None = None,
-    chi3: float | None = None,
-    intensities: tuple[float, ...] | None = None,
+    sweep: Sweep = Sweep(),
 ) -> PhotonicDataset:
     """One-call dataset generation (see :class:`DatasetGenerator`)."""
     config = GeneratorConfig(
@@ -483,9 +481,7 @@ def generate_dataset(
         engine=engine,
         workers=workers,
         shard_dir=shard_dir,
-        wavelengths=wavelengths,
-        chi3=chi3,
-        intensities=intensities,
+        sweep=sweep,
     )
     return DatasetGenerator(config).generate()
 
@@ -652,16 +648,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
+    try:
+        sweep = Sweep(
+            wavelengths=args.wavelengths,
+            nonlinearity=None if args.chi3 is None else KerrNonlinearity(chi3=args.chi3),
+            intensities=args.intensities,
+        )
+    except ValueError as error:
+        parser.error(str(error))
     config = GeneratorConfig(
         device_name=args.device,
         strategy=args.strategy,
         num_designs=args.num_designs,
         fidelities=tuple(args.fidelities),
         with_gradient=not args.no_gradient,
-        wavelengths=tuple(args.wavelengths) if args.wavelengths else None,
-        chi3=args.chi3,
-        intensities=tuple(args.intensities) if args.intensities else None,
+        sweep=sweep,
         seed=args.seed,
         strategy_kwargs=args.strategy_kwargs,
         device_kwargs=args.device_kwargs,

@@ -20,6 +20,7 @@ from repro.fdfd.simulation import Simulation
 from repro.invdes.adjoint import (
     FieldBackend,
     NumericalFieldBackend,
+    Sweep,
     evaluate_specs,
     simulation_group_key,
 )
@@ -84,9 +85,7 @@ def extract_labels_batch(
     stage: str = "unknown",
     backend: FieldBackend | None = None,
     engine: SolverEngine | str | None = None,
-    wavelengths=None,
-    nonlinearity=None,
-    intensities=None,
+    sweep: Sweep = Sweep(),
 ) -> list[RichLabels]:
     """Simulate one design under many excitation specs and extract all labels.
 
@@ -126,25 +125,16 @@ def extract_labels_batch(
         :class:`~repro.fdfd.engine.DirectEngine`).  The choice depends only
         on the device and the design, so serial, pooled and resumed runs
         label identically.  Engine instances are used as given.
-    wavelengths:
-        Broadband mode: label every spec at each of these wavelengths
-        (overriding the specs' own), wavelength-major, forward-only
-        (``with_gradient`` must be False).  With ``engine="fdtd"`` one pulsed
-        time-domain run per excitation serves all wavelengths; any other
-        engine solves once per wavelength (see
-        :func:`repro.invdes.adjoint.evaluate_specs`).
-    nonlinearity:
-        A :class:`~repro.fdfd.nonlinear.KerrNonlinearity`: label the specs at
-        the *converged Kerr fixed point* instead of the linear solution.  The
-        recorded Maxwell residual is the nonlinear one from the fixed-point
-        iteration, and every label carries ``chi3``, ``source_scale`` and
-        iteration counts in :attr:`RichLabels.extras` so surrogates can
-        condition on the intensity axis.
-    intensities:
-        Intensity axis (requires ``nonlinearity``): label every spec at each
-        of these source scales (multiplying ``nonlinearity.source_scale`` and
-        any per-spec ``power`` state), intensity-major — the nonlinear
-        analogue of ``wavelengths``.
+    sweep:
+        The operating points to label every spec at (see
+        :class:`~repro.invdes.adjoint.Sweep`), axis-major as
+        :func:`~repro.invdes.adjoint.evaluate_specs` returns them.  A
+        broadband sweep is forward-only (``with_gradient`` must be False).
+        Under a ``nonlinearity`` the specs are labelled at the *converged
+        Kerr fixed point*: the recorded Maxwell residual is the nonlinear one
+        from the fixed-point iteration, and every label carries ``chi3``,
+        ``source_scale`` and iteration counts in :attr:`RichLabels.extras` so
+        surrogates can condition on the intensity axis.
     """
     if backend is None:
         if selects_direct(engine):
@@ -155,12 +145,6 @@ def extract_labels_batch(
         backend = NumericalFieldBackend(engine=engine)
     elif engine is not None:
         raise ValueError("pass either backend or engine, not both")
-    if wavelengths is not None and with_gradient:
-        raise ValueError("broadband labels are forward-only; pass with_gradient=False")
-    if intensities is not None and nonlinearity is None:
-        raise ValueError("intensities is the nonlinear sweep axis; pass nonlinearity too")
-    if nonlinearity is not None and wavelengths is not None:
-        raise ValueError("broadband and nonlinear labels cannot be combined")
     count = len(device.specs)
     if specs is None:
         specs = list(range(count))
@@ -182,41 +166,14 @@ def extract_labels_batch(
                 f"got {spec!r}"
             )
 
-    if nonlinearity is None:
-        evaluations = evaluate_specs(
-            device,
-            density,
-            specs=[spec for _, spec in resolved],
-            backend=backend,
-            compute_gradient=with_gradient,
-            wavelengths=wavelengths,
-        )
-        nonlinearity_by_eval = [None] * len(evaluations)
-    else:
-        # Intensity-major sweep over source scales, the nonlinear analogue of
-        # the wavelength axis (a single evaluation when intensities is None).
-        scales = [1.0] if intensities is None else [float(s) for s in intensities]
-        evaluations = []
-        nonlinearity_by_eval = []
-        for s in scales:
-            scaled = nonlinearity.with_scale(nonlinearity.source_scale * s)
-            chunk = evaluate_specs(
-                device,
-                density,
-                specs=[spec for _, spec in resolved],
-                backend=backend,
-                compute_gradient=with_gradient,
-                nonlinearity=scaled,
-            )
-            evaluations.extend(chunk)
-            nonlinearity_by_eval.extend([scaled] * len(chunk))
-
-    # Broadband/intensity evaluations come back axis-major (all specs at the
-    # first wavelength or intensity, then all at the second, ...); replicate
-    # the (spec_index, spec) pairing accordingly.  Each evaluation's spec
-    # carries its actual wavelength, which is what the labels below record.
-    reps = 1 if not resolved else len(evaluations) // len(resolved)
-    expanded = [pair for _ in range(reps) for pair in resolved]
+    evaluations = evaluate_specs(
+        device,
+        density,
+        specs=[spec for _, spec in resolved],
+        backend=backend,
+        compute_gradient=with_gradient,
+        sweep=sweep,
+    )
 
     # Full-grid permittivities and residual simulations are shared across the
     # specs of a design: one per device state / (wavelength, state) pair.
@@ -224,9 +181,11 @@ def extract_labels_batch(
     sim_by_key: dict[tuple, object] = {}
 
     labels = []
-    for (spec_index, _), evaluation, eval_nl in zip(
-        expanded, evaluations, nonlinearity_by_eval
-    ):
+    for position, evaluation in enumerate(evaluations):
+        # Sweep evaluations come back axis-major: all specs at the first
+        # operating point, then all at the second, ...  Each evaluation's
+        # spec carries its actual wavelength, which the labels record.
+        spec_index = resolved[position % len(resolved)][0]
         spec = evaluation.spec
         result = evaluation.result
         sim_key = simulation_group_key(spec)
@@ -239,16 +198,17 @@ def extract_labels_batch(
         fom = spec_figure_of_merit(spec.port_weights, result.transmissions)
 
         extras: dict[str, float] = {}
-        if eval_nl is not None:
+        kerr = evaluation.nonlinearity
+        if kerr is not None:
             # The linear operator does not annihilate a Kerr solution; the
             # meaningful residual is the nonlinear one the fixed point
             # converged, tracked by the solve itself.
             stats = evaluation.nonlinear_stats
             residual = float(stats.residuals[-1]) if stats.residuals else 0.0
-            chi3_value = eval_nl.chi3 if eval_nl.chi3 is not None else device.chi3
+            chi3_value = kerr.chi3 if kerr.chi3 is not None else device.chi3
             extras = {
                 "chi3": float(chi3_value),
-                "source_scale": float(spec.state.get("power", 1.0)) * eval_nl.source_scale,
+                "source_scale": float(spec.state.get("power", 1.0)) * kerr.source_scale,
                 "nonlinear_iterations": float(stats.iterations),
                 "nonlinear_inner_solves": float(stats.inner_solves),
             }

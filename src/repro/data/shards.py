@@ -19,7 +19,8 @@ parallelize and to resume:
   ones.
 
 Workers are plain processes: :func:`run_shard` is the picklable entry point
-mapped over :class:`ShardTask` lists by :func:`repro.utils.parallel.run_tasks`.
+mapped over :class:`ShardTask` lists by
+:func:`repro.utils.executor.execute_tasks`.
 Each worker rebuilds its device, pre-warms the permittivity-independent
 operator cache (:func:`repro.fdfd.engine.warmup_operators`) and labels its
 designs through the batched engine path.
@@ -217,19 +218,9 @@ def shard_fingerprint(
         if weights is not None
         else [1.0] * len(densities),
     }
-    wavelengths = getattr(config, "wavelengths", None)
-    if wavelengths is not None:
-        # Only stamped when broadband mode is on, so every pre-existing
-        # single-wavelength artifact keeps its fingerprint (and resumability).
-        payload["wavelengths"] = [float(w) for w in wavelengths]
-    chi3 = getattr(config, "chi3", None)
-    if chi3 is not None:
-        # Same conditional-stamping contract as wavelengths: nonlinear runs
-        # carry their chi3/intensity axis, linear artifacts stay bit-identical.
-        payload["chi3"] = float(chi3)
-        intensities = getattr(config, "intensities", None)
-        if intensities is not None:
-            payload["intensities"] = [float(s) for s in intensities]
+    # Only the sweep's set axes are stamped, so every linear single-wavelength
+    # artifact keeps its fingerprint (and resumability).
+    payload.update(config.sweep.stamp())
     digest = hashlib.sha1(json.dumps(payload, sort_keys=True, default=str).encode())
     for density in densities:
         density = np.ascontiguousarray(np.asarray(density, dtype=float))
@@ -249,7 +240,7 @@ def shard_filename(fingerprint: str) -> str:
 def attach_factorization_store(directory: str) -> None:
     """Attach a cross-process factorization store to this process's cache.
 
-    ``run_tasks`` initializer for generation worker pools
+    ``execute_tasks`` initializer for generation worker pools
     (``GeneratorConfig(factorization_store=...)``): every worker's default
     :class:`~repro.fdfd.engine.FactorizationCache` then falls through to the
     shared store, so the pool factorizes each distinct operator once *total*
@@ -277,19 +268,11 @@ def run_shard(task: ShardTask):
     device = make_device(
         config.device_name, fidelity=spec.fidelity, **(config.device_kwargs or {})
     )
-    wavelengths = getattr(config, "wavelengths", None)
     # Broadband shards touch the operators at the extraction wavelengths
     # (residual labels), not at the specs' own.
-    warm = list(wavelengths) if wavelengths else [s.wavelength for s in device.specs]
+    warm = config.sweep.wavelengths or [s.wavelength for s in device.specs]
     warmup_operators(device.grid, [wavelength_to_omega(w) for w in warm])
     engine = engine_for_fidelity(config.engine, spec.fidelity)
-    chi3 = getattr(config, "chi3", None)
-    nonlinearity = None
-    if chi3 is not None:
-        from repro.fdfd.nonlinear import KerrNonlinearity
-
-        nonlinearity = KerrNonlinearity(chi3=float(chi3))
-    intensities = getattr(config, "intensities", None)
 
     labels: list[RichLabels] = []
     design_ids: list[int] = []
@@ -308,9 +291,7 @@ def run_shard(task: ShardTask):
             fidelity=spec.fidelity,
             stage=stage,
             engine=engine,
-            wavelengths=wavelengths,
-            nonlinearity=nonlinearity,
-            intensities=intensities,
+            sweep=config.sweep,
         )
         for label in design_labels:
             # The acquisition weight rides in the label extras, which shard

@@ -35,6 +35,7 @@ from repro.invdes.adjoint import (
     FieldBackend,
     NumericalFieldBackend,
     SpecEvaluation,
+    Sweep,
     evaluate_spec,
     evaluate_specs,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "FieldBackend",
     "NumericalFieldBackend",
     "SpecEvaluation",
+    "Sweep",
     "evaluate_spec",
     "evaluate_specs",
     "InverseDesignProblem",

@@ -10,8 +10,9 @@ per wavelength and device state, solves batched through a
 :class:`FieldBackend` against one factorization), the Kerr fixed point
 (:class:`~repro.fdfd.nonlinear.NonlinearSimulation`) and broadband FDTD (one
 pulsed :class:`~repro.fdtd.broadband.FdtdSimulation` run per excitation,
-forward-only).  Broadband evaluation expands the specs wavelength-major, so
-the frequency-domain tiers need no per-wavelength pass of their own.
+forward-only).  A :class:`Sweep` expands the specs along its axes:
+wavelength-major for a broadband band, intensity-major for the drive powers of
+a Kerr device, so no tier needs a per-point pass of its own.
 
 The field backend lets the linear tier serve the numerical solver engines
 (direct, recycled) and the neural surrogates of Table II / Figure 6 alike.
@@ -20,6 +21,7 @@ The field backend lets the linear tier serve the numerical solver engines
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +30,9 @@ from repro.devices.base import Device, TargetSpec, positive_weight_norm
 from repro.fdfd.engine import SolverEngine, SolveWorkspace, resolve_engine
 from repro.fdfd.simulation import ExcitationSpec, Simulation, SimulationResult
 from repro.invdes.objectives import CompositeObjective, objective_for_spec
+
+if TYPE_CHECKING:  # annotations only; the Kerr tier loads on first use
+    from repro.fdfd.nonlinear import KerrNonlinearity
 
 
 class FieldBackend:
@@ -160,6 +165,73 @@ class NumericalFieldBackend(FieldBackend):
         return lams
 
 
+@dataclass(frozen=True)
+class Sweep:
+    """The operating points a design is evaluated at: one validated sweep.
+
+    ``wavelengths`` is the broadband axis: every spec is evaluated at each of
+    these wavelengths (overriding its own), wavelength-major.  It is
+    forward-only (see :meth:`check_gradient`).  With a time-domain engine
+    (``"fdtd"``) one pulsed run per excitation serves all wavelengths; any
+    other engine solves once per wavelength.
+
+    ``nonlinearity`` is a :class:`~repro.fdfd.nonlinear.KerrNonlinearity`:
+    every spec converges as a Kerr fixed point (``eps_eff = eps + chi3
+    |E|^2``) instead of a linear solve.
+
+    ``intensities`` is the Kerr device's axis (it requires ``nonlinearity``):
+    every spec is evaluated at each of these source scales, which multiply
+    ``nonlinearity.source_scale``.  The order is intensity-major, as for
+    ``wavelengths``.
+
+    The default ``Sweep()`` is the single linear operating point of each
+    spec.  Axes are stored as tuples of floats.  An empty axis is rejected,
+    since it would silently evaluate nothing.
+    """
+
+    wavelengths: tuple[float, ...] | None = None
+    nonlinearity: KerrNonlinearity | None = None
+    intensities: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        for name in ("wavelengths", "intensities"):
+            axis = getattr(self, name)
+            if axis is None:
+                continue
+            axis = tuple(float(value) for value in np.atleast_1d(axis))
+            if not axis:
+                raise ValueError(f"sweep axis {name} is empty; pass None to drop it")
+            object.__setattr__(self, name, axis)
+        if self.intensities is not None and self.nonlinearity is None:
+            raise ValueError("intensities is the nonlinear sweep axis; pass nonlinearity too")
+        if self.nonlinearity is not None and self.wavelengths is not None:
+            raise ValueError("broadband and nonlinear sweeps cannot be combined")
+
+    def check_gradient(self, compute_gradient: bool) -> None:
+        """Reject gradients of a broadband sweep: the FDTD tier has no adjoint."""
+        if self.wavelengths is not None and compute_gradient:
+            raise ValueError(
+                "broadband sweeps are forward-only; pass compute_gradient=False "
+                "(with_gradient=False for labels and generators)"
+            )
+
+    def stamp(self) -> dict:
+        """The keys this sweep adds to shard fingerprints and dataset metadata.
+
+        Only set axes are stamped, so linear single-wavelength artifacts keep
+        the fingerprints they had before sweeps existed.  The nonlinearity is
+        stamped by its ``chi3`` alone; generators accept no other Kerr setting.
+        """
+        keys: dict = {}
+        if self.wavelengths is not None:
+            keys["wavelengths"] = list(self.wavelengths)
+        if self.nonlinearity is not None:
+            keys["chi3"] = float(self.nonlinearity.chi3)
+            if self.intensities is not None:
+                keys["intensities"] = list(self.intensities)
+        return keys
+
+
 @dataclass
 class SpecEvaluation:
     """Result of evaluating one target spec at one design density."""
@@ -172,6 +244,9 @@ class SpecEvaluation:
     adjoint_field: np.ndarray | None = None
     #: Convergence telemetry of the Kerr fixed point (nonlinear path only).
     nonlinear_stats: "object | None" = None
+    #: The Kerr nonlinearity this spec ran at, scaled to its intensity
+    #: (nonlinear path only).
+    nonlinearity: KerrNonlinearity | None = None
 
     @property
     def weighted_value(self) -> float:
@@ -202,6 +277,7 @@ class _LinearPhysics:
     """
 
     group_key = staticmethod(simulation_group_key)
+    nonlinearity = None
 
     def __init__(self, device: Device, backend: FieldBackend):
         self.device = device
@@ -301,11 +377,13 @@ class _FdtdPhysics:
     serves every wavelength.  Forward-only, so it has no adjoint.
     """
 
+    nonlinearity = None
+
     @staticmethod
     def group_key(spec: TargetSpec) -> tuple:
         return (spec.source_port, spec.source_mode, tuple(sorted(spec.state.items())))
 
-    def __init__(self, device: Device, engine, wavelengths: list[float]):
+    def __init__(self, device: Device, engine, wavelengths: tuple[float, ...]):
         self.device = device
         self.engine = engine
         self.wavelengths = wavelengths
@@ -353,15 +431,14 @@ def evaluate_specs(
     compute_gradient: bool = True,
     eps_postprocess=None,
     wavelength_shift: float = 0.0,
-    wavelengths=None,
-    nonlinearity=None,
+    sweep: Sweep = Sweep(),
 ) -> list[SpecEvaluation]:
     """Objective values and density gradients for many specs, batched.
 
     One loop serves every fidelity tier: specs are grouped by the tier's
     physics adapter (see the module docstring) and each group shares one
     forward and, for gradients, one adjoint.  Results are returned in the
-    order of ``specs``.
+    order of ``specs``, expanded along the sweep axes.
 
     Parameters
     ----------
@@ -378,7 +455,8 @@ def evaluate_specs(
     objectives:
         Optional per-spec objective overrides keyed by position in ``specs``;
         unlisted specs get the mode-transmission objective built from their
-        port weights.
+        port weights.  An override applies to its spec at every point of the
+        sweep.
     compute_gradient:
         If False, skip the adjoint solves (used for dataset labelling where
         only the forward quantities are needed).
@@ -387,71 +465,70 @@ def evaluate_specs(
         (temperature drift of variation-aware corners).
     wavelength_shift:
         Added to every spec wavelength (laser drift corner).
-    wavelengths:
-        Broadband mode: evaluate every spec at each of these wavelengths
-        (overriding the specs' own) and return the evaluations
-        wavelength-major — ``[eval(w0, spec0), eval(w0, spec1), ...,
-        eval(w1, spec0), ...]`` — with each evaluation's ``spec`` carrying
-        its wavelength; ``objectives`` keep applying to their spec at every
-        wavelength.  Forward-only (``compute_gradient`` must be False).
-        With a time-domain engine (``"fdtd"``) all wavelengths of an
-        excitation come from *one* pulsed run
-        (:class:`repro.fdtd.broadband.FdtdSimulation`); any other engine
-        solves once per wavelength, which is how the FDTD labels are
-        cross-validated.
-    nonlinearity:
-        A :class:`~repro.fdfd.nonlinear.KerrNonlinearity`: converge each spec
-        as a Kerr fixed point (``eps_eff = eps + chi3 |E|^2``) instead of a
-        linear solve.  The chi3 map comes from
+    sweep:
+        The operating points (see :class:`Sweep`).  A ``wavelengths`` axis
+        returns the evaluations wavelength-major -- ``[eval(w0, spec0),
+        eval(w0, spec1), ..., eval(w1, spec0), ...]`` -- each evaluation's
+        ``spec`` carrying its wavelength.  An ``intensities`` axis returns
+        them intensity-major in the same way.  Under a ``nonlinearity`` each
+        spec converges as a Kerr fixed point: the chi3 map comes from
         :meth:`~repro.devices.base.Device.chi3_map` and the injected power is
         ``spec.state["power"] * nonlinearity.source_scale`` (``power``
         defaults to 1).  Gradients go *through* the converged fixed point via
         the implicit-function adjoint; each evaluation carries its
-        :class:`~repro.fdfd.nonlinear.NonlinearStats`.  Engine-backed only —
-        the inner solves ride ``backend.engine`` through the ordinary
-        registry (``"recycled"`` makes the outer iterations diagonal-update
-        cheap); neural field backends are not supported.
+        :class:`~repro.fdfd.nonlinear.NonlinearStats` and its scaled
+        nonlinearity.  The Kerr path is engine-backed only: the inner solves
+        ride ``backend.engine`` through the ordinary registry
+        (``"recycled"`` makes the outer iterations diagonal-update cheap);
+        neural field backends are not supported.
     """
+    sweep.check_gradient(compute_gradient)
     backend = backend or NumericalFieldBackend()
     if specs is None:
         specs = device.specs
     if not specs:
         return []
     density = np.asarray(density, dtype=float)
-    physics = _LinearPhysics(device, backend)
+    n = len(specs)
+    # One physics adapter per point of the intensity axis (one otherwise);
+    # the specs are repeated axis-major, one block of ``n`` per point.
+    points = [_LinearPhysics(device, backend)]
+    nonlinearity = sweep.nonlinearity
     if nonlinearity is not None:
-        if wavelengths is not None:
-            raise ValueError("broadband and nonlinear evaluation cannot be combined")
-        physics = _KerrPhysics(device, backend, nonlinearity)
-    if wavelengths is not None:
-        if compute_gradient:
-            raise ValueError(
-                "broadband evaluation is forward-only; pass compute_gradient=False"
-            )
-        wavelengths = [float(w) for w in np.atleast_1d(wavelengths)]
-        n = len(specs)
-        specs = [replace(spec, wavelength=w) for w in wavelengths for spec in specs]
-        if objectives is not None:
-            objectives = {
-                k * n + i: objective
-                for k in range(len(wavelengths))
-                for i, objective in objectives.items()
-            }
+        scaled = [nonlinearity]
+        if sweep.intensities is not None:
+            scaled = [
+                nonlinearity.with_scale(nonlinearity.source_scale * s)
+                for s in sweep.intensities
+            ]
+        points = [_KerrPhysics(device, backend, kerr) for kerr in scaled]
+        specs = list(specs) * len(points)
+    if sweep.wavelengths is not None:
+        specs = [replace(spec, wavelength=w) for w in sweep.wavelengths for spec in specs]
         from repro.fdtd.engine import FdtdFrequencyEngine
 
         engine = backend.engine
         if isinstance(engine, str):
             engine = resolve_engine(engine)
         if isinstance(engine, FdtdFrequencyEngine):
-            physics = _FdtdPhysics(device, engine, wavelengths)
+            points = [_FdtdPhysics(device, engine, sweep.wavelengths)]
+    if objectives is not None:
+        objectives = {
+            k * n + i: objective
+            for k in range(len(specs) // n)
+            for i, objective in objectives.items()
+        }
 
+    block = len(specs) // len(points)
     groups: dict[tuple, list[int]] = {}
     for index, spec in enumerate(specs):
-        groups.setdefault(physics.group_key(spec), []).append(index)
+        point = index // block
+        groups.setdefault((point, points[point].group_key(spec)), []).append(index)
 
     evaluations: list[SpecEvaluation | None] = [None] * len(specs)
     scale = device.geometry.eps_core - device.geometry.eps_clad
-    for indices in groups.values():
+    for (point, _), indices in groups.items():
+        physics = points[point]
         group_specs = [specs[i] for i in indices]
         eps = device.eps_with_design(density)
         eps = device.apply_state(eps, group_specs[0].state)
@@ -490,6 +567,7 @@ def evaluate_specs(
                 result=result,
                 adjoint_field=lam,
                 nonlinear_stats=stat,
+                nonlinearity=physics.nonlinearity,
             )
     return evaluations
 
@@ -503,12 +581,12 @@ def evaluate_spec(
     compute_gradient: bool = True,
     eps_postprocess=None,
     wavelength_shift: float = 0.0,
-    nonlinearity=None,
 ) -> SpecEvaluation:
     """Objective value and density gradient for a single excitation spec.
 
-    Thin wrapper over :func:`evaluate_specs`; forward and adjoint still share
-    one factorization through the engine cache.
+    Thin wrapper over :func:`evaluate_specs` at one linear operating point;
+    forward and adjoint still share one factorization through the engine
+    cache.
     """
     return evaluate_specs(
         device,
@@ -519,7 +597,6 @@ def evaluate_spec(
         compute_gradient=compute_gradient,
         eps_postprocess=eps_postprocess,
         wavelength_shift=wavelength_shift,
-        nonlinearity=nonlinearity,
     )[0]
 
 
@@ -530,7 +607,7 @@ def evaluate_all_specs(
     compute_gradient: bool = True,
     eps_postprocess=None,
     wavelength_shift: float = 0.0,
-    nonlinearity=None,
+    sweep: Sweep = Sweep(),
 ) -> tuple[float, np.ndarray, list[SpecEvaluation]]:
     """Weighted objective and gradient accumulated over all device specs.
 
@@ -546,7 +623,7 @@ def evaluate_all_specs(
         compute_gradient=compute_gradient,
         eps_postprocess=eps_postprocess,
         wavelength_shift=wavelength_shift,
-        nonlinearity=nonlinearity,
+        sweep=sweep,
     )
     total = 0.0
     weight_norm = 0.0

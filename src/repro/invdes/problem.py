@@ -27,6 +27,7 @@ from repro.invdes.adjoint import (
     FieldBackend,
     NumericalFieldBackend,
     SpecEvaluation,
+    Sweep,
     evaluate_all_specs,
 )
 from repro.parametrization.parametrization import DensityParametrization
@@ -122,7 +123,7 @@ class InverseDesignProblem:
         self.backend = backend
         self.eps_postprocess = eps_postprocess
         self.wavelength_shift = wavelength_shift
-        self.nonlinearity = nonlinearity
+        self.sweep = Sweep(nonlinearity=nonlinearity)
 
     # -- parametrization chain ---------------------------------------------------------
     def initial_theta(self, kind: str = "waveguide", rng=None) -> np.ndarray:
@@ -176,7 +177,7 @@ class InverseDesignProblem:
             compute_gradient=compute_gradient,
             eps_postprocess=self.eps_postprocess,
             wavelength_shift=self.wavelength_shift,
-            nonlinearity=self.nonlinearity,
+            sweep=self.sweep,
         )
 
         transmissions: dict[str, float] = {}

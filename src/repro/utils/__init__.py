@@ -2,7 +2,7 @@
 
 from repro.utils.rng import get_rng, seed_everything
 from repro.utils.config import Config
-from repro.utils.parallel import cpu_count, effective_workers, run_tasks
+from repro.utils.parallel import cpu_count, effective_workers
 from repro.utils.executor import (
     ExecutorConfig,
     LocalPoolExecutor,
@@ -24,7 +24,6 @@ __all__ = [
     "Config",
     "cpu_count",
     "effective_workers",
-    "run_tasks",
     "ExecutorConfig",
     "LocalPoolExecutor",
     "TaskExecutor",

@@ -29,10 +29,6 @@ lacks:
   all (or every slot exhausts its respawn budget), remaining tasks run
   inline in the coordinating process — already-completed results are *not*
   recomputed.
-
-``run_tasks`` in :mod:`repro.utils.parallel` is a thin wrapper over
-:func:`execute_tasks` with retries off by default, preserving its historical
-signature and bit-identical ordered results.
 """
 
 from __future__ import annotations

@@ -1,14 +1,8 @@
-"""Process-pool helpers with deterministic ordering and a serial fallback.
+"""Worker-pool helpers.
 
-The sharded dataset generator (and any future fan-out workload) maps a worker
-function over a task list.  :func:`run_tasks` keeps that seam small: results
-always come back in task order, ``workers <= 1`` runs everything in-process
-(no pickling, no subprocesses — the debuggable path), and environments where
-process pools cannot start (restricted sandboxes) degrade to the serial path
-instead of crashing.  Since the fault-tolerant task fabric landed
-(:mod:`repro.utils.executor`), ``run_tasks`` is a thin wrapper over
-:func:`repro.utils.executor.execute_tasks` — same signature, bit-identical
-ordered results — with optional per-task deadlines and bounded retries.
+Worker-count resolution (:func:`effective_workers`) for the process fan-out
+of :func:`repro.utils.executor.execute_tasks`, and a thread prefetcher that
+background-loads an ordered task sequence (:class:`Prefetcher`).
 """
 
 from __future__ import annotations
@@ -123,42 +117,3 @@ class Prefetcher:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-def run_tasks(
-    fn,
-    tasks,
-    workers: int | None = 1,
-    initializer=None,
-    initargs=(),
-    *,
-    timeout: float | None = None,
-    max_retries: int = 0,
-    retry_backoff: float = 0.25,
-):
-    """Map ``fn`` over ``tasks``, preserving order.
-
-    With ``workers`` resolved to more than one, tasks fan out over the
-    fault-tolerant task fabric (``fn`` and every task must be picklable, and
-    ``fn`` must be idempotent): each worker slot is an isolated process, so a
-    crashed or killed worker invalidates only its own in-flight task — that
-    task is requeued onto a respawned worker while completed results are
-    kept.  Environments where pools cannot start at all degrade to the serial
-    in-process path, reusing any results already computed.  Exceptions raised
-    by ``fn`` itself propagate in both modes (after ``max_retries``
-    re-executions — zero by default, matching the historical contract) and
-    are never mistaken for pool failures.
-
-    ``timeout`` sets a per-task deadline (seconds): a task that exceeds it
-    has its worker killed and is retried on a fresh one; deadlines are not
-    enforced on the serial path.  ``initializer(*initargs)`` runs once per
-    worker process before any task; the serial path runs it once in-process
-    so both modes see identically-prepared workers.
-    """
-    from repro.utils.executor import ExecutorConfig, execute_tasks
-
-    config = ExecutorConfig(timeout=timeout, max_retries=max_retries, backoff=retry_backoff)
-    report = execute_tasks(
-        fn, tasks, workers=workers, config=config, initializer=initializer, initargs=initargs
-    )
-    report.raise_first()
-    return report.results

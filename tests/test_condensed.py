@@ -27,6 +27,7 @@ from repro.fdfd.engine import (
 )
 from repro.fdfd.nonlinear import KerrNonlinearity
 from repro.fdfd.simulation import Simulation, normalization_geometry
+from repro.invdes.adjoint import Sweep
 from repro.service.cache_store import FileFactorizationStore
 
 DEVICE_SIZE = dict(domain=3.0, design_size=1.4)
@@ -89,13 +90,15 @@ def test_kerr_labels_through_condensed_inner_solves(name, monkeypatch):
     density = np.random.default_rng(5).uniform(0.2, 0.8, device.design_shape)
     nonlinearity = KerrNonlinearity(rtol=1e-10)
     full = extract_labels_batch(
-        device, density, engine=DirectEngine(cache=FactorizationCache()), nonlinearity=nonlinearity
+        device, density, engine=DirectEngine(cache=FactorizationCache()), sweep=Sweep(nonlinearity=nonlinearity)
     )
     # Engines built by name resolve the module-level default cache at
     # construction; a fresh one shows which path the labels took.
     cache = FactorizationCache()
     monkeypatch.setattr("repro.fdfd.engine.default_factorization_cache", cache)
-    condensed = extract_labels_batch(device, density, engine="direct", nonlinearity=nonlinearity)
+    condensed = extract_labels_batch(
+        device, density, engine="direct", sweep=Sweep(nonlinearity=nonlinearity)
+    )
     assert "condensed" in _tags(cache)
     assert len(condensed) == len(full) == len(device.specs)
     for got, want in zip(condensed, full):

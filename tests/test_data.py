@@ -13,6 +13,7 @@ from repro.data import (
     PerturbedOptTrajSampling,
     PhotonicDataset,
     RandomSampling,
+    Sweep,
     extract_labels,
     make_sampler,
     split_dataset,
@@ -39,6 +40,7 @@ from repro.data.shards import (
 )
 from repro.devices.factory import make_device
 from repro.fdfd.engine import DirectEngine
+from repro.fdfd.nonlinear import KerrNonlinearity
 
 from tests.conftest import TINY_DEVICE_KWARGS
 
@@ -361,15 +363,23 @@ class TestShardPlanning:
         [
             ({}, "a2e452abc360e9684eab060a46a2bab47ac75cdf"),
             (
-                dict(with_gradient=False, wavelengths=(1.53, 1.57)),
+                dict(with_gradient=False, sweep=Sweep(wavelengths=(1.53, 1.57))),
                 "2924b24c4dbc3653f4d8e71ca97bda72f280ab3d",
             ),
             (
-                dict(device_name="kerr_limiter", chi3=1.1e8),
+                dict(
+                    device_name="kerr_limiter",
+                    sweep=Sweep(nonlinearity=KerrNonlinearity(chi3=1.1e8)),
+                ),
                 "f5c8068bd7d2adcab66f750391f0d965c07506a7",
             ),
             (
-                dict(device_name="kerr_limiter", chi3=1.1e8, intensities=(1.0, 2.0)),
+                dict(
+                    device_name="kerr_limiter",
+                    sweep=Sweep(
+                        nonlinearity=KerrNonlinearity(chi3=1.1e8), intensities=(1.0, 2.0)
+                    ),
+                ),
                 "910f6e2905d6664039fc5d56519a05175d0a69bb",
             ),
         ],
@@ -406,6 +416,31 @@ class TestShardedGeneration:
         parallel = DatasetGenerator(
             GeneratorConfig(**self.CONFIG_KWARGS, workers=2)
         ).generate()
+        self._assert_bit_identical(serial, parallel)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(sweep=Sweep(wavelengths=(1.53, 1.57))),
+            dict(
+                device_name="kerr_limiter",
+                num_designs=2,
+                shard_size=1,
+                sweep=Sweep(
+                    nonlinearity=KerrNonlinearity(chi3=1.1e8), intensities=(0.5, 1.0)
+                ),
+            ),
+        ],
+        ids=["broadband", "kerr_intensities"],
+    )
+    def test_parallel_sweep_bit_identical_to_serial(self, overrides):
+        """The sweep crosses the process boundary inside the pickled config."""
+        config = GeneratorConfig(**{**self.CONFIG_KWARGS, **overrides})
+        serial = DatasetGenerator(config).generate(workers=1)
+        parallel = DatasetGenerator(config).generate(workers=2)
+        assert len(serial) == config.num_designs * 2 * len(
+            make_device(config.device_name, **TINY_DEVICE_KWARGS).specs
+        )
         self._assert_bit_identical(serial, parallel)
 
     def test_resume_reuses_artifacts(self, tmp_path, monkeypatch):
@@ -506,6 +541,42 @@ class TestShardedGeneration:
         assert "--backend" in capsys.readouterr().err
 
 
+class TestSweep:
+    @pytest.mark.parametrize("axis", ["wavelengths", "intensities"])
+    def test_empty_axis_raises(self, axis):
+        """An empty axis used to label nothing and return 0 samples.
+
+        ``extract_labels_batch`` and ``DatasetGenerator`` take their axes only
+        as a ``Sweep``, so rejecting an empty axis here covers both.
+        """
+        kwargs = {axis: ()}
+        if axis == "intensities":
+            kwargs["nonlinearity"] = KerrNonlinearity(chi3=1.1e8)
+        with pytest.raises(ValueError, match=f"{axis} is empty"):
+            Sweep(**kwargs)
+
+    def test_axes_normalize_to_float_tuples(self):
+        sweep = Sweep(wavelengths=[1.55, np.float64(1.56)])
+        assert sweep.wavelengths == (1.55, 1.56)
+        assert all(type(w) is float for w in sweep.wavelengths)
+        assert Sweep(wavelengths=1.55).wavelengths == (1.55,)
+        assert Sweep().stamp() == {}
+
+    @pytest.mark.parametrize(
+        "nonlinearity",
+        [KerrNonlinearity(), KerrNonlinearity(chi3=1.1e8, rtol=1e-10), "kerr"],
+        ids=["device_chi3", "solver_setting", "not_kerr"],
+    )
+    def test_generator_rejects_kerr_settings_beyond_chi3(self, nonlinearity):
+        """Fingerprints stamp chi3 alone, so nothing else may vary."""
+        with pytest.raises(ValueError, match="chi3 alone"):
+            DatasetGenerator(
+                GeneratorConfig(
+                    device_name="kerr_limiter", sweep=Sweep(nonlinearity=nonlinearity)
+                )
+            )
+
+
 class TestGeneratorCLI:
     def test_engine_argument_parsing(self):
         assert _parse_engine(None) is None
@@ -546,6 +617,43 @@ class TestGeneratorCLI:
         loaded = PhotonicDataset.load(output)
         assert len(loaded) == 2
         assert loaded.metadata["engine"] == {"low": "direct"}
+
+    def test_main_wavelength_sweep(self, tmp_path):
+        import json
+
+        output = tmp_path / "broadband.npz"
+        exit_code = generator_main(
+            [
+                "--device",
+                "bending",
+                "--strategy",
+                "random",
+                "--num-designs",
+                "1",
+                "--no-gradient",
+                "--wavelengths",
+                "1.53",
+                "1.57",
+                "--device-kwargs",
+                json.dumps(TINY_DEVICE_KWARGS),
+                "--output",
+                str(output),
+            ]
+        )
+        assert exit_code == 0
+        loaded = PhotonicDataset.load(output)
+        assert loaded.metadata["wavelengths"] == [1.53, 1.57]
+        specs = make_device("bending", **TINY_DEVICE_KWARGS).specs
+        assert len(loaded) == 2 * len(specs)
+
+    def test_main_rejects_intensities_without_chi3(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            generator_main(
+                ["--intensities", "1.0", "2.0", "--output", str(tmp_path / "x.npz")]
+            )
+        assert excinfo.value.code == 2
+        assert "intensities" in capsys.readouterr().err
+        assert not (tmp_path / "x.npz").exists()
 
 
 class TestAnalysis:

@@ -2,9 +2,9 @@
 
 The README quickstart is *executed* (not just rendered), README links must
 resolve, the engine-registry table must cover every registered engine, every
-engine name the docs and examples select must exist, and every example
-script must be documented and quick-mode capable (CI runs them all with
-``REPRO_EXAMPLES_QUICK=1``).
+engine name the docs and examples select must exist, the docs spell sweeps
+as one ``Sweep`` object, and every example script must be documented and
+quick-mode capable (CI runs them all with ``REPRO_EXAMPLES_QUICK=1``).
 """
 
 import re
@@ -86,6 +86,46 @@ def test_documented_engine_names_are_registered():
                 f"not in the registry {sorted(registered)}"
             )
     assert {"direct", "recycled", "neural"} <= seen  # the scan finds real selections
+
+
+#: Calls that take their operating points as one ``sweep=Sweep(...)``.
+_SWEEP_CALL = re.compile(
+    r"\b(GeneratorConfig|generate_dataset|extract_labels_batch|evaluate_specs)\("
+)
+_SWEEP_KWARG = re.compile(r"\b(wavelengths|intensities|chi3|nonlinearity)\s*=")
+
+
+def _top_level_arguments(text: str, start: int) -> str:
+    """The argument text of the call opened just before ``start``, with every
+    nested parenthesized group (``Sweep(...)`` at any depth) left out."""
+    depth, kept = 0, []
+    for char in text[start:]:
+        if char == ")" and depth == 0:
+            break
+        depth += (char == "(") - (char == ")")
+        if depth == 0 and char != ")":
+            kept.append(char)
+    return "".join(kept)
+
+
+def _loose_sweep_kwargs(text: str) -> list[str]:
+    found = []
+    for call in _SWEEP_CALL.finditer(text):
+        top_level = _top_level_arguments(text, call.end())
+        found.extend(f"{call[1]}({name}=...)" for name in _SWEEP_KWARG.findall(top_level))
+    return found
+
+
+def test_docs_spell_sweeps_as_one_object():
+    """The sweep axes travel as ``sweep=Sweep(...)``, never as loose kwargs."""
+    assert _loose_sweep_kwargs("GeneratorConfig(chi3=..., intensities=...)")
+    assert _loose_sweep_kwargs(
+        "GeneratorConfig(sweep=Sweep(nonlinearity=KerrNonlinearity(chi3=1.0)), chi3=1.0)"
+    ) == ["GeneratorConfig(chi3=...)"]
+    assert not _loose_sweep_kwargs("evaluate_specs(sweep=Sweep(wavelengths=[1.5]))")
+    for path in [README, *sorted((REPO / "docs").glob("*.md"))]:
+        loose = _loose_sweep_kwargs(path.read_text())
+        assert not loose, f"{path.relative_to(REPO)} shows {loose}; pass sweep=Sweep(...)"
 
 
 def test_examples_documented_and_quick_capable():

@@ -18,7 +18,7 @@ from repro.devices.factory import make_device
 from repro.fdfd.engine import make_engine
 from repro.fdfd.nonlinear import NonlinearSimulation
 from repro.fdfd.simulation import Simulation
-from repro.invdes.adjoint import NumericalFieldBackend, evaluate_specs
+from repro.invdes.adjoint import NumericalFieldBackend, Sweep, evaluate_specs
 
 # (case id, device name, device kwargs) — two devices x two grid sizes.
 CASES = [
@@ -193,7 +193,7 @@ class TestFdtdTierParity:
             density,
             backend=NumericalFieldBackend(engine=engine),
             compute_gradient=False,
-            wavelengths=wavelengths,
+            sweep=Sweep(wavelengths=wavelengths),
         )
 
     def test_single_frequency_matches_direct(self):

@@ -14,7 +14,6 @@ from repro.utils.executor import (
     WorkerCrashError,
     execute_tasks,
 )
-from repro.utils.parallel import run_tasks
 
 
 # ----------------------------------------------------------------------------
@@ -191,10 +190,14 @@ class TestPoolExecution:
         """Satellite regression: per-task execution counts under a crash."""
         scratch = str(tmp_path)
         tasks = [(scratch, i, i, 2) for i in range(5)]
-        results = run_tasks(
-            _die_once_on_target, tasks, workers=2, max_retries=2, retry_backoff=0.05
+        report = execute_tasks(
+            _die_once_on_target,
+            tasks,
+            workers=2,
+            config=ExecutorConfig(max_retries=2, backoff=0.05),
         )
-        assert results == [i * i for i in range(5)]
+        report.raise_first()
+        assert report.results == [i * i for i in range(5)]
         executions = {i: _executions(scratch, i) for i in range(5)}
         assert executions[2] == 2, executions
         assert all(executions[i] == 1 for i in (0, 1, 3, 4)), executions
@@ -245,8 +248,11 @@ class TestPoolExecution:
     def test_pool_initializer_and_knobs_via_run_tasks(self, tmp_path):
         scratch = str(tmp_path)
         tasks = [(scratch, i, i, 1 if i == 0 else 0) for i in range(3)]
-        results = run_tasks(_flaky, tasks, workers=2, max_retries=1, retry_backoff=0.05)
-        assert results == [0, 1, 4]
+        report = execute_tasks(
+            _flaky, tasks, workers=2, config=ExecutorConfig(max_retries=1, backoff=0.05)
+        )
+        report.raise_first()
+        assert report.results == [0, 1, 4]
 
 
 def _die_forever_on_one(task):

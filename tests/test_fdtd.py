@@ -28,7 +28,7 @@ from repro.fdtd.core import (
     warped_frequency,
 )
 from repro.fdtd.engine import FdtdFrequencyEngine
-from repro.invdes.adjoint import NumericalFieldBackend, evaluate_specs
+from repro.invdes.adjoint import NumericalFieldBackend, Sweep, evaluate_specs
 from repro.invdes.objectives import objective_for_spec
 from repro.utils.cache import BoundedCache
 
@@ -310,11 +310,11 @@ class TestBroadbandPlumbing:
     def test_gradient_request_is_rejected(self, device, density):
         with pytest.raises(ValueError, match="forward-only"):
             evaluate_specs(
-                device, density, compute_gradient=True, wavelengths=self.WLS
+                device, density, compute_gradient=True, sweep=Sweep(wavelengths=self.WLS)
             )
         with pytest.raises(ValueError, match="forward-only"):
             extract_labels_batch(
-                device, density, with_gradient=True, wavelengths=self.WLS
+                device, density, with_gradient=True, sweep=Sweep(wavelengths=self.WLS)
             )
 
     def test_fallback_engine_loops_per_wavelength(self, device, density):
@@ -326,7 +326,7 @@ class TestBroadbandPlumbing:
             density,
             backend=NumericalFieldBackend(engine="direct"),
             compute_gradient=False,
-            wavelengths=self.WLS,
+            sweep=Sweep(wavelengths=self.WLS),
         )
         assert len(broad) == len(self.WLS) * len(device.specs)
         for k, w in enumerate(self.WLS):
@@ -359,7 +359,7 @@ class TestBroadbandPlumbing:
             backend=NumericalFieldBackend(engine="direct"),
             objectives=flux,
             compute_gradient=False,
-            wavelengths=self.WLS,
+            sweep=Sweep(wavelengths=self.WLS),
         )
         for k, w in enumerate(self.WLS):
             manual = evaluate_specs(
@@ -406,7 +406,7 @@ class TestBroadbandPlumbing:
             backend=NumericalFieldBackend(engine=engine),
             objectives=flux,
             compute_gradient=False,
-            wavelengths=self.WLS,
+            sweep=Sweep(wavelengths=self.WLS),
         )
         for k, (w, result) in enumerate(zip(self.WLS, hand_built())):
             context = Simulation(device.grid, eps_r, w, device.geometry.ports)
@@ -422,7 +422,7 @@ class TestBroadbandPlumbing:
             density,
             with_gradient=False,
             engine=make_engine("fdtd", courant=0.99, decay_tol=1e-3, precision="single"),
-            wavelengths=self.WLS,
+            sweep=Sweep(wavelengths=self.WLS),
         )
         assert [lab.wavelength for lab in labels] == pytest.approx(self.WLS)
         for lab in labels:
@@ -435,7 +435,9 @@ class TestBroadbandPlumbing:
         from repro.data.generator import DatasetGenerator, GeneratorConfig
 
         with pytest.raises(ValueError, match="forward-only"):
-            DatasetGenerator(GeneratorConfig(wavelengths=(1.55,), with_gradient=True))
+            DatasetGenerator(
+                GeneratorConfig(sweep=Sweep(wavelengths=(1.55,)), with_gradient=True)
+            )
 
         config = GeneratorConfig(
             device_name="bending",
@@ -445,7 +447,7 @@ class TestBroadbandPlumbing:
             fidelities=("low",),
             with_gradient=False,
             engine="fdtd",
-            wavelengths=(1.54, 1.55, 1.56),
+            sweep=Sweep(wavelengths=(1.54, 1.55, 1.56)),
             shard_dir=str(tmp_path),
         )
         dataset = DatasetGenerator(config).generate()
@@ -466,7 +468,7 @@ class TestBroadbandPlumbing:
 
         base = GeneratorConfig(num_designs=1, with_gradient=False)
         banded = GeneratorConfig(
-            num_designs=1, with_gradient=False, wavelengths=(1.53, 1.57)
+            num_designs=1, with_gradient=False, sweep=Sweep(wavelengths=(1.53, 1.57))
         )
         density = [np.zeros((4, 4))]
         spec = plan_shards(base, num_designs=1)[0]

@@ -23,6 +23,7 @@ import pytest
 from repro.data.labels import extract_labels_batch
 from repro.devices.factory import make_device
 from repro.fdfd.nonlinear import KerrNonlinearity
+from repro.invdes.adjoint import Sweep
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SEED = 2026
@@ -60,7 +61,7 @@ def compute_case(name: str) -> dict:
         with_gradient=True,
         engine="direct",
         stage="golden",
-        nonlinearity=nonlinearity,
+        sweep=Sweep(nonlinearity=nonlinearity),
     )
     arrays = {"density": density}
     records = []

@@ -35,7 +35,7 @@ from repro.fdfd.nonlinear import (
     NonlinearSimulation,
 )
 from repro.fdfd.simulation import Simulation
-from repro.invdes.adjoint import evaluate_specs
+from repro.invdes.adjoint import Sweep, evaluate_specs
 from repro.invdes.problem import InverseDesignProblem
 from tests.conftest import TINY_DEVICE_KWARGS
 from tests.helpers.fd_grad import assert_gradient_matches_fd, central_difference
@@ -311,7 +311,10 @@ class TestNonlinearAdjoint:
         nonlinearity = KerrNonlinearity(rtol=1e-10)
         spec_index = len(device.specs) - 1  # the high-power (most nonlinear) spec
         evaluation = evaluate_specs(
-            device, density, specs=[device.specs[spec_index]], nonlinearity=nonlinearity
+            device,
+            density,
+            specs=[device.specs[spec_index]],
+            sweep=Sweep(nonlinearity=nonlinearity),
         )[0]
         assert evaluation.nonlinear_stats is not None
 
@@ -320,7 +323,7 @@ class TestNonlinearAdjoint:
                 device,
                 d,
                 specs=[device.specs[spec_index]],
-                nonlinearity=nonlinearity,
+                sweep=Sweep(nonlinearity=nonlinearity),
                 compute_gradient=False,
             )[0].objective_value
 
@@ -332,7 +335,7 @@ class TestNonlinearAdjoint:
         density = np.random.default_rng(6).uniform(0.3, 0.7, kerr_switch.design_shape)
         linear = evaluate_specs(kerr_switch, density)
         nonlinear = evaluate_specs(
-            kerr_switch, density, nonlinearity=KerrNonlinearity(chi3=0.0)
+            kerr_switch, density, sweep=Sweep(nonlinearity=KerrNonlinearity(chi3=0.0))
         )
         for lin, non in zip(linear, nonlinear):
             np.testing.assert_allclose(
@@ -359,8 +362,7 @@ class TestNonlinearDataAxis:
         labels = extract_labels_batch(
             kerr_limiter,
             density,
-            nonlinearity=KerrNonlinearity(),
-            intensities=[0.5, 2.0],
+            sweep=Sweep(nonlinearity=KerrNonlinearity(), intensities=[0.5, 2.0]),
             with_gradient=False,
         )
         assert len(labels) == 2 * len(kerr_limiter.specs)  # intensity-major
@@ -380,7 +382,9 @@ class TestNonlinearDataAxis:
     def test_intensities_require_nonlinearity(self, kerr_limiter):
         with pytest.raises(ValueError, match="intensities"):
             extract_labels_batch(
-                kerr_limiter, np.full(kerr_limiter.design_shape, 0.5), intensities=[1.0]
+                kerr_limiter,
+                np.full(kerr_limiter.design_shape, 0.5),
+                sweep=Sweep(intensities=[1.0]),
             )
 
     def test_fingerprints_stamp_chi3_only_when_nonlinear(self):
@@ -391,26 +395,33 @@ class TestNonlinearDataAxis:
         spec = plan_shards(base, num_designs=1)[0]
         fp_linear = shard_fingerprint(base, spec, densities, stages, [1.0])
         nonlinear = GeneratorConfig(
-            device_name="kerr_limiter", num_designs=1, shard_size=1, chi3=1.1e8
+            device_name="kerr_limiter",
+            num_designs=1,
+            shard_size=1,
+            sweep=Sweep(nonlinearity=KerrNonlinearity(chi3=1.1e8)),
         )
         fp_nonlinear = shard_fingerprint(nonlinear, spec, densities, stages, [1.0])
         swept = GeneratorConfig(
             device_name="kerr_limiter",
             num_designs=1,
             shard_size=1,
-            chi3=1.1e8,
-            intensities=(1.0, 2.0),
+            sweep=Sweep(
+                nonlinearity=KerrNonlinearity(chi3=1.1e8), intensities=(1.0, 2.0)
+            ),
         )
         fp_swept = shard_fingerprint(swept, spec, densities, stages, [1.0])
         assert fp_linear != fp_nonlinear != fp_swept
 
     def test_generator_config_validation(self):
         with pytest.raises(ValueError, match="intensities"):
-            DatasetGenerator(GeneratorConfig(intensities=(1.0,)))
+            DatasetGenerator(GeneratorConfig(sweep=Sweep(intensities=(1.0,))))
         with pytest.raises(ValueError, match="cannot be combined"):
             DatasetGenerator(
                 GeneratorConfig(
-                    chi3=1.0, wavelengths=(1.55,), with_gradient=False
+                    sweep=Sweep(
+                        nonlinearity=KerrNonlinearity(chi3=1.0), wavelengths=(1.55,)
+                    ),
+                    with_gradient=False,
                 )
             )
 
@@ -420,7 +431,7 @@ class TestNonlinearDataAxis:
             strategy="random",
             num_designs=2,
             seed=1,
-            chi3=kerr_limiter.chi3,
+            sweep=Sweep(nonlinearity=KerrNonlinearity(chi3=kerr_limiter.chi3)),
             device_kwargs=KERR_KWARGS,
             shard_dir=str(tmp_path),
             shard_size=1,

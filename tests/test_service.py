@@ -44,7 +44,7 @@ from repro.service import (
     default_store_budget_bytes,
 )
 from repro.service.cache_store import StoredFactorization
-from repro.utils.parallel import run_tasks
+from repro.utils.executor import ExecutorConfig, execute_tasks
 
 OMEGA = constants.wavelength_to_omega(1.55)
 
@@ -724,17 +724,30 @@ def _set_marker(value):
 class TestRunTasksInitializer:
     def test_serial_path_runs_initializer_in_process(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_INIT_MARKER", raising=False)
-        results = run_tasks(
-            _read_marker, [1, 2], workers=1, initializer=_set_marker, initargs=("ready",)
+        report = execute_tasks(
+            _read_marker,
+            [1, 2],
+            workers=1,
+            config=ExecutorConfig(max_retries=0),
+            initializer=_set_marker,
+            initargs=("ready",),
         )
-        assert results == ["ready", "ready"]
+        report.raise_first()
+        assert report.results == ["ready", "ready"]
         monkeypatch.delenv("REPRO_TEST_INIT_MARKER", raising=False)
 
     def test_pool_path_runs_initializer_per_worker(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_INIT_MARKER", raising=False)
-        results = run_tasks(
-            _read_marker, [1, 2], workers=2, initializer=_set_marker, initargs=("ready",)
+        report = execute_tasks(
+            _read_marker,
+            [1, 2],
+            workers=2,
+            config=ExecutorConfig(max_retries=0),
+            initializer=_set_marker,
+            initargs=("ready",),
         )
+        report.raise_first()
+        results = report.results
         # Pool workers each ran the initializer; if the pool could not spawn,
         # the serial fallback ran it in-process — either way every task saw it.
         assert results == ["ready", "ready"]
