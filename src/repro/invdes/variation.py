@@ -62,6 +62,7 @@ class RobustInverseDesignProblem:
             if corner.temperature_drift.delta_kelvin
             else None,
             wavelength_shift=corner.wavelength_drift.delta_um,
+            nonlinearity=base.sweep.nonlinearity,
         )
 
     # -- API mirroring InverseDesignProblem ------------------------------------------

@@ -5,8 +5,6 @@ from repro.utils.config import Config
 from repro.utils.parallel import cpu_count, effective_workers
 from repro.utils.executor import (
     ExecutorConfig,
-    LocalPoolExecutor,
-    TaskExecutor,
     TaskFailure,
     TaskReport,
     execute_tasks,
@@ -25,8 +23,6 @@ __all__ = [
     "cpu_count",
     "effective_workers",
     "ExecutorConfig",
-    "LocalPoolExecutor",
-    "TaskExecutor",
     "TaskFailure",
     "TaskReport",
     "execute_tasks",

@@ -1,10 +1,7 @@
-"""Fault-tolerant elastic task fabric.
+"""Fault-tolerant task fabric.
 
-The :class:`TaskExecutor` protocol (submit / poll / cancel with per-task
-deadlines) abstracts "run these idempotent tasks somewhere"; the
-:class:`LocalPoolExecutor` implementation wraps today's
-``ProcessPoolExecutor`` path and adds the robustness layer the plain pool
-lacks:
+:func:`execute_tasks` runs ``fn`` over a list of idempotent tasks and adds
+the robustness layer a plain ``ProcessPoolExecutor`` lacks:
 
 * **Task-level crash recovery.** ``concurrent.futures`` breaks the *whole*
   pool when one worker dies — every in-flight future raises
@@ -13,10 +10,10 @@ lacks:
   exactly the one task it was running: that task is requeued onto a respawned
   slot and every other result is kept. One injected worker death costs at
   most one task of recomputation.
-* **Heartbeats + per-task deadlines.** Workers report ``start``/``beat``/
-  ``done`` over a shared ``multiprocessing.Queue``. A task that exceeds its
-  deadline, or whose worker goes silent past ``heartbeat_timeout``, has its
-  worker SIGKILLed — which funnels into the same crash-recovery path.
+* **Per-task deadlines.** A task still running ``timeout`` seconds after
+  dispatch has its worker SIGKILLed, which funnels into the same
+  crash-recovery path. Slots share nothing — no queue, no lock — so a kill
+  can only break the killed worker's own pool.
 * **Bounded retries with exponential backoff + jitter.** Failed / timed-out /
   crashed tasks are retried up to ``max_retries`` times; the jitter is drawn
   from a seed derived from ``(seed, task index, attempt)`` so schedules are
@@ -33,33 +30,25 @@ lacks:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue as queue_module
 import random
 import signal
-import threading
 import time
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
-    CancelledError,
-    Future,
     ProcessPoolExecutor,
     wait,
 )
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.utils import faults
 
 __all__ = [
     "ExecutorConfig",
-    "LocalPoolExecutor",
-    "TaskExecutor",
     "TaskFailure",
-    "TaskOutcome",
     "TaskReport",
     "TaskTimeoutError",
     "WorkerCrashError",
@@ -67,6 +56,14 @@ __all__ = [
 ]
 
 _POLL_TICK = 0.05
+
+#: Each retry waits ``BACKOFF_FACTOR`` times longer than the one before.
+BACKOFF_FACTOR = 2.0
+#: Retry delays are stretched by a deterministic factor in ``[1, 1 + JITTER]``.
+JITTER = 0.25
+#: A slot whose worker died this many times is retired; when every slot is
+#: retired the remaining tasks run serially in the coordinating process.
+MAX_WORKER_RESPAWNS = 3
 
 
 class TaskTimeoutError(TimeoutError):
@@ -91,65 +88,46 @@ class WorkerCrashError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExecutorConfig:
-    """Retry / deadline / heartbeat policy for a :class:`LocalPoolExecutor`.
+    """Retry / deadline policy for :func:`execute_tasks`.
 
-    ``timeout`` is the default per-task deadline (seconds, measured from
-    dispatch and tightened to the worker's ``start`` report); ``submit`` may
-    override it per task. ``max_retries`` bounds *re*-executions: a task runs
-    at most ``1 + max_retries`` times. The retry delay for attempt ``a``
-    (1-based) is ``backoff * backoff_factor**(a-1)`` scaled by a deterministic
-    jitter in ``[1, 1 + jitter]`` seeded from ``(seed, index, a)``.
-    ``heartbeat_timeout`` (off by default) kills workers that stop beating —
-    the net for hung tasks that never return *and* never burn CPU.
+    ``timeout`` is the per-task deadline in seconds, measured from dispatch to
+    a worker slot. A fresh slot's deadline therefore also covers the fork and
+    the initializer; the only initializer in use
+    (``attach_factorization_store``) is cheap. The serial path enforces no
+    deadline (a process cannot SIGKILL itself safely). ``max_retries``
+    bounds *re*-executions: a task runs at most ``1 + max_retries`` times. The
+    retry delay for attempt ``a`` (1-based) is
+    ``backoff * BACKOFF_FACTOR**(a-1)`` scaled by a deterministic jitter in
+    ``[1, 1 + JITTER]`` seeded from ``(seed, index, a)``.
     """
 
     timeout: float | None = None
     max_retries: int = 2
     backoff: float = 0.25
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
-    heartbeat_interval: float = 0.2
-    heartbeat_timeout: float | None = None
-    max_worker_respawns: int = 3
     seed: int = 0
 
     def retry_delay(self, index: int, attempt: int) -> float:
-        base = self.backoff * self.backoff_factor ** max(attempt - 1, 0)
+        base = self.backoff * BACKOFF_FACTOR ** max(attempt - 1, 0)
         if base <= 0:
             return 0.0
-        if self.jitter <= 0:
-            return base
         rng = random.Random(f"{self.seed}-{index}-{attempt}")
-        return base * (1.0 + self.jitter * rng.random())
+        return base * (1.0 + JITTER * rng.random())
 
 
 @dataclass(frozen=True)
 class TaskFailure:
-    """A task that exhausted its retry budget (or was cancelled)."""
+    """A task that exhausted its retry budget."""
 
     index: int
     attempts: int
     error: BaseException
-    kind: str  # "error" | "timeout" | "crash" | "cancelled"
+    kind: str  # "error" | "timeout" | "crash"
 
     def __str__(self) -> str:
         return (
             f"task {self.index} failed permanently after {self.attempts} "
             f"attempt(s) [{self.kind}]: {self.error!r}"
         )
-
-
-@dataclass(frozen=True)
-class TaskOutcome:
-    """One settled task, as returned by :meth:`TaskExecutor.poll`."""
-
-    index: int
-    result: Any = None
-    failure: TaskFailure | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
 
 
 @dataclass
@@ -178,85 +156,26 @@ class TaskReport:
             raise self.failures[0].error
 
 
-@runtime_checkable
-class TaskExecutor(Protocol):
-    """The executor seam: local pool today, multi-host dispatch tomorrow."""
-
-    def submit(
-        self, fn: Callable[[Any], Any], task: Any, *, timeout: float | None = None
-    ) -> int:
-        """Enqueue ``fn(task)``; returns the task's index (submission order)."""
-        ...
-
-    def poll(self, timeout: float | None = None) -> list[TaskOutcome]:
-        """Advance execution; return newly settled tasks (maybe empty)."""
-        ...
-
-    def cancel(self, index: int) -> bool:
-        """Cancel a task; True unless it already settled."""
-        ...
-
-    def done(self) -> bool:
-        """True when every submitted task has settled."""
-        ...
-
-    def close(self) -> None:
-        """Release workers. Safe to call more than once."""
-        ...
-
-
 # --------------------------------------------------------------------------
-# Worker-side wrapper.  Runs inside the pool process: reports start / beat /
-# done over the shared channel and gives the fault harness its hook.
-
-_worker_channel = None
+# Worker side.  Runs inside a slot's pool process and gives the fault harness
+# its hook.
 
 
-def _worker_init(channel, user_initializer, user_initargs):
-    global _worker_channel
-    _worker_channel = channel
+def _worker_init(user_initializer, user_initargs):
     faults.mark_worker()
     if user_initializer is not None:
         user_initializer(*user_initargs)
 
 
-def _run_task(index, attempt, fn, task, heartbeat_interval):
-    channel = _worker_channel
-    pid = os.getpid()
-    stop = threading.Event()
-
-    def send(kind):
-        if channel is not None:
-            try:
-                channel.put_nowait((kind, pid, index, time.time()))
-            except Exception:
-                pass
-
-    send("start")
-    if channel is not None and heartbeat_interval and heartbeat_interval > 0:
-
-        def beat():
-            while not stop.wait(heartbeat_interval):
-                send("beat")
-
-        threading.Thread(target=beat, name="task-heartbeat", daemon=True).start()
-    try:
-        fault = faults.on_task_start(index, attempt)
-        if fault is not None and fault.kind == "hang":
-            stop.set()  # a hang is only a hang if the beats stop too
-            time.sleep(fault.seconds)
-        return fn(task)
-    finally:
-        stop.set()
-        send("done")
+def _run_task(index, fn, task):
+    faults.on_task_start(index)
+    return fn(task)
 
 
 class _Task:
     __slots__ = (
         "index",
-        "fn",
         "payload",
-        "timeout",
         "status",  # "ready" | "running" | "done" | "failed"
         "result",
         "failure",
@@ -265,16 +184,12 @@ class _Task:
         "future",
         "slot",
         "dispatched_at",
-        "started_at",
-        "last_beat",
-        "pending_kind",  # set when the parent kills the worker on purpose
+        "pending_kind",  # "timeout" once the parent kills the worker on purpose
     )
 
-    def __init__(self, index, fn, payload, timeout):
+    def __init__(self, index, payload):
         self.index = index
-        self.fn = fn
         self.payload = payload
-        self.timeout = timeout
         self.status = "ready"
         self.result = None
         self.failure = None
@@ -283,110 +198,57 @@ class _Task:
         self.future = None
         self.slot = None
         self.dispatched_at = 0.0
-        self.started_at = None
-        self.last_beat = None
         self.pending_kind = None
 
 
 class _Slot:
-    __slots__ = ("pool", "pid", "respawns", "task_index", "dead")
+    __slots__ = ("pool", "respawns", "task_index", "dead")
 
     def __init__(self):
         self.pool = None
-        self.pid = None
         self.respawns = 0
         self.task_index = None
         self.dead = False
 
 
-class LocalPoolExecutor:
-    """Single-host :class:`TaskExecutor` over per-slot worker processes.
+class _PoolRun:
+    """One :func:`execute_tasks` call over per-slot worker processes.
 
     ``workers`` slots each hold a one-worker ``ProcessPoolExecutor`` so a
     worker crash is scoped to its own in-flight task. ``workers <= 1`` (or a
     total failure to spawn pools) runs tasks inline in this process —
-    deadlines are not enforced there (a process cannot SIGKILL itself safely),
-    but retries and reporting behave identically.
+    deadlines are not enforced there, but retries and reporting behave
+    identically.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        config: ExecutorConfig | None = None,
-        initializer: Callable[..., None] | None = None,
-        initargs: Sequence[Any] = (),
-        pool_factory: Callable[[], Any] | None = None,
-    ):
-        self.config = config or ExecutorConfig()
+    def __init__(self, fn, tasks, workers, config, initializer, initargs):
+        self.fn = fn
+        self.config = config
         self.workers = max(int(workers), 1)
         self.initializer = initializer
         self.initargs = tuple(initargs)
-        self._pool_factory = pool_factory
-        self._tasks: dict[int, _Task] = {}
-        self._ready: deque[int] = deque()
-        self._completions: deque[TaskOutcome] = deque()
+        self._tasks = [_Task(index, payload) for index, payload in enumerate(tasks)]
+        self._ready: deque[int] = deque(range(len(self._tasks)))
         self._settled = 0
         self._slots = [_Slot() for _ in range(self.workers)] if self.workers > 1 else []
         self._serial = self.workers <= 1
         self._serial_initialized = False
-        self._channel = None
-        self._mp_context = multiprocessing.get_context()
-        self._closed = False
         self._attempts: dict[int, int] = {}
         self.retries = 0
         self.timeouts = 0
         self.worker_crashes = 0
         self.respawns = 0
 
-    # -- protocol ----------------------------------------------------------
-
-    def submit(self, fn, task, *, timeout=None):
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        index = len(self._tasks)
-        effective = self.config.timeout if timeout is None else timeout
-        self._tasks[index] = _Task(index, fn, task, effective)
-        self._ready.append(index)
-        return index
-
-    def poll(self, timeout=None):
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            self._step()
-            if self._completions:
-                drained = list(self._completions)
-                self._completions.clear()
-                return drained
-            if self.done():
-                return []
-            if deadline is not None and time.monotonic() >= deadline:
-                return []
-            self._wait_for_progress(deadline)
-
-    def cancel(self, index):
-        task = self._tasks.get(index)
-        if task is None or task.status in ("done", "failed"):
-            return False
-        if task.status == "running" and task.slot is not None:
-            task.pending_kind = "cancelled"
-            self._kill_slot(task.slot)
-            return True
-        if task.status == "ready":
-            try:
-                self._ready.remove(index)
-            except ValueError:
-                pass
-            self._settle_failure(task, CancelledError(f"task {index} cancelled"), "cancelled")
-            return True
-        return False
-
-    def done(self):
-        return self._settled == len(self._tasks)
+    def run(self) -> TaskReport:
+        while self._settled < len(self._tasks):
+            self._reap_futures()
+            self._enforce_deadlines()
+            self._dispatch()
+            if self._settled < len(self._tasks):
+                self._wait_for_progress()
+        return self.report()
 
     def close(self):
-        if self._closed:
-            return
-        self._closed = True
         for slot in self._slots:
             if slot.pool is not None:
                 try:
@@ -394,32 +256,13 @@ class LocalPoolExecutor:
                 except Exception:
                     pass
                 slot.pool = None
-        if self._channel is not None:
-            try:
-                self._channel.close()
-            except Exception:
-                pass
-            self._channel = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
 
     def report(self) -> TaskReport:
-        results = [None] * len(self._tasks)
-        failures = []
-        for index, task in self._tasks.items():
-            results[index] = task.result
-            if task.failure is not None:
-                failures.append(task.failure)
-        attempts = dict(self._attempts)
+        failures = [task.failure for task in self._tasks if task.failure is not None]
         return TaskReport(
-            results=results,
-            failures=sorted(failures, key=lambda f: f.index),
-            attempts=attempts,
+            results=[task.result for task in self._tasks],
+            failures=failures,
+            attempts=dict(self._attempts),
             retries=self.retries,
             timeouts=self.timeouts,
             worker_crashes=self.worker_crashes,
@@ -427,127 +270,79 @@ class LocalPoolExecutor:
             serial_fallback=self._serial and self.workers > 1,
         )
 
-    # -- internals ---------------------------------------------------------
-
-    def _step(self):
-        self._drain_channel()
-        self._reap_futures()
-        self._enforce_deadlines()
-        self._dispatch()
-
-    def _wait_for_progress(self, deadline):
-        now = time.monotonic()
-        tick = _POLL_TICK
-        if deadline is not None:
-            tick = min(tick, max(deadline - now, 0.0))
+    def _wait_for_progress(self):
         futures = [
-            t.future
-            for t in self._tasks.values()
-            if t.status == "running" and t.future is not None
+            t.future for t in self._tasks if t.status == "running" and t.future is not None
         ]
         if futures:
-            wait(futures, timeout=tick, return_when=FIRST_COMPLETED)
+            wait(futures, timeout=_POLL_TICK, return_when=FIRST_COMPLETED)
             return
         # Nothing running: we are either backing off before a retry or
         # about to dispatch; sleep only as long as the nearest retry needs.
+        now = time.monotonic()
         pending = [
             self._tasks[i].not_before for i in self._ready if self._tasks[i].not_before > now
         ]
         if pending:
-            time.sleep(min(tick, max(min(pending) - now, 0.0)))
+            time.sleep(min(_POLL_TICK, max(min(pending) - now, 0.0)))
         else:
             time.sleep(0.001)
-
-    # message pump ---------------------------------------------------------
-
-    def _drain_channel(self):
-        if self._channel is None:
-            return
-        while True:
-            try:
-                kind, pid, index, stamp = self._channel.get_nowait()
-            except queue_module.Empty:
-                return
-            except (OSError, EOFError, ValueError):
-                return
-            task = self._tasks.get(index)
-            if task is None or task.status != "running":
-                continue
-            now = time.monotonic()
-            if task.slot is not None:
-                task.slot.pid = pid
-            if kind == "start":
-                task.started_at = now
-                task.last_beat = now
-            elif kind in ("beat", "done"):
-                task.last_beat = now
 
     # settling -------------------------------------------------------------
 
     def _reap_futures(self):
-        for task in list(self._tasks.values()):
+        for task in self._tasks:
             if task.status != "running" or task.future is None:
                 continue
             future = task.future
             if not future.done():
                 continue
-            slot = task.slot
             try:
                 result = future.result()
             except BrokenExecutor as err:
                 self._handle_crash(task, err)
-                continue
             except BaseException as err:
-                self._release_slot(slot)
+                self._detach(task)
                 self._attempt_failed(task, err, "error")
-                continue
-            self._release_slot(slot)
-            task.future = None
-            task.slot = None
-            task.result = result
-            task.status = "done"
-            self._settled += 1
-            self._completions.append(TaskOutcome(task.index, result=result))
+            else:
+                self._detach(task)
+                task.result = result
+                task.status = "done"
+                self._settled += 1
 
-    def _handle_crash(self, task, err):
+    def _detach(self, task):
+        """Unbind ``task`` from its slot and return that slot."""
         slot = task.slot
-        kind = task.pending_kind or "crash"
-        task.pending_kind = None
-        task.future = None
-        task.slot = None
         if slot is not None:
             slot.task_index = None
+        task.future = None
+        task.slot = None
+        return slot
+
+    def _handle_crash(self, task, err):
+        kind = task.pending_kind or "crash"
+        task.pending_kind = None
+        slot = self._detach(task)
+        if slot is not None:
             self._respawn_slot(slot)
-        if kind == "cancelled":
-            self._settle_failure(task, CancelledError(f"task {task.index} cancelled"), "cancelled")
-            return
-        if kind == "crash":
-            self.worker_crashes += 1
         error: BaseException
         if kind == "timeout":
-            error = TaskTimeoutError(task.index, task.timeout or 0.0)
+            error = TaskTimeoutError(task.index, self.config.timeout or 0.0)
         else:
+            self.worker_crashes += 1
             error = WorkerCrashError(task.index, task.failures_count + 1)
             error.__cause__ = err
-        self._attempt_failed(task, error, kind, slot_already_released=True)
+        self._attempt_failed(task, error, kind)
 
-    def _attempt_failed(self, task, err, kind, slot_already_released=False):
-        if not slot_already_released:
-            task.future = None
-            task.slot = None
+    def _attempt_failed(self, task, err, kind):
         task.failures_count += 1
         if task.failures_count <= self.config.max_retries:
             self.retries += 1
             delay = self.config.retry_delay(task.index, task.failures_count)
             task.not_before = time.monotonic() + delay
             task.status = "ready"
-            task.started_at = None
-            task.last_beat = None
             self._ready.append(task.index)
             return
-        self._settle_failure(task, err, kind)
-
-    def _settle_failure(self, task, err, kind):
         task.status = "failed"
         task.failure = TaskFailure(
             index=task.index,
@@ -556,40 +351,28 @@ class LocalPoolExecutor:
             kind=kind,
         )
         self._settled += 1
-        self._completions.append(TaskOutcome(task.index, failure=task.failure))
 
-    # deadlines & heartbeats ----------------------------------------------
+    # deadlines ------------------------------------------------------------
 
     def _enforce_deadlines(self):
-        if self._serial:
+        timeout = self.config.timeout
+        if self._serial or timeout is None:
             return
         now = time.monotonic()
-        for task in self._tasks.values():
+        for task in self._tasks:
             if task.status != "running" or task.future is None or task.future.done():
                 continue
             if task.pending_kind is not None:
                 continue  # kill already in flight; wait for the pool to break
-            started = task.started_at if task.started_at is not None else task.dispatched_at
-            if task.timeout is not None and now - started > task.timeout:
+            if now - task.dispatched_at > timeout:
                 self.timeouts += 1
                 task.pending_kind = "timeout"
                 self._kill_slot(task.slot)
-                continue
-            hb = self.config.heartbeat_timeout
-            if hb is not None and task.started_at is not None:
-                last = task.last_beat if task.last_beat is not None else task.started_at
-                if now - last > hb:
-                    task.pending_kind = "crash"  # a silent worker counts as a crash
-                    self._kill_slot(task.slot)
 
     def _kill_slot(self, slot):
-        if slot is None:
+        if slot is None or slot.pool is None:
             return
-        pid = slot.pid
-        if pid is None and slot.pool is not None:
-            processes = getattr(slot.pool, "_processes", None) or {}
-            pid = next(iter(processes), None)
-        if pid is not None:
+        for pid in list(getattr(slot.pool, "_processes", None) or {}):
             try:
                 os.kill(pid, signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
@@ -597,51 +380,31 @@ class LocalPoolExecutor:
 
     # slots ----------------------------------------------------------------
 
-    def _release_slot(self, slot):
-        if slot is not None:
-            slot.task_index = None
-
-    def _respawn_slot(self, slot):
+    def _drop_pool(self, slot):
         pool = slot.pool
         slot.pool = None
-        slot.pid = None
         if pool is not None:
             try:
                 pool.shutdown(wait=False, cancel_futures=True)
             except Exception:
                 pass
+
+    def _respawn_slot(self, slot):
+        self._drop_pool(slot)
         slot.respawns += 1
         self.respawns += 1
-        if slot.respawns > self.config.max_worker_respawns:
+        if slot.respawns > MAX_WORKER_RESPAWNS:
             slot.dead = True
             self._maybe_go_serial()
 
     def _retire_slot(self, slot):
         slot.dead = True
-        pool = slot.pool
-        slot.pool = None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
+        self._drop_pool(slot)
         self._maybe_go_serial()
 
     def _maybe_go_serial(self):
         if self._slots and all(slot.dead for slot in self._slots):
             self._serial = True
-
-    def _make_pool(self):
-        if self._pool_factory is not None:
-            return self._pool_factory()
-        if self._channel is None:
-            self._channel = self._mp_context.Queue()
-        return ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=self._mp_context,
-            initializer=_worker_init,
-            initargs=(self._channel, self.initializer, self.initargs),
-        )
 
     # dispatch -------------------------------------------------------------
 
@@ -659,47 +422,31 @@ class LocalPoolExecutor:
             if index is None:
                 return
             task = self._tasks[index]
-            if slot.pool is None:
-                try:
-                    slot.pool = self._make_pool()
-                except (OSError, PermissionError):
-                    self._ready.appendleft(index)
-                    self._retire_slot(slot)
-                    if self._serial:
-                        self._dispatch_serial()
-                        return
-                    continue
             try:
-                future = slot.pool.submit(
-                    _run_task,
-                    index,
-                    task.failures_count,
-                    task.fn,
-                    task.payload,
-                    self.config.heartbeat_interval,
-                )
+                if slot.pool is None:
+                    slot.pool = ProcessPoolExecutor(
+                        max_workers=1,
+                        initializer=_worker_init,
+                        initargs=(self.initializer, self.initargs),
+                    )
+                future = slot.pool.submit(_run_task, index, self.fn, task.payload)
             except BrokenExecutor:
                 self._ready.appendleft(index)
                 self._respawn_slot(slot)
-                if self._serial:
-                    self._dispatch_serial()
-                    return
-                continue
-            except (OSError, PermissionError, RuntimeError):
+            except (OSError, RuntimeError):
                 self._ready.appendleft(index)
                 self._retire_slot(slot)
-                if self._serial:
-                    self._dispatch_serial()
-                    return
+            else:
+                task.future = future
+                task.slot = slot
+                task.status = "running"
+                task.dispatched_at = now
+                slot.task_index = index
+                self._attempts[index] = self._attempts.get(index, 0) + 1
                 continue
-            task.future = future
-            task.slot = slot
-            task.status = "running"
-            task.dispatched_at = now
-            task.started_at = None
-            task.last_beat = None
-            slot.task_index = index
-            self._attempts[index] = self._attempts.get(index, 0) + 1
+            if self._serial:
+                self._dispatch_serial()
+                return
 
     def _pop_ready(self, now):
         for _ in range(len(self._ready)):
@@ -718,20 +465,19 @@ class LocalPoolExecutor:
             now = time.monotonic()
             index = self._pop_ready(now)
             if index is None:
-                return  # every remaining task is backing off; poll will sleep
+                return  # every remaining task is backing off; run() will sleep
             task = self._tasks[index]
             task.status = "running"
             self._attempts[index] = self._attempts.get(index, 0) + 1
             try:
-                faults.on_task_start(index, task.failures_count)
-                result = task.fn(task.payload)
+                faults.on_task_start(index)
+                result = self.fn(task.payload)
             except BaseException as err:
                 self._attempt_failed(task, err, "error")
                 continue
             task.result = result
             task.status = "done"
             self._settled += 1
-            self._completions.append(TaskOutcome(index, result=result))
 
 
 def execute_tasks(
@@ -750,16 +496,15 @@ def execute_tasks(
     from repro.utils.parallel import effective_workers
 
     task_list = list(tasks)
-    config = config or ExecutorConfig()
-    pool_size = effective_workers(workers, len(task_list))
-    executor = LocalPoolExecutor(
-        pool_size, config=config, initializer=initializer, initargs=initargs
+    run = _PoolRun(
+        fn,
+        task_list,
+        effective_workers(workers, len(task_list)),
+        config or ExecutorConfig(),
+        initializer,
+        initargs,
     )
     try:
-        for task in task_list:
-            executor.submit(fn, task)
-        while not executor.done():
-            executor.poll()
-        return executor.report()
+        return run.run()
     finally:
-        executor.close()
+        run.close()

@@ -2,9 +2,9 @@
 
 This module is the single switchboard through which tests and benchmarks
 inject failures into the generation / serving stack: kill the worker running
-the Nth task, delay a task past its deadline, hang a worker (heartbeats go
-silent), truncate a shard artifact just after it was written, or raise from
-inside :class:`FileFactorizationStore` I/O.
+the Nth task, delay a task past its deadline, truncate a shard artifact just
+after it was written, or raise from inside :class:`FileFactorizationStore`
+I/O.
 
 Design constraints, in order of importance:
 
@@ -45,7 +45,6 @@ ENV_VAR = "REPRO_FAULTS"
 __all__ = [
     "ENV_VAR",
     "FaultPlan",
-    "TaskFault",
     "active_plan",
     "clear_plan",
     "get_plan",
@@ -62,8 +61,8 @@ __all__ = [
 class FaultPlan:
     """A declarative description of which faults to inject, and where.
 
-    Indices refer to task submission order (``kill_task`` / ``delay_task`` /
-    ``hang_task``) or shard plan order (``truncate_shard``). ``None`` disables
+    Indices refer to task submission order (``kill_task`` / ``delay_task``)
+    or shard plan order (``truncate_shard``). ``None`` disables
     an injector. ``scratch`` names a directory used for cross-process
     fire-once markers; leave it unset only for single-process tests.
     """
@@ -71,8 +70,6 @@ class FaultPlan:
     kill_task: int | None = None
     delay_task: int | None = None
     delay_seconds: float = 2.0
-    hang_task: int | None = None
-    hang_seconds: float = 30.0
     truncate_shard: int | None = None
     store_errors: int = 0
     store_ops: tuple[str, ...] = ("load", "publish")
@@ -95,19 +92,6 @@ class FaultPlan:
         if "store_ops" in payload:
             payload["store_ops"] = tuple(payload["store_ops"])
         return cls(**payload)
-
-
-@dataclass(frozen=True)
-class TaskFault:
-    """An action :func:`on_task_start` asks the caller to perform.
-
-    ``kill`` and ``delay`` execute inline; ``hang`` is returned so the task
-    wrapper can silence its heartbeat thread before sleeping (a hang is only a
-    hang if the worker stops beating).
-    """
-
-    kind: str
-    seconds: float = 0.0
 
 
 # --------------------------------------------------------------------------
@@ -167,8 +151,8 @@ def active_plan(plan: FaultPlan) -> Iterator[FaultPlan]:
 
 
 def mark_worker() -> None:
-    """Record that this process is a pool worker (kill/hang injectors only
-    ever fire inside workers — never in the coordinating parent)."""
+    """Record that this process is a pool worker (the kill injector only
+    ever fires inside workers — never in the coordinating parent)."""
     global _in_worker
     _in_worker = True
 
@@ -202,18 +186,17 @@ def _claim(plan: FaultPlan, marker: str) -> bool:
 # FileFactorizationStore.load/publish (on_store_op).
 
 
-def on_task_start(index: int, attempt: int = 0) -> TaskFault | None:
+def on_task_start(index: int) -> None:
     """Fire task-level injectors for task ``index`` (submission order).
 
     ``kill`` SIGKILLs the current process (workers only — a no-op in the
-    coordinating parent, including the serial fallback). ``delay`` sleeps
-    inline with heartbeats still running, so it exercises the *deadline*
-    path. ``hang`` is returned to the caller so it can silence heartbeats
-    first, exercising the *lost-worker* path.
+    coordinating parent, including the serial fallback), exercising the
+    *lost-worker* path. ``delay`` sleeps inline, so a delay longer than the
+    task's deadline exercises the *deadline* path.
     """
     plan = get_plan()
     if plan is None:
-        return None
+        return
     if plan.kill_task == index and in_worker() and _claim(plan, f"kill-{index}"):
         logger.warning("fault injection: killing worker pid=%d on task %d", os.getpid(), index)
         os.kill(os.getpid(), signal.SIGKILL)
@@ -222,10 +205,6 @@ def on_task_start(index: int, attempt: int = 0) -> TaskFault | None:
             "fault injection: delaying task %d by %.3gs", index, plan.delay_seconds
         )
         time.sleep(plan.delay_seconds)
-    if plan.hang_task == index and in_worker() and _claim(plan, f"hang-{index}"):
-        logger.warning("fault injection: hanging task %d (heartbeats stop)", index)
-        return TaskFault("hang", plan.hang_seconds)
-    return None
 
 
 def on_shard_saved(spec_index: int, path: "os.PathLike[str] | str") -> None:

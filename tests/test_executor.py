@@ -2,14 +2,17 @@
 
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.utils.executor import (
+    BACKOFF_FACTOR,
+    JITTER,
     ExecutorConfig,
-    LocalPoolExecutor,
-    TaskExecutor,
     TaskTimeoutError,
     WorkerCrashError,
     execute_tasks,
@@ -78,7 +81,7 @@ def _executions(scratch, index):
     )
 
 
-FAST = ExecutorConfig(max_retries=2, backoff=0.05, heartbeat_interval=0.1)
+FAST = ExecutorConfig(max_retries=2, backoff=0.05)
 
 
 class TestSerialExecution:
@@ -127,33 +130,15 @@ class TestSerialExecution:
         assert report.ok
         assert marker.read_text() == "x"
 
-    def test_cancel_pending_task(self):
-        executor = LocalPoolExecutor(workers=1)
-        try:
-            for i in range(3):
-                executor.submit(_square, i)
-            assert executor.cancel(1)
-            while not executor.done():
-                executor.poll()
-            report = executor.report()
-        finally:
-            executor.close()
-        assert report.results[0] == 0 and report.results[2] == 4
-        assert len(report.failures) == 1 and report.failures[0].kind == "cancelled"
-        assert not executor.cancel(0)  # already settled
-
-    def test_protocol_conformance(self):
-        assert isinstance(LocalPoolExecutor(workers=1), TaskExecutor)
-
 
 class TestRetryPolicy:
     def test_retry_delay_is_deterministic_and_bounded(self):
-        config = ExecutorConfig(backoff=0.5, backoff_factor=2.0, jitter=0.25, seed=7)
+        config = ExecutorConfig(backoff=0.5, seed=7)
         delays = [config.retry_delay(3, attempt) for attempt in (1, 2, 3)]
         assert delays == [config.retry_delay(3, attempt) for attempt in (1, 2, 3)]
         for attempt, delay in enumerate(delays, start=1):
-            base = 0.5 * 2.0 ** (attempt - 1)
-            assert base <= delay <= base * 1.25
+            base = 0.5 * BACKOFF_FACTOR ** (attempt - 1)
+            assert base <= delay <= base * (1.0 + JITTER)
         # Different tasks jitter differently (no thundering-herd retries).
         assert config.retry_delay(0, 1) != config.retry_delay(1, 1)
 
@@ -261,3 +246,71 @@ def _die_forever_on_one(task):
     if index == 1:
         os.kill(os.getpid(), signal.SIGKILL)
     return value * value
+
+
+def _die_once_if_even(task):
+    scratch, index, value, parent = task
+    prior = _record_execution(scratch, index)
+    if index % 2 == 0 and prior == 0 and os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value * value
+
+
+def _repeated_kill_rounds(scratch, rounds, num_tasks=8):
+    """Run ``rounds`` pooled runs in which every even task kills its worker
+    once; return the rounds whose results came back incomplete or out of
+    order."""
+    bad = []
+    for round_index in range(rounds):
+        round_dir = os.path.join(scratch, f"round-{round_index}")
+        os.mkdir(round_dir)
+        tasks = [(round_dir, i, i, os.getpid()) for i in range(num_tasks)]
+        report = execute_tasks(
+            _die_once_if_even,
+            tasks,
+            workers=2,
+            config=ExecutorConfig(max_retries=2, backoff=0.01),
+        )
+        if not report.ok or report.results != [i * i for i in range(num_tasks)]:
+            bad.append((round_index, report.results, [str(f) for f in report.failures]))
+    return bad
+
+
+class TestRepeatedWorkerKills:
+    def test_repeated_kills_never_hang(self, tmp_path):
+        """Workers SIGKILLed mid-run must not wedge their sibling slots.
+
+        Runs in a child process so a hang fails this test (with every
+        thread's stack on stderr) instead of blocking the suite.
+        """
+        repo = Path(__file__).resolve().parents[1]
+        script = (
+            "import faulthandler, sys\n"
+            "faulthandler.dump_traceback_later(50, exit=True)\n"
+            "from tests.test_executor import _repeated_kill_rounds\n"
+            f"bad = _repeated_kill_rounds({str(tmp_path)!r}, rounds=40)\n"
+            "print(bad)\n"
+            "sys.exit(1 if bad else 0)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(repo / "src"), str(repo), env.get("PYTHONPATH", "")]
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", script],
+            cwd=str(repo),
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = child.communicate(timeout=60)
+        finally:
+            # A wedged run leaves its pool workers behind; reap the session.
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert child.returncode == 0, stdout + stderr

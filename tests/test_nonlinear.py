@@ -22,6 +22,7 @@ from repro.data.generator import DatasetGenerator, GeneratorConfig
 from repro.data.labels import extract_labels_batch
 from repro.data.shards import plan_shards, shard_fingerprint
 from repro.devices import make_device
+from repro.fabrication.corners import FabricationCorner
 from repro.fdfd.engine import (
     CacheStats,
     RecycleStats,
@@ -37,6 +38,7 @@ from repro.fdfd.nonlinear import (
 from repro.fdfd.simulation import Simulation
 from repro.invdes.adjoint import Sweep, evaluate_specs
 from repro.invdes.problem import InverseDesignProblem
+from repro.invdes.variation import RobustInverseDesignProblem
 from tests.conftest import TINY_DEVICE_KWARGS
 from tests.helpers.fd_grad import assert_gradient_matches_fd, central_difference
 
@@ -354,6 +356,23 @@ class TestNonlinearAdjoint:
         index = (theta.shape[0] // 2, theta.shape[1] // 2)
         numeric = central_difference(problem.figure_of_merit, theta, index, step=1e-3)
         assert grad[index] == pytest.approx(numeric, rel=5e-2, abs=1e-7)
+
+    def test_robust_corners_keep_the_base_sweep(self, kerr_limiter):
+        """Corner problems solve the base problem's Kerr fixed point, not a
+        linear copy of it."""
+        nominal = [FabricationCorner(name="nominal")]
+        foms = {}
+        for name, nonlinearity in (("linear", None), ("kerr", KerrNonlinearity())):
+            base = InverseDesignProblem(kerr_limiter, nonlinearity=nonlinearity)
+            theta = base.initial_theta("uniform")
+            robust = RobustInverseDesignProblem(base, corners=nominal)
+            foms[name] = (
+                base.figure_of_merit(theta),
+                robust.evaluate(theta, compute_gradient=False).fom,
+            )
+        assert foms["kerr"][1] == foms["kerr"][0]
+        assert foms["linear"][1] == foms["linear"][0]
+        assert foms["kerr"][1] != pytest.approx(foms["linear"][1], rel=1e-3)
 
 
 class TestNonlinearDataAxis:
