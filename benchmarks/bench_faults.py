@@ -22,6 +22,9 @@ Run with::
 
     PYTHONPATH=src python benchmarks/bench_faults.py            # full
     PYTHONPATH=src python benchmarks/bench_faults.py --quick    # CI smoke
+
+The full run writes ``BENCH_faults.json``, the smoke run
+``BENCH_faults_quick.json``.
 """
 
 from __future__ import annotations
@@ -232,7 +235,8 @@ def main() -> None:
         "waste_bounded_by_fault_count": waste_bounded,
         "permanent_failure_isolated": siblings_ok and failure is not None,
     }
-    path = write_bench_record("faults", record)
+    # A smoke run writes its own record, so the full BENCH_faults.json is never clobbered.
+    path = write_bench_record("faults_quick" if args.quick else "faults", record)
     print(f"wrote {path}")
     if not all_identical:
         raise SystemExit("FAIL: a faulty run diverged from the fault-free dataset")

@@ -3,7 +3,8 @@
 The benchmark times the labelling stage of :class:`repro.data.generator.
 DatasetGenerator` (design sampling is shared and excluded) for a fixed config
 at several worker counts, verifies that every parallel run is bit-identical
-to the serial run, and writes ``BENCH_generation.json``.
+to the serial run, and writes ``BENCH_generation.json`` (``--quick``:
+``BENCH_generation_quick.json``).
 
 Speedup is wall-clock and therefore bounded by the host's core count (recorded
 in the output): on a >= 4-core machine the 4-worker run is expected to clear
@@ -121,7 +122,8 @@ def main() -> None:
         "runs": results,
         "all_bit_identical": all(e["bit_identical_to_serial"] for e in results),
     }
-    path = write_bench_record("generation", record)
+    # A smoke run writes its own record, so the full BENCH_generation.json is never clobbered.
+    path = write_bench_record("generation_quick" if args.quick else "generation", record)
     print(f"wrote {path}")
     if not record["all_bit_identical"]:
         raise SystemExit("FAIL: parallel generation diverged from the serial path")

@@ -6,7 +6,9 @@ SuperLU factorization per iteration — the hot path this benchmark measures.
 The recycled engine instead keeps the LU of a reference permittivity and
 serves nearby iterates with matvec-free diagonal-update refinement (Krylov
 fallback), warm-started from the previous iteration's fields through the
-optimizer's :class:`~repro.fdfd.engine.SolveWorkspace`.
+optimizer's :class:`~repro.fdfd.engine.SolveWorkspace`.  Like the quickstart's
+``engine="recycled"``, it is given the device's design region, so it factors
+and refines only the region's Schur complement against a resident exterior.
 
 For each benchmark device the same optimization (same ``theta0``, same
 learning rate, same iteration count) runs once per engine; reported are
@@ -50,8 +52,16 @@ REPEATS = 2
 LEARNING_RATE = 0.02
 
 
-def _fresh_engine(name: str):
-    """Engine instance with a private cache, so runs cannot share LUs."""
+def _fresh_engine(name: str, device):
+    """Engine instance with a private cache, so runs cannot share LUs.
+
+    The recycled arm gets the device's design region, as
+    ``InverseDesignProblem(engine="recycled")`` builds it.
+    """
+    if name == "recycled":
+        return make_engine(
+            name, cache=FactorizationCache(), design_region=device.geometry.design_slice
+        )
     return make_engine(name, cache=FactorizationCache())
 
 
@@ -66,7 +76,7 @@ def _run_optimization(device_spec: dict, engine_name: str, iterations: int, repe
     best, trajectory, problem = float("inf"), None, None
     for _ in range(repeats):
         _simulation._NORMALIZATION_CACHE.clear()
-        problem = InverseDesignProblem(device, engine=_fresh_engine(engine_name))
+        problem = InverseDesignProblem(device, engine=_fresh_engine(engine_name, device))
         optimizer = AdjointOptimizer(problem, learning_rate=LEARNING_RATE)
         theta0 = problem.initial_theta("waveguide")
         start = time.perf_counter()
@@ -86,10 +96,10 @@ def _gradient_fidelity(device_spec: dict, theta: np.ndarray) -> float:
     device = make_device(device_spec["name"], dl=device_spec["dl"], **DEVICE_KWARGS)
     perturbed = theta + 1e-3 * np.random.default_rng(0).normal(size=theta.shape)
 
-    direct_problem = InverseDesignProblem(device, engine=_fresh_engine("direct"))
+    direct_problem = InverseDesignProblem(device, engine=_fresh_engine("direct", device))
     _, grad_direct = direct_problem.value_and_grad(perturbed)
 
-    recycled_problem = InverseDesignProblem(device, engine=_fresh_engine("recycled"))
+    recycled_problem = InverseDesignProblem(device, engine=_fresh_engine("recycled", device))
     recycled_problem.value_and_grad(theta)  # installs the reference LU
     _, grad_recycled = recycled_problem.value_and_grad(perturbed)
 

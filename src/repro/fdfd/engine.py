@@ -18,6 +18,8 @@ the fidelity tier:
   Adam iterates differ only on the operator diagonal) by iterative
   refinement against that LU, then LU-preconditioned BiCGStab, refactorizing
   only when the design drifts too far or the iteration counts creep up.
+  Given a device's design region, the same loop runs on the region's Schur
+  complement against an exterior that stays resident.
 * ``"neural"`` — a trained surrogate registered by
   :mod:`repro.surrogate.neural_solver` (see :class:`NeuralEngine` there).
 * ``"service"`` — the coalescing async front-end registered by
@@ -85,6 +87,7 @@ __all__ = [
     "available_engines",
     "split_engine_name",
     "selects_direct",
+    "selects_recycled",
     "make_engine",
     "resolve_engine",
 ]
@@ -365,6 +368,12 @@ class FactorizationCache:
     engine-agnostic: entries are namespaced by a ``tag`` so every engine's
     factorizations of the same operator coexist.
 
+    Factored exteriors (tag ``"exterior"``, keyed by the exterior's digest)
+    are built once per device and frequency and serve every design after
+    that, so they live in a second LRU of the same ``maxsize``: churn among
+    per-design entries (``"direct"``, ``"condensed"``, the recycled tier's
+    references) can never evict an exterior.
+
     Most code never touches the cache directly — engines share
     :data:`default_factorization_cache` unless given their own.  Direct use
     looks like::
@@ -405,8 +414,10 @@ class FactorizationCache:
                     "set it to an integer of at least 1"
                 )
         self.maxsize = maxsize
-        # key -> (entry, estimated bytes)
+        # key -> (entry, estimated bytes).  Exteriors get their own table, so
+        # churn among per-design entries can never evict one.
         self._entries = BoundedCache(maxsize)
+        self._exteriors = BoundedCache(maxsize)
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._store = store
@@ -415,6 +426,9 @@ class FactorizationCache:
     @staticmethod
     def _key(grid: Grid, omega: float, fingerprint: str, tag: str) -> tuple:
         return (grid, float(omega), fingerprint, tag)
+
+    def _table(self, key: tuple) -> BoundedCache:
+        return self._exteriors if key[3] == "exterior" else self._entries
 
     # -- cross-process store plumbing -------------------------------------------
     def attach_store(self, store):
@@ -470,7 +484,7 @@ class FactorizationCache:
         """
         key = self._key(grid, omega, fingerprint, tag)
         with self._lock:
-            cached = self._entries.get(key)
+            cached = self._table(key).get(key)
             if cached is not None:
                 self.stats.hits += 1
                 return cached[0]
@@ -494,18 +508,20 @@ class FactorizationCache:
 
     def _insert(self, key: tuple, entry) -> None:
         size = _entry_nbytes(entry)
+        table = self._table(key)
         with self._lock:
-            lost_race = self._entries.pop(key)  # last insert wins
+            lost_race = table.pop(key)  # last insert wins
             if lost_race is not None:
                 self.stats.current_bytes -= lost_race[1]
-            for _, (_, stale_size) in self._entries.put(key, (entry, size)):
+            for _, (_, stale_size) in table.put(key, (entry, size)):
                 self.stats.current_bytes -= stale_size
                 self.stats.evictions += 1
             self.stats.current_bytes += size
 
     def peek(self, grid: Grid, omega: float, fingerprint: str, tag: str = "direct"):
         """Return a cached entry (refreshed, like any hit) without building or counting."""
-        cached = self._entries.get(self._key(grid, omega, fingerprint, tag))
+        key = self._key(grid, omega, fingerprint, tag)
+        cached = self._table(key).get(key)
         return None if cached is None else cached[0]
 
     def evict(self, grid: Grid, omega: float, fingerprint: str, tag: str | None = None) -> int:
@@ -515,10 +531,10 @@ class FactorizationCache:
                 keys = [self._key(grid, omega, fingerprint, tag)]
             else:
                 prefix = (grid, float(omega), fingerprint)
-                keys = [key for key in self._entries.keys() if key[:3] == prefix]
+                keys = [key for key in self.keys() if key[:3] == prefix]
             dropped = 0
             for key in keys:
-                cached = self._entries.pop(key)
+                cached = self._table(key).pop(key)
                 if cached is not None:
                     self.stats.current_bytes -= cached[1]
                     dropped += 1
@@ -532,25 +548,29 @@ class FactorizationCache:
         """
         with self._lock:
             self._entries.clear()
+            self._exteriors.clear()
             self.stats.reset()
             self.stats.current_bytes = 0
 
     def keys(self) -> list[tuple]:
-        """Cached keys ``(grid, omega, fingerprint, tag)``, least recently used first."""
-        return self._entries.keys()
+        """Cached keys ``(grid, omega, fingerprint, tag)``, least recently used first.
+
+        Exteriors follow the other entries (each table in its own LRU order).
+        """
+        return self._entries.keys() + self._exteriors.keys()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) + len(self._exteriors)
 
 
 default_factorization_cache = FactorizationCache()
 """The cache shared by every engine that is not given its own.
 
-Process-wide by design: up to ``maxsize`` factorizations stay alive for the
-life of the process (sized by ``REPRO_FACTORIZATION_CACHE_SIZE``, read when a
-cache is constructed — for this default, at import time).  Long-running
-programs that are done solving can release the memory explicitly with
-``default_factorization_cache.clear()``.
+Process-wide by design: up to ``maxsize`` factorizations, and as many factored
+exteriors, stay alive for the life of the process (sized by
+``REPRO_FACTORIZATION_CACHE_SIZE``, read when a cache is constructed — for
+this default, at import time).  Long-running programs that are done solving
+can release the memory explicitly with ``default_factorization_cache.clear()``.
 """
 
 
@@ -670,10 +690,51 @@ def factor_lu(matrix: sp.spmatrix) -> spla.SuperLU:
 # --------------------------------------------------------------------------- #
 # design-region condensation: the fixed exterior factored once per device
 # --------------------------------------------------------------------------- #
-#: Columns of ``A_EE^{-1} A_EI`` back-substituted at a time while an exterior
-#: is built.  Only their ring rows are kept, so the transient is one
+#: Columns of ``A_EE^{-1} A_EI`` back-substituted at a time when an exterior
+#: is built without its ring-last factor.  Only their ring rows are kept, so
+#: the transient is one
 #: ``(n_E, 32)`` block (~4 MB on a 104^2 grid), not the full ``(n_E, k)``.
 _EXTERIOR_BLOCK = 32
+
+
+def _ring_rows(a_ee: sp.csc_matrix, lu, ring: np.ndarray, coupling: sp.csc_matrix) -> np.ndarray:
+    """``(A_EE^{-1} coupling)[ring]`` for coupling columns supported on the ring.
+
+    Refactoring ``A_EE`` with the ring ordered after every other cell (those
+    in ``lu``'s fill-reducing order) makes the trailing ``k x k`` block
+    ``L22 U22`` of the new factor the Schur complement of ``A_EE`` onto the
+    ring, whose inverse is the ring block of ``A_EE^{-1}``.  One
+    factorization and one dense ``k x k`` solve then replace ``k``
+    back-substitutions through the exterior (on a 104^2 grid, 2-CPU host:
+    ~60 ms against ~150 ms).  When the pivot-free factor fails its probe or
+    SuperLU moves a pivot, the back-substitutions run instead.
+    """
+    n, k = a_ee.shape[0], ring.size
+    rest = np.ones(n, dtype=bool)
+    rest[ring] = False
+    order = np.argsort(lu.perm_c)
+    order = np.concatenate([order[rest[order]], ring])
+    ordered = a_ee[order][:, order].tocsc()
+    identity = np.arange(n)
+    try:
+        ring_lu = spla.splu(ordered, **{**_LU_SETTINGS[0], "permc_spec": "NATURAL"})
+        probe = np.ones(n, dtype=complex)
+        residual = np.linalg.norm(ordered @ ring_lu.solve(probe) - probe) / np.linalg.norm(probe)
+    except RuntimeError:  # exactly singular without pivoting
+        residual = np.inf
+    if (
+        residual <= _LU_PROBE_BOUND
+        and np.array_equal(ring_lu.perm_c, identity)
+        and np.array_equal(ring_lu.perm_r, identity)
+    ):
+        tail = slice(n - k, n)
+        schur = ring_lu.L[tail, tail].toarray() @ ring_lu.U[tail, tail].toarray()
+        return np.linalg.solve(schur, coupling[ring].toarray())
+    ring_rows = np.empty((k, coupling.shape[1]), dtype=complex)
+    for start in range(0, coupling.shape[1], _EXTERIOR_BLOCK):
+        block = slice(start, start + _EXTERIOR_BLOCK)
+        ring_rows[:, block] = lu.solve(coupling[:, block].toarray())[ring]
+    return ring_rows
 
 
 class _Exterior:
@@ -686,7 +747,8 @@ class _Exterior:
     ``A_EE`` and the design-independent part of the Schur complement
     ``S = A_II - A_IE A_EE^{-1} A_EI``.  Its correction term is a dense
     ``k x k`` block on the ``k`` border cells the stencil couples to the
-    exterior ring, computed with ``k`` exterior back-substitutions.  ``S``
+    exterior ring, read off a second factor of ``A_EE`` that eliminates the
+    ring last (:func:`_ring_rows`).  ``S``
     is kept as a CSC template whose diagonal a design overwrites, the way
     :func:`_system_template` serves the full operator.
     """
@@ -700,7 +762,8 @@ class _Exterior:
         exterior_rows = matrix[self.exterior]
         self.a_ei = exterior_rows[:, self.interior].tocsr()
         self.a_ie = matrix[self.interior][:, self.exterior].tocsr()
-        self.lu = factor_lu(exterior_rows[:, self.exterior])
+        a_ee = exterior_rows[:, self.exterior].tocsc()
+        self.lu = factor_lu(a_ee)
 
         ring = np.union1d(
             np.flatnonzero(self.a_ei.getnnz(axis=1)), np.flatnonzero(self.a_ie.getnnz(axis=0))
@@ -708,11 +771,7 @@ class _Exterior:
         border = np.union1d(
             np.flatnonzero(self.a_ei.getnnz(axis=0)), np.flatnonzero(self.a_ie.getnnz(axis=1))
         )
-        coupling = self.a_ei[:, border].tocsc()
-        ring_rows = np.empty((ring.size, border.size), dtype=complex)
-        for start in range(0, border.size, _EXTERIOR_BLOCK):
-            block = slice(start, start + _EXTERIOR_BLOCK)
-            ring_rows[:, block] = self.lu.solve(coupling[:, block].toarray())[ring]
+        ring_rows = _ring_rows(a_ee, self.lu, ring, self.a_ei[:, border].tocsc())
         correction = self.a_ie[border][:, ring] @ ring_rows
 
         # curl-curl on the design rectangle (the system template carries an
@@ -744,6 +803,25 @@ class _Exterior:
         data[self.diag_positions] = self.base_diagonal + diagonal
         return sp.csc_matrix((data, self.schur.indices, self.schur.indptr), shape=self.schur.shape)
 
+    def reduce(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(b_I - A_IE y, y)`` with ``y = A_EE^{-1} b_E``, for 1-D or column right-hand sides."""
+        y = self.lu.solve(b[self.exterior])
+        return b[self.interior] - self.a_ie @ y, y
+
+    def recover(self, x_interior: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The full solution from ``x_I``: ``x_E = y - A_EE^{-1} A_EI x_I``."""
+        x = np.empty((self.interior.size + self.exterior.size, *y.shape[1:]), dtype=y.dtype)
+        x[self.interior] = x_interior
+        x[self.exterior] = y - self.lu.solve(self.a_ei @ x_interior)
+        return x
+
+
+def _exterior_digest(exterior_eps: np.ndarray, region: tuple) -> str:
+    """Cache key of an exterior: its permittivity values plus the design region."""
+    digest = hashlib.sha1(eps_fingerprint(exterior_eps).encode())
+    digest.update(repr(region).encode())
+    return digest.hexdigest()
+
 
 class _CondensedLU:
     """Exact solves of ``A(eps_r)`` from a shared :class:`_Exterior` and the LU of ``S``.
@@ -765,14 +843,8 @@ class _CondensedLU:
         return _entry_nbytes(self.lu)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        outer = self.exterior
-        b = np.asarray(b)
-        y = outer.lu.solve(b[outer.exterior])
-        x_interior = self.lu.solve(b[outer.interior] - outer.a_ie @ y)
-        x = np.empty(b.shape, dtype=y.dtype)
-        x[outer.interior] = x_interior
-        x[outer.exterior] = y - outer.lu.solve(outer.a_ei @ x_interior)
-        return x
+        reduced, y = self.exterior.reduce(np.asarray(b))
+        return self.exterior.recover(self.lu.solve(reduced), y)
 
 
 class RefinementError(RuntimeError):
@@ -787,29 +859,35 @@ def iterative_refine(
     delta: np.ndarray,
     matrix: sp.spmatrix | None = None,
     x0: np.ndarray | None = None,
+    b_norms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Iterative refinement of a flat RHS stack ``(n_rhs, n)`` to ``rtol``.
 
-    The recycled tier's inner loop.  ``apply_inverse`` is the exact LU of a
-    reference operator ``M`` and the target is ``A = M + diag(delta)`` (the
-    diagonal drift between Adam iterates), so each sweep is::
+    The inner loop of :class:`RecycledEngine`, on the full grid and on a
+    design region's Schur complement alike.  ``apply_inverse`` is the exact
+    LU of a reference operator ``M`` and the target is ``A = M +
+    diag(delta)`` (the diagonal drift between Adam iterates), so each sweep
+    is::
 
         x += M^{-1} r              # correction through the reference LU
         r <- -delta * correction   # matvec-free residual recurrence
 
-    until every ``||r|| <= rtol * max(||b||, tiny)``.  ``apply_inverse``
-    takes a column matrix (``(n, k)``) like ``SuperLU.solve``; the whole
-    active stack sweeps together through one multi-RHS call.  ``matrix``
-    (``A``) is needed only to form the starting residual of a warm guess
-    ``x0``.  Returns ``(x, sweeps, back_substitutions)``.  Raises
-    :class:`RefinementError` as soon as any active row fails to contract,
-    or when the sweep budget runs out, so the caller can escalate to a
-    stronger solver.
+    until every ``||r|| <= rtol * max(||b||, tiny)``.  ``b_norms`` are the
+    norms the tolerance is relative to, by default those of ``rhs``; a
+    reduced system passes the norms of the full right-hand sides, since its
+    residual is the full one.  ``apply_inverse`` takes a column matrix
+    (``(n, k)``) like ``SuperLU.solve``; the whole active stack sweeps
+    together through one multi-RHS call.  ``matrix`` (``A``) is needed only
+    to form the starting residual of a warm guess ``x0``.  Returns ``(x,
+    sweeps, back_substitutions)``.  Raises :class:`RefinementError` as soon
+    as any active row fails to contract, or when the sweep budget runs out,
+    so the caller can escalate to a stronger solver.
     """
     flat = np.asarray(rhs, dtype=np.complex128)
     if flat.ndim != 2:
         raise ValueError(f"rhs must be a flat stack (n_rhs, n); got shape {flat.shape}")
-    b_norms = np.linalg.norm(flat, axis=1)
+    if b_norms is None:
+        b_norms = np.linalg.norm(flat, axis=1)
     tol = float(rtol) * np.maximum(b_norms, np.finfo(np.float64).tiny)
     if x0 is None:
         x = np.zeros_like(flat)
@@ -984,9 +1062,7 @@ class DirectEngine(SolverEngine):
             self._outside = np.ones(np.shape(exterior_eps), dtype=bool)
             self._outside[design_region] = False
             self._exterior_eps = np.asarray(exterior_eps)[self._outside]
-            digest = hashlib.sha1(eps_fingerprint(self._exterior_eps).encode())
-            digest.update(repr(design_region).encode())
-            self._exterior_fingerprint = digest.hexdigest()
+            self._exterior_fingerprint = _exterior_digest(self._exterior_eps, design_region)
 
     @property
     def fidelity_signature(self) -> tuple:
@@ -1070,6 +1146,64 @@ class _RecycledReference:
         self.last_iterations = 0.0
 
 
+#: ``(grid, omega, exterior)`` sightings a :class:`RecycledEngine` remembers.
+#: An exterior that falls out of the memo is solved on the full grid once more.
+_SIGHTINGS = 64
+
+
+class _Frame:
+    """The unknowns one recycled solve works on: the full grid, or the region's ``S``.
+
+    The recycling loop sees a reference LU, the current matrix and the
+    diagonal drift, all in the frame's unknowns.  On the full grid
+    (``exterior`` None) :meth:`reduce` and :meth:`recover` pass right-hand
+    sides and solutions through.  Over a resident :class:`_Exterior` they are
+    its two exterior back-substitutions, and the loop between them factors,
+    refines and iterates on the Schur complement of the design region only.
+    A ``one_off`` frame (an exterior's first sighting on a region) solves on
+    the full grid and keeps no reference.  Stacks are rows, ``(n_rhs, n)``.
+    """
+
+    __slots__ = ("grid", "omega", "exterior", "one_off", "key", "tag")
+
+    def __init__(
+        self,
+        grid: Grid,
+        omega: float,
+        exterior: _Exterior | None = None,
+        digest: str | None = None,
+        one_off: bool = False,
+    ):
+        self.grid = grid
+        self.omega = omega
+        self.exterior = exterior
+        self.one_off = one_off
+        if exterior is None:
+            self.key, self.tag = (grid, omega), "recycled"
+        else:
+            self.key, self.tag = (grid, omega, digest), "recycled_schur"
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """The frame's unknowns of grid-flat values (last axis)."""
+        return values if self.exterior is None else values[..., self.exterior.interior]
+
+    def factor(self, eps_r: np.ndarray):
+        if self.exterior is None:
+            return factor_lu(assemble_system_matrix(self.grid, self.omega, eps_r))
+        return factor_lu(self.exterior.schur_complement(self.omega, eps_r))
+
+    def reduce(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        if self.exterior is None:
+            return flat, None
+        reduced, y = self.exterior.reduce(flat.T)
+        return reduced.T, y
+
+    def recover(self, x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
+        if self.exterior is None:
+            return x
+        return self.exterior.recover(x.T, y).T
+
+
 class RecycledEngine(SolverEngine):
     """Exact-LU-preconditioned Krylov solves recycled across nearby operators.
 
@@ -1106,12 +1240,27 @@ class RecycledEngine(SolverEngine):
     * otherwise triggers a refactorization: the current permittivity becomes a
       new reference and the batch is solved exactly against its fresh LU.
 
+    Given a device's ``design_region`` (``InverseDesignProblem`` passes its
+    ``design_slice`` for ``engine="recycled"``), the same loop runs on the
+    region only.  The first solve against an exterior (the permittivity
+    outside the region) runs on the full grid; from its second sighting on,
+    the exterior is factored once (the :class:`DirectEngine` exterior, same
+    ``"exterior"`` tag and digest) and every solve *reduces* the right-hand
+    sides to the region (``b_I - A_IE A_EE^{-1} b_E``), recycles on the Schur
+    complement ``S`` (references keyed by ``(grid, omega, exterior)``, their
+    LUs factor only ``S``), and *recovers* ``x_E = A_EE^{-1} (b_E - A_EI
+    x_I)`` exactly.  The full residual then equals the reduced one, so the
+    tolerance is measured against the full ``||b||`` and the contract above
+    holds unchanged.  While the cache has a factorization store the engine
+    stays on the full grid (the store persists only full SuperLU artifacts).
+
     A recycled solve that fails to converge falls back to refactorization, so
     results are always converged to ``rtol`` (or exact).  Warm starts
     (``x0``, threaded from a :class:`SolveWorkspace`) cut the iteration count
     further.  Reference LUs live in the shared :class:`FactorizationCache`
-    under the ``"recycled"`` tag, so ``Simulation.set_permittivity`` eviction
-    and cache-size limits apply to them like to any other factorization.
+    under the ``"recycled"`` tag (``"recycled_schur"`` on a region), so
+    ``Simulation.set_permittivity`` eviction and cache-size limits apply to
+    them like to any other factorization.
     """
 
     name = "recycled"
@@ -1126,6 +1275,7 @@ class RecycledEngine(SolverEngine):
         max_krylov: int = 6,
         max_references: int = 4,
         cache: FactorizationCache | None = None,
+        design_region: tuple[slice, slice] | None = None,
     ):
         if max_references < 1:
             raise ValueError(f"max_references must be at least 1, got {max_references}")
@@ -1136,8 +1286,11 @@ class RecycledEngine(SolverEngine):
         self.max_krylov = int(max_krylov)
         self.max_references = int(max_references)
         self.cache = cache if cache is not None else default_factorization_cache
+        self.design_region = design_region
         self._references: dict[tuple, OrderedDict[str, _RecycledReference]] = {}
         self._scratch: dict[tuple, sp.csr_matrix] = {}
+        # The (grid, omega, exterior digest) triples solved against so far.
+        self._sightings = BoundedCache(_SIGHTINGS)
         self.stats = RecycleStats()
 
     @property
@@ -1147,7 +1300,7 @@ class RecycledEngine(SolverEngine):
         return (self.name, self.rtol)
 
     # -- reference bookkeeping --------------------------------------------------
-    def _lu(self, grid: Grid, omega: float, reference: _RecycledReference):
+    def _lu(self, frame: _Frame, reference: _RecycledReference):
         """The reference LU, shared (and evictable) through the cache.
 
         Counting factorizations here (not in :meth:`_refactorize`) keeps the
@@ -1156,16 +1309,16 @@ class RecycledEngine(SolverEngine):
 
         def build():
             self.stats.factorizations += 1
-            return factor_lu(assemble_system_matrix(grid, omega, reference.eps))
+            return frame.factor(reference.eps)
 
         # The reference permittivity travels with the published LU so other
         # processes can adopt the reference itself (see warm_from_store).
         return self.cache.get_or_build(
-            grid,
-            omega,
+            frame.grid,
+            frame.omega,
             reference.fingerprint,
             build,
-            tag="recycled",
+            tag=frame.tag,
             store_payload=lambda: {"eps": reference.eps},
         )
 
@@ -1204,6 +1357,27 @@ class RecycledEngine(SolverEngine):
                 break
         return adopted
 
+    def _frame(self, grid: Grid, omega: float, eps_r: np.ndarray) -> _Frame:
+        """The full grid, or the region's ``S`` once this exterior is seen again."""
+        omega = float(omega)
+        if self.design_region is None or self.cache.store is not None:
+            return _Frame(grid, omega)
+        outside = np.ones(grid.shape, dtype=bool)
+        outside[self.design_region] = False
+        digest = _exterior_digest(eps_r[outside], self.design_region)
+        sighting = (grid, omega, digest)
+        if self._sightings.get(sighting) is None:
+            self._sightings.put(sighting, True)
+            return _Frame(grid, omega, one_off=True)
+        exterior = self.cache.get_or_build(
+            grid,
+            omega,
+            digest,
+            lambda: _Exterior(grid, omega, eps_r, self.design_region),
+            tag="exterior",
+        )
+        return _Frame(grid, omega, exterior, digest)
+
     @staticmethod
     def _nearest_reference(
         references: OrderedDict[str, _RecycledReference], eps_r: np.ndarray
@@ -1217,77 +1391,84 @@ class RecycledEngine(SolverEngine):
                 best, best_drift = reference, drift
         return best, best_drift
 
-    def _system_matrix(self, grid: Grid, omega: float, eps_r: np.ndarray) -> sp.csr_matrix:
-        """The current operator, diagonal refreshed in place per solve."""
-        key = (grid, float(omega))
-        scratch = self._scratch.get(key)
+    def _system_matrix(self, frame: _Frame, eps_r: np.ndarray) -> sp.spmatrix:
+        """The current operator in the frame's unknowns.
+
+        On the full grid one scratch matrix per ``(grid, omega)`` has its
+        diagonal refreshed in place per solve.
+        """
+        if frame.exterior is not None:
+            return frame.exterior.schur_complement(frame.omega, eps_r)
+        scratch = self._scratch.get(frame.key)
         if scratch is None:
-            self._scratch[key] = scratch = assemble_system_matrix(grid, omega, eps_r)
+            self._scratch[frame.key] = scratch = assemble_system_matrix(
+                frame.grid, frame.omega, eps_r
+            )
             return scratch
-        return update_system_diagonal(scratch, grid, omega, eps_r)
+        return update_system_diagonal(scratch, frame.grid, frame.omega, eps_r)
 
     def _reference_solve(
-        self, grid: Grid, omega: float, reference: _RecycledReference, rhs: np.ndarray
+        self, frame: _Frame, reference: _RecycledReference, rhs: np.ndarray
     ) -> np.ndarray:
         """Solve at the reference permittivity itself: one exact back-substitution."""
-        solutions = self._lu(grid, omega, reference).solve(rhs.reshape(rhs.shape[0], -1).T)
-        return np.ascontiguousarray(solutions.T).reshape(rhs.shape)
+        return self._lu(frame, reference).solve(rhs.T).T
 
     def _refactorize(
         self,
         references: OrderedDict[str, _RecycledReference],
-        grid: Grid,
-        omega: float,
+        frame: _Frame,
         eps_r: np.ndarray,
         fingerprint: str,
         rhs: np.ndarray,
     ) -> np.ndarray:
+        if frame.one_off:
+            # An exterior's first sighting on a region: its next solve
+            # condenses, so a full-grid reference would never be used again.
+            self.stats.factorizations += 1
+            return frame.factor(eps_r).solve(rhs.T).T
         reference = _RecycledReference(fingerprint, eps_r)
         references[fingerprint] = reference
         while len(references) > self.max_references:
             stale_fp, _ = references.popitem(last=False)
-            self.cache.evict(grid, omega, stale_fp, tag="recycled")
-        return self._reference_solve(grid, omega, reference, rhs)
+            self.cache.evict(frame.grid, frame.omega, stale_fp, tag=frame.tag)
+        return self._reference_solve(frame, reference, rhs)
 
     def _krylov_solve(
-        self,
-        grid: Grid,
-        omega: float,
-        eps_r: np.ndarray,
-        rhs: np.ndarray,
-        reference: _RecycledReference,
-        x0: np.ndarray | None,
+        self, lu, matrix, rhs: np.ndarray, full_rhs: np.ndarray, x0: np.ndarray | None
     ) -> tuple[np.ndarray | None, float]:
-        """LU-preconditioned BiCGStab; ``(None, inf)`` on non-convergence."""
-        matrix = self._system_matrix(grid, omega, eps_r)
-        lu = self._lu(grid, omega, reference)
+        """LU-preconditioned BiCGStab; ``(None, inf)`` on non-convergence.
+
+        Converged means ``||r|| <= rtol ||b||`` for the full right-hand side
+        ``b`` (a row of ``full_rhs``), which on a region is the same bound on
+        the full residual.
+        """
         preconditioner = spla.LinearOperator(matrix.shape, lu.solve, dtype=complex)
         solutions = np.empty_like(rhs)
         worst = 0
-        for index, b in enumerate(rhs.reshape(rhs.shape[0], -1)):
+        for index, b in enumerate(rhs):
             iterations = [0]
 
             def callback(_):
                 iterations[0] += 1
 
-            guess = None if x0 is None else np.asarray(x0[index], dtype=complex).ravel()
             x, info = spla.bicgstab(
-                matrix, b, x0=guess, rtol=self.rtol, maxiter=self.maxiter,
+                matrix, b, x0=None if x0 is None else x0[index], rtol=0.0,
+                atol=self.rtol * np.linalg.norm(full_rhs[index]), maxiter=self.maxiter,
                 M=preconditioner, callback=callback,
             )
             if info != 0:
                 return None, float("inf")
-            solutions[index] = x.reshape(grid.shape)
+            solutions[index] = x
             self.stats.krylov_iterations += iterations[0]
             worst = max(worst, iterations[0])
         return solutions, float(worst)
 
     def _recycled_solve(
         self,
-        grid: Grid,
-        omega: float,
+        frame: _Frame,
         eps_r: np.ndarray,
         rhs: np.ndarray,
+        full_rhs: np.ndarray,
         reference: _RecycledReference,
         x0: np.ndarray | None,
     ) -> tuple[np.ndarray | None, float]:
@@ -1297,34 +1478,48 @@ class RecycledEngine(SolverEngine):
         so refinement against the exact reference LU runs the matvec-free
         residual recurrence and converges linearly at rate
         ``rho(A_ref^{-1} diag(delta))``.  A stall or the sweep cap escalates
-        to Krylov against the same LU.
+        to Krylov against the same LU.  On a region ``A``, ``A_ref`` and
+        ``delta`` are ``S``, ``S_ref`` and the drift inside the region (the
+        exterior is shared, so ``S - S_ref`` is that same diagonal).
         """
-        lu = self._lu(grid, omega, reference)
-        matrix = None if x0 is None else self._system_matrix(grid, omega, eps_r)
-        delta = (omega**2 * EPSILON_0 * (eps_r.ravel() - reference.eps.ravel())).astype(complex)
+        lu = self._lu(frame, reference)
+        matrix = self._system_matrix(frame, eps_r)
+        drift = eps_r.ravel() - reference.eps.ravel()
+        delta = (frame.omega**2 * EPSILON_0 * drift).astype(complex)
         try:
             x, sweeps, back_substitutions = iterative_refine(
                 lu.solve,
-                rhs.reshape(rhs.shape[0], -1),
+                rhs,
                 self.rtol,
                 self.max_sweeps,
-                delta,
+                frame.restrict(delta),
                 matrix=matrix,
                 x0=x0,
+                b_norms=np.linalg.norm(full_rhs, axis=1),
             )
         except RefinementError:
             pass
         else:
             self.stats.krylov_iterations += back_substitutions
-            return x.reshape(rhs.shape), float(sweeps)
-        return self._krylov_solve(grid, omega, eps_r, rhs, reference, x0)
+            return x, float(sweeps)
+        return self._krylov_solve(lu, matrix, rhs, full_rhs, x0)
 
     # -- the solve ---------------------------------------------------------------
     def solve_batch(self, grid, omega, eps_r, rhs, fingerprint=None, x0=None):
         eps_r, rhs = self._check_batch(grid, eps_r, rhs)
         if fingerprint is None:
             fingerprint = eps_fingerprint(eps_r)
-        references = self._references.setdefault((grid, float(omega)), OrderedDict())
+        frame = self._frame(grid, omega, eps_r)
+        full_rhs = rhs.reshape(rhs.shape[0], -1)
+        reduced, carry = frame.reduce(full_rhs)
+        if x0 is not None:
+            x0 = frame.restrict(np.asarray(x0, dtype=complex).reshape(full_rhs.shape))
+        solutions = self._solve_reduced(frame, eps_r, fingerprint, reduced, full_rhs, x0)
+        return np.ascontiguousarray(frame.recover(solutions, carry)).reshape(rhs.shape)
+
+    def _solve_reduced(self, frame, eps_r, fingerprint, rhs, full_rhs, x0) -> np.ndarray:
+        """Reference hit, recycled solve or refactorization, in the frame's unknowns."""
+        references = self._references.setdefault(frame.key, OrderedDict())
 
         reference = references.get(fingerprint)
         if reference is not None:
@@ -1332,7 +1527,7 @@ class RecycledEngine(SolverEngine):
             # waveguide): a pure back-substitution, exact like DirectEngine.
             references.move_to_end(fingerprint)
             self.stats.exact_solves += 1
-            return self._reference_solve(grid, omega, reference, rhs)
+            return self._reference_solve(frame, reference, rhs)
 
         reference, drift = self._nearest_reference(references, eps_r)
         if (
@@ -1340,16 +1535,18 @@ class RecycledEngine(SolverEngine):
             or drift > self.drift_threshold
             or reference.last_iterations > self.max_krylov
         ):
-            return self._refactorize(references, grid, omega, eps_r, fingerprint, rhs)
+            return self._refactorize(references, frame, eps_r, fingerprint, rhs)
 
-        solutions, iterations = self._recycled_solve(grid, omega, eps_r, rhs, reference, x0)
+        solutions, iterations = self._recycled_solve(
+            frame, eps_r, rhs, full_rhs, reference, x0
+        )
         if solutions is None:
             # Neither refinement nor Krylov converged: the reference no longer
             # preconditions well.  Refactorize at the current permittivity —
             # the result stays exact.
             self.stats.fallbacks += 1
             reference.last_iterations = float("inf")
-            return self._refactorize(references, grid, omega, eps_r, fingerprint, rhs)
+            return self._refactorize(references, frame, eps_r, fingerprint, rhs)
         reference.last_iterations = iterations
         self.stats.recycled_solves += 1
         return solutions
@@ -1448,6 +1645,14 @@ def load_engine_tiers() -> None:
             pass
 
 
+def _named_factory(engine):
+    """The registry factory a plain engine name selects (None for anything else)."""
+    if not isinstance(engine, str):
+        return None
+    key, spec = split_engine_name(engine)
+    return _ENGINE_FACTORIES.get(key) if spec is None else None
+
+
 def selects_direct(engine) -> bool:
     """Whether an engine argument selects the plain exact tier.
 
@@ -1455,12 +1660,15 @@ def selects_direct(engine) -> bool:
     (``"direct"``, ``"superlu"``, ``"high"``); False for engine instances
     and every other name.
     """
-    if engine is None:
-        return True
-    if not isinstance(engine, str):
-        return False
-    key, spec = split_engine_name(engine)
-    return spec is None and _ENGINE_FACTORIES.get(key) is DirectEngine
+    return engine is None or _named_factory(engine) is DirectEngine
+
+
+def selects_recycled(engine) -> bool:
+    """Whether an engine argument is a registry name of :class:`RecycledEngine`.
+
+    False for engine instances, which callers use as given.
+    """
+    return _named_factory(engine) is RecycledEngine
 
 
 def make_engine(name: str, **kwargs) -> SolverEngine:

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.devices.base import Device
-from repro.fdfd.engine import SolveWorkspace
+from repro.fdfd.engine import SolveWorkspace, make_engine, selects_recycled
 from repro.invdes.adjoint import (
     FieldBackend,
     NumericalFieldBackend,
@@ -71,8 +71,12 @@ class InverseDesignProblem:
         the default numerical backend — the one-line solver swap.
         ``engine="recycled"`` is the optimization-loop tier: consecutive
         iterations refine against the previous factorization (BiCGStab
-        preconditioned by it as the fallback) instead of refactorizing.  Ignored when an explicit
-        ``backend`` is given.
+        preconditioned by it as the fallback) instead of refactorizing.
+        Given by that name, it is built with the device's design region, so
+        from an exterior's second solve on it factors and refines only the
+        region's Schur complement against an exterior factored once (see
+        :class:`~repro.fdfd.engine.RecycledEngine`).  Engine instances are
+        used as given.  Ignored when an explicit ``backend`` is given.
     workspace:
         Optional :class:`~repro.fdfd.engine.SolveWorkspace`.  By default the
         problem creates one and shares it with the backend, so warm-startable
@@ -103,6 +107,8 @@ class InverseDesignProblem:
         explicit_workspace = workspace is not None
         self.workspace = workspace if explicit_workspace else SolveWorkspace()
         if backend is None:
+            if selects_recycled(engine):
+                engine = make_engine(engine, design_region=device.geometry.design_slice)
             backend = NumericalFieldBackend(engine=engine, workspace=self.workspace)
         elif hasattr(backend, "workspace"):
             if not explicit_workspace and backend.workspace is not None:

@@ -1,4 +1,4 @@
-"""Condensed exact solves: the design-region Schur complement path of ``DirectEngine``.
+"""Condensed solves: the design-region Schur complement paths of the engines.
 
 A ``DirectEngine`` given a device's design region factors the fixed exterior
 once and each design's condensed operator on the region.  These tests pin
@@ -6,6 +6,12 @@ that the condensed factor solves the same systems as the full LU (every zoo
 device, two grids, forward and adjoint right-hand sides, Kerr fixed points),
 that operators outside its rule (exterior changed, store attached) are
 factored in full, and that label extraction actually takes the path.
+
+A ``RecycledEngine`` given the region recycles on the Schur complement from
+an exterior's second sighting on.  Its tests pin the full-system residual of
+every path (reference hit, refinement, BiCGStab, refactorization), exterior
+residency in the cache, the one-off rule, the store fallback and the
+optimization loop's FoM history against exact solves.
 """
 
 import numpy as np
@@ -16,17 +22,22 @@ from repro.data.generator import DatasetGenerator, GeneratorConfig
 from repro.data.labels import extract_labels_batch
 from repro.devices.factory import available_devices, make_device
 from repro.fabrication.drift import TemperatureDrift
+import repro.fdfd.engine as engine_module
 from repro.fdfd.engine import (
     DirectEngine,
     FactorizationCache,
+    RecycledEngine,
+    RefinementError,
     assemble_system_matrix,
     default_factorization_cache,
     eps_fingerprint,
     factor_lu,
     selects_direct,
+    selects_recycled,
 )
 from repro.fdfd.nonlinear import KerrNonlinearity
 from repro.fdfd.simulation import Simulation, normalization_geometry
+from repro.invdes import AdjointOptimizer, InverseDesignProblem, RobustInverseDesignProblem
 from repro.invdes.adjoint import Sweep
 from repro.service.cache_store import FileFactorizationStore
 
@@ -81,6 +92,29 @@ def test_condensed_factor_matches_full_lu(name, dl):
         assert _relative(condensed.solve(adjoint), full.solve(adjoint)) <= 1e-10
         stack = np.stack([forward, adjoint], axis=1)
         assert _relative(condensed.solve(stack), full.solve(stack)) <= 1e-10
+
+
+@pytest.mark.parametrize("name,dl", [("bending", 0.05), ("wdm", 0.08)])
+def test_ring_last_factor_matches_back_substitutions(name, dl, monkeypatch):
+    """The Schur template read off the ring-last factor equals the k-solve one."""
+    device = make_device(name, dl=dl, **DEVICE_SIZE)
+    eps = device.eps_with_design(np.random.default_rng(4).uniform(0, 1, device.design_shape))
+    omega = wavelength_to_omega(device.specs[0].wavelength)
+    region = device.geometry.design_slice
+    fast = engine_module._Exterior(device.grid, omega, eps, region)
+    splu = engine_module.spla.splu
+    natural = []
+
+    def no_natural_order(matrix, **kwargs):
+        if kwargs.get("permc_spec") == "NATURAL":
+            natural.append(matrix.shape)
+            raise RuntimeError("Factor is exactly singular")
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(engine_module.spla, "splu", no_natural_order)
+    slow = engine_module._Exterior(device.grid, omega, eps, region)
+    assert natural == [fast.lu.shape]
+    assert _relative(fast.schur.toarray(), slow.schur.toarray()) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["kerr_switch", "kerr_limiter"])
@@ -196,3 +230,195 @@ def test_cache_size_env_var_is_named_in_the_error(monkeypatch):
         monkeypatch.setenv("REPRO_FACTORIZATION_CACHE_SIZE", raw)
         with pytest.raises(ValueError, match=f"REPRO_FACTORIZATION_CACHE_SIZE={raw!r}"):
             FactorizationCache()
+
+
+# --------------------------------------------------------------------------- #
+# recycling on the Schur complement
+# --------------------------------------------------------------------------- #
+def _region_recycled(device, cache=None, **kwargs) -> RecycledEngine:
+    return RecycledEngine(
+        cache=cache if cache is not None else FactorizationCache(),
+        design_region=device.geometry.design_slice,
+        **kwargs,
+    )
+
+
+def _drifted(device, density, rng, scale):
+    return device.eps_with_design(np.clip(density + scale * rng.normal(size=density.shape), 0, 1))
+
+
+def _assert_full_residual(grid, omega, eps, rhs, solution, rtol):
+    """``||A x - b|| <= rtol ||b||`` per right-hand side, with the assembled ``A``."""
+    matrix = assemble_system_matrix(grid, omega, eps)
+    for b, x in zip(rhs.reshape(rhs.shape[0], -1), solution.reshape(rhs.shape[0], -1)):
+        residual = np.linalg.norm(matrix @ x - b)
+        assert residual <= rtol * np.linalg.norm(b) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "name,dl", PARITY_CASES, ids=[f"{name}-dl{dl:.2f}" for name, dl in PARITY_CASES]
+)
+def test_condensed_recycling_meets_the_full_residual(name, dl, monkeypatch):
+    """Every path of a region solve converges on the full system, not just on ``S``."""
+    device = make_device(name, dl=dl, **DEVICE_SIZE)
+    grid = device.grid
+    rng = np.random.default_rng(7)
+    density = rng.uniform(0.0, 1.0, device.design_shape)
+    eps = device.eps_with_design(density)
+    spec = device.specs[0]
+    omega = wavelength_to_omega(spec.wavelength)
+    sim = Simulation(grid, eps, spec.wavelength, device.geometry.ports)
+    forward = 1j * omega * sim.mode_source(spec.source_port, spec.source_mode)
+    noise = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    rhs = np.stack([forward, noise * np.abs(forward).max()])
+    engine = _region_recycled(device)
+    stats = engine.stats
+
+    def solve(eps_r, counter):
+        before = getattr(stats, counter)
+        solution = engine.solve_batch(grid, omega, eps_r, rhs)
+        assert getattr(stats, counter) == before + 1, counter
+        _assert_full_residual(grid, omega, eps_r, rhs, solution, engine.rtol)
+        return solution
+
+    solve(eps, "factorizations")  # first sighting: full grid, nothing kept
+    assert _tags(engine.cache) == set()
+    solve(eps, "factorizations")  # second sighting: a reference on S
+    assert _tags(engine.cache) == {"exterior", "recycled_schur"}
+    solve(eps, "exact_solves")
+    solve(_drifted(device, density, rng, 0.01), "recycled_solves")
+
+    def no_refinement(*args, **kwargs):
+        raise RefinementError("forced")
+
+    monkeypatch.setattr(engine_module, "iterative_refine", no_refinement)
+    krylov = stats.krylov_iterations
+    solve(_drifted(device, density, rng, 0.01), "recycled_solves")
+    assert stats.krylov_iterations > krylov
+    monkeypatch.undo()
+
+    far = device.eps_with_design(rng.uniform(0.0, 1.0, device.design_shape))
+    solve(far, "factorizations")  # drift beyond the threshold
+    assert stats.fallbacks == 0
+    keys = engine.cache.keys()
+    assert [key[3] for key in keys].count("exterior") == 1
+    assert all(key[3] in ("exterior", "recycled_schur") for key in keys)
+
+
+class _CountingExterior(engine_module._Exterior):
+    built: list = []
+
+    def __init__(self, grid, omega, eps_r, region):
+        super().__init__(grid, omega, eps_r, region)
+        outside = np.ones(grid.shape, dtype=bool)
+        outside[region] = False
+        self.built.append((float(omega), eps_r[outside].copy()))
+
+
+@pytest.fixture
+def counting_exteriors(monkeypatch):
+    """Record every exterior built, in a fresh default cache."""
+    monkeypatch.setattr(engine_module, "_Exterior", _CountingExterior)
+    monkeypatch.setattr(_CountingExterior, "built", [])
+    monkeypatch.setattr(engine_module, "default_factorization_cache", FactorizationCache())
+    return _CountingExterior.built
+
+
+class TestExteriorResidency:
+    def test_exteriors_survive_churn_under_other_tags(self):
+        cache = FactorizationCache(maxsize=2)
+        grid = make_device("bending", dl=0.1, **DEVICE_SIZE).grid
+        for index in range(2):
+            cache.get_or_build(grid, 1.0, f"outer{index}", lambda: object(), tag="exterior")
+        tags = ("direct", "condensed", "recycled", "recycled_schur")
+        for index in range(3 * cache.maxsize):
+            cache.get_or_build(grid, 1.0, f"fp{index}", lambda: object(), tag=tags[index % 4])
+        assert cache.stats.evictions == 3 * cache.maxsize - cache.maxsize
+
+        def unexpected_build():
+            raise AssertionError("a resident exterior was rebuilt")
+
+        hits = cache.stats.hits
+        for index in range(2):
+            cache.get_or_build(grid, 1.0, f"outer{index}", unexpected_build, tag="exterior")
+        assert cache.stats.hits == hits + 2
+        # A third exterior evicts the least recently used exterior only.
+        cache.get_or_build(grid, 1.0, "outer2", lambda: object(), tag="exterior")
+        assert cache.peek(grid, 1.0, "outer0", tag="exterior") is None
+        assert len(cache) == 2 * cache.maxsize
+
+    def test_robust_corners_build_three_exteriors(self, counting_exteriors):
+        device = make_device("bending", dl=0.1, **DEVICE_SIZE)
+        problem = RobustInverseDesignProblem(InverseDesignProblem(device, engine="recycled"))
+        optimizer = AdjointOptimizer(problem, learning_rate=0.2)
+        optimizer.run(problem.initial_theta("waveguide"), iterations=3)
+        # Nominal, the wavelength-shifted omega and the temperature corner;
+        # the fabrication corners share the nominal exterior.
+        assert len(counting_exteriors) == 3
+        assert len({omega for omega, _ in counting_exteriors}) == 2
+        engine = problem.base_problem.backend.engine
+        assert [key[3] for key in engine.cache.keys()].count("exterior") == 3
+
+
+def test_normalization_guide_never_builds_an_exterior(counting_exteriors):
+    device = make_device("bending", dl=0.1, **DEVICE_SIZE)
+    problem = InverseDesignProblem(device, engine="recycled")
+    AdjointOptimizer(problem, learning_rate=0.2).run(
+        problem.initial_theta("waveguide"), iterations=3
+    )
+    outside = np.ones(device.grid.shape, dtype=bool)
+    outside[device.geometry.design_slice] = False
+    assert len(counting_exteriors) == 1
+    _, exterior = counting_exteriors[0]
+    np.testing.assert_array_equal(exterior, device.geometry.eps_background[outside])
+
+
+def test_store_keeps_the_recycled_engine_on_the_full_grid(tmp_path):
+    device = make_device("bending", dl=0.1, **DEVICE_SIZE)
+    cache = FactorizationCache(store=FileFactorizationStore(tmp_path / "store"))
+    engine = _region_recycled(device, cache=cache)
+    rng = np.random.default_rng(3)
+    density = rng.uniform(0.0, 1.0, device.design_shape)
+    omega = wavelength_to_omega(device.specs[0].wavelength)
+    rhs = np.ones((1, *device.grid.shape), dtype=complex)
+    for scale in (0.0, 0.01, 0.02):
+        eps = _drifted(device, density, rng, scale)
+        solution = engine.solve_batch(device.grid, omega, eps, rhs)
+        _assert_full_residual(device.grid, omega, eps, rhs, solution, engine.rtol)
+    assert _tags(cache) == {"recycled"}
+    assert engine.stats.recycled_solves == 2
+    artifacts = [path.name for path in (tmp_path / "store").glob("*.fact")]
+    assert artifacts and all(name.startswith("recycled-") for name in artifacts)
+
+
+def test_problem_gives_the_named_recycled_tier_the_design_region(tiny_bend):
+    assert selects_recycled("recycled") and selects_recycled(" Recycled ")
+    assert not selects_recycled(None) and not selects_recycled("direct")
+    named = InverseDesignProblem(tiny_bend, engine="recycled").backend.engine
+    assert named.design_region == tiny_bend.geometry.design_slice
+    instance = RecycledEngine(cache=FactorizationCache())
+    assert InverseDesignProblem(tiny_bend, engine=instance).backend.engine is instance
+    assert instance.design_region is None
+
+
+def test_quickstart_loop_foms_match_exact_solves():
+    """The quickstart loop at the perfbench scale: FoM histories agree to 1e-6."""
+    device = make_device("bending", fidelity="high", domain=3.5, design_size=1.8)
+    engines = {
+        "direct": DirectEngine(cache=FactorizationCache()),
+        "full_grid": RecycledEngine(cache=FactorizationCache()),
+        "region": "recycled",
+    }
+    foms = {}
+    for label, engine in engines.items():
+        problem = InverseDesignProblem(device, engine=engine)
+        optimizer = AdjointOptimizer(
+            problem, learning_rate=0.2, beta_schedule={0: 4.0, 10: 8.0, 20: 16.0}
+        )
+        foms[label] = np.asarray(
+            optimizer.run(problem.initial_theta("waveguide"), iterations=20).foms
+        )
+        if label == "region":
+            assert "recycled_schur" in _tags(problem.backend.engine.cache)
+    assert np.max(np.abs(foms["region"] - foms["direct"])) <= 1e-6
+    assert np.max(np.abs(foms["region"] - foms["full_grid"])) <= 1e-6
