@@ -12,10 +12,11 @@ and refines only the region's Schur complement against a resident exterior.
 
 For each benchmark device the same optimization (same ``theta0``, same
 learning rate, same iteration count) runs once per engine; reported are
-iterations/sec, total wall-clock, and — so speed never silently buys wrong
-gradients — a gradient-fidelity column: the cosine similarity between the
-recycled and direct gradients at the final iterate, and the relative drift of
-the final figure of merit.
+iterations/sec and total wall-clock (the median of interleaved cold
+repeats, each repeat's wall clock kept in the record), and — so speed never
+silently buys wrong gradients — a gradient-fidelity column: the cosine
+similarity between the recycled and direct gradients at the final iterate,
+and the relative drift of the final figure of merit.
 
 Run directly (``python benchmarks/bench_invdes.py``; ``--quick`` for the CI
 smoke variant) or through pytest.  Emits the standard ``BENCH_invdes.json``.
@@ -48,7 +49,9 @@ DEVICES = ({"name": "bending", "dl": 0.05}, {"name": "crossing", "dl": 0.05})
 DEVICE_KWARGS = dict(domain=4.0, design_size=2.0)
 ENGINES = ("direct", "recycled")
 ITERATIONS = 16
-REPEATS = 2
+#: Cold runs per engine, interleaved direct/recycled so the host's fast and
+#: slow phases hit both arms alike; the median wall clock of each is kept.
+REPEATS = 5
 LEARNING_RATE = 0.02
 
 
@@ -65,24 +68,19 @@ def _fresh_engine(name: str, device):
     return make_engine(name, cache=FactorizationCache())
 
 
-def _run_optimization(device_spec: dict, engine_name: str, iterations: int, repeats=REPEATS):
-    """Best-of-``repeats`` full optimizer runs (deterministic trajectory).
+def _run_optimization(device_spec: dict, engine_name: str, iterations: int):
+    """One cold optimizer run (fresh engine, fresh caches): ``(wall, trajectory, problem)``.
 
-    Each repeat starts cold: fresh engine, fresh caches.  Repeating and
-    keeping the best wall-clock filters scheduler noise out of the recorded
-    iterations/sec, exactly like the engine-throughput benchmark does.
+    The trajectory is deterministic, so repeats differ in wall clock only.
     """
     device = make_device(device_spec["name"], dl=device_spec["dl"], **DEVICE_KWARGS)
-    best, trajectory, problem = float("inf"), None, None
-    for _ in range(repeats):
-        _simulation._NORMALIZATION_CACHE.clear()
-        problem = InverseDesignProblem(device, engine=_fresh_engine(engine_name, device))
-        optimizer = AdjointOptimizer(problem, learning_rate=LEARNING_RATE)
-        theta0 = problem.initial_theta("waveguide")
-        start = time.perf_counter()
-        trajectory = optimizer.run(theta0=theta0, iterations=iterations)
-        best = min(best, time.perf_counter() - start)
-    return best, trajectory, problem
+    _simulation._NORMALIZATION_CACHE.clear()
+    problem = InverseDesignProblem(device, engine=_fresh_engine(engine_name, device))
+    optimizer = AdjointOptimizer(problem, learning_rate=LEARNING_RATE)
+    theta0 = problem.initial_theta("waveguide")
+    start = time.perf_counter()
+    trajectory = optimizer.run(theta0=theta0, iterations=iterations)
+    return time.perf_counter() - start, trajectory, problem
 
 
 def _gradient_fidelity(device_spec: dict, theta: np.ndarray) -> float:
@@ -113,14 +111,23 @@ def run_benchmark(devices=DEVICES, iterations=ITERATIONS, record_name="invdes") 
     """Time every engine on every device and return the record dict."""
     results = []
     for device_spec in devices:
+        walls: dict[str, list[float]] = {name: [] for name in ENGINES}
+        runs = {}
+        for _ in range(REPEATS):
+            for engine_name in ENGINES:
+                elapsed, trajectory, problem = _run_optimization(
+                    device_spec, engine_name, iterations
+                )
+                walls[engine_name].append(elapsed)
+                runs[engine_name] = trajectory, problem
         per_engine: dict[str, dict] = {}
         final_theta = None
         for engine_name in ENGINES:
-            elapsed, trajectory, problem = _run_optimization(
-                device_spec, engine_name, iterations
-            )
+            trajectory, problem = runs[engine_name]
+            elapsed = float(np.median(walls[engine_name]))
             entry = {
                 "wall_clock_s": elapsed,
+                "wall_clock_samples_s": walls[engine_name],
                 "iterations_per_s": (iterations + 1) / elapsed,
                 "final_fom": float(trajectory[-1].fom),
             }

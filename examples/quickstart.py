@@ -43,8 +43,11 @@ def main() -> None:
     #    re-factorizing the Maxwell operator every Adam step, it recycles the
     #    previous factorization (plus warm-started solves), and since a step
     #    only moves the design pixels, it factors and refines just the design
-    #    region against a device exterior factored once.  Gradients match
-    #    exact solves to the solver tolerance.  Drop the argument (exact
+    #    region against a device exterior factored once.  The exterior is
+    #    also summarized at the ports, so each step computes fields only on
+    #    the design region and the port lines; a full field map is recovered
+    #    when read.  Gradients match exact solves to the solver tolerance.
+    #    Drop the argument (exact
     #    direct solves) or pass engine="neural:<checkpoint.npz>" to pick
     #    another solver tier.
     problem = InverseDesignProblem(device, engine="recycled")

@@ -58,10 +58,12 @@ from typing import ClassVar
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 from repro.constants import EPSILON_0, MU_0
 from repro.fdfd.derivatives import derivative_operators
 from repro.fdfd.grid import Grid
+from repro.fdfd.lazy import Deferred
 from repro.utils.cache import BoundedCache
 
 __all__ = [
@@ -690,51 +692,91 @@ def factor_lu(matrix: sp.spmatrix) -> spla.SuperLU:
 # --------------------------------------------------------------------------- #
 # design-region condensation: the fixed exterior factored once per device
 # --------------------------------------------------------------------------- #
-#: Columns of ``A_EE^{-1} A_EI`` back-substituted at a time when an exterior
-#: is built without its ring-last factor.  Only their ring rows are kept, so
-#: the transient is one
-#: ``(n_E, 32)`` block (~4 MB on a 104^2 grid), not the full ``(n_E, k)``.
+#: Columns of ``A_EE^{-1} A_EI`` (and of ``A_EE^{-1}`` on the tail, for a
+#: port block) back-substituted at a time when an exterior is built without
+#: its ring-last factor.  Only their tail rows are kept, so the transient is
+#: one ``(n_E, 32)`` block (~4 MB on a 104^2 grid), not the full ``(n_E, k)``.
 _EXTERIOR_BLOCK = 32
 
 
-def _ring_rows(a_ee: sp.csc_matrix, lu, ring: np.ndarray, coupling: sp.csc_matrix) -> np.ndarray:
-    """``(A_EE^{-1} coupling)[ring]`` for coupling columns supported on the ring.
+def _lu_inverse(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``(L U)^{-1} = U^{-1} L^{-1}`` of dense unit-lower ``L`` and upper ``U``, in their memory.
 
-    Refactoring ``A_EE`` with the ring ordered after every other cell (those
-    in ``lu``'s fill-reducing order) makes the trailing ``k x k`` block
-    ``L22 U22`` of the new factor the Schur complement of ``A_EE`` onto the
-    ring, whose inverse is the ring block of ``A_EE^{-1}``.  One
-    factorization and one dense ``k x k`` solve then replace ``k``
-    back-substitutions through the exterior (on a 104^2 grid, 2-CPU host:
-    ~60 ms against ~150 ms).  When the pivot-free factor fails its probe or
-    SuperLU moves a pivot, the back-substitutions run instead.
+    Two in-place triangular inversions and an in-place triangular product
+    keep two ``t x t`` arrays alive, where forming ``L U`` and inverting it
+    would hold three.  Both arguments (Fortran-ordered) are overwritten.
+    """
+    lower, info_lower = lapack.ztrtri(lower, lower=1, unitdiag=1, overwrite_c=1)
+    upper, info_upper = lapack.ztrtri(upper, lower=0, overwrite_c=1)
+    if info_lower or info_upper:
+        raise np.linalg.LinAlgError("singular trailing block of an exterior factor")
+    return blas.ztrmm(1.0, upper, lower, overwrite_b=1)
+
+
+def _ring_rows(
+    a_ee: sp.csc_matrix,
+    lu,
+    ring: np.ndarray,
+    coupling: sp.csc_matrix,
+    ports: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(A_EE^{-1} coupling)[ring]`` for coupling columns supported on the ring, and the tail block.
+
+    Refactoring ``A_EE`` with the tail ``T`` (the ring, then the ``ports``
+    not on it) ordered after every other cell (those in ``lu``'s
+    fill-reducing order) makes the trailing ``t x t`` block ``L22 U22`` of
+    the new factor the Schur complement of ``A_EE`` onto ``T``, whose
+    inverse is ``(A_EE^{-1})[T, T]``.  One factorization and one dense
+    ``t x t`` solve then replace ``k`` back-substitutions through the
+    exterior (on a 104^2 grid, 2-CPU host: ~60 ms against ~150 ms).  Given
+    ``ports`` (exterior positions), that inverse is returned as the second
+    value, rows and columns in tail order; without them the second value is
+    None.  When the pivot-free factor fails its probe or SuperLU moves a
+    pivot, back-substitutions in :data:`_EXTERIOR_BLOCK` chunks run instead.
     """
     n, k = a_ee.shape[0], ring.size
+    extra = np.empty(0, dtype=ring.dtype) if ports is None else np.setdiff1d(ports, ring)
+    tail = np.concatenate([ring, extra])
+    t = tail.size
     rest = np.ones(n, dtype=bool)
-    rest[ring] = False
+    rest[tail] = False
     order = np.argsort(lu.perm_c)
-    order = np.concatenate([order[rest[order]], ring])
+    order = np.concatenate([order[rest[order]], tail])
     ordered = a_ee[order][:, order].tocsc()
     identity = np.arange(n)
     try:
-        ring_lu = spla.splu(ordered, **{**_LU_SETTINGS[0], "permc_spec": "NATURAL"})
+        tail_lu = spla.splu(ordered, **{**_LU_SETTINGS[0], "permc_spec": "NATURAL"})
         probe = np.ones(n, dtype=complex)
-        residual = np.linalg.norm(ordered @ ring_lu.solve(probe) - probe) / np.linalg.norm(probe)
+        residual = np.linalg.norm(ordered @ tail_lu.solve(probe) - probe) / np.linalg.norm(probe)
     except RuntimeError:  # exactly singular without pivoting
         residual = np.inf
     if (
         residual <= _LU_PROBE_BOUND
-        and np.array_equal(ring_lu.perm_c, identity)
-        and np.array_equal(ring_lu.perm_r, identity)
+        and np.array_equal(tail_lu.perm_c, identity)
+        and np.array_equal(tail_lu.perm_r, identity)
     ):
-        tail = slice(n - k, n)
-        schur = ring_lu.L[tail, tail].toarray() @ ring_lu.U[tail, tail].toarray()
-        return np.linalg.solve(schur, coupling[ring].toarray())
+        trailing = slice(n - t, n)
+        if ports is None:
+            schur = tail_lu.L[trailing, trailing].toarray() @ tail_lu.U[trailing, trailing].toarray()
+            return np.linalg.solve(schur, coupling[ring].toarray()), None
+        lower = tail_lu.L[trailing, trailing].toarray(order="F")
+        upper = tail_lu.U[trailing, trailing].toarray(order="F")
+        del tail_lu, ordered  # released before the dense algebra: a lower peak
+        inverse = _lu_inverse(lower, upper)
+        return inverse[:k, :k] @ coupling[ring].toarray(), inverse
     ring_rows = np.empty((k, coupling.shape[1]), dtype=complex)
     for start in range(0, coupling.shape[1], _EXTERIOR_BLOCK):
         block = slice(start, start + _EXTERIOR_BLOCK)
         ring_rows[:, block] = lu.solve(coupling[:, block].toarray())[ring]
-    return ring_rows
+    if ports is None:
+        return ring_rows, None
+    inverse = np.empty((t, t), dtype=complex)
+    for start in range(0, t, _EXTERIOR_BLOCK):
+        columns = tail[start : start + _EXTERIOR_BLOCK]
+        unit = np.zeros((n, columns.size), dtype=complex)
+        unit[columns, np.arange(columns.size)] = 1.0
+        inverse[:, start : start + columns.size] = lu.solve(unit)[tail]
+    return ring_rows, inverse
 
 
 class _Exterior:
@@ -747,13 +789,35 @@ class _Exterior:
     ``A_EE`` and the design-independent part of the Schur complement
     ``S = A_II - A_IE A_EE^{-1} A_EI``.  Its correction term is a dense
     ``k x k`` block on the ``k`` border cells the stencil couples to the
-    exterior ring, read off a second factor of ``A_EE`` that eliminates the
-    ring last (:func:`_ring_rows`).  ``S``
-    is kept as a CSC template whose diagonal a design overwrites, the way
+    exterior ring ``R``, read off a second factor of ``A_EE`` that
+    eliminates the ring last (:func:`_ring_rows`).  ``S`` is kept as a CSC
+    template whose diagonal a design overwrites, the way
     :func:`_system_template` serves the full operator.
+
+    Given ``ports`` (grid rows, see :func:`~repro.fdfd.monitors.port_rows`),
+    the exterior ones form ``P`` and the second factor eliminates ``T = R ∪
+    P`` last; its trailing block yields the resident *port block* ``W =
+    (A_EE^{-1})[T, T]`` at no extra factorization.  ``A`` is complex
+    symmetric, so for right-hand sides whose exterior support lies in ``P``
+    (mode sources, adjoint sources of port objectives) every solve step
+    that touched the whole exterior becomes a product with ``W``:
+
+    * reduce: ``b_I - A_IE[:, R] W_RP b_P`` (:meth:`port_reduce`);
+    * port readout: ``x_P = W_PP b_P - W_PR (A_EI x_I)_R`` (:meth:`port_readout`);
+    * full recovery, only when a caller reads a full field:
+      ``x_E = A_EE^{-1} (b_E - A_EI x_I)``, one back-substitution (:meth:`fill`).
+
+    Any other right-hand side takes :meth:`reduce` and :meth:`recover`.
     """
 
-    def __init__(self, grid: Grid, omega: float, eps_r: np.ndarray, region: tuple):
+    def __init__(
+        self,
+        grid: Grid,
+        omega: float,
+        eps_r: np.ndarray,
+        region: tuple,
+        ports: np.ndarray | None = None,
+    ):
         inside = np.zeros(grid.shape, dtype=bool)
         inside[region] = True
         self.interior = np.flatnonzero(inside.ravel())
@@ -771,8 +835,19 @@ class _Exterior:
         border = np.union1d(
             np.flatnonzero(self.a_ei.getnnz(axis=0)), np.flatnonzero(self.a_ie.getnnz(axis=1))
         )
-        ring_rows = _ring_rows(a_ee, self.lu, ring, self.a_ei[:, border].tocsc())
+        # Exterior positions of the port rows outside the region.
+        self.ports = None
+        port_positions = None
+        if ports is not None:
+            ports = np.asarray(ports)
+            self.ports = ports[~inside.ravel()[ports]]
+            port_positions = np.searchsorted(self.exterior, self.ports)
+        ring_rows, block = _ring_rows(
+            a_ee, self.lu, ring, self.a_ei[:, border].tocsc(), port_positions
+        )
         correction = self.a_ie[border][:, ring] @ ring_rows
+        if block is not None:
+            self._port_block(ring, port_positions, block)
 
         # curl-curl on the design rectangle (the system template carries an
         # explicit diagonal) minus the correction.  The COO -> CSC conversion
@@ -795,6 +870,27 @@ class _Exterior:
         self.base_diagonal = schur.data[self.diag_positions].copy()
         self.schur = schur
         self.nbytes = _entry_nbytes(self.lu) + _entry_nbytes((schur, self.a_ei, self.a_ie))
+        if self.ports is not None:
+            self.nbytes += self._w_rp.nbytes + self._w_pp.nbytes + self._w_pr.nbytes
+
+    def _port_block(self, ring: np.ndarray, port_positions: np.ndarray, block: np.ndarray) -> None:
+        """Keep the ``W`` blocks the port solves use (``block`` is ``W`` in tail order)."""
+        tail_of = np.full(self.exterior.size, -1)
+        tail_of[ring] = np.arange(ring.size)
+        extra = np.setdiff1d(port_positions, ring)
+        tail_of[extra] = ring.size + np.arange(extra.size)
+        on_ring = np.arange(ring.size)
+        on_ports = tail_of[port_positions]
+        self._w_rp = block[np.ix_(on_ring, on_ports)]
+        self._w_pp = block[np.ix_(on_ports, on_ports)]
+        self._w_pr = block[np.ix_(on_ports, on_ring)]
+        self._a_ie_ring = self.a_ie[:, ring].tocsr()
+        self._a_ei_ring = self.a_ei[ring].tocsr()
+        self._port_positions = port_positions
+        self._off_ports = np.setdiff1d(self.exterior, self.ports)
+        self._known = np.zeros(self.interior.size + self.exterior.size, dtype=bool)
+        self._known[self.interior] = True
+        self._known[self.ports] = True
 
     def schur_complement(self, omega: float, eps_r: np.ndarray) -> sp.csc_matrix:
         """``S(eps_r)``: the template with the design's diagonal written in."""
@@ -814,6 +910,30 @@ class _Exterior:
         x[self.interior] = x_interior
         x[self.exterior] = y - self.lu.solve(self.a_ei @ x_interior)
         return x
+
+    # -- the port block (row stacks ``(n_rhs, n)``) ------------------------------
+    def serves(self, flat: np.ndarray) -> bool:
+        """Whether the port block applies: every exterior entry of ``flat`` lies on ``P``."""
+        return self.ports is not None and not np.any(flat[:, self._off_ports])
+
+    def covers(self, rows: np.ndarray) -> bool:
+        """Whether grid ``rows`` all lie in ``I ∪ P``, the rows a port solve computes."""
+        return self.ports is not None and bool(self._known[rows].all())
+
+    def port_reduce(self, b_interior: np.ndarray, b_ports: np.ndarray) -> np.ndarray:
+        """``b_I - A_IE[:, R] W_RP b_P`` for right-hand sides the block :meth:`serves`."""
+        return b_interior - (self._a_ie_ring @ (self._w_rp @ b_ports.T)).T
+
+    def port_readout(self, b_ports: np.ndarray, x_interior: np.ndarray) -> np.ndarray:
+        """``x_P = W_PP b_P - W_PR (A_EI x_I)_R``."""
+        coupled = self._a_ei_ring @ x_interior.T
+        return (self._w_pp @ b_ports.T - self._w_pr @ coupled).T
+
+    def fill(self, b_ports: np.ndarray, x_interior: np.ndarray) -> np.ndarray:
+        """``x_E = A_EE^{-1} (b_E - A_EI x_I)``: the one back-substitution of a full recovery."""
+        b_exterior = -(self.a_ei @ x_interior.T)
+        b_exterior[self._port_positions] += b_ports.T
+        return self.lu.solve(b_exterior).T
 
 
 def _exterior_digest(exterior_eps: np.ndarray, region: tuple) -> str:
@@ -963,6 +1083,12 @@ class SolverEngine:
     #: up.  Callers use it to decide whether threading a
     #: :class:`SolveWorkspace` through their solves is worth the bookkeeping.
     supports_warm_start: bool = False
+
+    #: Whether ``solve_batch`` takes ``port_rows``: the grid rows (besides
+    #: its design region) a caller reads.  Such an engine may then return a
+    #: :class:`~repro.fdfd.lazy.Deferred` stack computed on the region and
+    #: those rows only (NaN elsewhere), fully recovered on first request.
+    reduces_to_ports: bool = False
 
     @property
     def fidelity_signature(self) -> tuple:
@@ -1156,12 +1282,12 @@ class _Frame:
 
     The recycling loop sees a reference LU, the current matrix and the
     diagonal drift, all in the frame's unknowns.  On the full grid
-    (``exterior`` None) :meth:`reduce` and :meth:`recover` pass right-hand
-    sides and solutions through.  Over a resident :class:`_Exterior` they are
-    its two exterior back-substitutions, and the loop between them factors,
-    refines and iterates on the Schur complement of the design region only.
-    A ``one_off`` frame (an exterior's first sighting on a region) solves on
-    the full grid and keeps no reference.  Stacks are rows, ``(n_rhs, n)``.
+    (``exterior`` None) :meth:`reduce` passes right-hand sides and solutions
+    through.  Over a resident :class:`_Exterior` the loop between reduce and
+    recovery factors, refines and iterates on the Schur complement of the
+    design region only.  A ``one_off`` frame (an exterior's first sighting
+    on a region) solves on the full grid and keeps no reference.  Stacks are
+    rows, ``(n_rhs, n)``.
     """
 
     __slots__ = ("grid", "omega", "exterior", "one_off", "key", "tag")
@@ -1192,16 +1318,46 @@ class _Frame:
             return factor_lu(assemble_system_matrix(self.grid, self.omega, eps_r))
         return factor_lu(self.exterior.schur_complement(self.omega, eps_r))
 
-    def reduce(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        if self.exterior is None:
-            return flat, None
-        reduced, y = self.exterior.reduce(flat.T)
-        return reduced.T, y
+    def reduce(self, flat: np.ndarray, port_rows: np.ndarray | None):
+        """The frame's right-hand sides, and the map from its solutions back to the grid.
 
-    def recover(self, x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
-        if self.exterior is None:
-            return x
-        return self.exterior.recover(x.T, y).T
+        The map returns full solutions, except on the port path with
+        ``port_rows`` inside ``I ∪ P``: then it returns a :class:`Deferred`
+        stack, computed on ``I ∪ P`` (NaN elsewhere) and fully recovered on
+        first request.  Right-hand sides the port block does not serve take
+        the exterior's two back-substitutions, as do exteriors without one.
+        """
+        exterior = self.exterior
+        if exterior is None:
+            return flat, lambda x: x
+        if not exterior.serves(flat):
+            reduced, y = exterior.reduce(flat.T)
+            return reduced.T, lambda x: exterior.recover(x.T, y).T
+        b_ports = flat[:, exterior.ports]
+        reduced = exterior.port_reduce(flat[:, exterior.interior], b_ports)
+        if port_rows is not None and exterior.covers(port_rows):
+            return reduced, lambda x: self._port_stack(b_ports, x)
+
+        def recover(x):
+            full = np.empty((x.shape[0], self.grid.n_points), dtype=complex)
+            full[:, exterior.interior] = x
+            full[:, exterior.exterior] = exterior.fill(b_ports, x)
+            return full
+
+        return reduced, recover
+
+    def _port_stack(self, b_ports: np.ndarray, x: np.ndarray) -> Deferred:
+        exterior = self.exterior
+        flat = np.full((x.shape[0], self.grid.n_points), np.nan, dtype=complex)
+        flat[:, exterior.interior] = x
+        flat[:, exterior.ports] = exterior.port_readout(b_ports, x)
+        stack = flat.reshape(x.shape[0], *self.grid.shape)
+
+        def recover():
+            flat[:, exterior.exterior] = exterior.fill(b_ports, x)
+            return stack
+
+        return Deferred(stack, recover)
 
 
 class RecycledEngine(SolverEngine):
@@ -1244,15 +1400,30 @@ class RecycledEngine(SolverEngine):
     ``design_slice`` for ``engine="recycled"``), the same loop runs on the
     region only.  The first solve against an exterior (the permittivity
     outside the region) runs on the full grid; from its second sighting on,
-    the exterior is factored once (the :class:`DirectEngine` exterior, same
-    ``"exterior"`` tag and digest) and every solve *reduces* the right-hand
-    sides to the region (``b_I - A_IE A_EE^{-1} b_E``), recycles on the Schur
+    the exterior is factored once (tag ``"exterior"``; without ``port_rows``
+    it is the :class:`DirectEngine` exterior, same digest) and every solve
+    *reduces* the right-hand sides to the region (``b_I - A_IE A_EE^{-1}
+    b_E``), recycles on the Schur
     complement ``S`` (references keyed by ``(grid, omega, exterior)``, their
     LUs factor only ``S``), and *recovers* ``x_E = A_EE^{-1} (b_E - A_EI
     x_I)`` exactly.  The full residual then equals the reduced one, so the
     tolerance is measured against the full ``||b||`` and the contract above
     holds unchanged.  While the cache has a factorization store the engine
     stays on the full grid (the store persists only full SuperLU artifacts).
+
+    The optimization loop never back-substitutes through the exterior.
+    ``Simulation`` passes ``port_rows`` (the rows port measurements and
+    objectives read), the exterior is built with a port block for them (see
+    :class:`_Exterior`), and a right-hand side supported on the region and
+    those rows reduces and reads out its port rows through dense products
+    with that block.  The result is a :class:`~repro.fdfd.lazy.Deferred`
+    stack, exact on ``I ∪ P`` and NaN elsewhere; its one exterior
+    back-substitution runs only if a caller reads the full field; if
+    ``port_rows`` reach outside ``I ∪ P``, it runs at once.  Right-hand
+    sides with support elsewhere and solves without ``port_rows`` (on an
+    exterior without a port block) take the exterior's two
+    back-substitutions; full-grid and one-off frames solve on the full
+    grid, as before.
 
     A recycled solve that fails to converge falls back to refactorization, so
     results are always converged to ``rtol`` (or exact).  Warm starts
@@ -1265,6 +1436,7 @@ class RecycledEngine(SolverEngine):
 
     name = "recycled"
     supports_warm_start = True
+    reduces_to_ports = True
 
     def __init__(
         self,
@@ -1357,8 +1529,17 @@ class RecycledEngine(SolverEngine):
                 break
         return adopted
 
-    def _frame(self, grid: Grid, omega: float, eps_r: np.ndarray) -> _Frame:
-        """The full grid, or the region's ``S`` once this exterior is seen again."""
+    def _frame(
+        self, grid: Grid, omega: float, eps_r: np.ndarray, port_rows: np.ndarray | None = None
+    ) -> _Frame:
+        """The full grid, or the region's ``S`` once this exterior is seen again.
+
+        With ``port_rows`` the exterior carries a port block for them.  The
+        block is part of the exterior's cache key, so a port-less exterior
+        (a ``DirectEngine``'s, or one for solves without ``port_rows``) never
+        serves a port solve, and a ``DirectEngine`` never reads a ported one:
+        its labels do not depend on which engine built an exterior first.
+        """
         omega = float(omega)
         if self.design_region is None or self.cache.store is not None:
             return _Frame(grid, omega)
@@ -1372,8 +1553,8 @@ class RecycledEngine(SolverEngine):
         exterior = self.cache.get_or_build(
             grid,
             omega,
-            digest,
-            lambda: _Exterior(grid, omega, eps_r, self.design_region),
+            digest if port_rows is None else digest + "+ports",
+            lambda: _Exterior(grid, omega, eps_r, self.design_region, port_rows),
             tag="exterior",
         )
         return _Frame(grid, omega, exterior, digest)
@@ -1505,17 +1686,23 @@ class RecycledEngine(SolverEngine):
         return self._krylov_solve(lu, matrix, rhs, full_rhs, x0)
 
     # -- the solve ---------------------------------------------------------------
-    def solve_batch(self, grid, omega, eps_r, rhs, fingerprint=None, x0=None):
+    def solve_batch(self, grid, omega, eps_r, rhs, fingerprint=None, x0=None, port_rows=None):
         eps_r, rhs = self._check_batch(grid, eps_r, rhs)
         if fingerprint is None:
             fingerprint = eps_fingerprint(eps_r)
-        frame = self._frame(grid, omega, eps_r)
+        frame = self._frame(grid, omega, eps_r, port_rows)
         full_rhs = rhs.reshape(rhs.shape[0], -1)
-        reduced, carry = frame.reduce(full_rhs)
+        reduced, back = frame.reduce(full_rhs, port_rows)
         if x0 is not None:
             x0 = frame.restrict(np.asarray(x0, dtype=complex).reshape(full_rhs.shape))
-        solutions = self._solve_reduced(frame, eps_r, fingerprint, reduced, full_rhs, x0)
-        return np.ascontiguousarray(frame.recover(solutions, carry)).reshape(rhs.shape)
+            if not np.isfinite(x0).all():
+                # Port-solve fields read outside I ∪ P (a full-grid frame):
+                # no guess rather than a NaN one.
+                x0 = None
+        solutions = back(self._solve_reduced(frame, eps_r, fingerprint, reduced, full_rhs, x0))
+        if isinstance(solutions, Deferred):
+            return solutions
+        return np.ascontiguousarray(solutions).reshape(rhs.shape)
 
     def _solve_reduced(self, frame, eps_r, fingerprint, rhs, full_rhs, x0) -> np.ndarray:
         """Reference hit, recycled solve or refactorization, in the frame's unknowns."""

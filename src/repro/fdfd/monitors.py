@@ -6,6 +6,7 @@ or the y axis, used both to inject mode sources and to measure transmission.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,15 +60,9 @@ class Port:
         documented rounding rule (``Grid.index_x`` / ``Grid.index_y``, i.e.
         ``floor``), the same rule used for sources and geometry, so the port
         injects and measures on one and the same row even at exact half-cell
-        positions.
+        positions.  Memoized per ``(port, grid)``.
         """
-        if self.normal_axis == "x":
-            ix = grid.index_x(self.position)
-            transverse = grid.slice_y(self.center - self.span / 2, self.center + self.span / 2)
-            return ix, transverse
-        iy = grid.index_y(self.position)
-        transverse = grid.slice_x(self.center - self.span / 2, self.center + self.span / 2)
-        return transverse, iy
+        return _port_indices(self, grid)
 
     def extract_line(self, field: np.ndarray, grid: Grid) -> np.ndarray:
         """Extract the field values along the port line."""
@@ -97,6 +92,27 @@ class Port:
         return out
 
 
+@functools.lru_cache(maxsize=1024)
+def _port_indices(port: Port, grid: Grid) -> tuple:
+    if port.normal_axis == "x":
+        ix = grid.index_x(port.position)
+        transverse = grid.slice_y(port.center - port.span / 2, port.center + port.span / 2)
+        return ix, transverse
+    iy = grid.index_y(port.position)
+    transverse = grid.slice_x(port.center - port.span / 2, port.center + port.span / 2)
+    return transverse, iy
+
+
+def _shifted(port: Port, grid: Grid, index: tuple, step: int) -> tuple:
+    """A port-line index expression moved ``step`` cells along the normal, clipped to the grid."""
+    if port.normal_axis == "x":
+        ix, transverse = index
+        return min(max(ix + step, 0), grid.nx - 1), transverse
+    transverse, iy = index
+    return transverse, min(max(iy + step, 0), grid.ny - 1)
+
+
+@functools.lru_cache(maxsize=1024)
 def port_h_indices(port: Port, grid: Grid) -> tuple[tuple, tuple]:
     """Index expressions of the two H samples straddling the port's Ez line.
 
@@ -105,14 +121,32 @@ def port_h_indices(port: Port, grid: Grid) -> tuple[tuple, tuple]:
     the Ez samples at ``(i + 0.5) * dl``.  Colocating H on the Ez line
     therefore means averaging the sample *at* the port row with the one just
     above it; this returns both index expressions (the upper one clipped at
-    the grid edge, where ports never sit in practice).
+    the grid edge, where ports never sit in practice).  Memoized per
+    ``(port, grid)``.
     """
     index = port.indices(grid)
-    if port.normal_axis == "x":
-        ix, transverse = index
-        return index, (min(ix + 1, grid.nx - 1), transverse)
-    transverse, iy = index
-    return index, (transverse, min(iy + 1, grid.ny - 1))
+    return index, _shifted(port, grid, index, +1)
+
+
+@functools.lru_cache(maxsize=64)
+def port_rows(ports: tuple[Port, ...], grid: Grid) -> np.ndarray:
+    """Flat grid rows every port measurement and port objective reads or writes.
+
+    Per port: the two H lines of :func:`port_h_indices` (the first is the Ez
+    line itself) and, for each, the Ez line one cell below that its
+    backward-difference curl reads.  So the port's Ez line and the line on
+    either side, over its span.  Mode sources, modal overlaps, Poynting
+    fluxes and both objectives' adjoint sources all live here.  Sorted,
+    read-only and memoized per ``(ports, grid)``.
+    """
+    mask = np.zeros(grid.shape, dtype=bool)
+    for port in ports:
+        for index in port_h_indices(port, grid):
+            mask[index] = True
+            mask[_shifted(port, grid, index, -1)] = True
+    rows = np.flatnonzero(mask.ravel())
+    rows.flags.writeable = False
+    return rows
 
 
 def poynting_flux_through_port(

@@ -43,7 +43,8 @@ from repro.constants import wavelength_to_omega
 from repro.fdfd.engine import SolverEngine, SolveWorkspace, eps_fingerprint
 from repro.fdfd.grid import Grid
 from repro.fdfd.modes import ModeProfile, mode_source_amplitude, solve_slab_modes_batch
-from repro.fdfd.monitors import Port, mode_overlap, poynting_flux_through_port
+from repro.fdfd.lazy import LazyField, known
+from repro.fdfd.monitors import Port, mode_overlap, port_rows, poynting_flux_through_port
 from repro.fdfd.solver import FdfdSolver
 from repro.utils.cache import BoundedCache
 
@@ -240,7 +241,9 @@ def measure_ports(
     monitor port gets the Poynting flux through it and the overlap with its
     fundamental mode, divided by the ``incident`` ``(flux, overlap)`` of the
     same source in the reference waveguide (:func:`measure_incident`).
-    ``monitor_ports`` None measures every port except the source port.
+    ``monitor_ports`` None measures every port except the source port.  The
+    fields may be :class:`~repro.fdfd.lazy.Deferred` (a port-reduced solve):
+    they are measured on their port rows and stay deferred in the result.
     """
     norm_flux, norm_overlap = incident
     if monitor_ports is None:
@@ -248,12 +251,13 @@ def measure_ports(
     fluxes: dict[str, float] = {}
     s_params: dict[str, complex] = {}
     transmissions: dict[str, float] = {}
+    ez_line, hx_line, hy_line = known(ez), known(hx), known(hy)
     for name in monitor_ports:
         monitor = find_port(ports, name)
-        flux = poynting_flux_through_port(ez, hx, hy, monitor, grid)
+        flux = poynting_flux_through_port(ez_line, hx_line, hy_line, monitor, grid)
         fluxes[name] = float(flux)
         modes = monitor.solve_modes(eps_r, grid, omega, num_modes=1)
-        overlap = mode_overlap(ez, monitor, modes[0], grid) if modes else 0.0j
+        overlap = mode_overlap(ez_line, monitor, modes[0], grid) if modes else 0.0j
         s_params[name] = complex(overlap / norm_overlap) if norm_overlap else 0.0j
         transmissions[name] = float(np.clip(flux / norm_flux, 0.0, None)) if norm_flux else 0.0
     return SimulationResult(
@@ -279,11 +283,17 @@ class SimulationResult:
     The attributes correspond to the "rich labels" that MAPS-Data attaches to
     each sample: the full field maps, per-port fluxes and S-parameters, the
     source that was injected and the incident normalization.
+
+    ``ez``, ``hx`` and ``hy`` are always the exact full fields.  After a
+    port-reduced solve (an optimization loop on the ``recycled`` engine) only
+    their port rows were computed for the measurements; the first read of a
+    field runs its one-back-substitution recovery, shared by every result of
+    the batch and done at most once.
     """
 
-    ez: np.ndarray
-    hx: np.ndarray
-    hy: np.ndarray
+    ez: np.ndarray = LazyField()
+    hx: np.ndarray = LazyField()
+    hy: np.ndarray = LazyField()
     source: np.ndarray
     wavelength: float
     source_port: str
@@ -360,6 +370,11 @@ class Simulation:
     def engine(self) -> SolverEngine:
         """The solver engine all field solves of this simulation go through."""
         return self.solver.engine
+
+    @property
+    def port_rows(self) -> np.ndarray:
+        """Grid rows the port measurements and objectives read (:func:`~repro.fdfd.monitors.port_rows`)."""
+        return port_rows(tuple(self.ports.values()), self.grid)
 
     def _current_fingerprint(self) -> str:
         """Fingerprint of the permittivity as it is *now*.
@@ -529,6 +544,11 @@ class Simulation:
         disambiguate them.  Workspace-driven solves bypass the result cache
         (they belong to optimization loops, whose design changes every call).
 
+        Solves pass :attr:`port_rows` to the engine: an engine that
+        ``reduces_to_ports`` then computes only the design region and the
+        port rows, and the results' fields recover in full on first read.
+        Results entering the result cache are copied, which reads them.
+
         Returns the :class:`SimulationResult` per excitation, in order.
         """
         specs = self._excitation_specs(excitations)
@@ -574,17 +594,19 @@ class Simulation:
             x0 = workspace.guess_stack(keys, self.grid.shape)
 
         solutions = self.solver.solve_batch(
-            self.eps_r, sources, fingerprint=fingerprint, x0=x0
+            self.eps_r, sources, fingerprint=fingerprint, x0=x0, port_rows=self.port_rows
         )
         if workspace is not None:
             for key, solution in zip(keys, solutions):
-                workspace.store(key, solution.ez)
+                workspace.store(key, known(solution, "ez"))
 
         results: list[SimulationResult | None] = [None] * len(specs)
         for index, result in cached.items():
             results[index] = result
         for index, spec, source, solution in zip(pending, pending_specs, sources, solutions):
-            result = self._measure(spec, source, solution.ez, solution.hx, solution.hy)
+            # The fields as stored, so deferred ones stay deferred in the result.
+            fields = vars(solution)
+            result = self._measure(spec, source, fields["ez"], fields["hx"], fields["hy"])
             if result_cache is not None:
                 result_cache.put(cache_keys[index], _copy_result(result))
             results[index] = result

@@ -44,20 +44,25 @@ from repro.fdfd.engine import (
     resolve_engine,
 )
 from repro.fdfd.grid import Grid
+from repro.fdfd.lazy import Deferred, LazyField, known
 
 
 @dataclass
 class FieldSolution:
-    """Electric and magnetic fields of a single forward solve (grid shaped)."""
+    """Electric and magnetic fields of a single forward solve (grid shaped).
 
-    ez: np.ndarray
-    hx: np.ndarray
-    hy: np.ndarray
+    After a port-reduced solve the fields are :class:`~repro.fdfd.lazy.Deferred`:
+    reading ``ez``, ``hx`` or ``hy`` recovers the exact full field once.
+    """
+
+    ez: np.ndarray = LazyField()
+    hx: np.ndarray = LazyField()
+    hy: np.ndarray = LazyField()
     omega: float
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.ez.shape
+        return known(self, "ez").shape
 
 
 class FdfdSolver:
@@ -112,13 +117,19 @@ class FdfdSolver:
         rhs: np.ndarray,
         fingerprint: str | None,
         x0: np.ndarray | None = None,
-    ) -> np.ndarray:
+        port_rows: np.ndarray | None = None,
+    ) -> list:
+        """Solution rows: arrays, or :class:`Deferred` rows from a port-reduced solve."""
         if fingerprint is None:
             fingerprint = eps_fingerprint(eps_r)
         self._solved_fingerprints.add(fingerprint)
-        return self.engine.solve_batch(
-            self.grid, self.omega, eps_r, rhs, fingerprint=fingerprint, x0=x0
+        extra = {}
+        if port_rows is not None and self.engine.reduces_to_ports:
+            extra["port_rows"] = port_rows
+        stack = self.engine.solve_batch(
+            self.grid, self.omega, eps_r, rhs, fingerprint=fingerprint, x0=x0, **extra
         )
+        return stack.rows() if isinstance(stack, Deferred) else list(stack)
 
     # -- solves ---------------------------------------------------------------------
     def solve(
@@ -148,6 +159,7 @@ class FdfdSolver:
         sources: list[np.ndarray] | np.ndarray,
         fingerprint: str | None = None,
         x0: np.ndarray | None = None,
+        port_rows: np.ndarray | None = None,
     ) -> list[FieldSolution]:
         """Solve one operator against many current sources at once.
 
@@ -155,7 +167,11 @@ class FdfdSolver:
         exactly once; every source costs only a back-substitution.  ``x0`` is
         an optional stack of ``Ez`` initial guesses (previous-iteration fields
         from a :class:`~repro.fdfd.engine.SolveWorkspace`) for warm-startable
-        engines; exact engines ignore it.
+        engines; exact engines ignore it.  ``port_rows`` (grid rows the
+        caller reads, see :func:`~repro.fdfd.monitors.port_rows`) lets an
+        engine that ``reduces_to_ports`` compute the fields there and on its
+        design region only; the solutions' fields are then deferred and
+        recovered in full on first read.
         """
         eps_r = self._check_eps(eps_r)
         stack = np.stack([np.asarray(s, dtype=complex) for s in sources], axis=0)
@@ -164,10 +180,16 @@ class FdfdSolver:
                 f"source shape {stack.shape[1:]} does not match grid {self.grid.shape}"
             )
         rhs = 1j * self.omega * stack
-        ez_stack = self._solve_stack(eps_r, rhs, fingerprint, x0=x0)
         solutions = []
-        for ez in ez_stack:
-            hx, hy = self.e_to_h(ez)
+        for ez in self._solve_stack(eps_r, rhs, fingerprint, x0=x0, port_rows=port_rows):
+            if isinstance(ez, Deferred):
+                # Exact on the port rows' H lines, whose curls read only
+                # computed Ez rows; recomputed from the full Ez on first read.
+                hx, hy = self.e_to_h(ez.partial)
+                hx = Deferred(hx, lambda ez=ez: self.e_to_h(ez.resolve())[0])
+                hy = Deferred(hy, lambda ez=ez: self.e_to_h(ez.resolve())[1])
+            else:
+                hx, hy = self.e_to_h(ez)
             solutions.append(FieldSolution(ez=ez, hx=hx, hy=hy, omega=self.omega))
         return solutions
 
@@ -188,11 +210,15 @@ class FdfdSolver:
         adjoint_sources: list[np.ndarray] | np.ndarray,
         fingerprint: str | None = None,
         x0: np.ndarray | None = None,
+        port_rows: np.ndarray | None = None,
     ) -> list[np.ndarray]:
         """Batched adjoint solves against one (cached) factorization.
 
         ``x0`` optionally stacks previous adjoint fields as warm starts for
-        Krylov engines (ignored by exact engines).
+        Krylov engines (ignored by exact engines).  With ``port_rows`` (see
+        :meth:`solve_batch`) the entries may be
+        :class:`~repro.fdfd.lazy.Deferred`: exact on the engine's design
+        region and those rows, resolved in full on request.
         """
         eps_r = self._check_eps(eps_r)
         stack = np.stack([np.asarray(s, dtype=complex) for s in adjoint_sources], axis=0)
@@ -201,8 +227,7 @@ class FdfdSolver:
                 f"adjoint source shape {stack.shape[1:]} does not match grid "
                 f"{self.grid.shape}"
             )
-        lam_stack = self._solve_stack(eps_r, stack, fingerprint, x0=x0)
-        return list(lam_stack)
+        return self._solve_stack(eps_r, stack, fingerprint, x0=x0, port_rows=port_rows)
 
     # -- derived fields ---------------------------------------------------------------
     def e_to_h(self, ez: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

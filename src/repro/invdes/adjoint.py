@@ -28,6 +28,7 @@ import numpy as np
 from repro.constants import wavelength_to_omega
 from repro.devices.base import Device, TargetSpec, positive_weight_norm
 from repro.fdfd.engine import SolverEngine, SolveWorkspace, resolve_engine
+from repro.fdfd.lazy import LazyField, known
 from repro.fdfd.simulation import ExcitationSpec, Simulation, SimulationResult
 from repro.invdes.objectives import CompositeObjective, objective_for_spec
 
@@ -40,8 +41,11 @@ class FieldBackend:
 
     The numerical backend delegates to a solver engine; the neural backend in
     :mod:`repro.surrogate` predicts the fields with a trained model.  Both
-    return grid-shaped complex arrays.  The batched entry points default to a
-    sequential loop so simple backends only implement the per-spec methods.
+    return grid-shaped complex arrays; the numerical backend's
+    :meth:`adjoint_fields` may return :class:`~repro.fdfd.lazy.Deferred`
+    ones (port-reduced solves), which convert to their full arrays on
+    request.  The batched entry points default to a sequential loop so
+    simple backends only implement the per-spec methods.
     """
 
     #: Engine (or engine name) simulations built for this backend should use.
@@ -157,11 +161,15 @@ class NumericalFieldBackend(FieldBackend):
             keys = [self._spec_key("adjoint", sim, spec) for spec in specs]
             x0 = workspace.guess_stack(keys, sim.grid.shape)
         lams = sim.solver.solve_adjoint_batch(
-            sim.eps_r, adjoint_sources, fingerprint=sim._current_fingerprint(), x0=x0
+            sim.eps_r,
+            adjoint_sources,
+            fingerprint=sim._current_fingerprint(),
+            x0=x0,
+            port_rows=sim.port_rows,
         )
         if workspace is not None:
             for key, lam in zip(keys, lams):
-                workspace.store(key, lam)
+                workspace.store(key, known(lam))
         return lams
 
 
@@ -241,7 +249,10 @@ class SpecEvaluation:
     grad_density: np.ndarray
     transmissions: dict[str, float] = field(default_factory=dict)
     result: SimulationResult | None = None
-    adjoint_field: np.ndarray | None = None
+    #: The exact adjoint field.  After a port-reduced solve only the design
+    #: region (all the gradient needs) and the port rows were computed; the
+    #: first read recovers the full field, once.
+    adjoint_field: np.ndarray | None = LazyField(default=None)
     #: Convergence telemetry of the Kerr fixed point (nonlinear path only).
     nonlinear_stats: "object | None" = None
     #: The Kerr nonlinearity this spec ran at, scaled to its intensity
@@ -348,11 +359,8 @@ class _KerrPhysics:
 class _BroadbandObjectiveContext:
     """Duck-typed :class:`Simulation` stand-in for objective evaluation.
 
-    Objectives read ``ports``, ``eps_r``, ``grid`` and ``omega`` — and, only
-    for the flux kind, ``solver`` for its derivative operators.  Building a
-    real Simulation per extraction wavelength would eagerly assemble FDFD
-    operators the default mode-overlap objectives never touch; the stand-in
-    defers that to first use.
+    Objectives read ``ports``, ``eps_r``, ``grid`` and ``omega`` only, so no
+    FDFD solver is built per extraction wavelength.
     """
 
     def __init__(self, grid, eps_r, wavelength: float, ports: dict):
@@ -361,15 +369,6 @@ class _BroadbandObjectiveContext:
         self.wavelength = float(wavelength)
         self.omega = wavelength_to_omega(self.wavelength)
         self.ports = dict(ports)
-        self._solver = None
-
-    @property
-    def solver(self):
-        if self._solver is None:
-            from repro.fdfd.solver import FdfdSolver
-
-            self._solver = FdfdSolver(self.grid, self.omega)
-        return self._solver
 
 
 class _FdtdPhysics:
@@ -552,7 +551,13 @@ def evaluate_specs(
             indices, group_specs, results, values, lams, stats
         ):
             if compute_gradient:
-                grad_eps = sim.solver.permittivity_gradient(result.ez, lam)
+                # Deferred fields are read on the design region only.
+                grad_eps = sim.solver.permittivity_gradient(known(result, "ez"), known(lam))
+                if not np.isfinite(grad_eps[device.geometry.design_slice]).all():
+                    # The engine's region misses part of the device's (an
+                    # engine shared with another device): deferred fields
+                    # are NaN there, so read the recovered ones.
+                    grad_eps = sim.solver.permittivity_gradient(result.ez, np.asarray(lam))
                 # Chain rule: eps = eps_clad + (eps_core - eps_clad) * rho inside
                 # the design region (device states add permittivity
                 # independently of rho).

@@ -9,8 +9,14 @@ field ``Ez`` (the adjoint source).  The derivative convention is
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from repro.constants import MU_0
+from repro.fdfd.engine import operators
+from repro.fdfd.grid import Grid
+from repro.fdfd.lazy import known
 from repro.fdfd.monitors import (
     Port,
     mode_overlap,
@@ -57,7 +63,7 @@ class ModeTransmissionObjective(Objective):
             # no adjoint drive from this term.
             return 0.0, adjoint
         mode = modes[self.mode_index]
-        overlap = mode_overlap(result.ez, port, mode, sim.grid)
+        overlap = mode_overlap(known(result, "ez"), port, mode, sim.grid)
         norm = abs(result.input_overlap) ** 2
         if norm <= 0:
             return 0.0, adjoint
@@ -92,50 +98,49 @@ class FluxTransmissionObjective(Objective):
     ) -> tuple[float, np.ndarray]:
         port: Port = sim.ports[self.port_name]
         grid = sim.grid
-        flux = poynting_flux_through_port(result.ez, result.hx, result.hy, port, grid)
+        ez, hx, hy = (known(result, name) for name in ("ez", "hx", "hy"))
+        flux = poynting_flux_through_port(ez, hx, hy, port, grid)
         p_in = result.input_flux
         if p_in <= 0:
             return 0.0, np.zeros(grid.shape, dtype=complex)
         value = float(flux / p_in)
 
-        # Build dF/dEz analytically.
-        solver = sim.solver
-        omega = sim.omega
-        from repro.constants import MU_0
-
-        index, index_up = port_h_indices(port, grid)
-        line_mask = np.zeros(grid.shape, dtype=bool)
-        line_mask[index] = True
-        flat_index = np.flatnonzero(line_mask.ravel())
-        line_mask[...] = False
-        line_mask[index_up] = True
-        flat_up = np.flatnonzero(line_mask.ravel())
-
-        ez_flat = result.ez.ravel()
-        if port.normal_axis == "x":
-            curl_rows = solver._derivs["Dxb"]
-            h_factor = 1.0 / (1j * omega * MU_0)
-            sign = -1.0
-        else:
-            curl_rows = solver._derivs["Dyb"]
-            h_factor = -1.0 / (1j * omega * MU_0)
-            sign = +1.0
-
-        h_flat = h_factor * (curl_rows @ ez_flat)
-        h_bar = 0.5 * (h_flat[flat_index] + h_flat[flat_up])
+        # Build dF/dEz analytically, on the port rows only.
+        line, curl, h_factor, sign = _h_line_curl(port, grid, sim.omega)
+        ez_flat = ez.ravel()
+        h_lines = h_factor * (curl @ ez_flat)
+        h_bar = 0.5 * (h_lines[: line.size] + h_lines[line.size :])
         scale = sign * port.direction * 0.25 * grid.dl_m / p_in
         grad = np.zeros(grid.n_points, dtype=complex)
         # Term 1: d/dEz of Ez * conj(A H) at the port line.
-        grad[flat_index] += scale * np.conj(h_bar)
-        # Term 2: through H = h_factor * (curl_rows @ Ez) in the conj(Ez) * A H
-        # product; A^T spreads half the line selector onto each straddling row
-        # (np.add.at so a clipped edge port, flat_up == flat_index, still sums).
-        selector = np.zeros(grid.n_points, dtype=complex)
-        line_weight = 0.5 * scale * np.conj(ez_flat[flat_index])
-        np.add.at(selector, flat_index, line_weight)
-        np.add.at(selector, flat_up, line_weight)
-        grad += h_factor * (curl_rows.T @ selector)
+        grad[line] += scale * np.conj(h_bar)
+        # Term 2: through H = h_factor * (curl @ Ez) in the conj(Ez) * A H
+        # product; A^T spreads half the line selector onto each straddling
+        # row (a clipped edge port repeats its row in ``curl``, which sums).
+        line_weight = 0.5 * scale * np.conj(ez_flat[line])
+        grad += h_factor * (curl.T @ np.concatenate([line_weight, line_weight]))
         return self.weight * value, self.weight * grad.reshape(grid.shape)
+
+
+@functools.lru_cache(maxsize=256)
+def _h_line_curl(port: Port, grid: Grid, omega: float):
+    """``(line, curl, h_factor, sign)`` of a port's flux in the x- or y-normal form.
+
+    ``line`` holds the flat rows of the port's Ez line; ``curl`` stacks the
+    curl rows of its two straddling H lines (:func:`port_h_indices`), so
+    ``h_factor * (curl @ Ez)`` is both H lines and nothing else.
+    """
+    derivs = operators(grid, omega)
+    if port.normal_axis == "x":
+        curl_rows, h_factor, sign = derivs["Dxb"], 1.0 / (1j * omega * MU_0), -1.0
+    else:
+        curl_rows, h_factor, sign = derivs["Dyb"], -1.0 / (1j * omega * MU_0), +1.0
+    flat = np.arange(grid.n_points).reshape(grid.shape)
+    index, index_up = port_h_indices(port, grid)
+    line = flat[index].ravel()
+    curl = curl_rows[np.concatenate([line, flat[index_up].ravel()])].tocsr()
+    line.flags.writeable = False  # shared by every caller of the memo
+    return line, curl, h_factor, sign
 
 
 class CompositeObjective(Objective):
