@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.devices.base import Device, TargetSpec, positive_weight_norm
-from repro.fdfd.engine import DirectEngine, SolverEngine, selects_direct
+from repro.fdfd.engine import SolverEngine, resolve_engine
 from repro.fdfd.simulation import Simulation
 from repro.invdes.adjoint import (
     FieldBackend,
@@ -118,13 +118,13 @@ def extract_labels_batch(
     engine:
         Solver engine or registry name (``"direct"``, ``"recycled"``, ...)
         selecting the fidelity tier of the default numerical backend.
-        Mutually exclusive with ``backend``.  The exact tier (None,
-        ``"direct"`` or an alias of it) is built with the device's design
-        region, so each design factors only its condensed operator against
-        an exterior factored once per device and wavelength (see
-        :class:`~repro.fdfd.engine.DirectEngine`).  The choice depends only
-        on the device and the design, so serial, pooled and resumed runs
-        label identically.  Engine instances are used as given.
+        Mutually exclusive with ``backend``.  None and registry names of the
+        exact tiers are built with the device's design region (see
+        :func:`~repro.fdfd.engine.resolve_engine`), so each design factors
+        only its condensed operator against an exterior factored once per
+        device and wavelength (see :class:`~repro.fdfd.engine.DirectEngine`).
+        Which solves condense depends only on the call, so serial, pooled and
+        resumed runs label identically.  Engine instances are used as given.
     sweep:
         The operating points to label every spec at (see
         :class:`~repro.invdes.adjoint.Sweep`), axis-major as
@@ -137,11 +137,7 @@ def extract_labels_batch(
         surrogates can condition on the intensity axis.
     """
     if backend is None:
-        if selects_direct(engine):
-            geometry = device.geometry
-            engine = DirectEngine(
-                design_region=geometry.design_slice, exterior_eps=geometry.eps_background
-            )
+        engine = resolve_engine(engine, design_region=device.geometry.design_slice)
         backend = NumericalFieldBackend(engine=engine)
     elif engine is not None:
         raise ValueError("pass either backend or engine, not both")

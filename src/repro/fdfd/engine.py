@@ -88,8 +88,6 @@ __all__ = [
     "register_engine",
     "available_engines",
     "split_engine_name",
-    "selects_direct",
-    "selects_recycled",
     "make_engine",
     "resolve_engine",
 ]
@@ -936,11 +934,23 @@ class _Exterior:
         return self.lu.solve(b_exterior).T
 
 
-def _exterior_digest(exterior_eps: np.ndarray, region: tuple) -> str:
-    """Cache key of an exterior: its permittivity values plus the design region."""
-    digest = hashlib.sha1(eps_fingerprint(exterior_eps).encode())
+def _resident_exterior(
+    cache, grid: Grid, omega: float, eps_r: np.ndarray, region: tuple, ports=None
+) -> tuple[_Exterior, str]:
+    """``(exterior, key)``: the cached :class:`_Exterior` of ``eps_r`` outside ``region``.
+
+    The key digests the values outside the region and the region, plus
+    ``"+ports"`` for a port block: ported and port-less exteriors never mix.
+    """
+    outside = np.ones(eps_r.shape, dtype=bool)
+    outside[region] = False
+    digest = hashlib.sha1(eps_fingerprint(eps_r[outside]).encode())
     digest.update(repr(region).encode())
-    return digest.hexdigest()
+    key = digest.hexdigest() + ("" if ports is None else "+ports")
+    exterior = cache.get_or_build(
+        grid, omega, key, lambda: _Exterior(grid, omega, eps_r, region, ports), tag="exterior"
+    )
+    return exterior, key
 
 
 class _CondensedLU:
@@ -1056,8 +1066,11 @@ class SolverEngine:
 
     ``solve_batch`` receives the *full* right-hand side stack (any ``i omega``
     source scaling is the caller's business), so the same call serves forward
-    solves (``b = i omega J``), adjoint solves (``b = dF/dEz``; the operator is
-    complex symmetric, ``A^T = A``) and normalization runs.
+    solves (``b = i omega J``), adjoint solves (``b = dF/dEz``) and
+    normalization runs.  Adjoint solves reuse ``A`` for ``A^T``: with
+    ``A^T = D A D^{-1}``, ``D`` the PML stretching (1 outside the PML), an
+    adjoint field of a source outside the PML is exact outside the PML only.
+    Gradients on the design region are exact.
 
     Examples
     --------
@@ -1084,11 +1097,11 @@ class SolverEngine:
     #: :class:`SolveWorkspace` through their solves is worth the bookkeeping.
     supports_warm_start: bool = False
 
-    #: Whether ``solve_batch`` takes ``port_rows``: the grid rows (besides
-    #: its design region) a caller reads.  Such an engine may then return a
-    #: :class:`~repro.fdfd.lazy.Deferred` stack computed on the region and
-    #: those rows only (NaN elsewhere), fully recovered on first request.
-    reduces_to_ports: bool = False
+    #: The region (a device's ``design_slice``) the engine condenses onto.
+    #: An engine with one takes ``port_rows`` (the grid rows a caller reads)
+    #: in ``solve_batch``, condenses the solves that pass them and may
+    #: return a :class:`~repro.fdfd.lazy.Deferred` stack.
+    design_region: tuple[slice, slice] | None = None
 
     @property
     def fidelity_signature(self) -> tuple:
@@ -1161,15 +1174,15 @@ class DirectEngine(SolverEngine):
     ``lu.solve`` call on a 2-D RHS matrix, and the factorization itself is
     shared across batches (and across engine instances using the same cache).
 
-    With a ``design_region`` (a device's ``design_slice``) and the
-    ``exterior_eps`` outside it, an operator that matches ``exterior_eps``
-    everywhere outside the region is *condensed*: the exterior block is
-    factored once per ``(grid, omega, exterior)`` (cache tag
-    ``"exterior"``), and each design factors only its Schur complement on
-    the region (tag ``"condensed"``).  Every other operator — and every
-    operator while the cache has a factorization store, which persists only
-    full SuperLU artifacts — is factored in full under tag ``"direct"``.
-    Both paths are exact.
+    With a ``design_region`` (a device's ``design_slice``), every solve that
+    passes ``port_rows`` is *condensed*: the exterior block is factored once
+    per ``(grid, omega, exterior permittivity)`` (tag ``"exterior"``), and
+    each design factors only its Schur complement on the region (tag
+    ``"condensed"``).  Other solves (the normalization runs), and all while
+    the cache has a factorization store (which persists only full SuperLU
+    artifacts), factor in full under ``"direct"``.  Both paths are exact and
+    return full fields.  The rule reads the call, never the process's
+    history, so serial, pooled and resumed label runs agree byte for byte.
     """
 
     name = "direct"
@@ -1178,17 +1191,9 @@ class DirectEngine(SolverEngine):
         self,
         cache: FactorizationCache | None = None,
         design_region: tuple[slice, slice] | None = None,
-        exterior_eps: np.ndarray | None = None,
     ):
-        if (design_region is None) != (exterior_eps is None):
-            raise ValueError("design_region and exterior_eps go together")
         self.cache = cache if cache is not None else default_factorization_cache
         self.design_region = design_region
-        if design_region is not None:
-            self._outside = np.ones(np.shape(exterior_eps), dtype=bool)
-            self._outside[design_region] = False
-            self._exterior_eps = np.asarray(exterior_eps)[self._outside]
-            self._exterior_fingerprint = _exterior_digest(self._exterior_eps, design_region)
 
     @property
     def fidelity_signature(self) -> tuple:
@@ -1198,28 +1203,20 @@ class DirectEngine(SolverEngine):
         # signature.
         return ("exact",)
 
-    def _condenses(self, grid: Grid, eps_r: np.ndarray) -> bool:
-        return (
-            self.design_region is not None
-            and grid.shape == self._outside.shape
-            and self.cache.store is None
-            and np.array_equal(np.asarray(eps_r)[self._outside], self._exterior_eps)
-        )
-
     def factorize(
-        self, grid: Grid, omega: float, eps_r: np.ndarray, fingerprint: str | None = None
+        self, grid: Grid, omega: float, eps_r: np.ndarray, fingerprint=None, port_rows=None
     ):
         """Factorization of ``A(eps_r)`` (a SuperLU or a condensed LU), shared through the cache."""
         if fingerprint is None:
             fingerprint = eps_fingerprint(eps_r)
-        if self._condenses(grid, eps_r):
-            return self.cache.get_or_build(
-                grid,
-                omega,
-                fingerprint,
-                lambda: _CondensedLU(self._exterior(grid, omega, eps_r), omega, eps_r),
-                tag="condensed",
-            )
+        if self.design_region is not None and port_rows is not None and self.cache.store is None:
+
+            def condense():
+                # A port-less exterior: condensed solves recover full fields.
+                exterior, _ = _resident_exterior(self.cache, grid, omega, eps_r, self.design_region)
+                return _CondensedLU(exterior, omega, eps_r)
+
+            return self.cache.get_or_build(grid, omega, fingerprint, condense, tag="condensed")
         return self.cache.get_or_build(
             grid,
             omega,
@@ -1228,20 +1225,9 @@ class DirectEngine(SolverEngine):
             tag="direct",
         )
 
-    def _exterior(self, grid: Grid, omega: float, eps_r: np.ndarray) -> _Exterior:
-        # Built lazily by the first condensed build; ``eps_r`` matches the
-        # exterior outside the region, and the region's values do not enter.
-        return self.cache.get_or_build(
-            grid,
-            omega,
-            self._exterior_fingerprint,
-            lambda: _Exterior(grid, omega, eps_r, self.design_region),
-            tag="exterior",
-        )
-
-    def solve_batch(self, grid, omega, eps_r, rhs, fingerprint=None, x0=None):
+    def solve_batch(self, grid, omega, eps_r, rhs, fingerprint=None, x0=None, port_rows=None):
         eps_r, rhs = self._check_batch(grid, eps_r, rhs)
-        lu = self.factorize(grid, omega, eps_r, fingerprint)
+        lu = self.factorize(grid, omega, eps_r, fingerprint, port_rows)
         # One back-substitution on an (n_points, n_rhs) matrix.  Exact solves
         # have nothing to gain from an initial guess; x0 is accepted (and
         # ignored) so call sites can thread warm starts engine-agnostically.
@@ -1272,11 +1258,6 @@ class _RecycledReference:
         self.last_iterations = 0.0
 
 
-#: ``(grid, omega, exterior)`` sightings a :class:`RecycledEngine` remembers.
-#: An exterior that falls out of the memo is solved on the full grid once more.
-_SIGHTINGS = 64
-
-
 class _Frame:
     """The unknowns one recycled solve works on: the full grid, or the region's ``S``.
 
@@ -1285,9 +1266,9 @@ class _Frame:
     (``exterior`` None) :meth:`reduce` passes right-hand sides and solutions
     through.  Over a resident :class:`_Exterior` the loop between reduce and
     recovery factors, refines and iterates on the Schur complement of the
-    design region only.  A ``one_off`` frame (an exterior's first sighting
-    on a region) solves on the full grid and keeps no reference.  Stacks are
-    rows, ``(n_rhs, n)``.
+    design region only.  A ``one_off`` frame (a solve on a region engine
+    that names no port rows) solves on the full grid and keeps no reference.
+    Stacks are rows, ``(n_rhs, n)``.
     """
 
     __slots__ = ("grid", "omega", "exterior", "one_off", "key", "tag")
@@ -1297,7 +1278,7 @@ class _Frame:
         grid: Grid,
         omega: float,
         exterior: _Exterior | None = None,
-        digest: str | None = None,
+        exterior_key: str | None = None,
         one_off: bool = False,
     ):
         self.grid = grid
@@ -1307,7 +1288,7 @@ class _Frame:
         if exterior is None:
             self.key, self.tag = (grid, omega), "recycled"
         else:
-            self.key, self.tag = (grid, omega, digest), "recycled_schur"
+            self.key, self.tag = (grid, omega, exterior_key), "recycled_schur"
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
         """The frame's unknowns of grid-flat values (last axis)."""
@@ -1397,33 +1378,24 @@ class RecycledEngine(SolverEngine):
       new reference and the batch is solved exactly against its fresh LU.
 
     Given a device's ``design_region`` (``InverseDesignProblem`` passes its
-    ``design_slice`` for ``engine="recycled"``), the same loop runs on the
-    region only.  The first solve against an exterior (the permittivity
-    outside the region) runs on the full grid; from its second sighting on,
-    the exterior is factored once (tag ``"exterior"``; without ``port_rows``
-    it is the :class:`DirectEngine` exterior, same digest) and every solve
-    *reduces* the right-hand sides to the region (``b_I - A_IE A_EE^{-1}
-    b_E``), recycles on the Schur
-    complement ``S`` (references keyed by ``(grid, omega, exterior)``, their
-    LUs factor only ``S``), and *recovers* ``x_E = A_EE^{-1} (b_E - A_EI
-    x_I)`` exactly.  The full residual then equals the reduced one, so the
-    tolerance is measured against the full ``||b||`` and the contract above
-    holds unchanged.  While the cache has a factorization store the engine
-    stays on the full grid (the store persists only full SuperLU artifacts).
-
-    The optimization loop never back-substitutes through the exterior.
-    ``Simulation`` passes ``port_rows`` (the rows port measurements and
-    objectives read), the exterior is built with a port block for them (see
-    :class:`_Exterior`), and a right-hand side supported on the region and
-    those rows reduces and reads out its port rows through dense products
-    with that block.  The result is a :class:`~repro.fdfd.lazy.Deferred`
-    stack, exact on ``I ∪ P`` and NaN elsewhere; its one exterior
-    back-substitution runs only if a caller reads the full field; if
-    ``port_rows`` reach outside ``I ∪ P``, it runs at once.  Right-hand
-    sides with support elsewhere and solves without ``port_rows`` (on an
-    exterior without a port block) take the exterior's two
-    back-substitutions; full-grid and one-off frames solve on the full
-    grid, as before.
+    ``design_slice`` for ``engine="recycled"``), every solve that passes
+    ``port_rows`` (the rows port measurements and objectives read) runs on
+    the region: the exterior is factored once (tag ``"exterior"``) with a
+    port block for those rows (see :class:`_Exterior`), and each solve
+    *reduces* the right-hand sides to the region, recycles on the Schur
+    complement ``S`` (references keyed by ``(grid, omega, exterior)``) and
+    *recovers* the exterior exactly, so the full residual equals the reduced
+    one and the contract above holds unchanged.  A right-hand side supported
+    on the region and the port rows never touches the exterior LU: reduce
+    and port readout are products with the port block, and the result is a
+    :class:`~repro.fdfd.lazy.Deferred` stack, exact on ``I ∪ P`` and NaN
+    elsewhere, whose one exterior back-substitution runs when a caller reads
+    the full field (at once if ``port_rows`` reach outside ``I ∪ P``).
+    Other right-hand sides take the exterior's two back-substitutions.  A
+    region engine's solve without ``port_rows`` (a normalization run) is one
+    exact full-grid solve that keeps nothing.  Without a region, or while the
+    cache has a factorization store (which persists only full SuperLU
+    artifacts), the loop recycles on the full grid.
 
     A recycled solve that fails to converge falls back to refactorization, so
     results are always converged to ``rtol`` (or exact).  Warm starts
@@ -1436,7 +1408,6 @@ class RecycledEngine(SolverEngine):
 
     name = "recycled"
     supports_warm_start = True
-    reduces_to_ports = True
 
     def __init__(
         self,
@@ -1461,8 +1432,6 @@ class RecycledEngine(SolverEngine):
         self.design_region = design_region
         self._references: dict[tuple, OrderedDict[str, _RecycledReference]] = {}
         self._scratch: dict[tuple, sp.csr_matrix] = {}
-        # The (grid, omega, exterior digest) triples solved against so far.
-        self._sightings = BoundedCache(_SIGHTINGS)
         self.stats = RecycleStats()
 
     @property
@@ -1532,32 +1501,20 @@ class RecycledEngine(SolverEngine):
     def _frame(
         self, grid: Grid, omega: float, eps_r: np.ndarray, port_rows: np.ndarray | None = None
     ) -> _Frame:
-        """The full grid, or the region's ``S`` once this exterior is seen again.
+        """The full grid, a one-off full-grid solve, or the region's ``S`` for ``port_rows``.
 
-        With ``port_rows`` the exterior carries a port block for them.  The
-        block is part of the exterior's cache key, so a port-less exterior
-        (a ``DirectEngine``'s, or one for solves without ``port_rows``) never
-        serves a port solve, and a ``DirectEngine`` never reads a ported one:
-        its labels do not depend on which engine built an exterior first.
+        The exterior carries a port block, so a :class:`DirectEngine`'s
+        labels never read it (see :func:`_resident_exterior`).
         """
         omega = float(omega)
         if self.design_region is None or self.cache.store is not None:
             return _Frame(grid, omega)
-        outside = np.ones(grid.shape, dtype=bool)
-        outside[self.design_region] = False
-        digest = _exterior_digest(eps_r[outside], self.design_region)
-        sighting = (grid, omega, digest)
-        if self._sightings.get(sighting) is None:
-            self._sightings.put(sighting, True)
+        if port_rows is None:
             return _Frame(grid, omega, one_off=True)
-        exterior = self.cache.get_or_build(
-            grid,
-            omega,
-            digest if port_rows is None else digest + "+ports",
-            lambda: _Exterior(grid, omega, eps_r, self.design_region, port_rows),
-            tag="exterior",
+        exterior, key = _resident_exterior(
+            self.cache, grid, omega, eps_r, self.design_region, port_rows
         )
-        return _Frame(grid, omega, exterior, digest)
+        return _Frame(grid, omega, exterior, key)
 
     @staticmethod
     def _nearest_reference(
@@ -1603,8 +1560,7 @@ class RecycledEngine(SolverEngine):
         rhs: np.ndarray,
     ) -> np.ndarray:
         if frame.one_off:
-            # An exterior's first sighting on a region: its next solve
-            # condenses, so a full-grid reference would never be used again.
+            # A normalization run (cached by cross-section): keep nothing.
             self.stats.factorizations += 1
             return frame.factor(eps_r).solve(rhs.T).T
         reference = _RecycledReference(fingerprint, eps_r)
@@ -1832,32 +1788,6 @@ def load_engine_tiers() -> None:
             pass
 
 
-def _named_factory(engine):
-    """The registry factory a plain engine name selects (None for anything else)."""
-    if not isinstance(engine, str):
-        return None
-    key, spec = split_engine_name(engine)
-    return _ENGINE_FACTORIES.get(key) if spec is None else None
-
-
-def selects_direct(engine) -> bool:
-    """Whether an engine argument selects the plain exact tier.
-
-    True for None and for any registry alias of :class:`DirectEngine`
-    (``"direct"``, ``"superlu"``, ``"high"``); False for engine instances
-    and every other name.
-    """
-    return engine is None or _named_factory(engine) is DirectEngine
-
-
-def selects_recycled(engine) -> bool:
-    """Whether an engine argument is a registry name of :class:`RecycledEngine`.
-
-    False for engine instances, which callers use as given.
-    """
-    return _named_factory(engine) is RecycledEngine
-
-
 def make_engine(name: str, **kwargs) -> SolverEngine:
     """Instantiate a solver engine by name.
 
@@ -1896,16 +1826,22 @@ def make_engine(name: str, **kwargs) -> SolverEngine:
     return factory(**kwargs)
 
 
-def resolve_engine(engine: SolverEngine | str | None, **kwargs) -> SolverEngine:
+def resolve_engine(engine: SolverEngine | str | None, design_region=None, **kwargs) -> SolverEngine:
     """Normalize an engine argument: instance, registry name or None (direct).
 
-    Objects exposing ``as_engine()`` (e.g. :class:`~repro.service.SolveService`)
-    are accepted too, so a configured service drops in anywhere an engine
-    does: ``Simulation(engine=my_service)``.
+    ``design_region`` (a device's ``design_slice``) goes to None and to the
+    registry names of :class:`DirectEngine` and :class:`RecycledEngine`,
+    which condense their port solves onto it; other names and every engine
+    instance are used as given.  Objects exposing ``as_engine()`` (e.g.
+    :class:`~repro.service.SolveService`) are accepted too, so a configured
+    service drops in anywhere an engine does: ``Simulation(engine=my_service)``.
     """
     if engine is None:
-        return DirectEngine(**kwargs)
+        engine = "direct"
     if isinstance(engine, str):
+        key, spec = split_engine_name(engine)
+        if spec is None and _ENGINE_FACTORIES.get(key) in (DirectEngine, RecycledEngine):
+            kwargs["design_region"] = design_region
         return make_engine(engine, **kwargs)
     if isinstance(engine, SolverEngine):
         return engine

@@ -198,6 +198,8 @@ class KerrSolver:
         solves (each sweep is one back-substitution against the operator the
         step already factorized; the sweeps stop early once the update is
         ``rtol``-stationary).
+    port_rows:
+        Grid rows the caller reads; inner solves pass them as ``FdfdSolver`` does.
     """
 
     def __init__(
@@ -211,6 +213,7 @@ class KerrSolver:
         damping: float = 1.0,
         min_damping: float = 1.0 / 64.0,
         coupling_sweeps: int = 8,
+        port_rows: np.ndarray | None = None,
     ):
         if method not in ("born", "newton"):
             raise ValueError(f"unknown nonlinear method {method!r}; expected born or newton")
@@ -225,6 +228,8 @@ class KerrSolver:
         self.damping = float(damping)
         self.min_damping = float(min_damping)
         self.coupling_sweeps = int(coupling_sweeps)
+        has_region = port_rows is not None and self.engine.design_region is not None
+        self._ports = {"port_rows": port_rows} if has_region else {}
         self._matrix = None  # scratch operator for residuals (diagonal re-used in place)
 
     # -- pieces -----------------------------------------------------------------
@@ -254,8 +259,9 @@ class KerrSolver:
             rhs.reshape((1,) + self.grid.shape),
             fingerprint=eps_fingerprint(eps_r),
             x0=guess,
+            **self._ports,
         )
-        return np.asarray(out)[0]
+        return np.asarray(out)[0]  # a Deferred stack resolves in full
 
     def _stats_holders(self) -> list:
         holders = []
@@ -512,6 +518,7 @@ class NonlinearSimulation(Simulation):
             damping=damping,
             min_damping=min_damping,
             coupling_sweeps=coupling_sweeps,
+            port_rows=self.port_rows,
         )
         #: :class:`NonlinearStats` per excitation of the most recent
         #: ``solve_multi`` call, in excitation order.

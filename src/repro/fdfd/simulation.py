@@ -544,9 +544,9 @@ class Simulation:
         disambiguate them.  Workspace-driven solves bypass the result cache
         (they belong to optimization loops, whose design changes every call).
 
-        Solves pass :attr:`port_rows` to the engine: an engine that
-        ``reduces_to_ports`` then computes only the design region and the
-        port rows, and the results' fields recover in full on first read.
+        Solves pass :attr:`port_rows`, so an engine with a ``design_region``
+        condenses them; a recycled engine's fields then recover in full on
+        first read.
         Results entering the result cache are copied, which reads them.
 
         Returns the :class:`SimulationResult` per excitation, in order.

@@ -10,8 +10,9 @@ and the magnetic fields follow from the curl of ``Ez``::
     Hx = -1/(i omega mu0) Dyb Ez
     Hy = +1/(i omega mu0) Dxb Ez
 
-The operator is complex symmetric (the PML stretching preserves symmetry),
-which the adjoint solve exploits: ``A^T = A``.
+The operator is complex symmetric outside the PML only; the adjoint solve
+reuses ``A`` for ``A^T``, exact outside the PML (see
+:class:`~repro.fdfd.engine.SolverEngine`).
 
 :class:`FdfdSolver` is a thin convenience shim binding one ``(grid, omega)``
 pair to a :class:`~repro.fdfd.engine.SolverEngine`.  All factorization state
@@ -124,7 +125,7 @@ class FdfdSolver:
             fingerprint = eps_fingerprint(eps_r)
         self._solved_fingerprints.add(fingerprint)
         extra = {}
-        if port_rows is not None and self.engine.reduces_to_ports:
+        if port_rows is not None and self.engine.design_region is not None:
             extra["port_rows"] = port_rows
         stack = self.engine.solve_batch(
             self.grid, self.omega, eps_r, rhs, fingerprint=fingerprint, x0=x0, **extra
@@ -168,10 +169,10 @@ class FdfdSolver:
         an optional stack of ``Ez`` initial guesses (previous-iteration fields
         from a :class:`~repro.fdfd.engine.SolveWorkspace`) for warm-startable
         engines; exact engines ignore it.  ``port_rows`` (grid rows the
-        caller reads, see :func:`~repro.fdfd.monitors.port_rows`) lets an
-        engine that ``reduces_to_ports`` compute the fields there and on its
-        design region only; the solutions' fields are then deferred and
-        recovered in full on first read.
+        caller reads, see :func:`~repro.fdfd.monitors.port_rows`) go to an
+        engine with a ``design_region``, which condenses the solve onto it;
+        a recycled engine's fields are then deferred and recovered in full
+        on first read.  :meth:`solve` (the normalization runs) passes none.
         """
         eps_r = self._check_eps(eps_r)
         stack = np.stack([np.asarray(s, dtype=complex) for s in sources], axis=0)
@@ -196,11 +197,10 @@ class FdfdSolver:
     def solve_adjoint(
         self, eps_r: np.ndarray, adjoint_source: np.ndarray, fingerprint: str | None = None
     ) -> np.ndarray:
-        """Solve the adjoint system ``A^T lambda = rhs``.
+        """Solve the adjoint system ``A^T lambda = rhs`` with the forward factorization.
 
-        ``A`` is complex symmetric, so the forward factorization is reused
-        (``A^T = A``).  The adjoint source is the derivative of the objective
-        with respect to ``Ez`` (grid shaped, complex).
+        ``A`` stands in for ``A^T`` (exact outside the PML).  The adjoint
+        source is ``dF/dEz`` (grid shaped, complex).
         """
         return self.solve_adjoint_batch(eps_r, [adjoint_source], fingerprint=fingerprint)[0]
 

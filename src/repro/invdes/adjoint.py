@@ -136,9 +136,7 @@ class NumericalFieldBackend(FieldBackend):
     def adjoint_field(
         self, sim: Simulation, spec: TargetSpec, adjoint_source: np.ndarray
     ) -> np.ndarray:
-        return sim.solver.solve_adjoint(
-            sim.eps_r, adjoint_source, fingerprint=sim._current_fingerprint()
-        )
+        return np.asarray(self.adjoint_fields(sim, [spec], [adjoint_source])[0])
 
     def forward_results(
         self, sim: Simulation, specs: list[TargetSpec]
@@ -249,9 +247,10 @@ class SpecEvaluation:
     grad_density: np.ndarray
     transmissions: dict[str, float] = field(default_factory=dict)
     result: SimulationResult | None = None
-    #: The exact adjoint field.  After a port-reduced solve only the design
-    #: region (all the gradient needs) and the port rows were computed; the
-    #: first read recovers the full field, once.
+    #: The adjoint field, exact outside the PML only (the solve reuses ``A``
+    #: for ``A^T``; see :class:`~repro.fdfd.engine.SolverEngine`).  After a
+    #: port-reduced solve only the design region (all the gradient needs)
+    #: and the port rows were computed; the first read recovers the rest.
     adjoint_field: np.ndarray | None = LazyField(default=None)
     #: Convergence telemetry of the Kerr fixed point (nonlinear path only).
     nonlinear_stats: "object | None" = None

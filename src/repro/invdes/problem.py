@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.devices.base import Device
-from repro.fdfd.engine import SolveWorkspace, make_engine, selects_recycled
+from repro.fdfd.engine import SolveWorkspace, resolve_engine
 from repro.invdes.adjoint import (
     FieldBackend,
     NumericalFieldBackend,
@@ -72,11 +72,11 @@ class InverseDesignProblem:
         ``engine="recycled"`` is the optimization-loop tier: consecutive
         iterations refine against the previous factorization (BiCGStab
         preconditioned by it as the fallback) instead of refactorizing.
-        Given by that name, it is built with the device's design region, so
-        from an exterior's second solve on it factors and refines only the
-        region's Schur complement against an exterior factored once (see
-        :class:`~repro.fdfd.engine.RecycledEngine`).  Engine instances are
-        used as given.  Ignored when an explicit ``backend`` is given.
+        None and registry names of the exact tiers get the device's design
+        region (:func:`~repro.fdfd.engine.resolve_engine`), so design solves
+        work only on the region's Schur complement against an exterior
+        factored once.  Engine instances are used as given.
+        Ignored when an explicit ``backend`` is given.
     workspace:
         Optional :class:`~repro.fdfd.engine.SolveWorkspace`.  By default the
         problem creates one and shares it with the backend, so warm-startable
@@ -107,8 +107,7 @@ class InverseDesignProblem:
         explicit_workspace = workspace is not None
         self.workspace = workspace if explicit_workspace else SolveWorkspace()
         if backend is None:
-            if selects_recycled(engine):
-                engine = make_engine(engine, design_region=device.geometry.design_slice)
+            engine = resolve_engine(engine, design_region=device.geometry.design_slice)
             backend = NumericalFieldBackend(engine=engine, workspace=self.workspace)
         elif hasattr(backend, "workspace"):
             if not explicit_workspace and backend.workspace is not None:

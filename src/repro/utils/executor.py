@@ -30,11 +30,14 @@ the robustness layer a plain ``ProcessPoolExecutor`` lacks:
 
 from __future__ import annotations
 
+import ctypes
+import itertools
 import os
 import random
 import signal
 import time
 from collections import deque
+from contextlib import contextmanager
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -161,8 +164,57 @@ class TaskReport:
 # its hook.
 
 
+def _openblas_thread_calls() -> list[tuple[Callable[[int], None], Callable[[], int]]]:
+    """``(set_num_threads, get_num_threads)`` of each OpenBLAS this process has loaded.
+
+    NumPy and SciPy each bundle one, under prefixed names such as
+    ``scipy_openblas_set_num_threads64_``; they are found in ``/proc/self/maps``.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:  # no procfs: nothing to pin
+        return []
+    paths = sorted(
+        {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].rsplit("/", 1)[-1]}
+    )
+    calls = []
+    for path, name in itertools.product(paths, ("openblas", "scipy_openblas")):
+        library = ctypes.CDLL(path)
+        for suffix in ("", "64_"):
+            setter = getattr(library, f"{name}_set_num_threads{suffix}", None)
+            getter = getattr(library, f"{name}_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                calls.append((setter, getter))
+    return calls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block at one thread in every loaded OpenBLAS, then restore each count.
+
+    Tasks run at one BLAS thread, pooled or inline: forked workers of a
+    multi-threaded OpenBLAS oversubscribed the cores (two ran ~9x slower
+    than serial on 2 CPUs), and dense kernels round differently at other
+    thread counts, while a task's result must not depend on where it ran.
+    """
+    calls = _openblas_thread_calls()
+    saved = [get_num_threads() for _, get_num_threads in calls]
+    for set_num_threads, _ in calls:
+        set_num_threads(1)
+    try:
+        yield
+    finally:
+        for (set_num_threads, _), count in zip(calls, saved):
+            set_num_threads(count)
+
+
 def _worker_init(user_initializer, user_initargs):
     faults.mark_worker()
+    for set_num_threads, _ in _openblas_thread_calls():
+        set_num_threads(1)  # for the worker's life; see _one_blas_thread
     if user_initializer is not None:
         user_initializer(*user_initargs)
 
@@ -461,23 +513,24 @@ class _PoolRun:
             self._serial_initialized = True
             if self.initializer is not None:
                 self.initializer(*self.initargs)
-        while self._ready:
-            now = time.monotonic()
-            index = self._pop_ready(now)
-            if index is None:
-                return  # every remaining task is backing off; run() will sleep
-            task = self._tasks[index]
-            task.status = "running"
-            self._attempts[index] = self._attempts.get(index, 0) + 1
-            try:
-                faults.on_task_start(index)
-                result = self.fn(task.payload)
-            except BaseException as err:
-                self._attempt_failed(task, err, "error")
-                continue
-            task.result = result
-            task.status = "done"
-            self._settled += 1
+        with _one_blas_thread():
+            while self._ready:
+                now = time.monotonic()
+                index = self._pop_ready(now)
+                if index is None:
+                    return  # every remaining task is backing off; run() will sleep
+                task = self._tasks[index]
+                task.status = "running"
+                self._attempts[index] = self._attempts.get(index, 0) + 1
+                try:
+                    faults.on_task_start(index)
+                    result = self.fn(task.payload)
+                except BaseException as err:
+                    self._attempt_failed(task, err, "error")
+                    continue
+                task.result = result
+                task.status = "done"
+                self._settled += 1
 
 
 def execute_tasks(

@@ -1,17 +1,22 @@
 """Condensed solves: the design-region Schur complement paths of the engines.
 
-A ``DirectEngine`` given a device's design region factors the fixed exterior
-once and each design's condensed operator on the region.  These tests pin
-that the condensed factor solves the same systems as the full LU (every zoo
-device, two grids, forward and adjoint right-hand sides, Kerr fixed points),
-that operators outside its rule (exterior changed, store attached) are
-factored in full, and that label extraction actually takes the path.
+Both exact engines follow one rule: given a device's design region, a solve
+that passes ``port_rows`` condenses onto the region from the first solve on,
+against an exterior factored once and keyed by content.  Every other solve
+(the normalization runs) is a full-grid one.
 
-A ``RecycledEngine`` given the region recycles on the Schur complement from
-an exterior's second sighting on.  Its tests pin the full-system residual of
-every path (reference hit, refinement, BiCGStab, refactorization), exterior
-residency in the cache, the one-off rule, the store fallback and the
-optimization loop's FoM history against exact solves.
+A ``DirectEngine`` then factors each design's condensed operator on the
+region.  These tests pin that the condensed factor solves the same systems as
+the full LU (every zoo device, two grids, forward and adjoint right-hand
+sides, Kerr fixed points), that solves outside the rule (no ``port_rows``,
+store attached) are factored in full, and that label extraction actually
+takes the path.
+
+A ``RecycledEngine`` recycles on the Schur complement.  Its tests pin the
+full-system residual of every path (reference hit, refinement, BiCGStab,
+refactorization), exterior residency in the cache, the one-off full-grid
+solve without ``port_rows``, the store fallback and the optimization loop's
+FoM history against exact solves.
 """
 
 import numpy as np
@@ -33,30 +38,39 @@ from repro.fdfd.engine import (
     default_factorization_cache,
     eps_fingerprint,
     factor_lu,
-    selects_direct,
-    selects_recycled,
+    resolve_engine,
 )
 from repro.fdfd.lazy import Deferred
 from repro.fdfd.monitors import port_rows
 from repro.fdfd.nonlinear import KerrNonlinearity
 import repro.fdfd.simulation as simulation_module
-from repro.fdfd.simulation import Simulation, clear_result_cache, normalization_geometry
+from repro.fdfd.simulation import (
+    Simulation,
+    clear_result_cache,
+    normalization_geometry,
+    port_mode_source,
+)
+from repro.fdfd.solver import FdfdSolver
+from repro.fabrication.corners import FabricationCorner
 from repro.invdes import AdjointOptimizer, InverseDesignProblem, RobustInverseDesignProblem
 from repro.invdes.adjoint import NumericalFieldBackend, Sweep, evaluate_specs
 from repro.invdes.objectives import Objective, objective_for_spec
 from repro.service.cache_store import FileFactorizationStore
+from repro.utils.cache import BoundedCache
 
 DEVICE_SIZE = dict(domain=3.0, design_size=1.4)
 PARITY_CASES = [(name, dl) for name in available_devices() for dl in (0.1, 0.08)]
 
 
 def _region_engine(device, cache=None) -> DirectEngine:
-    geometry = device.geometry
     return DirectEngine(
         cache=cache if cache is not None else FactorizationCache(),
-        design_region=geometry.design_slice,
-        exterior_eps=geometry.eps_background,
+        design_region=device.geometry.design_slice,
     )
+
+
+def _rows(device):
+    return port_rows(tuple(device.geometry.ports), device.grid)
 
 
 def _tags(cache) -> set[str]:
@@ -78,7 +92,7 @@ def test_condensed_factor_matches_full_lu(name, dl):
     engine = _region_engine(device)
     for spec in device.specs:
         omega = wavelength_to_omega(spec.wavelength)
-        condensed = engine.factorize(grid, omega, eps)
+        condensed = engine.factorize(grid, omega, eps, port_rows=_rows(device))
         assert engine.cache.peek(grid, omega, eps_fingerprint(eps), tag="condensed") is condensed
         full = factor_lu(assemble_system_matrix(grid, omega, eps))
 
@@ -160,17 +174,20 @@ class TestFallbacks:
         return guide
 
     @pytest.mark.parametrize("variant", ["_temperature_drift", "_normalization_guide"])
-    def test_changed_exterior_is_factored_in_full(self, variant):
+    def test_only_solves_naming_port_rows_condense(self, variant):
+        """The rule reads the call, not the permittivity: any exterior condenses with port rows."""
         device = make_device("bending", dl=0.1, **DEVICE_SIZE)
         engine = _region_engine(device)
         density = np.random.default_rng(2).uniform(0.0, 1.0, device.design_shape)
         eps = getattr(self, variant)(device, device.eps_with_design(density))
         omega = wavelength_to_omega(device.specs[0].wavelength)
-        engine.factorize(device.grid, omega, eps)
         fingerprint = eps_fingerprint(eps)
-        assert engine.cache.peek(device.grid, omega, fingerprint, tag="condensed") is None
+        engine.factorize(device.grid, omega, eps)
         assert engine.cache.peek(device.grid, omega, fingerprint, tag="direct") is not None
         assert _tags(engine.cache) == {"direct"}
+        engine.factorize(device.grid, omega, eps, port_rows=_rows(device))
+        assert engine.cache.peek(device.grid, omega, fingerprint, tag="condensed") is not None
+        assert _tags(engine.cache) == {"direct", "condensed", "exterior"}
 
     def test_store_runs_publish_only_full_operators(self, tmp_path):
         store_dir = tmp_path / "store"
@@ -197,15 +214,14 @@ class TestFallbacks:
             assert np.linalg.norm(matrix @ entry.solve(rhs) - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_engine_instances_and_other_tiers_are_used_as_given(self):
-        assert selects_direct(None) and selects_direct("direct") and selects_direct("HIGH")
-        assert selects_direct("superlu")
-        assert not selects_direct("recycled")
-        assert not selects_direct(DirectEngine())
-
-    def test_region_and_exterior_go_together(self):
-        device = make_device("bending", dl=0.1, **DEVICE_SIZE)
-        with pytest.raises(ValueError, match="together"):
-            DirectEngine(design_region=device.geometry.design_slice)
+        region = make_device("bending", dl=0.1, **DEVICE_SIZE).geometry.design_slice
+        for name in (None, "direct", "HIGH", "superlu", " Recycled "):
+            assert resolve_engine(name, design_region=region).design_region == region, name
+        assert resolve_engine(None).design_region is None
+        assert resolve_engine("fdtd", design_region=region).design_region is None
+        instance = DirectEngine()
+        assert resolve_engine(instance, design_region=region) is instance
+        assert instance.design_region is None
 
 
 def test_serial_generation_takes_the_condensed_path():
@@ -281,14 +297,12 @@ def test_condensed_recycling_meets_the_full_residual(name, dl, monkeypatch):
 
     def solve(eps_r, counter):
         before = getattr(stats, counter)
-        solution = engine.solve_batch(grid, omega, eps_r, rhs)
+        solution = engine.solve_batch(grid, omega, eps_r, rhs, port_rows=_rows(device))
         assert getattr(stats, counter) == before + 1, counter
         _assert_full_residual(grid, omega, eps_r, rhs, solution, engine.rtol)
         return solution
 
-    solve(eps, "factorizations")  # first sighting: full grid, nothing kept
-    assert _tags(engine.cache) == set()
-    solve(eps, "factorizations")  # second sighting: a reference on S
+    solve(eps, "factorizations")  # the first solve: a reference on S
     assert _tags(engine.cache) == {"exterior", "recycled_schur"}
     solve(eps, "exact_solves")
     solve(_drifted(device, density, rng, 0.01), "recycled_solves")
@@ -378,6 +392,102 @@ def test_normalization_guide_never_builds_an_exterior(counting_exteriors):
     np.testing.assert_array_equal(exterior, device.geometry.eps_background[outside])
 
 
+# --------------------------------------------------------------------------- #
+# the one condensing rule: a solve that names its port rows condenses
+# --------------------------------------------------------------------------- #
+BOTH_ENGINES = pytest.mark.parametrize(
+    "make", [_region_engine, _region_recycled], ids=["direct", "recycled"]
+)
+
+
+@BOTH_ENGINES
+def test_the_first_port_solve_condenses(make, counting_exteriors):
+    device = make_device("bending", dl=0.1, **DEVICE_SIZE)
+    grid = device.grid
+    engine = make(device)
+    eps = device.eps_with_design(np.random.default_rng(9).uniform(0, 1, device.design_shape))
+    spec = device.specs[0]
+    omega = wavelength_to_omega(spec.wavelength)
+    sim = Simulation(grid, eps, spec.wavelength, device.geometry.ports)
+    rhs = 1j * omega * sim.mode_source(spec.source_port, spec.source_mode)[None]
+    solution = engine.solve_batch(grid, omega, eps, rhs, port_rows=_rows(device))
+    _assert_full_residual(grid, omega, eps, rhs, np.asarray(solution), 1e-6)
+    assert len(counting_exteriors) == 1
+    outside = np.ones(grid.shape, dtype=bool)
+    outside[device.geometry.design_slice] = False
+    np.testing.assert_array_equal(counting_exteriors[0][1], eps[outside])
+    per_design = "condensed" if isinstance(engine, DirectEngine) else "recycled_schur"
+    assert _tags(engine.cache) == {"exterior", per_design}
+
+
+@BOTH_ENGINES
+def test_a_normalization_solve_builds_no_exterior(make, counting_exteriors):
+    device = make_device("bending", dl=0.1, **DEVICE_SIZE)
+    grid = device.grid
+    engine = make(device)
+    port = next(p for p in device.geometry.ports if p.name == device.specs[0].source_port)
+    guide, _ = normalization_geometry(grid, port, device.geometry.eps_background[port.indices(grid)])
+    omega = wavelength_to_omega(device.specs[0].wavelength)
+    source = port_mode_source(port, guide, grid, omega, 0)
+    solution = FdfdSolver(grid, omega, engine=engine).solve(guide, source)
+    _assert_full_residual(grid, omega, guide, 1j * omega * source[None], solution.ez[None], 1e-9)
+    assert counting_exteriors == []
+    if isinstance(engine, DirectEngine):
+        assert _tags(engine.cache) == {"direct"}
+    else:
+        # One exact full-grid solve that keeps no reference LU.
+        assert engine.stats.factorizations == 1 and len(engine.cache) == 0
+        assert not any(engine._references.values())
+
+
+def test_kerr_robust_corners_condense(counting_exteriors):
+    """The Kerr fixed point's inner and adjoint solves condense at every corner."""
+    device = make_device("kerr_limiter", dl=0.1, **DEVICE_SIZE)
+    corners = [
+        FabricationCorner(name="nominal"),
+        FabricationCorner(name="hot", temperature_drift=TemperatureDrift(20.0)),
+    ]
+    foms = {}
+    for label, engine in (("region", "recycled"), ("full", DirectEngine(cache=FactorizationCache()))):
+        base = InverseDesignProblem(device, engine=engine, nonlinearity=KerrNonlinearity(rtol=1e-10))
+        robust = RobustInverseDesignProblem(base, corners=corners)
+        foms[label] = robust.evaluate(base.initial_theta("uniform")).fom
+        if label == "region":
+            cache = base.backend.engine.cache
+            assert len(counting_exteriors) == 2  # one per corner exterior
+            assert _tags(cache) == {"exterior", "recycled_schur"}
+    assert foms["region"] == pytest.approx(foms["full"], rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "problem,iterations,exteriors,factorizations",
+    [("invdes", 100, 1, 21), ("robust", 12, 3, 54)],
+)
+def test_perfbench_loops_condense_from_the_first_solve(
+    problem, iterations, exteriors, factorizations, counting_exteriors, monkeypatch
+):
+    """The perfbench ``invdes`` and ``robust`` loops build one exterior per
+    exterior permittivity and pay no full-grid factorization for a design.
+
+    Condensing from an exterior's second sighting, as this engine once did,
+    cost one more full-grid factorization per exterior (22 and 57).
+    """
+    # Cold normalizations, as in a perfbench episode's fresh process.
+    monkeypatch.setattr(simulation_module, "_NORMALIZATION_CACHE", BoundedCache(256))
+    device = make_device("bending", fidelity="high", domain=3.5, design_size=1.8)
+    base = InverseDesignProblem(device, engine="recycled")
+    loop = base if problem == "invdes" else RobustInverseDesignProblem(base)
+    optimizer = AdjointOptimizer(loop, learning_rate=0.2, beta_schedule={0: 4.0, 10: 8.0, 20: 16.0})
+    theta0 = loop.initial_theta("waveguide")
+    theta0 = theta0 + np.random.default_rng(1).uniform(-0.005, 0.005, theta0.shape)
+    optimizer.run(theta0, iterations=iterations)
+    engine = base.backend.engine
+    assert len(counting_exteriors) == exteriors
+    # No full-grid reference: the normalization runs' one-off solves keep nothing.
+    assert "recycled" not in _tags(engine.cache)
+    assert engine.stats.factorizations == factorizations
+
+
 def test_store_keeps_the_recycled_engine_on_the_full_grid(tmp_path):
     device = make_device("bending", dl=0.1, **DEVICE_SIZE)
     cache = FactorizationCache(store=FileFactorizationStore(tmp_path / "store"))
@@ -397,10 +507,10 @@ def test_store_keeps_the_recycled_engine_on_the_full_grid(tmp_path):
 
 
 def test_problem_gives_the_named_recycled_tier_the_design_region(tiny_bend):
-    assert selects_recycled("recycled") and selects_recycled(" Recycled ")
-    assert not selects_recycled(None) and not selects_recycled("direct")
-    named = InverseDesignProblem(tiny_bend, engine="recycled").backend.engine
-    assert named.design_region == tiny_bend.geometry.design_slice
+    for name, kind in ((None, DirectEngine), ("direct", DirectEngine), ("recycled", RecycledEngine)):
+        named = InverseDesignProblem(tiny_bend, engine=name).backend.engine
+        assert type(named) is kind
+        assert named.design_region == tiny_bend.geometry.design_slice
     instance = RecycledEngine(cache=FactorizationCache())
     assert InverseDesignProblem(tiny_bend, engine=instance).backend.engine is instance
     assert instance.design_region is None
@@ -504,7 +614,7 @@ def test_port_block_matches_back_substitutions(name, dl, monkeypatch):
     eps = device.eps_with_design(np.random.default_rng(4).uniform(0, 1, device.design_shape))
     omega = wavelength_to_omega(device.specs[0].wavelength)
     region = device.geometry.design_slice
-    ports = port_rows(tuple(device.geometry.ports), device.grid)
+    ports = _rows(device)
     fast = engine_module._Exterior(device.grid, omega, eps, region, ports)
     splu = engine_module.spla.splu
 
@@ -616,7 +726,7 @@ def test_engine_region_smaller_than_the_device_region(off_ports):
         }
     backend = NumericalFieldBackend(engine, workspace=SolveWorkspace())
     density = np.random.default_rng(8).uniform(0.2, 0.8, device.design_shape)
-    for _ in range(3):  # one-off, exterior build, exact hit
+    for _ in range(3):  # exterior build, then exact hits
         got = evaluate_specs(device, density, backend=backend, objectives=objectives)
     exact = NumericalFieldBackend(DirectEngine(cache=FactorizationCache()))
     want = evaluate_specs(device, density, backend=exact, objectives=objectives)
@@ -649,7 +759,7 @@ def test_port_and_label_exteriors_are_kept_apart():
     eps = device.eps_with_design(np.random.default_rng(3).uniform(0, 1, device.design_shape))
     omega = wavelength_to_omega(device.specs[0].wavelength)
     rhs = np.random.default_rng(5).normal(size=(1, *device.grid.shape)).astype(complex)
-    solution = label.solve_batch(device.grid, omega, eps, rhs)
+    solution = label.solve_batch(device.grid, omega, eps, rhs, port_rows=_rows(device))
     _assert_full_residual(device.grid, omega, eps, rhs, solution, 1e-9)
     condensed = [cache.peek(*k[:3], tag="condensed") for k in cache.keys() if k[3] == "condensed"]
     assert len(condensed) == 2 and all(entry.exterior is plain for entry in condensed)
@@ -662,13 +772,13 @@ def test_right_hand_sides_off_the_ports_take_the_full_reduction():
     rng = np.random.default_rng(6)
     density = rng.uniform(0.0, 1.0, device.design_shape)
     omega = wavelength_to_omega(device.specs[0].wavelength)
-    rows = port_rows(tuple(device.geometry.ports), grid)
+    rows = _rows(device)
     sim = Simulation(grid, device.eps_with_design(density), device.specs[0].wavelength,
                      device.geometry.ports)
     on_ports = 1j * omega * sim.mode_source(device.specs[0].source_port)[None]
     off_ports = rng.normal(size=(2, *grid.shape)) + 1j * rng.normal(size=(2, *grid.shape))
-    for _ in range(2):  # one-off, then the exterior is built with its port block
-        engine.solve_batch(grid, omega, device.eps_with_design(density), on_ports, port_rows=rows)
+    # The first solve builds the exterior with its port block.
+    engine.solve_batch(grid, omega, device.eps_with_design(density), on_ports, port_rows=rows)
     known = np.zeros(grid.shape, dtype=bool)
     known[device.geometry.design_slice] = True
     known = known.ravel()

@@ -3,8 +3,9 @@
 The README quickstart is *executed* (not just rendered), README links must
 resolve, the engine-registry table must cover every registered engine, every
 engine name the docs and examples select must exist, the docs spell sweeps
-as one ``Sweep`` object, and every example script must be documented and
-quick-mode capable (CI runs them all with ``REPRO_EXAMPLES_QUICK=1``).
+as one ``Sweep`` object and name no removed engine API, and every example
+script must be documented and quick-mode capable (CI runs them all with
+``REPRO_EXAMPLES_QUICK=1``).
 """
 
 import re
@@ -126,6 +127,27 @@ def test_docs_spell_sweeps_as_one_object():
     for path in [README, *sorted((REPO / "docs").glob("*.md"))]:
         loose = _loose_sweep_kwargs(path.read_text())
         assert not loose, f"{path.relative_to(REPO)} shows {loose}; pass sweep=Sweep(...)"
+
+
+#: Engine API replaced by the one condensing rule (``port_rows`` plus
+#: ``resolve_engine(engine, design_region=...)``).
+_REMOVED_ENGINE_API = ("exterior_eps", "selects_direct", "selects_recycled", "reduces_to_ports")
+
+
+def test_docs_name_no_removed_engine_api():
+    import repro.fdfd.engine as engine_module
+
+    for name in _REMOVED_ENGINE_API:
+        assert not hasattr(engine_module, name), name
+    sources = [
+        README,
+        *sorted((REPO / "docs").glob("*.md")),
+        *sorted((REPO / "examples").glob("*.py")),
+    ]
+    for path in sources:
+        text = path.read_text()
+        for name in _REMOVED_ENGINE_API:
+            assert name not in text, f"{path.relative_to(REPO)} names the removed {name!r}"
 
 
 def test_examples_documented_and_quick_capable():

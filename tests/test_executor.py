@@ -15,6 +15,7 @@ from repro.utils.executor import (
     ExecutorConfig,
     TaskTimeoutError,
     WorkerCrashError,
+    _openblas_thread_calls,
     execute_tasks,
 )
 
@@ -238,6 +239,33 @@ class TestPoolExecution:
         )
         report.raise_first()
         assert report.results == [0, 1, 4]
+
+
+def _blas_threads(_):
+    return [get_num_threads() for _, get_num_threads in _openblas_thread_calls()]
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pooled"])
+    def test_tasks_run_at_one_blas_thread_and_the_parent_keeps_its_own(self, workers):
+        import numpy.linalg, scipy.linalg  # noqa: F401  (both bundled OpenBLAS copies)
+
+        calls = _openblas_thread_calls()
+        if not calls:
+            pytest.skip("no OpenBLAS loaded in this process")
+        saved = _blas_threads(None)
+        try:
+            # A parent running several BLAS threads, as a default environment does.
+            for set_num_threads, _ in calls:
+                set_num_threads(2)
+            parent = _blas_threads(None)
+            report = execute_tasks(_blas_threads, [0, 1], workers=workers, config=FAST)
+            report.raise_first()
+            assert report.results == [[1] * len(calls)] * 2
+            assert _blas_threads(None) == parent
+        finally:
+            for (set_num_threads, _), count in zip(calls, saved):
+                set_num_threads(count)
 
 
 def _die_forever_on_one(task):
