@@ -1,29 +1,18 @@
-"""Solve service under many-client load: coalescing + cache-fabric wins.
+"""Solve service under many-client load: request coalescing.
 
-Two claims of the serving layer are measured:
-
-* **Request coalescing** — N concurrent clients querying the same operator
-  each pay a solve call.  Uncoalesced, they race the factorization cache on a
-  cold start (the cache deliberately locks its bookkeeping, not the build, so
-  the thundering herd builds up to N identical LUs) and then back-substitute
-  one right-hand side at a time.  Through a :class:`~repro.service.SolveService`
-  the same requests group by ``(engine, grid, omega, eps fingerprint)`` and
-  flush as single batched ``solve_batch`` calls: one factorization total,
-  stacked back-substitutions, bit-identical results.  Reported per arm:
-  factorizations, throughput, and p50/p95/p99 request latency.
-
-* **Cross-process cache fabric** — a fresh process (modelled by a fresh
-  :class:`~repro.fdfd.engine.FactorizationCache`; the artifacts genuinely
-  live on disk and are memory-mapped) pays a full factorization on its first
-  solve when cold, but only an artifact map + two sparse triangular
-  substitutions when a shared :class:`~repro.service.FileFactorizationStore`
-  is warm.  Reported: cold vs. warm first-solve latency, the speedup, the
-  norm-wise deviation from the cold result, and the store counters.
+N concurrent clients querying the same operator each pay a solve call.
+Uncoalesced, they race the factorization cache on a cold start (the cache
+deliberately locks its bookkeeping, not the build, so the thundering herd
+builds up to N identical LUs) and then back-substitute one right-hand side at
+a time.  Through a :class:`~repro.service.SolveService` the same requests
+group by ``(engine, grid, omega, eps fingerprint)`` and flush as single
+batched ``solve_batch`` calls: one factorization total, stacked
+back-substitutions, bit-identical results.  Reported per arm:
+factorizations, throughput, and p50/p95/p99 request latency.
 
 ``--quick`` shrinks the load and turns the claims into hard assertions —
 the CI gate: coalesced results bit-identical to serial per-request solves,
-factorizations reduced, wall time not slower, warm store faster than cold
-within solver accuracy.  Writes ``BENCH_service.json``
+factorizations reduced, wall time not slower.  Writes ``BENCH_service.json``
 (``BENCH_service_quick.json`` with ``--quick``).
 """
 
@@ -31,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
@@ -42,9 +30,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from common import print_table, write_bench_record  # noqa: E402
 
-import scipy.sparse as sp  # noqa: E402
-import scipy.sparse.linalg as spla  # noqa: E402
-
 from repro.constants import wavelength_to_omega  # noqa: E402
 from repro.devices.factory import make_device  # noqa: E402
 from repro.fdfd.engine import (  # noqa: E402
@@ -52,7 +37,7 @@ from repro.fdfd.engine import (  # noqa: E402
     FactorizationCache,
     eps_fingerprint,
 )
-from repro.service import FileFactorizationStore, SolveService  # noqa: E402
+from repro.service import SolveService  # noqa: E402
 
 
 def _problem(quick: bool):
@@ -206,63 +191,7 @@ def run_coalescing(grid, omega, eps, quick: bool) -> dict:
     }
 
 
-def run_cache_fabric(grid, omega, eps, quick: bool) -> dict:
-    """Cold-start first solve: no store vs. a warm shared store."""
-    fingerprint = eps_fingerprint(eps)
-    rhs = _rhs_pool(grid, omega, 4)
-    repeats = 3
-
-    # One-time SciPy lazy-init (first spsolve_triangular call pays module
-    # setup) must not be billed to the warm arm.
-    tiny = sp.identity(4, format="csr")
-    spla.spsolve_triangular(tiny, np.ones(4), lower=True, unit_diagonal=True)
-
-    with tempfile.TemporaryDirectory(prefix="bench_service_store_") as tmp:
-        store = FileFactorizationStore(tmp)
-
-        # A prior process factorizes and publishes.
-        publish_start = time.perf_counter()
-        publisher = DirectEngine(cache=FactorizationCache(store=store))
-        publisher.solve_batch(grid, omega, eps, rhs, fingerprint=fingerprint)
-        publish_seconds = time.perf_counter() - publish_start
-
-        cold_seconds, warm_seconds = [], []
-        cold_result = warm_result = None
-        for _ in range(repeats):
-            cold_engine = DirectEngine(cache=FactorizationCache())
-            start = time.perf_counter()
-            cold_result = cold_engine.solve_batch(
-                grid, omega, eps, rhs, fingerprint=fingerprint
-            )
-            cold_seconds.append(time.perf_counter() - start)
-
-            warm_cache = FactorizationCache(store=store)
-            warm_engine = DirectEngine(cache=warm_cache)
-            start = time.perf_counter()
-            warm_result = warm_engine.solve_batch(
-                grid, omega, eps, rhs, fingerprint=fingerprint
-            )
-            warm_seconds.append(time.perf_counter() - start)
-
-        deviation = float(
-            np.linalg.norm(warm_result - cold_result) / np.linalg.norm(cold_result)
-        )
-        cold_median = float(np.median(cold_seconds))
-        warm_median = float(np.median(warm_seconds))
-        return {
-            "rhs_per_solve": int(rhs.shape[0]),
-            "repeats": repeats,
-            "publish_seconds": round(publish_seconds, 4),
-            "cold_first_solve_seconds": round(cold_median, 4),
-            "warm_first_solve_seconds": round(warm_median, 4),
-            "cold_start_speedup": round(cold_median / warm_median, 2),
-            "warm_vs_cold_rel_deviation": deviation,
-            "store": store.stats.as_dict(),
-            "artifacts": len(store),
-        }
-
-
-def assert_quick_contracts(coalescing: dict, fabric: dict) -> None:
+def assert_quick_contracts(coalescing: dict) -> None:
     """The CI gate: the serving layer must actually deliver its claims."""
     co, un = coalescing["coalesced"], coalescing["uncoalesced"]
     assert co["bit_identical_to_serial"], (
@@ -280,24 +209,13 @@ def assert_quick_contracts(coalescing: dict, fabric: dict) -> None:
         f"coalesced wall time {co['wall_seconds']}s must not be slower than "
         f"uncoalesced {un['wall_seconds']}s"
     )
-    assert fabric["store"]["hits"] >= 1, "warm arm never hit the store"
-    assert fabric["warm_first_solve_seconds"] < fabric["cold_first_solve_seconds"], (
-        "a warm store must cut the cold-start first solve "
-        f"({fabric['warm_first_solve_seconds']}s vs "
-        f"{fabric['cold_first_solve_seconds']}s)"
-    )
-    assert fabric["warm_vs_cold_rel_deviation"] < 1e-4, (
-        f"store-mapped solves deviate {fabric['warm_vs_cold_rel_deviation']} "
-        "from fresh factorizations (norm-wise); expected solver accuracy"
-    )
 
 
 def run(quick: bool) -> dict:
     grid, omega, eps = _problem(quick)
     coalescing = run_coalescing(grid, omega, eps, quick)
-    fabric = run_cache_fabric(grid, omega, eps, quick)
     if quick:
-        assert_quick_contracts(coalescing, fabric)
+        assert_quick_contracts(coalescing)
 
     co, un = coalescing["coalesced"], coalescing["uncoalesced"]
     print_table(
@@ -317,18 +235,11 @@ def run(quick: bool) -> dict:
             for name, arm in (("uncoalesced", un), ("coalesced", co))
         ],
     )
-    print(
-        f"cache fabric: cold {fabric['cold_first_solve_seconds']}s vs warm "
-        f"{fabric['warm_first_solve_seconds']}s "
-        f"({fabric['cold_start_speedup']}x cold-start speedup, "
-        f"rel deviation {fabric['warm_vs_cold_rel_deviation']:.2e})"
-    )
     return {
         "quick": quick,
         "device": "bending",
         "grid": [grid.nx, grid.ny],
         "coalescing": coalescing,
-        "cache_fabric": fabric,
     }
 
 
@@ -339,7 +250,7 @@ def main(argv=None) -> int:
         action="store_true",
         help=(
             "CI smoke gate: small load plus hard assertions on coalescing "
-            "correctness, factorization reduction and warm-store speedup"
+            "correctness and factorization reduction"
         ),
     )
     args = parser.parse_args(argv)

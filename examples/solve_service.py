@@ -1,38 +1,26 @@
-"""Serving solves: request coalescing and the cross-process cache fabric.
+"""Serving solves: request coalescing through a solve service.
 
 Run with::
 
     python examples/solve_service.py
 
-Two serving-layer ideas, demonstrated on one bend device:
+Several client threads ask for solves of the *same* operator at once (the
+steady state of a label server or a batched inverse-design evaluator).
+Hitting the engine directly, the cold factorization cache sees a thundering
+herd and each racing thread builds its own LU.  Routed through a
+:class:`~repro.service.SolveService`, the requests group by
+``(engine, grid, omega, eps fingerprint)`` inside a few-millisecond
+micro-batching window and flush as one batched ``solve_batch`` call: one
+factorization, stacked back-substitutions, and results bit-identical to
+serial per-request solves.
 
-1. **Request coalescing** — several client threads ask for solves of the
-   *same* operator at once (the steady state of a label server or a batched
-   inverse-design evaluator).  Hitting the engine directly, the cold
-   factorization cache sees a thundering herd and each racing thread builds
-   its own LU.  Routed through a :class:`~repro.service.SolveService`, the
-   requests group by ``(engine, grid, omega, eps fingerprint)`` inside a
-   few-millisecond micro-batching window and flush as one batched
-   ``solve_batch`` call: one factorization, stacked back-substitutions, and
-   results bit-identical to serial per-request solves.
-
-2. **Cache fabric** — a :class:`~repro.service.FileFactorizationStore`
-   persists every factorization as a memory-mapped artifact keyed by content
-   fingerprint.  A *fresh* process (here: a fresh
-   :class:`~repro.fdfd.engine.FactorizationCache`) falls through to the
-   store and starts solving without ever factorizing — this is what
-   ``GeneratorConfig(factorization_store=...)`` gives every worker of a
-   sharded generation run, and what lets factorizations survive process
-   death.
-
-``benchmarks/bench_service.py`` measures both effects (tail latencies,
-throughput, cold-start speedup); this script just walks them at demo scale.
+``benchmarks/bench_service.py`` measures the effect (tail latencies,
+throughput); this script just walks it at demo scale.
 
 Set ``REPRO_EXAMPLES_QUICK=1`` for a seconds-scale smoke run (used by CI).
 """
 
 import os
-import tempfile
 import threading
 import time
 
@@ -41,7 +29,7 @@ import numpy as np
 from repro.constants import wavelength_to_omega
 from repro.devices.factory import make_device
 from repro.fdfd.engine import DirectEngine, FactorizationCache, eps_fingerprint
-from repro.service import FileFactorizationStore, SolveService
+from repro.service import SolveService
 
 QUICK = os.environ.get("REPRO_EXAMPLES_QUICK", "") not in ("", "0")
 DEVICE_KWARGS = (
@@ -102,38 +90,10 @@ def demo_coalescing(grid, omega, eps, rhs) -> None:
     assert identical and factorizations == 1
 
 
-def demo_cache_fabric(grid, omega, eps, rhs) -> None:
-    fingerprint = eps_fingerprint(eps)
-    with tempfile.TemporaryDirectory(prefix="solve_service_store_") as tmp:
-        store = FileFactorizationStore(tmp)
-
-        # "Process one" factorizes and publishes as a side effect of solving.
-        publisher = DirectEngine(cache=FactorizationCache(store=store))
-        start = time.perf_counter()
-        publisher.solve_batch(grid, omega, eps, rhs, fingerprint=fingerprint)
-        cold = time.perf_counter() - start
-
-        # "Process two": a fresh cache + the shared store. The LU is
-        # memory-mapped from disk; no factorization happens here.
-        fresh_cache = FactorizationCache(store=store)
-        warm_engine = DirectEngine(cache=fresh_cache)
-        start = time.perf_counter()
-        warm_engine.solve_batch(grid, omega, eps, rhs, fingerprint=fingerprint)
-        warm = time.perf_counter() - start
-
-        print(f"cache fabric: {len(store)} artifact(s) in {tmp}")
-        print(f"  cold first solve (factorize + publish): {cold:.3f}s")
-        print(f"  fresh-cache first solve via warm store: {warm:.3f}s")
-        print(f"  store counters: {store.stats.as_dict()}")
-        assert fresh_cache.stats.factorizations == 0
-        assert fresh_cache.stats.store_hits == 1
-
-
 def main() -> None:
     grid, omega, eps, rhs = build_problem()
     print(f"bend device, grid {grid.nx}x{grid.ny}")
     demo_coalescing(grid, omega, eps, rhs)
-    demo_cache_fabric(grid, omega, eps, rhs)
 
 
 if __name__ == "__main__":

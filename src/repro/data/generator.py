@@ -33,7 +33,6 @@ from repro.data.labels import RichLabels
 from repro.data.sampling import DesignSample, SamplingStrategy, make_sampler
 from repro.data.shards import (
     ShardTask,
-    attach_factorization_store,
     discard_stale_partials,
     engine_for_fidelity,
     engine_tag,
@@ -48,13 +47,18 @@ from repro.devices.factory import make_device
 from repro.fdfd.engine import (
     SolverEngine,
     available_engines,
-    default_factorization_cache,
     load_engine_tiers,
     split_engine_name,
 )
 from repro.fdfd.nonlinear import KerrNonlinearity
 from repro.invdes.adjoint import Sweep
-from repro.utils.executor import ExecutorConfig, TaskFailure, TaskReport, execute_tasks
+from repro.utils.executor import (
+    ExecutorConfig,
+    TaskFailure,
+    TaskReport,
+    execute_tasks,
+    one_blas_thread,
+)
 from repro.utils.parallel import effective_workers
 from repro.utils.rng import get_rng
 
@@ -97,23 +101,13 @@ class GeneratorConfig:
     through condensed factorizations: each design factors only its design
     region's Schur complement against an exterior factored once per device
     and wavelength (see :func:`~repro.data.labels.extract_labels_batch`).
-    With ``factorization_store`` set, operators are factored in full, since
-    the store persists only full LUs.  ``workers`` fans shards out across
-    processes (0 = all available cores); ``shard_size`` fixes the shard
-    layout independently of the worker count; ``shard_dir`` persists shards
-    as resumable artifacts (``resume=False`` forces recomputation).
+    ``workers`` fans shards out across processes (0 = all available cores);
+    ``shard_size`` fixes the shard layout independently of the worker
+    count; ``shard_dir`` persists shards as resumable artifacts
+    (``resume=False`` forces recomputation).
     ``design_id_offset`` shifts the global design ids of the run —
     active-learning loops use it to append new designs to an existing shard
     directory without colliding with the ids already there.
-
-    ``factorization_store`` names a directory shared by every worker (and by
-    later runs): each worker's factorization cache falls through to it, so the
-    pool factorizes each distinct operator once *total* instead of once per
-    worker — see :class:`~repro.service.FileFactorizationStore`.  Store-mapped
-    factorizations reproduce fresh ones to solver accuracy (not bit-for-bit),
-    so leave it unset when exact byte-level reproducibility across store
-    states matters more than throughput.  Shard fingerprints deliberately
-    exclude it: attaching a store never invalidates resumable artifacts.
 
     ``task_timeout`` / ``max_retries`` / ``retry_backoff`` set the
     fault-tolerance policy of the worker fabric (see
@@ -181,7 +175,6 @@ class GeneratorConfig:
     shard_dir: str | None = None
     resume: bool = True
     design_id_offset: int = 0
-    factorization_store: str | None = None
     task_timeout: float | None = None
     max_retries: int = 2
     retry_backoff: float = 0.25
@@ -341,21 +334,7 @@ class DatasetGenerator:
             # but labels come back in memory (no compress/decompress detour).
             for task in pending:
                 task.return_labels = True
-        initializer, initargs = None, ()
-        previous_store = None
-        if config.factorization_store:
-            # Warm every worker (or, serially, this process): attach the
-            # shared store so fresh factorizations publish back through the
-            # same path.  In-process runs attach it to this process's default
-            # cache, so the caller's attachment is set aside and restored.
-            initializer = attach_factorization_store
-            initargs = (str(config.factorization_store),)
-            previous_store = default_factorization_cache.attach_store(None)
-        try:
-            self._execute(pending, results, num_workers, initializer, initargs)
-        finally:
-            if initializer is not None:
-                default_factorization_cache.attach_store(previous_store)
+        self._execute(pending, results, num_workers)
 
         # Merge in plan order (fidelity-major, ascending design blocks): the
         # exact order the serial loop produces.
@@ -382,7 +361,7 @@ class DatasetGenerator:
         metadata.update(config.sweep.stamp())
         return PhotonicDataset.from_labels(labels, design_ids, metadata=metadata)
 
-    def _execute(self, pending, results, num_workers, initializer, initargs) -> None:
+    def _execute(self, pending, results, num_workers) -> None:
         """Run the pending shards and collect their labels into ``results``.
 
         Failed shards are salvaged from a complete artifact when one exists;
@@ -400,14 +379,11 @@ class DatasetGenerator:
             pending,
             workers=num_workers,
             config=executor_config,
-            initializer=initializer,
-            initargs=initargs,
         )
         self.last_task_report = report
         self.last_shard_recoveries = 0
         failures_by_position = {failure.index: failure for failure in report.failures}
         shard_failures: list[tuple[ShardTask, TaskFailure]] = []
-        parent_warmed = initializer is None
         for position, (task, output) in enumerate(zip(pending, report.results)):
             failure = failures_by_position.get(position)
             if failure is not None:
@@ -432,10 +408,8 @@ class DatasetGenerator:
                     # Quarantine the corpse and recompute this one shard
                     # in-process — exactly one shard of wasted work.
                     quarantine_artifact(output)
-                    if not parent_warmed:
-                        initializer(*initargs)
-                        parent_warmed = True
-                    labels_ids = run_shard(replace(task, return_labels=True))
+                    with one_blas_thread():  # as every task runs
+                        labels_ids = run_shard(replace(task, return_labels=True))
                     self.last_shard_recoveries += 1
                     results[task.spec.index] = labels_ids
                     continue
@@ -561,14 +535,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--shard-dir", default=None, help="directory for resumable shard artifacts"
     )
     parser.add_argument(
-        "--factorization-store",
-        default=None,
-        help=(
-            "directory of a cross-process factorization store shared by all "
-            "workers (and by later runs over the same devices)"
-        ),
-    )
-    parser.add_argument(
         "--resume",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -673,7 +639,6 @@ def main(argv: list[str] | None = None) -> int:
         shard_size=args.shard_size,
         shard_dir=args.shard_dir,
         resume=args.resume,
-        factorization_store=args.factorization_store,
         task_timeout=args.task_timeout,
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,

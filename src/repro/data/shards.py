@@ -237,23 +237,6 @@ def shard_filename(fingerprint: str) -> str:
 # --------------------------------------------------------------------------- #
 # worker entry point
 # --------------------------------------------------------------------------- #
-def attach_factorization_store(directory: str) -> None:
-    """Attach a cross-process factorization store to this process's cache.
-
-    ``execute_tasks`` initializer for generation worker pools
-    (``GeneratorConfig(factorization_store=...)``): every worker's default
-    :class:`~repro.fdfd.engine.FactorizationCache` then falls through to the
-    shared store, so the pool factorizes each distinct operator once *total*
-    (first worker publishes, the rest memory-map) instead of once per worker —
-    and a later run over the same devices starts warm.  Must stay importable
-    at module top level so process pools can pickle it.
-    """
-    from repro.fdfd.engine import default_factorization_cache
-    from repro.service.cache_store import FileFactorizationStore
-
-    default_factorization_cache.attach_store(FileFactorizationStore(directory))
-
-
 def run_shard(task: ShardTask):
     """Execute one shard: simulate and label its designs at its fidelity.
 

@@ -312,25 +312,19 @@ class CacheStats(StatsCounters):
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: In-memory misses that a cross-process store satisfied / failed to.
-    store_hits: int = 0
-    store_misses: int = 0
     #: Estimated bytes held by the entries currently cached.
     current_bytes: int = 0
 
     @property
     def factorizations(self) -> int:
-        # An in-memory miss satisfied by the store maps an existing artifact
-        # instead of building a factorization.
-        return self.misses - self.store_hits
+        # Every miss builds its entry.
+        return self.misses
 
     def as_dict(self) -> dict:
         return {
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
             "current_bytes": self.current_bytes,
             "factorizations": self.factorizations,
         }
@@ -339,7 +333,7 @@ class CacheStats(StatsCounters):
 def _entry_nbytes(entry) -> int:
     """Best-effort byte estimate of a cached factorization.
 
-    Entries declaring ``nbytes`` (store artifacts) are exact; SuperLU/ILU
+    Entries declaring ``nbytes`` (exteriors, condensed LUs) are exact; SuperLU
     objects are estimated from their factor ``nnz`` (complex data plus an
     index per stored entry); anything else counts as 0 rather than guessing.
     """
@@ -385,23 +379,14 @@ class FactorizationCache:
         cache.evict(grid, omega, fingerprint)  # e.g. after in-place eps edits
 
     The cache is safe to share between threads: a lock guards the LRU
-    bookkeeping, while builds (and store round-trips) deliberately run
-    *outside* it so a slow factorization never serializes unrelated
-    operators.  Two threads racing one cold key may therefore both build —
-    last insert wins; both entries solve the same operator.  (Collapsing
-    that duplicated work is what :class:`~repro.service.SolveService`
-    request coalescing is for.)
-
-    Cross-process fall-through: a cache may carry a
-    :class:`~repro.service.FileFactorizationStore` (the ``store``
-    constructor argument, :meth:`attach_store`, or process-wide via
-    ``REPRO_FACTORIZATION_STORE=<dir>``).  An in-memory miss then tries the
-    store before building — mapping a persisted artifact instead of
-    refactorizing — and a fresh build is published back, so factorizations
-    survive process death and are shared across worker pools.
+    bookkeeping, while builds deliberately run *outside* it so a slow
+    factorization never serializes unrelated operators.  Two threads racing
+    one cold key may therefore both build — last insert wins; both entries
+    solve the same operator.  (Collapsing that duplicated work is what
+    :class:`~repro.service.SolveService` request coalescing is for.)
     """
 
-    def __init__(self, maxsize: int | None = None, store=None):
+    def __init__(self, maxsize: int | None = None):
         if maxsize is None:
             raw = os.environ.get("REPRO_FACTORIZATION_CACHE_SIZE", "8")
             try:
@@ -420,8 +405,6 @@ class FactorizationCache:
         self._exteriors = BoundedCache(maxsize)
         self.stats = CacheStats()
         self._lock = threading.RLock()
-        self._store = store
-        self._env_store = None
 
     @staticmethod
     def _key(grid: Grid, omega: float, fingerprint: str, tag: str) -> tuple:
@@ -430,58 +413,10 @@ class FactorizationCache:
     def _table(self, key: tuple) -> BoundedCache:
         return self._exteriors if key[3] == "exterior" else self._entries
 
-    # -- cross-process store plumbing -------------------------------------------
-    def attach_store(self, store):
-        """Attach (or with ``None``, detach) a cross-process store.
-
-        Returns the previously attached store (``None`` when there was none),
-        so a temporary attachment can be undone.
-        """
-        with self._lock:
-            previous, self._store = self._store, store
-            self._env_store = None
-            return previous
-
-    @property
-    def store(self):
-        """The attached store, resolving ``REPRO_FACTORIZATION_STORE`` lazily.
-
-        An explicitly attached store wins; otherwise a non-empty env var
-        names a directory and a :class:`FileFactorizationStore` over it is
-        created on first use (and re-created if the variable changes — cheap,
-        the store object holds no open handles).
-        """
-        with self._lock:
-            if self._store is not None:
-                return self._store
-            path = os.environ.get("REPRO_FACTORIZATION_STORE", "")
-            if not path:
-                self._env_store = None
-                return None
-            if self._env_store is None or str(self._env_store.directory) != path:
-                from repro.service.cache_store import FileFactorizationStore
-
-                self._env_store = FileFactorizationStore(path)
-            return self._env_store
-
     def get_or_build(
-        self,
-        grid: Grid,
-        omega: float,
-        fingerprint: str,
-        build,
-        tag: str = "direct",
-        store_payload=None,
+        self, grid: Grid, omega: float, fingerprint: str, build, tag: str = "direct"
     ):
-        """Return the cached entry for the key, building it on a miss.
-
-        On an in-memory miss the attached store (if any) is consulted first;
-        only a store miss runs ``build``, whose result is then published back.
-        ``store_payload`` (a dict of named arrays, or a zero-argument callable
-        returning one — only invoked when a publish actually happens) rides
-        along in the published artifact; the recycled tier uses it to persist
-        reference permittivities next to their LUs.
-        """
+        """Return the cached entry for the key, building it on a miss."""
         key = self._key(grid, omega, fingerprint, tag)
         with self._lock:
             cached = self._table(key).get(key)
@@ -489,20 +424,7 @@ class FactorizationCache:
                 self.stats.hits += 1
                 return cached[0]
             self.stats.misses += 1
-        store = self.store
-        entry = None
-        if store is not None:
-            entry = store.load(grid, omega, fingerprint, tag)
-            with self._lock:
-                if entry is not None:
-                    self.stats.store_hits += 1
-                else:
-                    self.stats.store_misses += 1
-        if entry is None:
-            entry = build()
-            if store is not None:
-                extras = store_payload() if callable(store_payload) else store_payload
-                store.publish(grid, omega, fingerprint, tag, entry, extras=extras)
+        entry = build()
         self._insert(key, entry)
         return entry
 
@@ -1178,11 +1100,10 @@ class DirectEngine(SolverEngine):
     passes ``port_rows`` is *condensed*: the exterior block is factored once
     per ``(grid, omega, exterior permittivity)`` (tag ``"exterior"``), and
     each design factors only its Schur complement on the region (tag
-    ``"condensed"``).  Other solves (the normalization runs), and all while
-    the cache has a factorization store (which persists only full SuperLU
-    artifacts), factor in full under ``"direct"``.  Both paths are exact and
-    return full fields.  The rule reads the call, never the process's
-    history, so serial, pooled and resumed label runs agree byte for byte.
+    ``"condensed"``).  Other solves (the normalization runs) factor in full
+    under ``"direct"``.  Both paths are exact and return full fields.  The
+    rule reads the call, never the process's history, so serial, pooled and
+    resumed label runs agree byte for byte.
     """
 
     name = "direct"
@@ -1209,7 +1130,7 @@ class DirectEngine(SolverEngine):
         """Factorization of ``A(eps_r)`` (a SuperLU or a condensed LU), shared through the cache."""
         if fingerprint is None:
             fingerprint = eps_fingerprint(eps_r)
-        if self.design_region is not None and port_rows is not None and self.cache.store is None:
+        if self.design_region is not None and port_rows is not None:
 
             def condense():
                 # A port-less exterior: condensed solves recover full fields.
@@ -1393,9 +1314,8 @@ class RecycledEngine(SolverEngine):
     the full field (at once if ``port_rows`` reach outside ``I ∪ P``).
     Other right-hand sides take the exterior's two back-substitutions.  A
     region engine's solve without ``port_rows`` (a normalization run) is one
-    exact full-grid solve that keeps nothing.  Without a region, or while the
-    cache has a factorization store (which persists only full SuperLU
-    artifacts), the loop recycles on the full grid.
+    exact full-grid solve that keeps nothing.  Without a region the loop
+    recycles on the full grid.
 
     A recycled solve that fails to converge falls back to refactorization, so
     results are always converged to ``rtol`` (or exact).  Warm starts
@@ -1452,51 +1372,9 @@ class RecycledEngine(SolverEngine):
             self.stats.factorizations += 1
             return frame.factor(reference.eps)
 
-        # The reference permittivity travels with the published LU so other
-        # processes can adopt the reference itself (see warm_from_store).
         return self.cache.get_or_build(
-            frame.grid,
-            frame.omega,
-            reference.fingerprint,
-            build,
-            tag=frame.tag,
-            store_payload=lambda: {"eps": reference.eps},
+            frame.grid, frame.omega, reference.fingerprint, build, tag=frame.tag
         )
-
-    def warm_from_store(self, grid: Grid, omega: float, limit: int | None = None) -> int:
-        """Adopt recycled references other processes published to the store.
-
-        Reads the reference permittivities (newest first) that ride along in
-        ``"recycled"``-tagged artifacts of this ``(grid, omega)`` and installs
-        them as local references, up to ``limit`` (default ``max_references``)
-        and never evicting existing ones.  The heavy LU payloads are *not*
-        read here — they memory-map lazily through the cache fall-through when
-        a reference is first solved against.  Returns the number adopted;
-        0 when no store is attached.  This is the cross-process version of the
-        warm-up an optimization loop gets for free in-process: a fresh worker
-        starts recycling immediately instead of refactorizing first.
-        """
-        store = getattr(self.cache, "store", None)
-        if store is None:
-            return 0
-        references = self._references.setdefault((grid, float(omega)), OrderedDict())
-        budget = self.max_references if limit is None else int(limit)
-        adopted = 0
-        for fingerprint, eps in store.list_extras(
-            grid, omega, tag="recycled", name="eps", limit=budget
-        ):
-            if fingerprint in references or len(references) >= self.max_references:
-                continue
-            eps = np.asarray(eps).reshape(grid.shape)
-            reference = _RecycledReference(fingerprint, eps)
-            # Adopted references go to the cold end of the LRU: locally-made
-            # references (if any) describe this process's trajectory better.
-            references[fingerprint] = reference
-            references.move_to_end(fingerprint, last=False)
-            adopted += 1
-            if adopted >= budget:
-                break
-        return adopted
 
     def _frame(
         self, grid: Grid, omega: float, eps_r: np.ndarray, port_rows: np.ndarray | None = None
@@ -1507,7 +1385,7 @@ class RecycledEngine(SolverEngine):
         labels never read it (see :func:`_resident_exterior`).
         """
         omega = float(omega)
-        if self.design_region is None or self.cache.store is not None:
+        if self.design_region is None:
             return _Frame(grid, omega)
         if port_rows is None:
             return _Frame(grid, omega, one_off=True)

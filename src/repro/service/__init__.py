@@ -1,29 +1,17 @@
-"""Solve service & cross-process cache fabric.
+"""Solve service.
 
-This package is the serving layer of the stack (ROADMAP open item 1):
-
-* :mod:`repro.service.cache_store` — :class:`FileFactorizationStore`, a
-  cross-process store of LU factorizations persisted as memory-mapped
-  artifacts.  The process-wide
-  :class:`~repro.fdfd.engine.FactorizationCache` falls through to it on a
-  miss, so factorizations survive process death and are shared across the
-  generation worker pool (``REPRO_FACTORIZATION_STORE=<dir>`` attaches one to
-  the default cache everywhere, including worker processes).
-* :mod:`repro.service.solve_service` — :class:`SolveService`, an async solve
-  front-end that groups concurrently-arriving requests by
-  ``(grid, omega, eps fingerprint, engine)`` and coalesces their right-hand
-  sides into single batched ``solve_batch`` calls; served anywhere an engine
-  is accepted via :class:`ServiceEngine` (``engine="service"`` or
-  ``Simulation(engine=service)``).
+This package is the serving layer of the stack:
+:mod:`repro.service.solve_service` holds :class:`SolveService`, an async
+solve front-end that groups concurrently-arriving requests by
+``(grid, omega, eps fingerprint, engine)`` and coalesces their right-hand
+sides into single batched ``solve_batch`` calls; it is served anywhere an
+engine is accepted via :class:`ServiceEngine` (``engine="service"`` or
+``Simulation(engine=service)``).  Factorizations are shared within a process
+through :class:`~repro.fdfd.engine.FactorizationCache`.
 
 Importing this package registers the ``"service"`` engine tier.
 """
 
-from repro.service.cache_store import (
-    FileFactorizationStore,
-    StoreStats,
-    default_store_budget_bytes,
-)
 from repro.service.solve_service import (
     ServiceEngine,
     ServiceStats,
@@ -33,9 +21,6 @@ from repro.service.solve_service import (
 )
 
 __all__ = [
-    "FileFactorizationStore",
-    "StoreStats",
-    "default_store_budget_bytes",
     "ServiceEngine",
     "ServiceStats",
     "SolveService",

@@ -8,6 +8,7 @@ from repro.utils.executor import (
     TaskFailure,
     TaskReport,
     execute_tasks,
+    one_blas_thread,
 )
 from repro.utils.numerics import (
     normalized_l2,
@@ -26,6 +27,7 @@ __all__ = [
     "TaskFailure",
     "TaskReport",
     "execute_tasks",
+    "one_blas_thread",
     "normalized_l2",
     "cosine_similarity",
     "complex_to_channels",

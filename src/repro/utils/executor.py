@@ -45,7 +45,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.utils import faults
 
@@ -56,6 +56,7 @@ __all__ = [
     "TaskTimeoutError",
     "WorkerCrashError",
     "execute_tasks",
+    "one_blas_thread",
 ]
 
 _POLL_TICK = 0.05
@@ -95,8 +96,7 @@ class ExecutorConfig:
 
     ``timeout`` is the per-task deadline in seconds, measured from dispatch to
     a worker slot. A fresh slot's deadline therefore also covers the fork and
-    the initializer; the only initializer in use
-    (``attach_factorization_store``) is cheap. The serial path enforces no
+    the worker's start-up (the BLAS pin, cheap). The serial path enforces no
     deadline (a process cannot SIGKILL itself safely). ``max_retries``
     bounds *re*-executions: a task runs at most ``1 + max_retries`` times. The
     retry delay for attempt ``a`` (1-based) is
@@ -192,7 +192,7 @@ def _openblas_thread_calls() -> list[tuple[Callable[[int], None], Callable[[], i
 
 
 @contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Run the block at one thread in every loaded OpenBLAS, then restore each count.
 
     Tasks run at one BLAS thread, pooled or inline: forked workers of a
@@ -211,12 +211,10 @@ def _one_blas_thread():
             set_num_threads(count)
 
 
-def _worker_init(user_initializer, user_initargs):
+def _worker_init():
     faults.mark_worker()
     for set_num_threads, _ in _openblas_thread_calls():
-        set_num_threads(1)  # for the worker's life; see _one_blas_thread
-    if user_initializer is not None:
-        user_initializer(*user_initargs)
+        set_num_threads(1)  # for the worker's life; see one_blas_thread
 
 
 def _run_task(index, fn, task):
@@ -273,18 +271,15 @@ class _PoolRun:
     identically.
     """
 
-    def __init__(self, fn, tasks, workers, config, initializer, initargs):
+    def __init__(self, fn, tasks, workers, config):
         self.fn = fn
         self.config = config
         self.workers = max(int(workers), 1)
-        self.initializer = initializer
-        self.initargs = tuple(initargs)
         self._tasks = [_Task(index, payload) for index, payload in enumerate(tasks)]
         self._ready: deque[int] = deque(range(len(self._tasks)))
         self._settled = 0
         self._slots = [_Slot() for _ in range(self.workers)] if self.workers > 1 else []
         self._serial = self.workers <= 1
-        self._serial_initialized = False
         self._attempts: dict[int, int] = {}
         self.retries = 0
         self.timeouts = 0
@@ -476,11 +471,7 @@ class _PoolRun:
             task = self._tasks[index]
             try:
                 if slot.pool is None:
-                    slot.pool = ProcessPoolExecutor(
-                        max_workers=1,
-                        initializer=_worker_init,
-                        initargs=(self.initializer, self.initargs),
-                    )
+                    slot.pool = ProcessPoolExecutor(max_workers=1, initializer=_worker_init)
                 future = slot.pool.submit(_run_task, index, self.fn, task.payload)
             except BrokenExecutor:
                 self._ready.appendleft(index)
@@ -509,11 +500,7 @@ class _PoolRun:
         return None
 
     def _dispatch_serial(self):
-        if not self._serial_initialized:
-            self._serial_initialized = True
-            if self.initializer is not None:
-                self.initializer(*self.initargs)
-        with _one_blas_thread():
+        with one_blas_thread():
             while self._ready:
                 now = time.monotonic()
                 index = self._pop_ready(now)
@@ -538,8 +525,6 @@ def execute_tasks(
     tasks: Iterable[Any],
     workers: int | None = None,
     config: ExecutorConfig | None = None,
-    initializer: Callable[..., None] | None = None,
-    initargs: Sequence[Any] = (),
 ) -> TaskReport:
     """Run ``fn`` over ``tasks`` on the fault-tolerant fabric.
 
@@ -550,12 +535,7 @@ def execute_tasks(
 
     task_list = list(tasks)
     run = _PoolRun(
-        fn,
-        task_list,
-        effective_workers(workers, len(task_list)),
-        config or ExecutorConfig(),
-        initializer,
-        initargs,
+        fn, task_list, effective_workers(workers, len(task_list)), config or ExecutorConfig()
     )
     try:
         return run.run()

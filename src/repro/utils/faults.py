@@ -2,9 +2,8 @@
 
 This module is the single switchboard through which tests and benchmarks
 inject failures into the generation / serving stack: kill the worker running
-the Nth task, delay a task past its deadline, truncate a shard artifact just
-after it was written, or raise from inside :class:`FileFactorizationStore`
-I/O.
+the Nth task, delay a task past its deadline, or truncate a shard artifact
+just after it was written.
 
 Design constraints, in order of importance:
 
@@ -52,7 +51,6 @@ __all__ = [
     "install_plan",
     "mark_worker",
     "on_shard_saved",
-    "on_store_op",
     "on_task_start",
 ]
 
@@ -71,14 +69,10 @@ class FaultPlan:
     delay_task: int | None = None
     delay_seconds: float = 2.0
     truncate_shard: int | None = None
-    store_errors: int = 0
-    store_ops: tuple[str, ...] = ("load", "publish")
     scratch: str | None = None
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["store_ops"] = list(self.store_ops)
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, raw: str) -> "FaultPlan":
@@ -89,8 +83,6 @@ class FaultPlan:
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown fault-plan keys: {sorted(unknown)}")
-        if "store_ops" in payload:
-            payload["store_ops"] = tuple(payload["store_ops"])
         return cls(**payload)
 
 
@@ -182,8 +174,7 @@ def _claim(plan: FaultPlan, marker: str) -> bool:
 
 # --------------------------------------------------------------------------
 # Hooks.  Call sites are: the executor's in-worker task wrapper
-# (on_task_start), run_shard after save_shard (on_shard_saved), and
-# FileFactorizationStore.load/publish (on_store_op).
+# (on_task_start) and run_shard after save_shard (on_shard_saved).
 
 
 def on_task_start(index: int) -> None:
@@ -227,18 +218,3 @@ def on_shard_saved(spec_index: int, path: "os.PathLike[str] | str") -> None:
         )
     except OSError:
         logger.warning("fault injection: could not truncate %s", target)
-
-
-def on_store_op(op: str) -> None:
-    """Raise an injected ``OSError`` from factorization-store I/O.
-
-    Fires at most ``plan.store_errors`` times per op named in
-    ``plan.store_ops`` (exactly-once semantics per (op, k) marker pair).
-    """
-    plan = get_plan()
-    if plan is None or plan.store_errors <= 0 or op not in plan.store_ops:
-        return
-    for k in range(plan.store_errors):
-        if _claim(plan, f"store-{op}-{k}"):
-            logger.warning("fault injection: raising from store op %r (%d)", op, k)
-            raise OSError(f"injected fault: store {op} failure #{k}")

@@ -8,15 +8,14 @@ against an exterior factored once and keyed by content.  Every other solve
 A ``DirectEngine`` then factors each design's condensed operator on the
 region.  These tests pin that the condensed factor solves the same systems as
 the full LU (every zoo device, two grids, forward and adjoint right-hand
-sides, Kerr fixed points), that solves outside the rule (no ``port_rows``,
-store attached) are factored in full, and that label extraction actually
-takes the path.
+sides, Kerr fixed points), that solves outside the rule (no ``port_rows``)
+are factored in full, and that label extraction actually takes the path.
 
 A ``RecycledEngine`` recycles on the Schur complement.  Its tests pin the
 full-system residual of every path (reference hit, refinement, BiCGStab,
 refactorization), exterior residency in the cache, the one-off full-grid
-solve without ``port_rows``, the store fallback and the optimization loop's
-FoM history against exact solves.
+solve without ``port_rows`` and the optimization loop's FoM history against
+exact solves.
 """
 
 import numpy as np
@@ -55,7 +54,6 @@ from repro.fabrication.corners import FabricationCorner
 from repro.invdes import AdjointOptimizer, InverseDesignProblem, RobustInverseDesignProblem
 from repro.invdes.adjoint import NumericalFieldBackend, Sweep, evaluate_specs
 from repro.invdes.objectives import Objective, objective_for_spec
-from repro.service.cache_store import FileFactorizationStore
 from repro.utils.cache import BoundedCache
 
 DEVICE_SIZE = dict(domain=3.0, design_size=1.4)
@@ -189,29 +187,6 @@ class TestFallbacks:
         assert engine.cache.peek(device.grid, omega, fingerprint, tag="condensed") is not None
         assert _tags(engine.cache) == {"direct", "condensed", "exterior"}
 
-    def test_store_runs_publish_only_full_operators(self, tmp_path):
-        store_dir = tmp_path / "store"
-        config = GeneratorConfig(
-            device_name="bending",
-            strategy="random",
-            num_designs=2,
-            with_gradient=True,
-            seed=4,
-            device_kwargs=dict(dl=0.1, **DEVICE_SIZE),
-            factorization_store=str(store_dir),
-        )
-        dataset = DatasetGenerator(config).generate()
-        artifacts = sorted(path.name for path in store_dir.glob("*.fact"))
-        assert artifacts and all(name.startswith("direct-") for name in artifacts)
-        store = FileFactorizationStore(store_dir)
-        device = make_device("bending", dl=0.1, **DEVICE_SIZE)
-        for sample in dataset.samples:
-            omega = wavelength_to_omega(sample.wavelength)
-            entry = store.load(device.grid, omega, eps_fingerprint(sample.eps_r), "direct")
-            assert entry is not None
-            rhs = np.ones(device.grid.n_points, dtype=complex)
-            matrix = assemble_system_matrix(device.grid, omega, sample.eps_r)
-            assert np.linalg.norm(matrix @ entry.solve(rhs) - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_engine_instances_and_other_tiers_are_used_as_given(self):
         region = make_device("bending", dl=0.1, **DEVICE_SIZE).geometry.design_slice
@@ -486,24 +461,6 @@ def test_perfbench_loops_condense_from_the_first_solve(
     # No full-grid reference: the normalization runs' one-off solves keep nothing.
     assert "recycled" not in _tags(engine.cache)
     assert engine.stats.factorizations == factorizations
-
-
-def test_store_keeps_the_recycled_engine_on_the_full_grid(tmp_path):
-    device = make_device("bending", dl=0.1, **DEVICE_SIZE)
-    cache = FactorizationCache(store=FileFactorizationStore(tmp_path / "store"))
-    engine = _region_recycled(device, cache=cache)
-    rng = np.random.default_rng(3)
-    density = rng.uniform(0.0, 1.0, device.design_shape)
-    omega = wavelength_to_omega(device.specs[0].wavelength)
-    rhs = np.ones((1, *device.grid.shape), dtype=complex)
-    for scale in (0.0, 0.01, 0.02):
-        eps = _drifted(device, density, rng, scale)
-        solution = engine.solve_batch(device.grid, omega, eps, rhs)
-        _assert_full_residual(device.grid, omega, eps, rhs, solution, engine.rtol)
-    assert _tags(cache) == {"recycled"}
-    assert engine.stats.recycled_solves == 2
-    artifacts = [path.name for path in (tmp_path / "store").glob("*.fact")]
-    assert artifacts and all(name.startswith("recycled-") for name in artifacts)
 
 
 def test_problem_gives_the_named_recycled_tier_the_design_region(tiny_bend):
@@ -796,7 +753,7 @@ def test_right_hand_sides_off_the_ports_take_the_full_reduction():
         _assert_full_residual(grid, omega, eps, on_ports, np.asarray(solution), engine.rtol)
 
 
-def test_no_partial_field_leaks(tmp_path, monkeypatch):
+def test_no_partial_field_leaks(monkeypatch):
     """NaN never reaches a public field, the result cache or a full-grid frame's guess."""
     device = make_device("bending", dl=0.1, **DEVICE_SIZE)
     cache = FactorizationCache()
@@ -816,14 +773,13 @@ def test_no_partial_field_leaks(tmp_path, monkeypatch):
         return solve_reduced(self, frame, eps_r, fingerprint, rhs, full_rhs, x0)
 
     monkeypatch.setattr(RecycledEngine, "_solve_reduced", spy)
-    cache.attach_store(FileFactorizationStore(tmp_path / "store"))
-    backend = NumericalFieldBackend(engine, workspace=workspace)
+    # A region-less engine solves on the full grid, against the same workspace.
+    backend = NumericalFieldBackend(RecycledEngine(cache=cache), workspace=workspace)
     for scale in (0.0, 0.01):
         drifted = np.clip(density + scale, 0.0, 1.0)
         evaluations = evaluate_specs(device, drifted, backend=backend)
     assert guesses_seen and any(x0 is None for x0 in guesses_seen)
     assert all(x0 is None or np.isfinite(x0).all() for x0 in guesses_seen)
-    cache.attach_store(None)
 
     evaluations = _port_loop(device, engine, SolveWorkspace())[1]
     for evaluation in evaluations:

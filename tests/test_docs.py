@@ -3,9 +3,9 @@
 The README quickstart is *executed* (not just rendered), README links must
 resolve, the engine-registry table must cover every registered engine, every
 engine name the docs and examples select must exist, the docs spell sweeps
-as one ``Sweep`` object and name no removed engine API, and every example
-script must be documented and quick-mode capable (CI runs them all with
-``REPRO_EXAMPLES_QUICK=1``).
+as one ``Sweep`` object and name no removed engine API or factorization
+store, and every example script must be documented and quick-mode capable
+(CI runs them all with ``REPRO_EXAMPLES_QUICK=1``).
 """
 
 import re
@@ -148,6 +148,34 @@ def test_docs_name_no_removed_engine_api():
         text = path.read_text()
         for name in _REMOVED_ENGINE_API:
             assert name not in text, f"{path.relative_to(REPO)} names the removed {name!r}"
+
+
+#: The deleted cross-process factorization store and its options: one
+#: in-memory ``FactorizationCache`` per process serves every engine.
+_STORE_NAME = re.compile(
+    r"FileFactorizationStore|factorization[_-]store|REPRO_FACTORIZATION_STORE"
+    r"|attach_store|warm_from_store"
+)
+
+
+def test_docs_name_no_factorization_store():
+    """No doc or example reaches for the deleted factorization store."""
+    from repro.fdfd.engine import FactorizationCache, RecycledEngine
+
+    assert _STORE_NAME.findall(
+        "GeneratorConfig(factorization_store=dir); --factorization-store d"
+    ) == ["factorization_store", "factorization-store"]
+    assert not _STORE_NAME.findall("FactorizationCache(maxsize=4); workspace.store(key, ez)")
+    assert not hasattr(FactorizationCache, "attach_store")
+    assert not hasattr(RecycledEngine, "warm_from_store")
+    sources = [
+        README,
+        *sorted((REPO / "docs").glob("*.md")),
+        *sorted((REPO / "examples").glob("*.py")),
+    ]
+    for path in sources:
+        found = sorted(set(_STORE_NAME.findall(path.read_text())))
+        assert not found, f"{path.relative_to(REPO)} names the deleted store: {found}"
 
 
 def test_examples_documented_and_quick_capable():

@@ -59,6 +59,12 @@ def _point_sources(grid, count, seed=0):
     return sources
 
 
+@pytest.fixture()
+def tiny_problem():
+    grid, eps, _ = _straight_waveguide(domain=2.4)
+    return grid, eps, eps_fingerprint(eps)
+
+
 # --------------------------------------------------------------------------- #
 # fingerprints
 # --------------------------------------------------------------------------- #
@@ -204,6 +210,34 @@ class TestFactorizationCache:
         expected = sum(_entry_nbytes(entry) for entry in held if entry is not None)
         assert cache.stats.current_bytes == expected
         assert len(cache) <= 4
+
+    def test_cache_is_thread_safe_under_churn(self, tiny_problem):
+        """Concurrent get_or_build/evict/len never corrupt the bookkeeping."""
+        grid, eps, fingerprint = tiny_problem
+        cache = FactorizationCache(maxsize=4)
+        errors = []
+
+        def churn(seed):
+            try:
+                rng = np.random.default_rng(seed)
+                for i in range(25):
+                    fp = f"{fingerprint}-{rng.integers(6)}"
+                    cache.get_or_build(grid, OMEGA, fp, build=lambda: object())
+                    if i % 7 == 0:
+                        cache.evict(grid, OMEGA, fp)
+                    len(cache)
+            except Exception as error:  # pragma: no cover - the failure signal
+                errors.append(error)
+
+        threads = [threading.Thread(target=churn, args=(s,)) for s in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert len(cache) <= 4
+        stats = cache.stats.as_dict()
+        assert stats["misses"] >= stats["factorizations"]
 
     def test_in_place_eps_mutation_invalidates_fingerprint(self):
         """Content fingerprints key the cache: mutated eps_r never hits stale LUs."""

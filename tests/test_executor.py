@@ -118,19 +118,6 @@ class TestSerialExecution:
         assert report.attempts[0] == 3
         assert report.retries == 2
 
-    def test_initializer_runs_once(self, tmp_path, monkeypatch):
-        marker = tmp_path / "init"
-
-        def initializer(value):
-            with open(marker, "a") as fh:
-                fh.write(value)
-
-        report = execute_tasks(
-            _square, range(3), workers=1, initializer=initializer, initargs=("x",)
-        )
-        assert report.ok
-        assert marker.read_text() == "x"
-
 
 class TestRetryPolicy:
     def test_retry_delay_is_deterministic_and_bounded(self):

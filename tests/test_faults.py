@@ -15,7 +15,6 @@ from repro.data.generator import (
 import repro.data.generator as generator_module
 from repro.data.shards import run_shard as real_run_shard
 from repro.fdfd.engine import default_factorization_cache
-from repro.service.cache_store import FileFactorizationStore
 from repro.utils import faults
 
 from tests.conftest import TINY_DEVICE_KWARGS
@@ -55,7 +54,7 @@ class TestFaultPlan:
     def test_json_round_trip(self):
         plan = faults.FaultPlan(
             kill_task=3, delay_task=1, delay_seconds=0.5, truncate_shard=2,
-            store_errors=2, store_ops=("load",), scratch="/tmp/x",
+            scratch="/tmp/x",
         )
         assert faults.FaultPlan.from_json(plan.to_json()) == plan
 
@@ -86,7 +85,6 @@ class TestInjectors:
         artifact = tmp_path / "shard.npz"
         artifact.write_bytes(b"payload")
         assert faults.on_task_start(0) is None
-        faults.on_store_op("load")  # must not raise
         faults.on_shard_saved(0, artifact)
         assert artifact.read_bytes() == b"payload"  # untouched
 
@@ -110,16 +108,6 @@ class TestInjectors:
         assert first >= 0.2
         assert second < 0.1
 
-    def test_store_errors_fire_exactly_n_times(self, tmp_path):
-        faults.install_plan(
-            faults.FaultPlan(store_errors=2, store_ops=("load",), scratch=str(tmp_path))
-        )
-        for _ in range(2):
-            with pytest.raises(OSError, match="injected fault"):
-                faults.on_store_op("load")
-        faults.on_store_op("load")  # budget exhausted: no-op
-        faults.on_store_op("publish")  # op not in plan: no-op
-
     def test_truncate_targets_one_shard(self, tmp_path):
         faults.install_plan(faults.FaultPlan(truncate_shard=1, scratch=str(tmp_path)))
         target = tmp_path / "one.npz"
@@ -141,22 +129,6 @@ class TestInjectors:
             start = time.monotonic()
             faults.on_task_start(0)
             assert time.monotonic() - start < 0.1
-
-
-class TestStoreFaults:
-    def test_injected_load_fault_is_failsoft(self, tmp_path):
-        store = FileFactorizationStore(tmp_path / "store")
-        faults.install_plan(
-            faults.FaultPlan(store_errors=1, store_ops=("load",), scratch=str(tmp_path))
-        )
-
-        class _Grid:
-            nx, ny, dl, npml = 8, 8, 0.1, 2
-
-        assert store.load(_Grid(), 1.0, "fp", "direct") is None
-        assert store.stats.failures == 1  # injected fault, swallowed
-        assert store.load(_Grid(), 1.0, "fp", "direct") is None
-        assert store.stats.failures == 1  # budget spent: plain miss now
 
 
 class TestGeneratorFaultRecovery:
@@ -211,6 +183,37 @@ class TestGeneratorFaultRecovery:
         dataset2 = resumed.generate(workers=2)
         assert datasets_bit_identical(baseline, dataset2)
         assert resumed.last_task_report.attempts == {}
+
+    def test_in_process_recovery_runs_at_one_blas_thread(self, tmp_path):
+        """A shard recomputed in a parent running two BLAS threads keeps the
+        bytes its pool worker wrote: dense kernels round differently at two
+        threads (seen at dl 0.05), so the recovery runs pinned like a task."""
+        import numpy.linalg, scipy.linalg  # noqa: F401  (both bundled OpenBLAS copies)
+        from repro.utils.executor import _openblas_thread_calls
+
+        calls = _openblas_thread_calls()
+        if not calls:
+            pytest.skip("no OpenBLAS loaded in this process")
+        config = {**BASE_CONFIG, "device_kwargs": {**TINY_DEVICE_KWARGS, "dl": 0.05}}
+        saved = [get_num_threads() for _, get_num_threads in calls]
+        default_factorization_cache.clear()
+        try:
+            for set_num_threads, _ in calls:
+                set_num_threads(2)
+            reference = DatasetGenerator(
+                GeneratorConfig(shard_dir=str(tmp_path / "reference"), **config)
+            ).generate(workers=2)
+            plan = faults.FaultPlan(truncate_shard=1, scratch=str(tmp_path / "scratch"))
+            with faults.active_plan(plan):
+                generator = DatasetGenerator(
+                    GeneratorConfig(shard_dir=str(tmp_path / "shards"), **config)
+                )
+                dataset = generator.generate(workers=2)
+        finally:
+            for (set_num_threads, _), count in zip(calls, saved):
+                set_num_threads(count)
+        assert generator.last_shard_recoveries == 1
+        assert datasets_bit_identical(reference, dataset)
 
     def test_permanent_failure_surfaces_and_resume_recomputes_exactly_it(
         self, baseline, tmp_path, monkeypatch

@@ -1,5 +1,12 @@
 """Tests for MAPS-InvDes: objectives, adjoint gradients, optimization, robustness."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -126,6 +133,53 @@ class TestOptimizer:
         optimizer.run(theta0=problem.initial_theta("uniform"), iterations=2)
         betas = [t.beta for t in problem.transforms if isinstance(t, BinarizationProjection)]
         assert betas == [24.0]
+
+    def test_loop_runs_at_one_blas_thread_in_a_fresh_process(self):
+        """The callback sees one OpenBLAS thread; the caller's count comes back.
+
+        A fresh process, so no pin or pool of another test shapes the counts.
+        """
+        script = textwrap.dedent(
+            """
+            import json
+            import numpy.linalg, scipy.linalg  # both bundled OpenBLAS copies
+            from repro.devices.factory import make_device
+            from repro.invdes import AdjointOptimizer, InverseDesignProblem
+            from repro.utils.executor import _openblas_thread_calls
+
+            calls = _openblas_thread_calls()
+            for set_num_threads, _ in calls:
+                set_num_threads(2)  # a caller running several BLAS threads
+            counts = lambda *_: [get_num_threads() for _, get_num_threads in calls]
+            caller = counts()
+            seen = []
+            device = make_device("bending", fidelity="low", domain=3.0, design_size=1.4)
+            problem = InverseDesignProblem(device)
+            AdjointOptimizer(problem, learning_rate=0.2).run(
+                problem.initial_theta("waveguide"),
+                iterations=2,
+                callback=lambda *args: seen.append(counts(*args)),
+            )
+            print(json.dumps({"caller": caller, "seen": seen, "after": counts()}))
+            """
+        )
+        repo = Path(__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([str(repo / "src"), env.get("PYTHONPATH", "")])
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=str(repo),
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stdout + child.stderr
+        counts = json.loads(child.stdout.strip().splitlines()[-1])
+        if not counts["caller"]:
+            pytest.skip("no OpenBLAS loaded in the child process")
+        assert counts["seen"] == [[1] * len(counts["caller"])] * 2
+        assert counts["after"] == counts["caller"]
 
     def test_callback_invoked(self, tiny_bend):
         problem = InverseDesignProblem(tiny_bend)
