@@ -12,7 +12,8 @@ the fidelity tier:
   arbitrarily many right-hand sides (forward, adjoint and normalization solves
   are triangular back-substitutions against the same LU).  Given a device's
   design region, it factors the fixed exterior once and each design only
-  on the region (the Schur complement), which is how labels are made.
+  on the region (the Schur complement), which is how labels are made; port
+  solves then read the exterior only through its port block.
 * :class:`RecycledEngine` — the optimization-loop tier: keeps the exact LU of
   a *reference* permittivity and solves nearby permittivities (consecutive
   Adam iterates differ only on the operator diagonal) by iterative
@@ -333,7 +334,7 @@ class CacheStats(StatsCounters):
 def _entry_nbytes(entry) -> int:
     """Best-effort byte estimate of a cached factorization.
 
-    Entries declaring ``nbytes`` (exteriors, condensed LUs) are exact; SuperLU
+    Entries declaring ``nbytes`` (exteriors) are exact; SuperLU
     objects are estimated from their factor ``nnz`` (complex data plus an
     index per stored entry); anything else counts as 0 rather than guessing.
     """
@@ -356,16 +357,18 @@ class FactorizationCache:
     """Process-wide LRU cache of sparse factorizations.
 
     Keys are ``(grid, omega, eps fingerprint)``; values are whatever a solver
-    engine stores for that operator (a SuperLU object for the direct and
-    recycled engines, a condensed LU or a factored exterior for the direct
-    engine's design-region solves).  The cache is deliberately
-    engine-agnostic: entries are namespaced by a ``tag`` so every engine's
-    factorizations of the same operator coexist.
+    engine stores for that operator (a SuperLU object of the full operator or
+    of a design region's Schur complement, or a factored exterior).  The
+    cache is deliberately engine-agnostic: entries are namespaced by a
+    ``tag`` so every engine's factorizations of the same operator coexist.
+    Schur-complement factors carry their exterior's key in the tag
+    (``"condensed:<key>"``, ``"recycled_schur:<key>"``), so engines with
+    different design regions never read each other's.
 
     Factored exteriors (tag ``"exterior"``, keyed by the exterior's digest)
     are built once per device and frequency and serve every design after
     that, so they live in a second LRU of the same ``maxsize``: churn among
-    per-design entries (``"direct"``, ``"condensed"``, the recycled tier's
+    per-design entries (``"direct"``, the Schur factors, the recycled tier's
     references) can never evict an exterior.
 
     Most code never touches the cache directly — engines share
@@ -574,16 +577,19 @@ class SolveWorkspace:
 # --------------------------------------------------------------------------- #
 # the one LU factorization
 # --------------------------------------------------------------------------- #
-#: SuperLU settings tried in order by :func:`factor_lu`.  The FDFD operator
+#: SuperLU settings of :func:`factor_lu`'s first factor.  The FDFD operator
 #: is structurally (and, up to PML scaling, numerically) complex symmetric, so
 #: a minimum-degree ordering of ``A + A^T`` with diagonal pivots keeps ~44%
 #: fewer L+U entries than the default COLAMD with partial pivoting.  The
 #: default is the fallback for the rare operator whose pivot-free factor is
 #: inaccurate.
-_LU_SETTINGS = (
-    dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}),
-    {},
+_SYMMETRIC_LU = dict(
+    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
 )
+
+#: The same pivot-free factor of a matrix whose rows and columns are already
+#: in the elimination order wanted (no ordering step).
+_NATURAL_LU = {**_SYMMETRIC_LU, "permc_spec": "NATURAL"}
 
 #: Largest relative probe residual ``|A x - b| / |b|`` a symmetric-mode
 #: factor may leave.  The worst case measured over the device zoo (both
@@ -591,31 +597,40 @@ _LU_SETTINGS = (
 _LU_PROBE_BOUND = 1e-10
 
 
+def _probed_splu(matrix: sp.csc_matrix, settings: dict):
+    """SuperLU of ``matrix`` under ``settings``, or None when it fails its probe.
+
+    The probe solves ``b = 1``; an exactly singular pivot, a non-finite
+    relative residual or one above :data:`_LU_PROBE_BOUND` rejects the factor.
+    """
+    probe = np.ones(matrix.shape[0], dtype=matrix.dtype)
+    try:
+        lu = spla.splu(matrix, **settings)
+    except RuntimeError:  # exactly singular without pivoting
+        return None
+    residual = np.linalg.norm(matrix @ lu.solve(probe) - probe) / np.linalg.norm(probe)
+    return lu if residual <= _LU_PROBE_BOUND else None  # False for NaN/inf
+
+
 def factor_lu(matrix: sp.spmatrix) -> spla.SuperLU:
     """SuperLU factorization of an FDFD operator: symmetric mode, then default.
 
-    The symmetric-mode factor is checked by one probe solve (``b = 1``); a
-    non-finite or too-large relative residual (see :data:`_LU_PROBE_BOUND`)
-    refactors with SuperLU's default partial pivoting, whose factor is
-    returned as is.  Every LU factorization in the package goes through here.
+    The symmetric-mode factor is checked by one probe solve (see
+    :func:`_probed_splu`); a factor that fails it is replaced by SuperLU's
+    default partial pivoting, whose factor is returned as is.  Every LU
+    factorization in the package goes through here.
     """
     matrix = matrix.tocsc()
-    probe = np.ones(matrix.shape[0], dtype=matrix.dtype)
-    for settings in _LU_SETTINGS:
-        lu = spla.splu(matrix, **settings)
-        residual = np.linalg.norm(matrix @ lu.solve(probe) - probe) / np.linalg.norm(probe)
-        if residual <= _LU_PROBE_BOUND:  # False for NaN/inf
-            break
-    return lu
+    lu = _probed_splu(matrix, _SYMMETRIC_LU)
+    return lu if lu is not None else spla.splu(matrix)
 
 
 # --------------------------------------------------------------------------- #
 # design-region condensation: the fixed exterior factored once per device
 # --------------------------------------------------------------------------- #
-#: Columns of ``A_EE^{-1} A_EI`` (and of ``A_EE^{-1}`` on the tail, for a
-#: port block) back-substituted at a time when an exterior is built without
-#: its ring-last factor.  Only their tail rows are kept, so the transient is
-#: one ``(n_E, 32)`` block (~4 MB on a 104^2 grid), not the full ``(n_E, k)``.
+#: Unit columns of ``A_EE^{-1}`` back-substituted at a time when an exterior
+#: is built without its tail-last factor.  Only their tail rows are kept, so
+#: the transient is one ``(n_E, 32)`` block (~4 MB on a 104^2 grid).
 _EXTERIOR_BLOCK = 32
 
 
@@ -633,70 +648,65 @@ def _lu_inverse(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return blas.ztrmm(1.0, upper, lower, overwrite_b=1)
 
 
-def _ring_rows(
-    a_ee: sp.csc_matrix,
-    lu,
-    ring: np.ndarray,
-    coupling: sp.csc_matrix,
-    ports: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``(A_EE^{-1} coupling)[ring]`` for coupling columns supported on the ring, and the tail block.
+def _tail_inverse(a_ee: sp.csc_matrix, lu, tail: np.ndarray) -> np.ndarray:
+    """``(A_EE^{-1})[T, T]`` for exterior positions ``tail``, rows and columns in tail order.
 
-    Refactoring ``A_EE`` with the tail ``T`` (the ring, then the ``ports``
-    not on it) ordered after every other cell (those in ``lu``'s
-    fill-reducing order) makes the trailing ``t x t`` block ``L22 U22`` of
-    the new factor the Schur complement of ``A_EE`` onto ``T``, whose
-    inverse is ``(A_EE^{-1})[T, T]``.  One factorization and one dense
-    ``t x t`` solve then replace ``k`` back-substitutions through the
-    exterior (on a 104^2 grid, 2-CPU host: ~60 ms against ~150 ms).  Given
-    ``ports`` (exterior positions), that inverse is returned as the second
-    value, rows and columns in tail order; without them the second value is
-    None.  When the pivot-free factor fails its probe or SuperLU moves a
-    pivot, back-substitutions in :data:`_EXTERIOR_BLOCK` chunks run instead.
+    Refactoring ``A_EE`` with ``T`` ordered after every other cell (those in
+    ``lu``'s fill-reducing order) makes the trailing ``t x t`` block ``L22
+    U22`` of the new factor the Schur complement of ``A_EE`` onto ``T``,
+    whose inverse is the block wanted: one factorization and a dense
+    ``t x t`` inversion instead of ``t`` back-substitutions through the
+    exterior.  When the pivot-free factor fails its probe or SuperLU moves a
+    pivot, the back-substitutions run instead, :data:`_EXTERIOR_BLOCK`
+    columns at a time.
     """
-    n, k = a_ee.shape[0], ring.size
-    extra = np.empty(0, dtype=ring.dtype) if ports is None else np.setdiff1d(ports, ring)
-    tail = np.concatenate([ring, extra])
-    t = tail.size
+    n, t = a_ee.shape[0], tail.size
     rest = np.ones(n, dtype=bool)
     rest[tail] = False
     order = np.argsort(lu.perm_c)
     order = np.concatenate([order[rest[order]], tail])
     ordered = a_ee[order][:, order].tocsc()
+    tail_lu = _probed_splu(ordered, _NATURAL_LU)
     identity = np.arange(n)
-    try:
-        tail_lu = spla.splu(ordered, **{**_LU_SETTINGS[0], "permc_spec": "NATURAL"})
-        probe = np.ones(n, dtype=complex)
-        residual = np.linalg.norm(ordered @ tail_lu.solve(probe) - probe) / np.linalg.norm(probe)
-    except RuntimeError:  # exactly singular without pivoting
-        residual = np.inf
     if (
-        residual <= _LU_PROBE_BOUND
+        tail_lu is not None
         and np.array_equal(tail_lu.perm_c, identity)
         and np.array_equal(tail_lu.perm_r, identity)
     ):
         trailing = slice(n - t, n)
-        if ports is None:
-            schur = tail_lu.L[trailing, trailing].toarray() @ tail_lu.U[trailing, trailing].toarray()
-            return np.linalg.solve(schur, coupling[ring].toarray()), None
         lower = tail_lu.L[trailing, trailing].toarray(order="F")
         upper = tail_lu.U[trailing, trailing].toarray(order="F")
         del tail_lu, ordered  # released before the dense algebra: a lower peak
-        inverse = _lu_inverse(lower, upper)
-        return inverse[:k, :k] @ coupling[ring].toarray(), inverse
-    ring_rows = np.empty((k, coupling.shape[1]), dtype=complex)
-    for start in range(0, coupling.shape[1], _EXTERIOR_BLOCK):
-        block = slice(start, start + _EXTERIOR_BLOCK)
-        ring_rows[:, block] = lu.solve(coupling[:, block].toarray())[ring]
-    if ports is None:
-        return ring_rows, None
+        return _lu_inverse(lower, upper)
     inverse = np.empty((t, t), dtype=complex)
     for start in range(0, t, _EXTERIOR_BLOCK):
         columns = tail[start : start + _EXTERIOR_BLOCK]
         unit = np.zeros((n, columns.size), dtype=complex)
         unit[columns, np.arange(columns.size)] = 1.0
         inverse[:, start : start + columns.size] = lu.solve(unit)[tail]
-    return ring_rows, inverse
+    return inverse
+
+
+def _fill_reducing_order(matrix: sp.csc_matrix) -> np.ndarray:
+    """The order :func:`factor_lu` eliminates a matrix of ``matrix``'s pattern in.
+
+    Minimum degree on ``A + A^T`` (and SuperLU's postorder of the
+    elimination tree) read the sparsity pattern only, so a diagonally
+    dominant stand-in with that pattern, which no pivot can fail, gives the
+    order of every matrix that shares it.  Renumbering by the returned
+    indices makes the natural order that elimination order.
+    """
+    stand_in = sp.csc_matrix(
+        (np.ones(matrix.nnz), matrix.indices, matrix.indptr), shape=matrix.shape
+    )
+    stand_in.data[_diagonal_positions(matrix)] = matrix.shape[0]
+    return np.argsort(spla.splu(stand_in, **_SYMMETRIC_LU).perm_c)
+
+
+def _diagonal_positions(matrix: sp.csc_matrix) -> np.ndarray:
+    """Positions of the diagonal entries in a CSC matrix's ``data``."""
+    column_of = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
+    return np.flatnonzero(matrix.indices == column_of)
 
 
 class _Exterior:
@@ -709,18 +719,20 @@ class _Exterior:
     ``A_EE`` and the design-independent part of the Schur complement
     ``S = A_II - A_IE A_EE^{-1} A_EI``.  Its correction term is a dense
     ``k x k`` block on the ``k`` border cells the stencil couples to the
-    exterior ring ``R``, read off a second factor of ``A_EE`` that
-    eliminates the ring last (:func:`_ring_rows`).  ``S`` is kept as a CSC
-    template whose diagonal a design overwrites, the way
-    :func:`_system_template` serves the full operator.
+    exterior ring ``R``.  ``S`` is kept as a CSC template whose diagonal a
+    design overwrites, the way :func:`_system_template` serves the full
+    operator.  :attr:`interior` numbers ``I`` in ``S``'s fill-reducing
+    order, which depends on the pattern alone (:func:`_fill_reducing_order`),
+    so every design's ``S`` factors without an ordering step.
 
-    Given ``ports`` (grid rows, see :func:`~repro.fdfd.monitors.port_rows`),
-    the exterior ones form ``P`` and the second factor eliminates ``T = R ∪
-    P`` last; its trailing block yields the resident *port block* ``W =
-    (A_EE^{-1})[T, T]`` at no extra factorization.  ``A`` is complex
-    symmetric, so for right-hand sides whose exterior support lies in ``P``
-    (mode sources, adjoint sources of port objectives) every solve step
-    that touched the whole exterior becomes a product with ``W``:
+    ``ports`` (grid rows, see :func:`~repro.fdfd.monitors.port_rows`)
+    outside the region form ``P``.  A second factor of ``A_EE`` eliminates
+    ``T = R ∪ P`` last; its trailing block yields the *port block* ``W =
+    (A_EE^{-1})[T, T]`` (:func:`_tail_inverse`), whose ring block gives the
+    correction.  ``A`` is complex symmetric, so for right-hand sides whose
+    exterior support lies in ``P`` (mode sources, adjoint sources of port
+    objectives) every solve step that touched the whole exterior becomes a
+    product with ``W``:
 
     * reduce: ``b_I - A_IE[:, R] W_RP b_P`` (:meth:`port_reduce`);
     * port readout: ``x_P = W_PP b_P - W_PR (A_EI x_I)_R`` (:meth:`port_readout`);
@@ -730,50 +742,35 @@ class _Exterior:
     Any other right-hand side takes :meth:`reduce` and :meth:`recover`.
     """
 
-    def __init__(
-        self,
-        grid: Grid,
-        omega: float,
-        eps_r: np.ndarray,
-        region: tuple,
-        ports: np.ndarray | None = None,
-    ):
+    def __init__(self, grid: Grid, omega: float, eps_r: np.ndarray, region: tuple, ports):
         inside = np.zeros(grid.shape, dtype=bool)
         inside[region] = True
-        self.interior = np.flatnonzero(inside.ravel())
+        interior = np.flatnonzero(inside.ravel())
         self.exterior = np.flatnonzero(~inside.ravel())
         matrix = assemble_system_matrix(grid, omega, eps_r)
         exterior_rows = matrix[self.exterior]
-        self.a_ei = exterior_rows[:, self.interior].tocsr()
-        self.a_ie = matrix[self.interior][:, self.exterior].tocsr()
+        a_ei = exterior_rows[:, interior].tocsr()
+        a_ie = matrix[interior][:, self.exterior].tocsr()
         a_ee = exterior_rows[:, self.exterior].tocsc()
         self.lu = factor_lu(a_ee)
 
-        ring = np.union1d(
-            np.flatnonzero(self.a_ei.getnnz(axis=1)), np.flatnonzero(self.a_ie.getnnz(axis=0))
-        )
-        border = np.union1d(
-            np.flatnonzero(self.a_ei.getnnz(axis=0)), np.flatnonzero(self.a_ie.getnnz(axis=1))
-        )
+        ring = np.union1d(np.flatnonzero(a_ei.getnnz(axis=1)), np.flatnonzero(a_ie.getnnz(axis=0)))
+        border = np.union1d(np.flatnonzero(a_ei.getnnz(axis=0)), np.flatnonzero(a_ie.getnnz(axis=1)))
         # Exterior positions of the port rows outside the region.
-        self.ports = None
-        port_positions = None
-        if ports is not None:
-            ports = np.asarray(ports)
-            self.ports = ports[~inside.ravel()[ports]]
-            port_positions = np.searchsorted(self.exterior, self.ports)
-        ring_rows, block = _ring_rows(
-            a_ee, self.lu, ring, self.a_ei[:, border].tocsc(), port_positions
-        )
-        correction = self.a_ie[border][:, ring] @ ring_rows
-        if block is not None:
-            self._port_block(ring, port_positions, block)
+        ports = np.asarray(ports)
+        self.ports = ports[~inside.ravel()[ports]]
+        port_positions = np.searchsorted(self.exterior, self.ports)
+        tail = np.concatenate([ring, np.setdiff1d(port_positions, ring)])
+        block = _tail_inverse(a_ee, self.lu, tail)
+        k = ring.size
+        # A_EI[:, border] lives on the ring: (A_EE^{-1} A_EI)[R] = W_RR A_EI[R].
+        correction = a_ie[border][:, ring] @ (block[:k, :k] @ a_ei[ring][:, border].toarray())
 
         # curl-curl on the design rectangle (the system template carries an
         # explicit diagonal) minus the correction.  The COO -> CSC conversion
         # sums duplicates without dropping zeros, so the diagonal is always
         # present to overwrite.
-        curl_curl = _system_template(grid, omega)["matrix"][self.interior][:, self.interior].tocoo()
+        curl_curl = _system_template(grid, omega)["matrix"][interior][:, interior].tocoo()
         rows, cols = np.meshgrid(border, border, indexing="ij")
         schur = sp.coo_matrix(
             (
@@ -785,21 +782,19 @@ class _Exterior:
             ),
             shape=curl_curl.shape,
         ).tocsc()
-        column_of = np.repeat(np.arange(schur.shape[1]), np.diff(schur.indptr))
-        self.diag_positions = np.flatnonzero(schur.indices == column_of)
+        order = _fill_reducing_order(schur)
+        schur = schur[order][:, order].tocsc()
+        schur.sort_indices()
+        self.interior = interior[order]
+        self.a_ei = a_ei[:, order].tocsr()
+        self.a_ie = a_ie[order].tocsr()
+        self.diag_positions = _diagonal_positions(schur)
         self.base_diagonal = schur.data[self.diag_positions].copy()
         self.schur = schur
-        self.nbytes = _entry_nbytes(self.lu) + _entry_nbytes((schur, self.a_ei, self.a_ie))
-        if self.ports is not None:
-            self.nbytes += self._w_rp.nbytes + self._w_pp.nbytes + self._w_pr.nbytes
 
-    def _port_block(self, ring: np.ndarray, port_positions: np.ndarray, block: np.ndarray) -> None:
-        """Keep the ``W`` blocks the port solves use (``block`` is ``W`` in tail order)."""
         tail_of = np.full(self.exterior.size, -1)
-        tail_of[ring] = np.arange(ring.size)
-        extra = np.setdiff1d(port_positions, ring)
-        tail_of[extra] = ring.size + np.arange(extra.size)
-        on_ring = np.arange(ring.size)
+        tail_of[tail] = np.arange(tail.size)
+        on_ring = np.arange(k)
         on_ports = tail_of[port_positions]
         self._w_rp = block[np.ix_(on_ring, on_ports)]
         self._w_pp = block[np.ix_(on_ports, on_ports)]
@@ -808,9 +803,13 @@ class _Exterior:
         self._a_ei_ring = self.a_ei[ring].tocsr()
         self._port_positions = port_positions
         self._off_ports = np.setdiff1d(self.exterior, self.ports)
-        self._known = np.zeros(self.interior.size + self.exterior.size, dtype=bool)
-        self._known[self.interior] = True
-        self._known[self.ports] = True
+        self.nbytes = (
+            _entry_nbytes(self.lu)
+            + _entry_nbytes((schur, self.a_ei, self.a_ie))
+            + self._w_rp.nbytes
+            + self._w_pp.nbytes
+            + self._w_pr.nbytes
+        )
 
     def schur_complement(self, omega: float, eps_r: np.ndarray) -> sp.csc_matrix:
         """``S(eps_r)``: the template with the design's diagonal written in."""
@@ -834,11 +833,7 @@ class _Exterior:
     # -- the port block (row stacks ``(n_rhs, n)``) ------------------------------
     def serves(self, flat: np.ndarray) -> bool:
         """Whether the port block applies: every exterior entry of ``flat`` lies on ``P``."""
-        return self.ports is not None and not np.any(flat[:, self._off_ports])
-
-    def covers(self, rows: np.ndarray) -> bool:
-        """Whether grid ``rows`` all lie in ``I ∪ P``, the rows a port solve computes."""
-        return self.ports is not None and bool(self._known[rows].all())
+        return not np.any(flat[:, self._off_ports])
 
     def port_reduce(self, b_interior: np.ndarray, b_ports: np.ndarray) -> np.ndarray:
         """``b_I - A_IE[:, R] W_RP b_P`` for right-hand sides the block :meth:`serves`."""
@@ -857,46 +852,24 @@ class _Exterior:
 
 
 def _resident_exterior(
-    cache, grid: Grid, omega: float, eps_r: np.ndarray, region: tuple, ports=None
+    cache, grid: Grid, omega: float, eps_r: np.ndarray, region: tuple, ports
 ) -> tuple[_Exterior, str]:
     """``(exterior, key)``: the cached :class:`_Exterior` of ``eps_r`` outside ``region``.
 
-    The key digests the values outside the region and the region, plus
-    ``"+ports"`` for a port block: ported and port-less exteriors never mix.
+    The key digests everything the exterior's bytes depend on: the values
+    outside the region, the region and the port rows.  Whichever engine
+    builds an exterior first, every engine naming the same rows reads it.
     """
     outside = np.ones(eps_r.shape, dtype=bool)
     outside[region] = False
     digest = hashlib.sha1(eps_fingerprint(eps_r[outside]).encode())
     digest.update(repr(region).encode())
-    key = digest.hexdigest() + ("" if ports is None else "+ports")
+    digest.update(eps_fingerprint(np.asarray(ports, dtype=np.int64)).encode())
+    key = digest.hexdigest()
     exterior = cache.get_or_build(
         grid, omega, key, lambda: _Exterior(grid, omega, eps_r, region, ports), tag="exterior"
     )
     return exterior, key
-
-
-class _CondensedLU:
-    """Exact solves of ``A(eps_r)`` from a shared :class:`_Exterior` and the LU of ``S``.
-
-    Exposes SuperLU's ``solve(b)`` for 1-D and column right-hand sides.  Per
-    right-hand side: ``y = A_EE^{-1} b_E``, ``x_I = S^{-1} (b_I - A_IE y)``,
-    ``x_E = y - A_EE^{-1} A_EI x_I``.
-    """
-
-    __slots__ = ("exterior", "lu")
-
-    def __init__(self, exterior: _Exterior, omega: float, eps_r: np.ndarray):
-        self.exterior = exterior
-        self.lu = factor_lu(exterior.schur_complement(omega, eps_r))
-
-    @property
-    def nbytes(self) -> int:
-        # The exterior is cached (and counted) under its own key.
-        return _entry_nbytes(self.lu)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        reduced, y = self.exterior.reduce(np.asarray(b))
-        return self.exterior.recover(self.lu.solve(reduced), y)
 
 
 class RefinementError(RuntimeError):
@@ -1097,13 +1070,24 @@ class DirectEngine(SolverEngine):
     shared across batches (and across engine instances using the same cache).
 
     With a ``design_region`` (a device's ``design_slice``), every solve that
-    passes ``port_rows`` is *condensed*: the exterior block is factored once
-    per ``(grid, omega, exterior permittivity)`` (tag ``"exterior"``), and
-    each design factors only its Schur complement on the region (tag
-    ``"condensed"``).  Other solves (the normalization runs) factor in full
-    under ``"direct"``.  Both paths are exact and return full fields.  The
-    rule reads the call, never the process's history, so serial, pooled and
-    resumed label runs agree byte for byte.
+    passes ``port_rows`` is *condensed*: it is an exact hit of the
+    :class:`RecycledEngine` region path.  The exterior is factored once per
+    ``(grid, omega, exterior permittivity, port rows)`` with its port block
+    (tag ``"exterior"``, see :class:`_Exterior`), shared with any recycled
+    engine naming the same rows, and each design factors only its Schur
+    complement ``S`` on the region (tag ``"condensed:<exterior key>"``, so
+    engines with different regions never share one).  A right-hand side
+    supported on the region and the port rows costs a port reduce, one
+    back-substitution through ``S`` and a port readout; the result is a
+    :class:`~repro.fdfd.lazy.Deferred` stack whose one exterior
+    back-substitution runs when a caller reads the full field.  Labels read
+    the forward field in full, and the adjoint gradient only on the region,
+    so a labelled design back-substitutes through the exterior once.  Other
+    right-hand sides reduce and recover through the exterior LU.  Solves
+    without ``port_rows`` (the normalization runs) factor in full under
+    ``"direct"``.  Every path is exact.  The rule reads the call, never the
+    process's history, so serial, pooled and resumed label runs agree byte
+    for byte.
     """
 
     name = "direct"
@@ -1124,20 +1108,10 @@ class DirectEngine(SolverEngine):
         # signature.
         return ("exact",)
 
-    def factorize(
-        self, grid: Grid, omega: float, eps_r: np.ndarray, fingerprint=None, port_rows=None
-    ):
-        """Factorization of ``A(eps_r)`` (a SuperLU or a condensed LU), shared through the cache."""
+    def factorize(self, grid: Grid, omega: float, eps_r: np.ndarray, fingerprint=None):
+        """The full-grid SuperLU factorization of ``A(eps_r)``, shared through the cache."""
         if fingerprint is None:
             fingerprint = eps_fingerprint(eps_r)
-        if self.design_region is not None and port_rows is not None:
-
-            def condense():
-                # A port-less exterior: condensed solves recover full fields.
-                exterior, _ = _resident_exterior(self.cache, grid, omega, eps_r, self.design_region)
-                return _CondensedLU(exterior, omega, eps_r)
-
-            return self.cache.get_or_build(grid, omega, fingerprint, condense, tag="condensed")
         return self.cache.get_or_build(
             grid,
             omega,
@@ -1148,12 +1122,26 @@ class DirectEngine(SolverEngine):
 
     def solve_batch(self, grid, omega, eps_r, rhs, fingerprint=None, x0=None, port_rows=None):
         eps_r, rhs = self._check_batch(grid, eps_r, rhs)
-        lu = self.factorize(grid, omega, eps_r, fingerprint, port_rows)
-        # One back-substitution on an (n_points, n_rhs) matrix.  Exact solves
-        # have nothing to gain from an initial guess; x0 is accepted (and
-        # ignored) so call sites can thread warm starts engine-agnostically.
-        solutions = lu.solve(rhs.reshape(rhs.shape[0], -1).T)
-        return np.ascontiguousarray(solutions.T).reshape(rhs.shape)
+        # Exact solves have nothing to gain from an initial guess; x0 is
+        # accepted (and ignored) so call sites can thread warm starts
+        # engine-agnostically.
+        flat = rhs.reshape(rhs.shape[0], -1)
+        if self.design_region is None or port_rows is None:
+            # One back-substitution on an (n_points, n_rhs) matrix.
+            solutions = self.factorize(grid, omega, eps_r, fingerprint).solve(flat.T)
+            return np.ascontiguousarray(solutions.T).reshape(rhs.shape)
+        if fingerprint is None:
+            fingerprint = eps_fingerprint(eps_r)
+        omega = float(omega)
+        exterior, key = _resident_exterior(
+            self.cache, grid, omega, eps_r, self.design_region, port_rows
+        )
+        frame = _Frame(grid, omega, exterior, key)
+        reduced, back = frame.reduce(flat)
+        lu = self.cache.get_or_build(
+            grid, omega, fingerprint, lambda: frame.factor(eps_r), tag=f"condensed:{key}"
+        )
+        return back(lu.solve(reduced.T).T)
 
 
 @dataclass
@@ -1180,16 +1168,17 @@ class _RecycledReference:
 
 
 class _Frame:
-    """The unknowns one recycled solve works on: the full grid, or the region's ``S``.
+    """The unknowns a solve works on: the full grid, or the region's ``S``.
 
     The recycling loop sees a reference LU, the current matrix and the
     diagonal drift, all in the frame's unknowns.  On the full grid
     (``exterior`` None) :meth:`reduce` passes right-hand sides and solutions
     through.  Over a resident :class:`_Exterior` the loop between reduce and
     recovery factors, refines and iterates on the Schur complement of the
-    design region only.  A ``one_off`` frame (a solve on a region engine
-    that names no port rows) solves on the full grid and keeps no reference.
-    Stacks are rows, ``(n_rhs, n)``.
+    design region only, and a :class:`DirectEngine` factors that ``S`` once
+    per design.  A ``one_off`` frame (a solve on a region engine that names
+    no port rows) solves on the full grid and keeps no reference.  Stacks
+    are rows, ``(n_rhs, n)``.
     """
 
     __slots__ = ("grid", "omega", "exterior", "one_off", "key", "tag")
@@ -1209,7 +1198,8 @@ class _Frame:
         if exterior is None:
             self.key, self.tag = (grid, omega), "recycled"
         else:
-            self.key, self.tag = (grid, omega, exterior_key), "recycled_schur"
+            self.key = (grid, omega, exterior_key)
+            self.tag = f"recycled_schur:{exterior_key}"
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
         """The frame's unknowns of grid-flat values (last axis)."""
@@ -1218,35 +1208,32 @@ class _Frame:
     def factor(self, eps_r: np.ndarray):
         if self.exterior is None:
             return factor_lu(assemble_system_matrix(self.grid, self.omega, eps_r))
-        return factor_lu(self.exterior.schur_complement(self.omega, eps_r))
+        # The exterior numbers S in its fill-reducing order already: no
+        # ordering step, unless the natural-order factor fails its probe.
+        schur = self.exterior.schur_complement(self.omega, eps_r)
+        lu = _probed_splu(schur, _NATURAL_LU)
+        return lu if lu is not None else factor_lu(schur)
 
-    def reduce(self, flat: np.ndarray, port_rows: np.ndarray | None):
-        """The frame's right-hand sides, and the map from its solutions back to the grid.
+    def reduce(self, flat: np.ndarray):
+        """The frame's right-hand sides, and the map from its solutions to grid-shaped stacks.
 
-        The map returns full solutions, except on the port path with
-        ``port_rows`` inside ``I ∪ P``: then it returns a :class:`Deferred`
-        stack, computed on ``I ∪ P`` (NaN elsewhere) and fully recovered on
-        first request.  Right-hand sides the port block does not serve take
-        the exterior's two back-substitutions, as do exteriors without one.
+        Over an exterior, right-hand sides the port block serves map to a
+        :class:`Deferred` stack, computed on ``I ∪ P`` (NaN elsewhere) and
+        fully recovered on first request; the others take the exterior's two
+        back-substitutions and map to full solutions.
         """
         exterior = self.exterior
         if exterior is None:
-            return flat, lambda x: x
+            return flat, self._stack
         if not exterior.serves(flat):
             reduced, y = exterior.reduce(flat.T)
-            return reduced.T, lambda x: exterior.recover(x.T, y).T
+            return reduced.T, lambda x: self._stack(exterior.recover(x.T, y).T)
         b_ports = flat[:, exterior.ports]
         reduced = exterior.port_reduce(flat[:, exterior.interior], b_ports)
-        if port_rows is not None and exterior.covers(port_rows):
-            return reduced, lambda x: self._port_stack(b_ports, x)
+        return reduced, lambda x: self._port_stack(b_ports, x)
 
-        def recover(x):
-            full = np.empty((x.shape[0], self.grid.n_points), dtype=complex)
-            full[:, exterior.interior] = x
-            full[:, exterior.exterior] = exterior.fill(b_ports, x)
-            return full
-
-        return reduced, recover
+    def _stack(self, flat: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(flat).reshape(flat.shape[0], *self.grid.shape)
 
     def _port_stack(self, b_ports: np.ndarray, x: np.ndarray) -> Deferred:
         exterior = self.exterior
@@ -1311,8 +1298,8 @@ class RecycledEngine(SolverEngine):
     and port readout are products with the port block, and the result is a
     :class:`~repro.fdfd.lazy.Deferred` stack, exact on ``I ∪ P`` and NaN
     elsewhere, whose one exterior back-substitution runs when a caller reads
-    the full field (at once if ``port_rows`` reach outside ``I ∪ P``).
-    Other right-hand sides take the exterior's two back-substitutions.  A
+    the full field.  Other right-hand sides take the exterior's two
+    back-substitutions.  A
     region engine's solve without ``port_rows`` (a normalization run) is one
     exact full-grid solve that keeps nothing.  Without a region the loop
     recycles on the full grid.
@@ -1321,7 +1308,8 @@ class RecycledEngine(SolverEngine):
     results are always converged to ``rtol`` (or exact).  Warm starts
     (``x0``, threaded from a :class:`SolveWorkspace`) cut the iteration count
     further.  Reference LUs live in the shared :class:`FactorizationCache`
-    under the ``"recycled"`` tag (``"recycled_schur"`` on a region), so
+    under the ``"recycled"`` tag (``"recycled_schur:<exterior key>"`` on a
+    region), so
     ``Simulation.set_permittivity`` eviction and cache-size limits apply to
     them like to any other factorization.
     """
@@ -1379,11 +1367,7 @@ class RecycledEngine(SolverEngine):
     def _frame(
         self, grid: Grid, omega: float, eps_r: np.ndarray, port_rows: np.ndarray | None = None
     ) -> _Frame:
-        """The full grid, a one-off full-grid solve, or the region's ``S`` for ``port_rows``.
-
-        The exterior carries a port block, so a :class:`DirectEngine`'s
-        labels never read it (see :func:`_resident_exterior`).
-        """
+        """The full grid, a one-off full-grid solve, or the region's ``S`` for ``port_rows``."""
         omega = float(omega)
         if self.design_region is None:
             return _Frame(grid, omega)
@@ -1526,17 +1510,14 @@ class RecycledEngine(SolverEngine):
             fingerprint = eps_fingerprint(eps_r)
         frame = self._frame(grid, omega, eps_r, port_rows)
         full_rhs = rhs.reshape(rhs.shape[0], -1)
-        reduced, back = frame.reduce(full_rhs, port_rows)
+        reduced, back = frame.reduce(full_rhs)
         if x0 is not None:
             x0 = frame.restrict(np.asarray(x0, dtype=complex).reshape(full_rhs.shape))
             if not np.isfinite(x0).all():
                 # Port-solve fields read outside I ∪ P (a full-grid frame):
                 # no guess rather than a NaN one.
                 x0 = None
-        solutions = back(self._solve_reduced(frame, eps_r, fingerprint, reduced, full_rhs, x0))
-        if isinstance(solutions, Deferred):
-            return solutions
-        return np.ascontiguousarray(solutions).reshape(rhs.shape)
+        return back(self._solve_reduced(frame, eps_r, fingerprint, reduced, full_rhs, x0))
 
     def _solve_reduced(self, frame, eps_r, fingerprint, rhs, full_rhs, x0) -> np.ndarray:
         """Reference hit, recycled solve or refactorization, in the frame's unknowns."""

@@ -1,7 +1,7 @@
 """Fields known in part until a caller reads them in full.
 
-A port-reduced solve (see :class:`~repro.fdfd.engine.RecycledEngine`)
-computes a field only on the design region and on the port rows, the cells
+A port-reduced solve (see :class:`~repro.fdfd.engine.RecycledEngine` and
+:class:`~repro.fdfd.engine.DirectEngine`) computes a field only on the design region and on the port rows, the cells
 that port measurements, objectives and adjoint sources read.  The rest of the
 field costs one back-substitution through the exterior, so it is deferred
 until someone reads it.  :class:`Deferred` holds both parts; a

@@ -285,7 +285,7 @@ class SimulationResult:
     source that was injected and the incident normalization.
 
     ``ez``, ``hx`` and ``hy`` are always the exact full fields.  After a
-    port-reduced solve (an optimization loop on the ``recycled`` engine) only
+    port-reduced solve (an engine with a design region) only
     their port rows were computed for the measurements; the first read of a
     field runs its one-back-substitution recovery, shared by every result of
     the batch and done at most once.
@@ -545,8 +545,7 @@ class Simulation:
         (they belong to optimization loops, whose design changes every call).
 
         Solves pass :attr:`port_rows`, so an engine with a ``design_region``
-        condenses them; a recycled engine's fields then recover in full on
-        first read.
+        condenses them; the fields then recover in full on first read.
         Results entering the result cache are copied, which reads them.
 
         Returns the :class:`SimulationResult` per excitation, in order.

@@ -171,8 +171,7 @@ class FdfdSolver:
         engines; exact engines ignore it.  ``port_rows`` (grid rows the
         caller reads, see :func:`~repro.fdfd.monitors.port_rows`) go to an
         engine with a ``design_region``, which condenses the solve onto it;
-        a recycled engine's fields are then deferred and recovered in full
-        on first read.  :meth:`solve` (the normalization runs) passes none.
+        the fields are then deferred and recovered in full on first read.  :meth:`solve` (the normalization runs) passes none.
         """
         eps_r = self._check_eps(eps_r)
         stack = np.stack([np.asarray(s, dtype=complex) for s in sources], axis=0)
@@ -185,10 +184,10 @@ class FdfdSolver:
         for ez in self._solve_stack(eps_r, rhs, fingerprint, x0=x0, port_rows=port_rows):
             if isinstance(ez, Deferred):
                 # Exact on the port rows' H lines, whose curls read only
-                # computed Ez rows; recomputed from the full Ez on first read.
-                hx, hy = self.e_to_h(ez.partial)
-                hx = Deferred(hx, lambda ez=ez: self.e_to_h(ez.resolve())[0])
-                hy = Deferred(hy, lambda ez=ez: self.e_to_h(ez.resolve())[1])
+                # computed Ez rows; both recomputed by one curl of the full
+                # Ez when either is first read.
+                curls = Deferred(self.e_to_h(ez.partial), lambda ez=ez: self.e_to_h(ez.resolve()))
+                hx, hy = curls.rows()
             else:
                 hx, hy = self.e_to_h(ez)
             solutions.append(FieldSolution(ez=ez, hx=hx, hy=hy, omega=self.omega))

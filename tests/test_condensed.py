@@ -72,43 +72,47 @@ def _rows(device):
 
 
 def _tags(cache) -> set[str]:
-    return {key[3] for key in cache.keys()}
+    """Cache tags, with the exterior key of a Schur factor's tag dropped."""
+    return {key[3].partition(":")[0] for key in cache.keys()}
+
+
+def _schur_factors(cache, grid, omega, fingerprint, kind="condensed") -> list:
+    """The ``kind`` Schur factors cached for one operator, under any exterior."""
+    return [
+        cache.peek(*key[:3], tag=key[3])
+        for key in cache.keys()
+        if key[:3] == (grid, float(omega), fingerprint) and key[3].startswith(kind + ":")
+    ]
 
 
 def _relative(got, want) -> float:
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
 
 
+def _relative_scalar(got, want) -> float:
+    return abs(got - want) / max(abs(want), 1e-300)
+
+
 @pytest.mark.parametrize(
     "name,dl", PARITY_CASES, ids=[f"{name}-dl{dl:.2f}" for name, dl in PARITY_CASES]
 )
 def test_condensed_factor_matches_full_lu(name, dl):
+    """Objectives, fields and adjoint gradients through ``S`` equal the full LU's."""
     device = make_device(name, dl=dl, **DEVICE_SIZE)
-    grid = device.grid
     density = np.random.default_rng(11).uniform(0.0, 1.0, device.design_shape)
-    eps = device.eps_with_design(density)
     engine = _region_engine(device)
-    for spec in device.specs:
-        omega = wavelength_to_omega(spec.wavelength)
-        condensed = engine.factorize(grid, omega, eps, port_rows=_rows(device))
-        assert engine.cache.peek(grid, omega, eps_fingerprint(eps), tag="condensed") is condensed
-        full = factor_lu(assemble_system_matrix(grid, omega, eps))
-
-        sim = Simulation(grid, eps, spec.wavelength, device.geometry.ports)
-        forward = 1j * omega * sim.mode_source(spec.source_port, spec.source_mode).ravel()
-        field = full.solve(forward)
-        # Adjoint sources live on the monitor planes, conj(E)-shaped.
-        adjoint = np.zeros(grid.shape, dtype=complex)
-        for port in device.geometry.ports:
-            if port.name in spec.port_weights:
-                index = port.indices(grid)
-                adjoint[index] = np.conj(field.reshape(grid.shape)[index])
-        adjoint = adjoint.ravel()
-
-        assert _relative(condensed.solve(forward), field) <= 1e-10
-        assert _relative(condensed.solve(adjoint), full.solve(adjoint)) <= 1e-10
-        stack = np.stack([forward, adjoint], axis=1)
-        assert _relative(condensed.solve(stack), full.solve(stack)) <= 1e-10
+    evaluations = {}
+    for label, solver in (("condensed", engine), ("full", DirectEngine(cache=FactorizationCache()))):
+        clear_result_cache()  # both exact engines share cached results
+        evaluations[label] = evaluate_specs(
+            device, density, backend=NumericalFieldBackend(solver)
+        )
+    assert {"condensed", "exterior"} <= _tags(engine.cache)
+    for got, want in zip(evaluations["condensed"], evaluations["full"]):
+        assert isinstance(vars(got)["adjoint_field"], Deferred)
+        assert _relative_scalar(got.objective_value, want.objective_value) <= 1e-10
+        assert _relative(got.result.ez, want.result.ez) <= 1e-10
+        assert _relative(got.grad_density, want.grad_density) <= 1e-10
 
 
 @pytest.mark.parametrize("name,dl", [("bending", 0.05), ("wdm", 0.08)])
@@ -118,7 +122,7 @@ def test_ring_last_factor_matches_back_substitutions(name, dl, monkeypatch):
     eps = device.eps_with_design(np.random.default_rng(4).uniform(0, 1, device.design_shape))
     omega = wavelength_to_omega(device.specs[0].wavelength)
     region = device.geometry.design_slice
-    fast = engine_module._Exterior(device.grid, omega, eps, region)
+    fast = engine_module._Exterior(device.grid, omega, eps, region, _rows(device))
     splu = engine_module.spla.splu
     natural = []
 
@@ -129,7 +133,7 @@ def test_ring_last_factor_matches_back_substitutions(name, dl, monkeypatch):
         return splu(matrix, **kwargs)
 
     monkeypatch.setattr(engine_module.spla, "splu", no_natural_order)
-    slow = engine_module._Exterior(device.grid, omega, eps, region)
+    slow = engine_module._Exterior(device.grid, omega, eps, region, _rows(device))
     assert natural == [fast.lu.shape]
     assert _relative(fast.schur.toarray(), slow.schur.toarray()) <= 1e-12
 
@@ -180,11 +184,12 @@ class TestFallbacks:
         eps = getattr(self, variant)(device, device.eps_with_design(density))
         omega = wavelength_to_omega(device.specs[0].wavelength)
         fingerprint = eps_fingerprint(eps)
-        engine.factorize(device.grid, omega, eps)
+        rhs = np.ones((1, *device.grid.shape), dtype=complex)
+        engine.solve_batch(device.grid, omega, eps, rhs)
         assert engine.cache.peek(device.grid, omega, fingerprint, tag="direct") is not None
         assert _tags(engine.cache) == {"direct"}
-        engine.factorize(device.grid, omega, eps, port_rows=_rows(device))
-        assert engine.cache.peek(device.grid, omega, fingerprint, tag="condensed") is not None
+        engine.solve_batch(device.grid, omega, eps, rhs, port_rows=_rows(device))
+        assert len(_schur_factors(engine.cache, device.grid, omega, fingerprint)) == 1
         assert _tags(engine.cache) == {"direct", "condensed", "exterior"}
 
 
@@ -217,7 +222,7 @@ def test_serial_generation_takes_the_condensed_path():
     device = make_device("bending", dl=0.1, **DEVICE_SIZE)
     omega = wavelength_to_omega(last.wavelength)
     fingerprint = eps_fingerprint(last.eps_r)
-    assert default_factorization_cache.peek(device.grid, omega, fingerprint, tag="condensed")
+    assert _schur_factors(default_factorization_cache, device.grid, omega, fingerprint)
     assert default_factorization_cache.peek(device.grid, omega, fingerprint, tag="direct") is None
 
 
@@ -296,13 +301,13 @@ def test_condensed_recycling_meets_the_full_residual(name, dl, monkeypatch):
     assert stats.fallbacks == 0
     keys = engine.cache.keys()
     assert [key[3] for key in keys].count("exterior") == 1
-    assert all(key[3] in ("exterior", "recycled_schur") for key in keys)
+    assert _tags(engine.cache) == {"exterior", "recycled_schur"}
 
 
 class _CountingExterior(engine_module._Exterior):
     built: list = []
 
-    def __init__(self, grid, omega, eps_r, region, ports=None):
+    def __init__(self, grid, omega, eps_r, region, ports):
         super().__init__(grid, omega, eps_r, region, ports)
         outside = np.ones(grid.shape, dtype=bool)
         outside[region] = False
@@ -531,10 +536,6 @@ def exterior_solves(monkeypatch):
     return _SolveCountingExterior.solves
 
 
-def _relative_scalar(got, want) -> float:
-    return abs(got - want) / max(abs(want), 1e-300)
-
-
 @pytest.mark.parametrize("kind", ["mode", "flux"])
 @pytest.mark.parametrize(
     "name,dl", PARITY_CASES, ids=[f"{name}-dl{dl:.2f}" for name, dl in PARITY_CASES]
@@ -694,32 +695,136 @@ def test_engine_region_smaller_than_the_device_region(off_ports):
         assert _relative(g.grad_density, w.grad_density) <= 1e-10
 
 
-def test_port_and_label_exteriors_are_kept_apart():
-    """A label run's port-less exterior never serves the loop, nor the loop's the labels."""
+def _label_bytes(device, density) -> list[tuple]:
+    labels = extract_labels_batch(device, density, with_gradient=True)
+    return [
+        (label.ez.tobytes(), sorted(label.transmissions.items()), label.adjoint_gradient.tobytes())
+        for label in labels
+    ]
+
+
+def test_labels_do_not_depend_on_who_built_the_exterior(monkeypatch):
+    """Labels read the loop's ported exterior, byte for byte as if they had built it."""
     device = make_device("bending", dl=0.1, **DEVICE_SIZE)
+    density = np.random.default_rng(3).uniform(0, 1, device.design_shape)
+    runs = []
+    for loop_first in (False, True):
+        cache = FactorizationCache()
+        monkeypatch.setattr(engine_module, "default_factorization_cache", cache)
+        clear_result_cache()
+        if loop_first:
+            _, evaluations = _port_loop(device, _region_recycled(device, cache=cache))
+            assert all(isinstance(vars(e.result)["ez"], Deferred) for e in evaluations)
+        exteriors = len([key for key in cache.keys() if key[3] == "exterior"])
+        runs.append(_label_bytes(device, density))
+        # The labels built no exterior of their own after the loop's.
+        assert [key[3] for key in cache.keys()].count("exterior") == max(exteriors, 1)
+    assert runs[0] == runs[1]
+
+
+def test_region_engines_never_share_a_schur_factor():
+    """Two regions, one cache, the same permittivity: each engine solves through its own ``S``."""
+    device = make_device("bending", dl=0.1, **DEVICE_SIZE)
+    grid = device.grid
+    sx, sy = device.geometry.design_slice
     cache = FactorizationCache()
-    label = _region_engine(device, cache=cache)
-    sim = Simulation(device.grid, device.eps_with_design(np.full(device.design_shape, 0.5)),
-                     device.specs[0].wavelength, device.geometry.ports, engine=label)
-    sim.solve(device.specs[0].source_port)
-    (key,) = [key for key in cache.keys() if key[3] == "exterior"]
-    plain = cache.peek(*key[:3], tag="exterior")
-    assert plain.ports is None
-
-    _, evaluations = _port_loop(device, _region_recycled(device, cache=cache))
-    assert all(isinstance(vars(e.result)["ez"], Deferred) for e in evaluations)
-    exteriors = [cache.peek(*k[:3], tag="exterior") for k in cache.keys() if k[3] == "exterior"]
-    assert len(exteriors) == 2 and exteriors[0] is plain
-    assert exteriors[1].ports is not None
-
-    # The label engine still solves exactly, through its own exterior.
+    engines = [
+        DirectEngine(cache=cache, design_region=device.geometry.design_slice),
+        DirectEngine(cache=cache, design_region=(slice(sx.start + 3, sx.stop - 3), sy)),
+    ]
     eps = device.eps_with_design(np.random.default_rng(3).uniform(0, 1, device.design_shape))
     omega = wavelength_to_omega(device.specs[0].wavelength)
-    rhs = np.random.default_rng(5).normal(size=(1, *device.grid.shape)).astype(complex)
-    solution = label.solve_batch(device.grid, omega, eps, rhs, port_rows=_rows(device))
-    _assert_full_residual(device.grid, omega, eps, rhs, solution, 1e-9)
-    condensed = [cache.peek(*k[:3], tag="condensed") for k in cache.keys() if k[3] == "condensed"]
-    assert len(condensed) == 2 and all(entry.exterior is plain for entry in condensed)
+    sim = Simulation(grid, eps, device.specs[0].wavelength, device.geometry.ports)
+    on_ports = 1j * omega * sim.mode_source(device.specs[0].source_port)
+    noise = np.random.default_rng(5).normal(size=grid.shape).astype(complex)
+    for rhs in (on_ports[None], np.stack([on_ports, noise])):  # port path, full reduction
+        for engine in engines + engines:
+            solution = engine.solve_batch(grid, omega, eps, rhs, port_rows=_rows(device))
+            _assert_full_residual(grid, omega, eps, rhs, np.asarray(solution), 1e-9)
+    assert len(_schur_factors(cache, grid, omega, eps_fingerprint(eps))) == 2
+
+
+def test_labels_back_substitute_through_the_exterior_once_per_design(exterior_solves):
+    """Labels read the forward field in full (one recovery) and the adjoint on the region only."""
+    device = make_device("bending", fidelity="high", domain=3.5, design_size=1.8)
+    rng = np.random.default_rng(2)
+    designs = [rng.uniform(0, 1, device.design_shape) for _ in range(3)]
+    for count, density in enumerate(designs, start=1):
+        labels = extract_labels_batch(device, density, with_gradient=True)
+        assert np.isfinite(labels[0].ez).all() and np.isfinite(labels[0].hy).all()
+        assert labels[0].maxwell_residual <= 1e-8
+        assert len(exterior_solves) == count
+
+
+def test_reading_every_deferred_field_curls_once(monkeypatch):
+    """``ez``, ``hx`` and ``hy`` of one deferred solution cost one full-field ``e_to_h``."""
+    device = make_device("bending", dl=0.1, **DEVICE_SIZE)
+    engine = _region_engine(device)
+    eps = device.eps_with_design(np.random.default_rng(4).uniform(0, 1, device.design_shape))
+    omega = wavelength_to_omega(device.specs[0].wavelength)
+    sim = Simulation(device.grid, eps, device.specs[0].wavelength, device.geometry.ports)
+    solver = FdfdSolver(device.grid, omega, engine=engine)
+    full_curls = []
+    e_to_h = FdfdSolver.e_to_h
+
+    def counting(self, ez):
+        full_curls.append(bool(np.isfinite(ez).all()))
+        return e_to_h(self, ez)
+
+    monkeypatch.setattr(FdfdSolver, "e_to_h", counting)
+    (solution,) = solver.solve_batch(
+        eps, [sim.mode_source(device.specs[0].source_port)], port_rows=_rows(device)
+    )
+    assert isinstance(vars(solution)["hx"], Deferred)
+    assert full_curls.count(True) == 0
+    for name in ("ez", "hx", "hy", "hx", "hy"):
+        assert np.isfinite(getattr(solution, name)).all(), name
+    assert full_curls.count(True) == 1
+    want_hx, want_hy = e_to_h(solver, solution.ez)
+    np.testing.assert_array_equal(solution.hx, want_hx)
+    np.testing.assert_array_equal(solution.hy, want_hy)
+
+
+def test_schur_factor_failing_its_probe_falls_back_to_factor_lu(monkeypatch):
+    """``S`` factors in its natural order; a factor that fails the probe is refactored in full."""
+    device = make_device("bending", dl=0.1, **DEVICE_SIZE)
+    grid = device.grid
+    engine = _region_engine(device)
+    eps = device.eps_with_design(np.random.default_rng(6).uniform(0, 1, device.design_shape))
+    omega = wavelength_to_omega(device.specs[0].wavelength)
+    rhs = np.random.default_rng(7).normal(size=(2, *grid.shape)).astype(complex)
+    # Build the exterior first, so only the Schur factor meets the patches.
+    engine.solve_batch(grid, omega, device.eps_with_design(np.zeros(device.design_shape)),
+                       rhs, port_rows=_rows(device))
+    n_interior = int(np.prod(device.design_shape))
+    splu = engine_module.spla.splu
+    factor_lu_calls = []
+    real_factor_lu = engine_module.factor_lu
+
+    class Inaccurate:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return 2.0 * self.lu.solve(b)
+
+    def inaccurate_natural_order(matrix, **kwargs):
+        lu = splu(matrix, **kwargs)
+        if kwargs.get("permc_spec") == "NATURAL" and matrix.shape == (n_interior, n_interior):
+            return Inaccurate(lu)
+        return lu
+
+    def counting_factor_lu(matrix):
+        factor_lu_calls.append(matrix.shape)
+        return real_factor_lu(matrix)
+
+    monkeypatch.setattr(engine_module.spla, "splu", inaccurate_natural_order)
+    monkeypatch.setattr(engine_module, "factor_lu", counting_factor_lu)
+    solution = engine.solve_batch(grid, omega, eps, rhs, port_rows=_rows(device))
+    assert factor_lu_calls == [(n_interior, n_interior)]
+    (lu,) = _schur_factors(engine.cache, grid, omega, eps_fingerprint(eps))
+    assert isinstance(lu, engine_module.spla.SuperLU)
+    _assert_full_residual(grid, omega, eps, rhs, np.asarray(solution), 1e-9)
 
 
 def test_right_hand_sides_off_the_ports_take_the_full_reduction():
