@@ -126,7 +126,7 @@ def run(quick: bool) -> dict:
         train_set, test_set = split_dataset(merged, train_fraction=0.75, rng=0)
         train_ids = set(train_set.design_id_array().tolist())
         loader = ShardDataLoader.from_directory(
-            shard_dir, fidelities=config.fidelities, cache_shards=4, prefetch=1
+            shard_dir, fidelities=config.fidelities, cache_shards=4
         ).restrict(design_ids=train_ids)
 
         rows = []

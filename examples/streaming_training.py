@@ -7,8 +7,8 @@ Run with::
 1. Generate a paired multi-fidelity dataset through the sharded generator,
    persisting resumable shard artifacts (re-running the script reuses them).
 2. Stream the shards into training with :class:`ShardDataLoader` — bounded
-   memory, background prefetch, and loss curves bit-identical to in-memory
-   training for the same seed.
+   memory and loss curves bit-identical to in-memory training for the same
+   seed.
 3. Train an FNO under a low→high warmup curriculum with high-fidelity labels
    weighted double.
 4. Promote the trained model to a checkpoint and serve it by *name*:
@@ -60,9 +60,9 @@ def main() -> None:
     dataset = DatasetGenerator(config).generate()
     print(f"generated {len(dataset)} samples into {SHARD_DIR}/")
 
-    # 2. Stream the artifacts: O(shard) memory, prefetch hides the disk I/O.
+    # 2. Stream the artifacts: at most three decoded shards in memory.
     loader = ShardDataLoader.from_directory(
-        SHARD_DIR, fidelities=config.fidelities, cache_shards=3, prefetch=2
+        SHARD_DIR, fidelities=config.fidelities, cache_shards=3
     )
     train_loader, test_loader = loader.split(train_fraction=0.75, rng=0)
 

@@ -3,9 +3,11 @@
 :class:`ShardDataLoader` turns the resumable ``.npz`` shard artifacts written
 by the sharded dataset generator (:mod:`repro.data.shards`) into a training
 data source without ever materializing the merged dataset: shards are loaded
-lazily through a small LRU cache, so peak memory is bounded by O(shard), not
-O(dataset).  Three contracts make the loader a drop-in for the in-memory
-:class:`~repro.data.dataset.PhotonicDataset` inside the trainer:
+lazily, synchronously, through one :class:`repro.utils.cache.BoundedCache` of
+``cache_shards`` decoded shards, so at most ``cache_shards`` shards are ever
+resident — peak memory is O(shard), not O(dataset).  Two contracts make the
+loader a drop-in for the in-memory :class:`~repro.data.dataset.PhotonicDataset`
+inside the trainer:
 
 * **Bit-identical samples** — shard artifacts round-trip losslessly and the
   loader applies the exact :meth:`PhotonicDataset.from_labels` transforms
@@ -16,10 +18,6 @@ O(dataset).  Three contracts make the loader a drop-in for the in-memory
   exactly like ``PhotonicDataset.batches`` (one shuffle of an N-index array
   per epoch), so a trainer driven by the loader produces the same loss curves
   as one driven by the merged dataset for the same seed.
-* **Prefetch never changes results** — background prefetch
-  (:class:`repro.utils.parallel.Prefetcher`) only warms the shard cache along
-  the already-fixed access order; any ``prefetch=`` worker count yields the
-  same batches.
 
 Shards are ordered the way :func:`repro.data.shards.plan_shards` merges them
 (fidelity-major, ascending design blocks), reconstructed from the artifact
@@ -37,7 +35,6 @@ shard metadata to the trainer (:meth:`ShardDataLoader.sample_weight_array`).
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,7 +42,7 @@ import numpy as np
 
 from repro.data.dataset import PhotonicDataset, Sample, split_shape_runs
 from repro.data.shards import SHARD_FORMAT_VERSION, load_shard
-from repro.utils.parallel import Prefetcher
+from repro.utils.cache import BoundedCache
 from repro.utils.rng import get_rng
 
 __all__ = ["LoaderStats", "ShardDataLoader"]
@@ -56,11 +53,10 @@ class LoaderStats:
     """What a :class:`ShardDataLoader` actually did, for tests and tuning.
 
     ``max_resident`` is the largest number of decoded shard payloads held in
-    the cache at any time.  It is bounded by
-    ``max(cache_shards, shards touched by one batch)`` — a batch's shards are
-    pinned together while it is gathered — which is O(shard) in the dataset
-    size, never O(dataset); asserted in tests with a shard count far above
-    the cache size.
+    the cache at any time.  It never exceeds ``cache_shards``, however many
+    shards one batch touches — O(shard) in the dataset size, never
+    O(dataset); asserted in tests with a shard count far above the cache
+    size.
     """
 
     shard_loads: int = 0
@@ -158,10 +154,6 @@ class ShardDataLoader:
         ``std(|ez|)`` over *all* shards) when omitted.
     cache_shards:
         Decoded shards kept in the LRU cache (the memory bound; at least 1).
-    prefetch:
-        Background prefetch threads warming upcoming shards during
-        :meth:`batches` iteration; 0 loads synchronously.  Never changes the
-        batches, only their latency.
 
     Examples
     --------
@@ -185,7 +177,6 @@ class ShardDataLoader:
         fidelities: tuple[str, ...] | list[str] | None = None,
         field_scale: float | None = None,
         cache_shards: int = 2,
-        prefetch: int = 0,
     ):
         candidates = [Path(p) for p in shard_paths]
         if not candidates:
@@ -193,9 +184,8 @@ class ShardDataLoader:
         if cache_shards < 1:
             raise ValueError(f"cache_shards must be at least 1, got {cache_shards}")
         self.cache_shards = int(cache_shards)
-        self.prefetch = int(prefetch)
         self.stats = LoaderStats()
-        self._cache: OrderedDict[int, PhotonicDataset] = OrderedDict()
+        self._cache = BoundedCache(self.cache_shards)
 
         # Scan pass: headers + field statistics, one shard resident at a time.
         # Stale older-format artifacts are skipped (see _scan_current_shards).
@@ -481,35 +471,20 @@ class ShardDataLoader:
         return appended
 
     # -- shard cache -----------------------------------------------------------------
-    def _decode(self, payload: tuple) -> PhotonicDataset:
-        labels, design_ids = payload
-        return PhotonicDataset.from_labels(
+    def _shard_dataset(self, shard: int) -> PhotonicDataset:
+        """The decoded shard, via the LRU cache (loads synchronously on miss)."""
+        dataset = self._cache.get(shard)
+        if dataset is not None:
+            self.stats.cache_hits += 1
+            return dataset
+        labels, design_ids = load_shard(self._paths[shard])
+        dataset = PhotonicDataset.from_labels(
             labels, design_ids, field_scale=self.field_scale
         )
-
-    def _load_payload(self, shard: int) -> tuple:
-        return load_shard(self._paths[shard])
-
-    def _insert(
-        self, shard: int, dataset: PhotonicDataset, capacity: int | None = None
-    ) -> PhotonicDataset:
-        if capacity is None:
-            capacity = self.cache_shards
-        while len(self._cache) >= capacity:
-            self._cache.popitem(last=False)
-        self._cache[shard] = dataset
+        self._cache.put(shard, dataset)
         self.stats.shard_loads += 1
         self.stats.max_resident = max(self.stats.max_resident, len(self._cache))
         return dataset
-
-    def _shard_dataset(self, shard: int) -> PhotonicDataset:
-        """The decoded shard, via the LRU cache (loads synchronously on miss)."""
-        cached = self._cache.get(shard)
-        if cached is not None:
-            self._cache.move_to_end(shard)
-            self.stats.cache_hits += 1
-            return cached
-        return self._insert(shard, self._decode(self._load_payload(shard)))
 
     def cache_clear(self) -> None:
         """Drop every decoded shard (keeps the index and statistics)."""
@@ -537,104 +512,14 @@ class ShardDataLoader:
                 targets[position] = sample.target
         return np.stack(inputs, axis=0), np.stack(targets, axis=0)
 
-    def _chunk_shards(self, chunk: np.ndarray) -> list[int]:
-        """Distinct shards a chunk touches, in first-use order."""
-        shards: list[int] = []
-        for index in chunk:
-            shard = self._refs[index].shard
-            if shard not in shards:
-                shards.append(shard)
-        return shards
-
-    def _ensure_chunk(
-        self, chunk: np.ndarray, prefetcher: Prefetcher | None, stash: dict
-    ) -> None:
-        """Make every shard a chunk needs resident before gathering it.
-
-        The effective capacity is raised to the chunk's own shard count so an
-        insert can never evict a shard the *same* chunk still needs — the
-        invariant that keeps :meth:`_plan_loads`'s cache simulation (and with
-        it the prefetch order) exact.  Prefetched payloads carry their shard
-        id; in the normal case they arrive exactly in miss order.  If the
-        consumer mutated the cache mid-iteration (direct ``__getitem__`` /
-        ``gather`` calls) the plan can diverge: at most one payload is then
-        pulled per miss, mismatches go to a depth-bounded stash (oldest
-        dropped and reloaded on demand), and the needed shard is taken from
-        the stash or loaded synchronously — prefetch can reorder work, never
-        results, and memory stays bounded by cache + lookahead window.
-        """
-        shards = self._chunk_shards(chunk)
-        capacity = max(self.cache_shards, len(shards))
-        for shard in shards:
-            cached = self._cache.get(shard)
-            if cached is not None:
-                # Planning touch only — the hit is counted when gather()
-                # actually reads the shard, so stats stay one-per-access.
-                self._cache.move_to_end(shard)
-                continue
-            payload = stash.pop(shard, None)
-            if payload is None and prefetcher is not None and len(prefetcher):
-                fetched_shard, fetched = prefetcher.next()
-                if fetched_shard == shard:
-                    payload = fetched
-                else:
-                    stash[fetched_shard] = fetched
-                    while len(stash) > self.prefetch + 1:
-                        stash.pop(next(iter(stash)))
-            if payload is None:
-                payload = self._load_payload(shard)
-            self._insert(shard, self._decode(payload), capacity)
-
-    def _plan_loads(self, chunks: list[np.ndarray]) -> list[int]:
-        """Simulate the LRU cache over a chunk sequence: the exact miss order.
-
-        Mirrors :meth:`_ensure_chunk` (including the per-chunk capacity
-        raise) step for step; prefetch workers preload precisely this
-        sequence, so background loading can never diverge from what
-        synchronous iteration would do.
-        """
-        resident = list(self._cache.keys())
-        loads: list[int] = []
-        for chunk in chunks:
-            shards = self._chunk_shards(chunk)
-            capacity = max(self.cache_shards, len(shards))
-            for shard in shards:
-                if shard in resident:
-                    resident.remove(shard)
-                    resident.append(shard)
-                    continue
-                loads.append(shard)
-                while len(resident) >= capacity:
-                    resident.pop(0)
-                resident.append(shard)
-        return loads
-
     def stream(self, chunks):
         """Yield ``(inputs, targets)`` stacks for an explicit chunk sequence.
 
-        The prefetch-aware core of :meth:`batches`, exposed so callers that
-        plan their own batch composition (e.g. the trainer's fidelity
-        curricula) still get background shard warming: the whole chunk
-        sequence is known up front, so the LRU miss order can be simulated
-        and preloaded exactly like shuffled iteration.
+        One :meth:`gather` per chunk, in order: the loop behind
+        :meth:`batches`, exposed for callers that plan their own chunks.
         """
-        chunks = [np.asarray(chunk, dtype=int) for chunk in chunks]
-        prefetcher = None
-        stash: dict[int, tuple] = {}
-        if self.prefetch > 0:
-            loads = self._plan_loads(chunks)
-            prefetcher = Prefetcher(
-                lambda shard: (shard, self._load_payload(shard)),
-                loads,
-                workers=self.prefetch,
-            )
-        try:
-            for chunk in chunks:
-                self._ensure_chunk(chunk, prefetcher, stash)
-                yield self.gather(chunk)
-        finally:
-            if prefetcher is not None:
-                prefetcher.close()
+        for chunk in chunks:
+            yield self.gather(chunk)
 
     def batches(self, batch_size: int, shuffle: bool = True, rng=None):
         """Yield ``(inputs, targets, indices)`` mini-batches, streaming shards.

@@ -277,17 +277,9 @@ class Trainer:
                 f"curriculum stage for epoch {epoch} selects no samples "
                 f"(fidelities in data: {list(self._data_fidelities())})"
             )
-        ordered = [plan[position] for position in self.rng.permutation(len(plan))]
-        # Streaming sources (shard loaders) take the whole chunk plan up
-        # front so background prefetch engages for curriculum epochs too.
-        stream = getattr(self.train_set, "stream", None)
-        if stream is not None:
-            batches = stream([indices for _, _, indices in ordered])
-        else:
-            batches = (
-                self.train_set.gather(indices) for _, _, indices in ordered
-            )
-        for (fidelity, weight, indices), (inputs, targets) in zip(ordered, batches):
+        for position in self.rng.permutation(len(plan)):
+            fidelity, weight, indices = plan[position]
+            inputs, targets = self.train_set.gather(indices)
             yield inputs, targets, indices, weight, fidelity
 
     # -- training -------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Operators, factorizations, normalizations, port modes and solve results are
 all reused across designs by content key; each of those memos is one
-:class:`BoundedCache`.  What a memo adds on top (hit counters, byte
-accounting, a "solved for enough modes" rule) stays with its owner.
+:class:`BoundedCache`, and so is the decoded-shard cache of
+:class:`repro.data.loader.ShardDataLoader`.  What a memo adds on top (hit
+counters, byte accounting, a "solved for enough modes" rule) stays with its
+owner.
 """
 
 from __future__ import annotations

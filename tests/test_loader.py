@@ -3,8 +3,8 @@
 The contracts under test are the acceptance criteria of the streaming
 training pipeline: loader-based training is bit-identical to in-memory
 training on the merged dataset for the same seed, peak memory stays bounded
-by O(shard) (not O(dataset)), and shuffling is independent of the prefetch
-worker count.
+by O(shard) (not O(dataset)) — at most ``cache_shards`` decoded shards, however
+many shards one batch touches.
 """
 
 import numpy as np
@@ -13,50 +13,12 @@ import pytest
 from repro.data.dataset import datasets_bit_identical, split_dataset, split_shape_runs
 from repro.data.loader import ShardDataLoader
 from repro.train import Trainer, make_model
-from repro.utils.parallel import Prefetcher
 
 
 def make_loader(config, shard_dir, **kwargs):
     return ShardDataLoader.from_directory(
         shard_dir, fidelities=config.fidelities, **kwargs
     )
-
-
-class TestPrefetcher:
-    def test_results_in_task_order(self):
-        tasks = list(range(20))
-        with Prefetcher(lambda x: x * x, tasks, workers=4) as prefetcher:
-            results = [prefetcher.next() for _ in tasks]
-        assert results == [x * x for x in tasks]
-
-    def test_synchronous_fallback(self):
-        prefetcher = Prefetcher(lambda x: -x, [1, 2, 3], workers=0)
-        assert [prefetcher.next() for _ in range(3)] == [-1, -2, -3]
-
-    def test_exhaustion_raises(self):
-        prefetcher = Prefetcher(lambda x: x, [1], workers=1)
-        prefetcher.next()
-        with pytest.raises(StopIteration):
-            prefetcher.next()
-        prefetcher.close()
-
-    def test_bounded_lookahead(self):
-        in_flight = []
-
-        def fn(x):
-            in_flight.append(x)
-            return x
-
-        prefetcher = Prefetcher(fn, list(range(10)), workers=1, depth=2)
-        # Only the lookahead window is submitted before consumption starts.
-        assert len(in_flight) <= 2
-        results = [prefetcher.next() for _ in range(10)]
-        assert results == list(range(10))
-
-    def test_close_cancels(self):
-        prefetcher = Prefetcher(lambda x: x, list(range(100)), workers=1, depth=1)
-        prefetcher.close()
-        assert len(prefetcher) == 0
 
 
 class TestShardDataLoader:
@@ -109,18 +71,20 @@ class TestShardDataLoader:
         assert loader.stats.max_resident <= 2 < num_shards
         assert loader.stats.shard_loads >= num_shards
 
-    def test_prefetch_does_not_change_batches(self, tiny_shard_run):
-        config, shard_dir, _ = tiny_shard_run
-        plain = make_loader(config, shard_dir, cache_shards=2, prefetch=0)
-        prefetched = make_loader(config, shard_dir, cache_shards=2, prefetch=3)
-        for seed in (0, 7):
-            a = list(plain.batches(4, shuffle=True, rng=seed))
-            b = list(prefetched.batches(4, shuffle=True, rng=seed))
-            assert len(a) == len(b)
-            for (ai, at, ac), (bi, bt, bc) in zip(a, b):
-                np.testing.assert_array_equal(ac, bc)
-                np.testing.assert_array_equal(ai, bi)
-                np.testing.assert_array_equal(at, bt)
+    def test_residency_bounded_when_batches_span_more_shards(self, tiny_shard_run):
+        """A batch touching more shards than the cache holds still never
+        keeps more than ``cache_shards`` decoded, and its stacks stay exact."""
+        config, shard_dir, merged = tiny_shard_run
+        loader = make_loader(config, shard_dir, cache_shards=2)
+        from_loader = list(loader.batches(8, shuffle=True, rng=3))
+        from_merged = list(merged.batches(8, shuffle=True, rng=3))
+        assert max(len({loader._refs[i].shard for i in c}) for _, _, c in from_loader) > 2
+        assert loader.stats.max_resident <= 2
+        assert len(from_loader) == len(from_merged)
+        for (li, lt, lc), (mi, mt, mc) in zip(from_loader, from_merged):
+            np.testing.assert_array_equal(lc, mc)
+            np.testing.assert_array_equal(li, mi)
+            np.testing.assert_array_equal(lt, mt)
 
     def test_restrict_fidelity_matches_filter(self, tiny_shard_run):
         config, shard_dir, merged = tiny_shard_run
@@ -173,9 +137,9 @@ class TestShardDataLoader:
             ShardDataLoader.from_directory(mixed_dir, fidelities=config.fidelities)
 
     def test_stream_explicit_chunks(self, tiny_shard_run):
-        """stream() (the curriculum/prefetch seam) equals per-chunk gather."""
+        """stream() over explicit chunks equals per-chunk gather."""
         config, shard_dir, merged = tiny_shard_run
-        loader = make_loader(config, shard_dir, cache_shards=2, prefetch=2)
+        loader = make_loader(config, shard_dir, cache_shards=2)
         chunks = [np.array([4, 1]), np.array([9, 9, 0]), np.array([2])]
         streamed = list(loader.stream(chunks))
         assert len(streamed) == len(chunks)
@@ -185,7 +149,7 @@ class TestShardDataLoader:
             np.testing.assert_array_equal(targets, expected_targets)
 
     def test_cache_hits_counted_once_per_access(self, tiny_shard_run):
-        """Regression: ensure+gather used to double-count hits per batch."""
+        """Regression: hits are counted once per chunk-shard access."""
         config, shard_dir, _ = tiny_shard_run
         loader = make_loader(config, shard_dir, cache_shards=12)
         order = np.arange(len(loader))
@@ -243,17 +207,6 @@ class TestLoaderTraining:
             **kwargs,
         ).train()
         assert in_memory.epochs == streamed.epochs
-
-    def test_training_independent_of_prefetch_workers(self, tiny_shard_run):
-        config, shard_dir, _ = tiny_shard_run
-        histories = []
-        for prefetch in (0, 2):
-            loader = make_loader(config, shard_dir, cache_shards=2, prefetch=prefetch)
-            model = make_model("fno", width=8, modes=(3, 3), depth=2, rng=0)
-            histories.append(
-                Trainer(model, data=loader, epochs=2, batch_size=4, seed=5).train()
-            )
-        assert histories[0].epochs == histories[1].epochs
 
     def test_trainer_rejects_both_seams(self, tiny_shard_run):
         config, shard_dir, merged = tiny_shard_run
