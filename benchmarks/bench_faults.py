@@ -39,8 +39,7 @@ from repro.data.dataset import datasets_bit_identical
 from repro.data.generator import DatasetGenerator, GeneratorConfig
 from repro.fdfd.engine import default_factorization_cache
 from repro.utils import faults
-from repro.utils.executor import ExecutorConfig, execute_tasks
-from repro.utils.parallel import cpu_count
+from repro.utils.executor import ExecutorConfig, cpu_count, execute_tasks
 
 # Shards must be cheap (the subject here is the recovery machinery, not the
 # solves) but numerous enough that one fault leaves siblings in flight.

@@ -26,7 +26,7 @@ from common import BENCH, DEVICE_KWARGS, print_table, write_bench_record
 from repro.data.dataset import datasets_bit_identical
 from repro.data.generator import DatasetGenerator, GeneratorConfig
 from repro.fdfd.engine import default_factorization_cache
-from repro.utils.parallel import cpu_count
+from repro.utils.executor import cpu_count
 
 
 def main() -> None:

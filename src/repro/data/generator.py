@@ -56,10 +56,10 @@ from repro.utils.executor import (
     ExecutorConfig,
     TaskFailure,
     TaskReport,
+    effective_workers,
     execute_tasks,
     one_blas_thread,
 )
-from repro.utils.parallel import effective_workers
 from repro.utils.rng import get_rng
 
 

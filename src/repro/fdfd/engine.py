@@ -583,8 +583,38 @@ class SolveWorkspace:
 #: fewer L+U entries than the default COLAMD with partial pivoting.  The
 #: default is the fallback for the rare operator whose pivot-free factor is
 #: inaccurate.
+#:
+#: ``relax=3, panel_size=4`` replace SuperLU's supernode defaults (``relax``
+#: 10, ``panel_size`` 20), which suit larger and denser factors than these
+#: 2D stencils give.  Only the blocking of the numeric factorization
+#: changes: the L+U entries and pivots are the same and the probe residuals
+#: stay below 2e-12.  Medians of 21 interleaved pairs, one BLAS thread,
+#: 2-CPU host (the grids and ``A_EE`` minimum-degree ordered, each ``S`` in
+#: its exterior's natural order):
+#:
+#: ==============================  ======  ========  ========  =====
+#: matrix                          size    defaults  3 / 4     ratio
+#: ==============================  ======  ========  ========  =====
+#: ``S`` of the bend, low fid.        324   0.83 ms   0.60 ms   0.72
+#: ``S`` of the bend, high fid.     1,296   3.89 ms   3.36 ms   0.86
+#: ``S`` of the crossing            1,600   4.40 ms   3.74 ms   0.85
+#: ``S`` of the WDM                 1,936   5.04 ms   4.49 ms   0.89
+#: bend full grid                   8,836   20.1 ms   16.4 ms   0.82
+#: bend ``A_EE``                    7,540   13.8 ms   10.9 ms   0.79
+#: crossing full grid              10,816   22.6 ms   18.6 ms   0.82
+#: crossing ``A_EE``                9,216   18.5 ms   14.8 ms   0.80
+#: ==============================  ======  ========  ========  =====
+#:
+#: A sweep of ``relax`` 2-5 by ``panel_size`` 4-12 on these matrices put
+#: every small pair within a few percent of 3 / 4 (3 / 8: 0.85-0.88 of the
+#: defaults in geometric mean, 3 / 4: 0.82-0.84) and 5 / 12 behind; 3 / 4
+#: also held on the 173² and 208² bend grids (0.80 and 0.83).
 _SYMMETRIC_LU = dict(
-    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    permc_spec="MMD_AT_PLUS_A",
+    diag_pivot_thresh=0.0,
+    relax=3,
+    panel_size=4,
+    options={"SymmetricMode": True},
 )
 
 #: The same pivot-free factor of a matrix whose rows and columns are already

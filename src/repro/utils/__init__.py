@@ -2,11 +2,12 @@
 
 from repro.utils.rng import get_rng, seed_everything
 from repro.utils.config import Config
-from repro.utils.parallel import cpu_count, effective_workers
 from repro.utils.executor import (
     ExecutorConfig,
     TaskFailure,
     TaskReport,
+    cpu_count,
+    effective_workers,
     execute_tasks,
     one_blas_thread,
 )

@@ -26,6 +26,9 @@ the robustness layer a plain ``ProcessPoolExecutor`` lacks:
   all (or every slot exhausts its respawn budget), remaining tasks run
   inline in the coordinating process — already-completed results are *not*
   recomputed.
+
+The CPU count available to this process (:func:`cpu_count`) and worker-count
+resolution (:func:`effective_workers`) size the fan-out.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ __all__ = [
     "TaskReport",
     "TaskTimeoutError",
     "WorkerCrashError",
+    "cpu_count",
+    "effective_workers",
     "execute_tasks",
     "one_blas_thread",
 ]
@@ -157,6 +162,30 @@ class TaskReport:
     def raise_first(self) -> None:
         if self.failures:
             raise self.failures[0].error
+
+
+def cpu_count() -> int:
+    """Number of CPUs actually available to this process (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def effective_workers(workers: int | None, num_tasks: int | None = None) -> int:
+    """Resolve a worker-count request.
+
+    ``None`` or ``0`` means "all available cores"; the result is clamped to
+    the number of tasks (spawning more processes than tasks is pure overhead).
+    """
+    if workers is None or workers == 0:
+        workers = cpu_count()
+    workers = int(workers)
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    if num_tasks is not None:
+        workers = min(workers, max(int(num_tasks), 1))
+    return max(workers, 1)
 
 
 # --------------------------------------------------------------------------
@@ -531,8 +560,6 @@ def execute_tasks(
     Results come back in submission order; failures never abort siblings —
     inspect (or ``raise_first`` on) the returned :class:`TaskReport`.
     """
-    from repro.utils.parallel import effective_workers
-
     task_list = list(tasks)
     run = _PoolRun(
         fn, task_list, effective_workers(workers, len(task_list)), config or ExecutorConfig()

@@ -565,8 +565,30 @@ def test_port_solves_match_full_lu(name, dl, kind):
             assert _relative(g.grad_density, w.grad_density) <= 1e-10
 
 
+@pytest.fixture
+def tail_fallbacks(monkeypatch):
+    """Counts the back-substitutions of ``_tail_inverse``'s fallback path."""
+    counts = {"solves": 0}
+    tail_inverse = engine_module._tail_inverse
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.perm_c = lu.perm_c
+            self._lu = lu
+
+        def solve(self, rhs):
+            counts["solves"] += 1
+            return self._lu.solve(rhs)
+
+    def counting(a_ee, lu, tail):
+        return tail_inverse(a_ee, CountingLU(lu), tail)
+
+    monkeypatch.setattr(engine_module, "_tail_inverse", counting)
+    return counts
+
+
 @pytest.mark.parametrize("name,dl", [("bending", 0.05), ("wdm", 0.08)])
-def test_port_block_matches_back_substitutions(name, dl, monkeypatch):
+def test_port_block_matches_back_substitutions(name, dl, monkeypatch, tail_fallbacks):
     """The port block read off the tail factor equals columns of ``A_EE^{-1}``."""
     device = make_device(name, dl=dl, **DEVICE_SIZE)
     eps = device.eps_with_design(np.random.default_rng(4).uniform(0, 1, device.design_shape))
@@ -574,6 +596,7 @@ def test_port_block_matches_back_substitutions(name, dl, monkeypatch):
     region = device.geometry.design_slice
     ports = _rows(device)
     fast = engine_module._Exterior(device.grid, omega, eps, region, ports)
+    assert tail_fallbacks["solves"] == 0
     splu = engine_module.spla.splu
 
     def no_natural_order(matrix, **kwargs):
@@ -583,6 +606,7 @@ def test_port_block_matches_back_substitutions(name, dl, monkeypatch):
 
     monkeypatch.setattr(engine_module.spla, "splu", no_natural_order)
     slow = engine_module._Exterior(device.grid, omega, eps, region, ports)
+    assert tail_fallbacks["solves"] > 0
     assert _relative(fast.schur.toarray(), slow.schur.toarray()) <= 1e-12
     for block in ("_w_rp", "_w_pp", "_w_pr"):
         assert _relative(getattr(fast, block), getattr(slow, block)) <= 1e-12, block
@@ -591,6 +615,17 @@ def test_port_block_matches_back_substitutions(name, dl, monkeypatch):
     unit = np.zeros((fast.exterior.size, positions.size), dtype=complex)
     unit[positions, np.arange(positions.size)] = 1.0
     assert _relative(fast._w_pp, fast.lu.solve(unit)[positions]) <= 1e-12
+
+
+@pytest.mark.parametrize("fidelity", ["low", "high"])
+@pytest.mark.parametrize("name", available_devices())
+def test_port_block_comes_from_the_tail_factor(name, fidelity, tail_fallbacks):
+    """No zoo device falls back to back-substituting its port block column by column."""
+    device = make_device(name, fidelity=fidelity)
+    eps = device.eps_with_design(np.random.default_rng(4).uniform(0, 1, device.design_shape))
+    omega = wavelength_to_omega(device.specs[0].wavelength)
+    engine_module._Exterior(device.grid, omega, eps, device.geometry.design_slice, _rows(device))
+    assert tail_fallbacks["solves"] == 0
 
 
 def test_the_loop_stops_solving_through_the_exterior(exterior_solves):

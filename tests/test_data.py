@@ -1,6 +1,7 @@
 """Tests for MAPS-Data: labels, sampling strategies, datasets and analysis."""
 
 import struct
+import time
 import zipfile
 from dataclasses import replace
 
@@ -34,7 +35,9 @@ from repro.data.generator import (
 from repro.data.labels import extract_labels_batch, field_target, spec_figure_of_merit
 from repro.data.shards import (
     engine_for_fidelity,
+    load_shard,
     plan_shards,
+    save_shard,
     shard_fingerprint,
     try_load_shard,
 )
@@ -539,6 +542,48 @@ class TestShardedGeneration:
             generator_main(["--backend", "numpy"])
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
+
+
+class TestShardWriter:
+    @pytest.fixture(scope="class")
+    def labels(self, tiny_bend):
+        rng = np.random.default_rng(5)
+        return [
+            label
+            for _ in range(2)
+            for label in extract_labels_batch(
+                tiny_bend, rng.uniform(0.0, 1.0, tiny_bend.design_shape), stage="test"
+            )
+        ]
+
+    def test_same_labels_write_the_same_bytes(self, labels, tmp_path, monkeypatch):
+        ids = list(range(len(labels)))
+        first = save_shard(tmp_path / "first.npz", labels, ids, fingerprint="f")
+        # A day later: no member may carry its write time.
+        localtime = time.localtime
+        monkeypatch.setattr(
+            time, "localtime", lambda secs=None: localtime((secs or time.time()) + 86400)
+        )
+        second = save_shard(tmp_path / "second.npz", labels, ids, fingerprint="f")
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_deflated_members_round_trip_bit_identically(self, labels, tmp_path):
+        path = save_shard(tmp_path / "shard.npz", labels, [7, 9], fingerprint="f")
+        with zipfile.ZipFile(path) as archive:
+            deflated = {
+                info.filename.split("_")[0]
+                for info in archive.infolist()
+                if info.compress_type == zipfile.ZIP_DEFLATED
+            }
+        assert {"density", "eps", "source"} <= deflated
+        loaded, design_ids = load_shard(path, expected_fingerprint="f")
+        assert design_ids == [7, 9]
+        for got, want in zip(loaded, labels, strict=True):
+            for field in ("density", "eps_r", "source"):
+                assert getattr(got, field).dtype == getattr(want, field).dtype
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            assert got.transmissions == want.transmissions
+            assert got.figure_of_merit == want.figure_of_merit
 
 
 class TestSweep:
