@@ -5,9 +5,11 @@ Each function takes and returns :class:`repro.autograd.Tensor` and registers a
 hand-written backward rule.  The Fourier operators never form a full spectrum:
 only the ``2m`` retained frequencies per axis carry weights, so each transform
 is a truncated DFT, a small matmul against matrices cached per
-``(length, modes)``.  The backward rules follow from Wirtinger calculus for
-linear maps (see the derivation in the docstring of :func:`spectral_conv2d`)
-and reuse the same two transforms, because each is the other's adjoint.
+``(length, modes, dtype)``.  The backward rules follow from Wirtinger calculus
+for linear maps (see the derivation in the docstring of
+:func:`spectral_conv2d`) and reuse the same two transforms, because each is
+the other's adjoint.  Every operator computes in its input's dtype: float32
+input runs float32/complex64 arithmetic end to end.
 """
 
 from __future__ import annotations
@@ -228,18 +230,30 @@ class _TruncatedDFT(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _truncated_dft(size: int, modes: int) -> _TruncatedDFT:
-    freqs = _corner_indices(size, modes)
-    # Reduce k*j modulo n in integers so the phase stays accurate for large n.
-    phase = (2.0 * np.pi / size) * (np.outer(freqs, np.arange(size)) % size)
-    rows = np.exp(-1j * phase)
-    analysis = np.ascontiguousarray(rows.T).view(np.float64)
-    matrices = _TruncatedDFT(
-        analysis=analysis,
-        synthesis=np.ascontiguousarray(analysis.T) / size,
-        rows=rows,
-        inverse=np.ascontiguousarray(rows.conj().T) / size,
-    )
+def _truncated_dft(size: int, modes: int, dtype=np.float64) -> _TruncatedDFT:
+    """The matrices in real ``dtype``, complex ones in the matching complex dtype."""
+    dtype = np.dtype(dtype)
+    if dtype != np.float64:
+        # Rounded once from the float64 matrices.
+        complex_dtype = np.result_type(dtype, np.complex64)
+        matrices = _TruncatedDFT(
+            *(
+                m.astype(complex_dtype if m.dtype.kind == "c" else dtype)
+                for m in _truncated_dft(size, modes)
+            )
+        )
+    else:
+        freqs = _corner_indices(size, modes)
+        # Reduce k*j modulo n in integers so the phase stays accurate for large n.
+        phase = (2.0 * np.pi / size) * (np.outer(freqs, np.arange(size)) % size)
+        rows = np.exp(-1j * phase)
+        analysis = np.ascontiguousarray(rows.T).view(np.float64)
+        matrices = _TruncatedDFT(
+            analysis=analysis,
+            synthesis=np.ascontiguousarray(analysis.T) / size,
+            rows=rows,
+            inverse=np.ascontiguousarray(rows.conj().T) / size,
+        )
     for matrix in matrices:
         matrix.flags.writeable = False
     return matrices
@@ -247,12 +261,12 @@ def _truncated_dft(size: int, modes: int) -> _TruncatedDFT:
 
 def _analyze(x: np.ndarray, dft: _TruncatedDFT) -> np.ndarray:
     """Retained DFT modes of real ``x`` along its last axis, complex ``(..., 2m)``."""
-    return (x @ dft.analysis).view(np.complex128)
+    return (x @ dft.analysis).view(dft.rows.dtype)
 
 
 def _synthesize(u: np.ndarray, dft: _TruncatedDFT) -> np.ndarray:
     """``Re(IDFT(u))`` along the last axis for modes ``u`` of shape ``(..., 2m)``."""
-    return np.ascontiguousarray(u).view(np.float64) @ dft.synthesis
+    return np.ascontiguousarray(u).view(dft.synthesis.dtype) @ dft.synthesis
 
 
 def _modes_first(z: np.ndarray) -> np.ndarray:
@@ -277,11 +291,16 @@ def _spectral_mix(
     of the normalized inverse transform.  ``size`` is the number of points
     transformed: ``analyze`` and ``size * synthesize`` are adjoint, so the
     backward pass reuses both (see :func:`spectral_conv2d`).  The weights
-    ``(C_in, C_out, *modes)`` hold ``K`` modes per channel pair.
+    ``(C_in, C_out, *modes)`` hold ``K`` modes per channel pair; they are
+    mixed in the complex dtype of ``x``, and their gradients accumulate in
+    their own dtype.
     """
     batch = x.shape[0]
     c_in, c_out = w_real.shape[:2]
-    weight = (w_real.data + 1j * w_imag.data).reshape(c_in, c_out, -1)
+    weight = (w_real.data + 1j * w_imag.data).astype(
+        np.result_type(x.dtype, np.complex64), copy=False
+    )
+    weight = weight.reshape(c_in, c_out, -1)
     weight = np.ascontiguousarray(weight.transpose(2, 0, 1))  # (K, C_in, C_out)
     x_modes = _modes_first(analyze(x.data))  # (K, B*L, C_in)
     out = synthesize(_modes_last(x_modes @ weight, batch))
@@ -296,7 +315,7 @@ def _spectral_mix(
         accumulate(w_real, np.real(grad_weight))
         accumulate(w_imag, np.imag(grad_weight))
 
-    return x._make_child(out.astype(x.data.dtype, copy=False), (x, w_real, w_imag), backward)
+    return x._make_child(out, (x, w_real, w_imag), backward)
 
 
 def spectral_conv2d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: tuple[int, int]) -> Tensor:
@@ -343,8 +362,8 @@ def spectral_conv2d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: tuple[int,
             f"weight shape {w_real.shape} does not match (C_in, C_out, 2*m1, 2*m2)="
             f"{(c_in, c_out, 2 * m1, 2 * m2)}"
         )
-    dft_h = _truncated_dft(height, m1)
-    dft_w = _truncated_dft(width, m2)
+    dft_h = _truncated_dft(height, m1, x.dtype)
+    dft_w = _truncated_dft(width, m2, x.dtype)
 
     def analyze(a):
         block = dft_h.rows @ _analyze(a, dft_w)  # (B, C, 2m1, 2m2)
@@ -383,7 +402,7 @@ def spectral_conv1d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: int, axis:
             f"weight shape {w_real.shape} does not match (C_in, C_out, 2*modes)="
             f"{(c_in, c_out, 2 * modes)}"
         )
-    dft = _truncated_dft(size, modes)
+    dft = _truncated_dft(size, modes, x.dtype)
 
     def last(a):  # the transformed axis last, as a view
         return a if axis == -1 else a.swapaxes(-1, -2)

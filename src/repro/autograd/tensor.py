@@ -2,11 +2,19 @@
 
 Design notes
 ------------
-* Data is always a ``float64`` (or ``float32``) :class:`numpy.ndarray`; complex
+* Data is a ``float64`` or ``float32`` :class:`numpy.ndarray`; complex
   quantities are carried as separate real/imaginary channels by callers.
+* Every op computes in its input's dtype.  Python scalars and arrays combined
+  with a tensor take that tensor's dtype, so a float32 graph stays float32;
+  :meth:`Tensor.astype` is the one explicit, differentiable cast.  The dtype
+  policy of the package: the surrogate models train in float32 (their
+  :class:`~repro.nn.module.Parameter` storage), while the design
+  parametrization and fabrication transforms that feed the Maxwell solver
+  stay in float64.
 * Each differentiable operation returns a new :class:`Tensor` holding a
   ``_backward`` closure and references to its parents; :meth:`Tensor.backward`
-  runs the closures in reverse topological order.
+  runs the closures in reverse topological order.  Gradients are accumulated
+  in each parent's own dtype.
 * Broadcasting follows NumPy semantics; gradients are reduced back to the
   parent shapes with :func:`_unbroadcast`.
 * A module-level switch (:func:`no_grad`) disables graph construction for
@@ -16,6 +24,7 @@ Design notes
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -91,11 +100,22 @@ class Tensor:
         return Tensor(np.ones(shape), requires_grad=requires_grad)
 
     @staticmethod
-    def ensure(value) -> "Tensor":
-        """Wrap plain arrays/scalars into a constant tensor."""
+    def ensure(value, dtype=np.float64) -> "Tensor":
+        """Wrap plain arrays/scalars into a constant tensor of ``dtype``.
+
+        Tensors pass through unchanged.  Operators pass the dtype of the
+        tensor a value combines with, so ``x * 2.0`` keeps the dtype of ``x``.
+        """
         if isinstance(value, Tensor):
             return value
-        return Tensor(value)
+        return Tensor(value, dtype=dtype)
+
+    @staticmethod
+    def _ensure_all(values: Iterable) -> list["Tensor"]:
+        """:meth:`ensure` each value in the dtype of the first tensor among them."""
+        values = list(values)
+        dtype = next((v.dtype for v in values if isinstance(v, Tensor)), np.float64)
+        return [Tensor.ensure(v, dtype) for v in values]
 
     # -- basic properties ------------------------------------------------------
     @property
@@ -120,11 +140,28 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
+        return Tensor(self.data, requires_grad=False, dtype=self.dtype)
 
     def copy(self) -> "Tensor":
-        out = Tensor(self.data.copy(), requires_grad=self.requires_grad)
-        return out
+        return Tensor(self.data.copy(), requires_grad=self.requires_grad, dtype=self.dtype)
+
+    def astype(self, dtype) -> "Tensor":
+        """This tensor cast to ``dtype`` (float32 or float64), differentiably.
+
+        Returns ``self`` when the dtype already matches.  The backward pass
+        casts the gradient back to the source dtype.
+        """
+        dtype = np.dtype(dtype)
+        if dtype == self.dtype:
+            return self
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"tensors hold float32 or float64 data, not {dtype}")
+        source = self.dtype
+
+        def backward(grad, accumulate):
+            accumulate(self, np.asarray(grad, dtype=source))
+
+        return self._make_child(self.data.astype(dtype), (self,), backward)
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
@@ -236,7 +273,7 @@ class Tensor:
 
     # -- arithmetic -------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = Tensor.ensure(other, self.dtype)
         data = self.data + other.data
 
         def backward(grad, accumulate):
@@ -256,7 +293,7 @@ class Tensor:
         return self._make_child(data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = Tensor.ensure(other, self.dtype)
         data = self.data - other.data
 
         def backward(grad, accumulate):
@@ -266,10 +303,10 @@ class Tensor:
         return self._make_child(data, (self, other), backward)
 
     def __rsub__(self, other) -> "Tensor":
-        return Tensor.ensure(other) - self
+        return Tensor.ensure(other, self.dtype) - self
 
     def __mul__(self, other) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = Tensor.ensure(other, self.dtype)
         data = self.data * other.data
 
         def backward(grad, accumulate):
@@ -281,7 +318,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = Tensor.ensure(other, self.dtype)
         data = self.data / other.data
 
         def backward(grad, accumulate):
@@ -291,7 +328,7 @@ class Tensor:
         return self._make_child(data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return Tensor.ensure(other) / self
+        return Tensor.ensure(other, self.dtype) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
@@ -304,7 +341,7 @@ class Tensor:
         return self._make_child(data, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = Tensor.ensure(other, self.dtype)
         data = self.data @ other.data
 
         def backward(grad, accumulate):
@@ -371,7 +408,8 @@ class Tensor:
         data = np.sqrt(self.data)
 
         def backward(grad, accumulate):
-            accumulate(self, grad * 0.5 / np.maximum(data, 1e-300))
+            # The floor in the data's dtype: a float 1e-300 rounds to 0 in float32.
+            accumulate(self, grad * 0.5 / np.maximum(data, np.finfo(data.dtype).tiny))
 
         return self._make_child(data, (self,), backward)
 
@@ -409,7 +447,8 @@ class Tensor:
         that a 0-d input still yields arrays, not scalars, to work in place on.
         """
         x = self.data
-        c = np.sqrt(2.0 / np.pi)
+        # A Python float, so the in-place products keep a float32 loop.
+        c = math.sqrt(2.0 / math.pi)
         t = np.multiply(x, x, out=np.empty_like(x))
         t *= 0.044715
         t += 1.0
@@ -562,7 +601,7 @@ class Tensor:
     # -- combining tensors ----------------------------------------------------------------
     @staticmethod
     def cat(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor.ensure(t) for t in tensors]
+        tensors = Tensor._ensure_all(tensors)
         data = np.concatenate([t.data for t in tensors], axis=axis)
         sizes = [t.data.shape[axis] for t in tensors]
 
@@ -580,7 +619,7 @@ class Tensor:
 
     @staticmethod
     def stack(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor.ensure(t) for t in tensors]
+        tensors = Tensor._ensure_all(tensors)
         data = np.stack([t.data for t in tensors], axis=axis)
 
         def backward(grad, accumulate):

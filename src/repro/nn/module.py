@@ -16,10 +16,18 @@ from repro.autograd.tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A tensor that is registered as a learnable parameter of a module."""
+    """A tensor that is registered as a learnable parameter of a module.
+
+    Parameters are stored in float32: the surrogates train in float32, as
+    neural-operator frameworks do, while the Maxwell solver and the design
+    parametrization stay in float64.  The initializers in :mod:`repro.nn.init`
+    draw float64 values from the RNG stream and are cast here, so a seed
+    draws the same weights, rounded.  Optimizer state follows the parameter
+    dtype.
+    """
 
     def __init__(self, data, requires_grad: bool = True):
-        super().__init__(data, requires_grad=requires_grad)
+        super().__init__(data, requires_grad=requires_grad, dtype=np.float32)
 
 
 class Module:
@@ -80,6 +88,14 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
+
+    def as_input(self, x) -> Tensor:
+        """``x`` as a tensor in the dtype of this module's parameters.
+
+        The one input cast of a model: the cast is differentiable, so the
+        gradient with respect to a float64 input comes back float64.
+        """
+        return Tensor.ensure(x).astype(next(self.parameters()).dtype)
 
     # -- serialization ----------------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -47,14 +47,16 @@ def predict_ez(
 
     Applies the amplitude-normalization convention described in the module
     docstring: the model sees a unit-amplitude source and its output is
-    rescaled by ``field_scale * max|source|``.
+    rescaled by ``field_scale * max|source|``.  Returns complex128 whatever
+    the model's compute dtype.
     """
     source = np.asarray(source, dtype=complex)
     amplitude = float(np.max(np.abs(source)))
     if amplitude <= 0:
         return np.zeros(np.asarray(eps_r).shape, dtype=complex)
     inputs = standardize_input(eps_r, source, wavelength, dl)
-    channels = predict(model, inputs)
+    # The model predicts in its own (float32) dtype; fields leave as complex128.
+    channels = predict(model, inputs).astype(np.float64, copy=False)
     return channels_to_complex(channels) * float(field_scale) * amplitude
 
 

@@ -34,8 +34,7 @@ class BlackBoxRegressor(Module):
         self.squash = Sigmoid()
 
     def forward(self, x: Tensor) -> Tensor:
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
+        x = self.as_input(x)
         hidden = self.activation(self.norm1(self.conv1(x)))
         hidden = self.activation(self.norm2(self.conv2(hidden)))
         hidden = self.activation(self.norm3(self.conv3(hidden)))

@@ -53,8 +53,7 @@ class FactorizedFNO2d(Module):
         self.head2 = Conv2d(width, out_channels, kernel_size=1, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
+        x = self.as_input(x)
         hidden = self.lift(x)
         for block in self.blocks:
             hidden = block(hidden)

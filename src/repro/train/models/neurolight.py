@@ -92,10 +92,9 @@ class NeurOLight2d(Module):
         self.head2 = Conv2d(width, out_channels, kernel_size=1, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        prior = Tensor(wave_prior_channels(x.data))
-        augmented = Tensor.cat([x, prior], axis=1)
+        x = self.as_input(x)
+        # The wave prior is built from, and joins, the input in its dtype.
+        augmented = Tensor.cat([x, wave_prior_channels(x.data)], axis=1)
         hidden = self.stem_activation(self.stem_norm(self.stem(augmented)))
         for block in self.blocks:
             hidden = block(hidden)

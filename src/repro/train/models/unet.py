@@ -52,8 +52,7 @@ class UNet2d(Module):
         self.up = UpsampleNearest2d(2)
 
     def forward(self, x: Tensor) -> Tensor:
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
+        x = self.as_input(x)
         height, width = x.shape[-2:]
         pad_h = (-height) % 4
         pad_w = (-width) % 4

@@ -340,6 +340,30 @@ class TestSpectralConvAgainstFFT:
         assert _relative(grad_wr, ref_w.real) <= 1e-12
         assert _relative(grad_wi, ref_w.imag) <= 1e-12
 
+    @pytest.mark.parametrize("axis", [None, -2, -1])
+    def test_float32_matches_float64(self, axis):
+        """float32 kernels agree with float64 on the same (float32) values."""
+        rng = np.random.default_rng(5)
+        modes = (6, 6) if axis is None else 6
+        w_shape = (4, 3, 12, 12) if axis is None else (4, 3, 12)
+        # float32 values, so both runs see identical inputs.
+        arrays = [
+            rng.normal(size=shape).astype(np.float32)
+            for shape in ((2, 4, 51, 51), w_shape, w_shape, (2, 3, 51, 51))
+        ]
+        runs = {}
+        for dtype in (np.float32, np.float64):
+            x, w_real, w_imag = (Tensor(a, requires_grad=True, dtype=dtype) for a in arrays[:3])
+            if axis is None:
+                out = F.spectral_conv2d(x, w_real, w_imag, modes)
+            else:
+                out = F.spectral_conv1d(x, w_real, w_imag, modes, axis=axis)
+            out.backward(arrays[3])
+            runs[dtype] = (out.data, x.grad, w_real.grad, w_imag.grad)
+        for single, double in zip(runs[np.float32], runs[np.float64]):
+            assert single.dtype == np.float32
+            assert _relative(single, double) <= 1e-5
+
     def test_spectral2d_gradient_odd_size(self):
         x = tensor_of((2, 2, 7, 9), seed=0)
         wr = tensor_of((2, 3, 4, 6), seed=1, scale=0.1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.autograd import Tensor, check_gradient, no_grad
+from repro.autograd import Tensor, check_gradient, functional as F, no_grad
 
 finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
@@ -213,3 +213,131 @@ class TestGraphMechanics:
         c = Tensor([2.0])
         (x * c).sum().backward()
         assert c.grad is None
+
+
+def _f32(shape, seed=0, positive=False):
+    data = np.random.default_rng(seed).normal(size=shape)
+    if positive:
+        data = np.abs(data) + 0.5
+    return Tensor(data, requires_grad=True, dtype=np.float32)
+
+
+_X_SHAPE = (2, 3, 8, 8)
+
+#: Every differentiable op of ``repro.autograd``: name -> (extra input
+#: shapes, function of the float32 input ``x`` (positive) and the extras).
+_DTYPE_OPS = {
+    "add": ((_X_SHAPE,), lambda x, y: x + y),
+    "radd": ((), lambda x: 1.0 + x),
+    "neg": ((), lambda x: -x),
+    "sub": ((_X_SHAPE,), lambda x, y: x - y),
+    "rsub": ((), lambda x: 2.0 - x),
+    "mul": ((_X_SHAPE,), lambda x, y: x * y),
+    "rmul": ((), lambda x: 2.0 * x),
+    "truediv": ((_X_SHAPE,), lambda x, y: y / x),
+    "rtruediv": ((), lambda x: 1.0 / x),
+    "pow": ((), lambda x: x**1.5),
+    "matmul": (((8, 5),), lambda x, w: x @ w),
+    "exp": ((), lambda x: x.exp()),
+    "log": ((), lambda x: x.log()),
+    "sqrt": ((), lambda x: x.sqrt()),
+    "tanh": ((), lambda x: x.tanh()),
+    "sigmoid": ((), lambda x: x.sigmoid()),
+    "relu": ((), lambda x: (x - 1.0).relu()),
+    "gelu": ((), lambda x: x.gelu()),
+    "abs": ((), lambda x: (x - 1.0).abs()),
+    "sin": ((), lambda x: x.sin()),
+    "cos": ((), lambda x: x.cos()),
+    "clamp": ((), lambda x: x.clamp(0.7, 1.2)),
+    "sum": ((), lambda x: x.sum(axis=(1, 2))),
+    "mean": ((), lambda x: x.mean(axis=(2, 3), keepdims=True)),
+    "max": ((), lambda x: x.max(axis=1)),
+    "norm": ((), lambda x: x.norm()),
+    "reshape": ((), lambda x: x.reshape(6, -1)),
+    "transpose": ((), lambda x: x.transpose(0, 2, 3, 1)),
+    "getitem": ((), lambda x: x[:, 1, ::2]),
+    "flatten": ((), lambda x: x.flatten(1)),
+    "cat": ((_X_SHAPE,), lambda x, y: Tensor.cat([x, y, np.ones(_X_SHAPE)], axis=1)),
+    "stack": ((_X_SHAPE,), lambda x, y: Tensor.stack([np.ones(_X_SHAPE), x, y])),
+    "astype": ((), lambda x: x.astype(np.float64).astype(np.float32)),
+    "conv2d": (
+        ((4, 3, 3, 3), (4,)),
+        lambda x, w, b: F.conv2d(x, w, b, stride=2, padding=1),
+    ),
+    "conv2d_1x1": (((4, 3, 1, 1),), lambda x, w: F.conv2d(x, w)),
+    "spectral_conv2d": (
+        ((3, 4, 4, 6), (3, 4, 4, 6)),
+        lambda x, wr, wi: F.spectral_conv2d(x, wr, wi, (2, 3)),
+    ),
+    "spectral_conv1d_h": (
+        ((3, 4, 6), (3, 4, 6)),
+        lambda x, wr, wi: F.spectral_conv1d(x, wr, wi, 3, axis=-2),
+    ),
+    "spectral_conv1d_w": (
+        ((3, 4, 6), (3, 4, 6)),
+        lambda x, wr, wi: F.spectral_conv1d(x, wr, wi, 3, axis=-1),
+    ),
+    "pad2d": ((), lambda x: F.pad2d(x, (1, 2, 0, 3), value=0.5)),
+    "crop2d": ((), lambda x: F.crop2d(x, (5, 6))),
+    "avg_pool2d": ((), lambda x: F.avg_pool2d(x, 2)),
+    "upsample_nearest": ((), lambda x: F.upsample_nearest(x, 2)),
+    "dropout": (
+        (),
+        lambda x: F.dropout(x, 0.3, training=True, rng=np.random.default_rng(0)),
+    ),
+    "softplus": ((), lambda x: F.softplus(x)),
+}
+
+
+class TestDtype:
+    """float32 in gives float32 out and float32 gradients; float64 is untouched."""
+
+    @pytest.mark.parametrize(
+        "func",
+        [
+            lambda x: x * 2.0,
+            lambda x: x + 1,
+            lambda x: 2.0 - x,
+            lambda x: x / 3,
+            lambda x: x * np.full(3, 2.0),
+            lambda x: Tensor.cat([x, np.ones(3)]),
+            lambda x: Tensor.stack([np.ones(3), x]),
+        ],
+    )
+    def test_constants_take_the_tensor_dtype(self, func):
+        x = Tensor(np.arange(1.0, 4.0), dtype=np.float32)
+        assert func(x).dtype == np.float32
+        assert func(Tensor(np.arange(1.0, 4.0))).dtype == np.float64
+
+    @pytest.mark.parametrize("name", sorted(_DTYPE_OPS))
+    def test_op_preserves_float32(self, name):
+        shapes, func = _DTYPE_OPS[name]
+        inputs = [_f32(_X_SHAPE, positive=True)]
+        inputs += [_f32(shape, seed=i + 1) for i, shape in enumerate(shapes)]
+        out = func(*inputs)
+        assert out.dtype == np.float32
+        out.backward(np.ones(out.shape))
+        for tensor in inputs:
+            assert tensor.grad is not None and tensor.grad.dtype == np.float32
+
+    def test_astype_round_trips_and_casts_the_gradient_back(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float32)
+        assert x.astype(np.float32) is x
+        wide = x.astype(np.float64)
+        assert wide.dtype == np.float64
+        (wide * wide).sum().backward()
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        with pytest.raises(ValueError):
+            x.astype(np.float16)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sqrt_gradient_at_zero_is_finite(self, dtype):
+        x = Tensor(np.zeros(2), requires_grad=True, dtype=dtype)
+        x.sqrt().sum().backward()
+        assert np.isfinite(x.grad).all()
+
+    def test_detach_and_copy_keep_dtype(self):
+        x = Tensor(np.ones(2), requires_grad=True, dtype=np.float32)
+        assert x.detach().dtype == np.float32
+        assert x.copy().dtype == np.float32

@@ -6,6 +6,8 @@ round-trips (weights + normalization statistics + dataset fingerprint),
 ``Simulation``, ``DatasetGenerator`` and ``InverseDesignProblem``.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ class TestCheckpointRoundTrip:
             model.named_parameters(), loaded.named_parameters()
         ):
             assert name == loaded_name
+            assert loaded_param.data.dtype == param.data.dtype == np.float32
             np.testing.assert_array_equal(param.data, loaded_param.data)
         assert loaded_meta.model_name == meta.model_name
         assert loaded_meta.field_scale == meta.field_scale
@@ -49,6 +52,40 @@ class TestCheckpointRoundTrip:
         train, _ = tiny_splits
         inputs = train.input_array()[:2]
         np.testing.assert_array_equal(predict(model, inputs), predict(loaded, inputs))
+
+    def test_float64_checkpoint_loads_cast_and_serves(self, tmp_path, tiny_checkpoint):
+        """Checkpoints written when parameters were float64 keep loading.
+
+        The file is written by hand in that layout: format version 1 and
+        float64 ``param::`` arrays.
+        """
+        _, model, meta = tiny_checkpoint
+        state = {name: value.astype(np.float64) for name, value in model.state_dict().items()}
+        header = {
+            "version": 1,
+            "model_name": meta.model_name,
+            "model_kwargs": meta.model_kwargs,
+            "field_scale": meta.field_scale,
+            "dataset_fingerprint": meta.dataset_fingerprint,
+            "target": "field",
+            "extras": {},
+        }
+        path = tmp_path / "float64.npz"
+        np.savez_compressed(
+            path,
+            __header__=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
+            **{f"param::{name}": value for name, value in state.items()},
+        )
+        loaded, _ = load_checkpoint(path)
+        for name, param in loaded.named_parameters():
+            assert param.data.dtype == np.float32
+            np.testing.assert_array_equal(param.data, state[name].astype(np.float32))
+
+        device = WaveguideBend(**TINY_DEVICE_KWARGS)
+        sim = device.simulation(np.full(device.design_shape, 0.5), engine=f"neural:{path}")
+        ez = sim.solve_multi([("in", 0)])[0].ez
+        assert ez.dtype == np.complex128
+        assert np.isfinite(ez).all()
 
     def test_non_checkpoint_rejected(self, tmp_path):
         bogus = tmp_path / "weights.npz"
