@@ -37,7 +37,7 @@ sys.path.insert(0, str(Path(__file__).parent.parent))
 from common import print_table, write_bench_record  # noqa: E402
 
 from repro.devices.factory import make_device  # noqa: E402
-from repro.fdfd.engine import FactorizationCache, make_engine  # noqa: E402
+from repro.fdfd.engine import FactorizationCache, make_engine, resolve_engine  # noqa: E402
 from repro.fdfd.nonlinear import KerrNonlinearity, NonlinearSimulation  # noqa: E402
 import repro.fdfd.simulation as _simulation  # noqa: E402
 from repro.invdes.adjoint import Sweep, evaluate_specs  # noqa: E402
@@ -65,10 +65,19 @@ REPEATS = 2
 FD_PIXELS = 4
 
 
-def _fresh_engine(name: str):
-    """Engine with a private cache so runs cannot share factorizations."""
+def _fresh_engine(name: str, device):
+    """Engine with a private cache so runs cannot share factorizations.
+
+    The recycled tier recycles on the device's design region; the direct
+    arm stays a full-grid LU per iteration.
+    """
     if name == "recycled":
-        return make_engine(name, rtol=INNER_RTOL, cache=FactorizationCache())
+        return resolve_engine(
+            name,
+            design_region=device.geometry.design_slice,
+            rtol=INNER_RTOL,
+            cache=FactorizationCache(),
+        )
     return make_engine(name, cache=FactorizationCache())
 
 
@@ -93,7 +102,7 @@ def _run_sweep(device, engine_name: str, designs: list[np.ndarray]):
     best, iterations, inner_solves, last_ez = float("inf"), 0, 0, None
     for _ in range(REPEATS):
         _simulation._NORMALIZATION_CACHE.clear()
-        engine = _fresh_engine(engine_name)
+        engine = _fresh_engine(engine_name, device)
         iterations = inner_solves = 0
         start = time.perf_counter()
         for density in designs:

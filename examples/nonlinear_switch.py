@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.data.generator import generate_dataset
 from repro.devices import make_device
-from repro.fdfd.engine import make_engine
+from repro.fdfd.engine import resolve_engine
 from repro.fdfd.nonlinear import KerrNonlinearity, NonlinearSimulation
 from repro.invdes import AdjointOptimizer, InverseDesignProblem, Sweep
 
@@ -75,6 +75,7 @@ def main() -> None:
 
     # 2. The recycling seam: each outer iteration presents a diagonal-only
     #    operator update, so the recycled tier factorizes once and refines.
+    #    It recycles on the design region; "direct" condenses onto it too.
     spec = device.specs[-1]
     eps = device.eps_with_design(uniform)
     for engine_name in ("direct", "recycled"):
@@ -84,7 +85,7 @@ def main() -> None:
             spec.wavelength,
             device.geometry.ports,
             chi3=device.chi3_map(),
-            engine=make_engine(engine_name),
+            engine=resolve_engine(engine_name, design_region=device.geometry.design_slice),
             source_scale=float(spec.state.get("power", 1.0)),
             method="born",
         )
@@ -107,7 +108,7 @@ def main() -> None:
     #    nonlinear response itself — low power to out1, high power to out2.
     problem = InverseDesignProblem(
         device,
-        engine=make_engine("recycled"),
+        engine="recycled",  # given the design region by name
         nonlinearity=KerrNonlinearity(),
     )
     optimizer = AdjointOptimizer(problem, learning_rate=0.05)

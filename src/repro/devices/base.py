@@ -196,9 +196,10 @@ class Device:
     ) -> Simulation:
         """Build a :class:`Simulation` for a design density and device state.
 
-        ``engine`` selects the solver fidelity tier (an engine instance or a
-        registry name such as ``"recycled"`` or ``"neural:<checkpoint>"``);
-        None solves exactly.
+        ``engine`` selects the solver fidelity tier (an engine instance, such
+        as ``resolve_engine("recycled", design_region=self.geometry.design_slice)``,
+        or a registry name such as ``"neural:<checkpoint>"``); None solves
+        exactly.
         """
         eps = self.eps_with_design(density)
         eps = self.apply_state(eps, state or {})

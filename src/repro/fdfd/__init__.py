@@ -15,11 +15,15 @@ Every linear solve in the package flows through the pluggable engine layer in
   factorization per ``(grid, omega, permittivity)`` serves arbitrarily many
   stacked right-hand sides (forward, adjoint and normalization solves).
   Every LU in the package is an exact complex128 factor built by
-  :func:`~repro.fdfd.engine.factor_lu`.
-* :class:`~repro.fdfd.engine.RecycledEngine` — the optimization-loop tier:
-  the exact LU of a reference permittivity refines (then preconditions
-  BiCGStab for) the nearby operators an optimizer visits, with warm starts
-  threaded through a :class:`~repro.fdfd.engine.SolveWorkspace`.
+  :func:`~repro.fdfd.engine.factor_lu`.  Given a device's design region, a
+  solve that names its port rows and whose right-hand sides vanish off the
+  region and those rows condenses onto the region's Schur complement;
+  every other solve is one full-grid solve.
+* :class:`~repro.fdfd.engine.RecycledEngine` — the optimization-loop tier,
+  on a device's design region only: the exact LU of a reference Schur
+  complement refines (then preconditions BiCGStab for) the nearby
+  operators an optimizer visits, with warm starts threaded through a
+  :class:`~repro.fdfd.engine.SolveWorkspace`.
 * ``"neural"`` — a trained surrogate (registered by :mod:`repro.surrogate`),
   making the switch between an exact tier and a learned one a one-line
   engine swap.  Discretization fidelity (a device's ``fidelity="low"`` or

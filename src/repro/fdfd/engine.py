@@ -11,16 +11,18 @@ the fidelity tier:
   is computed per ``(grid, omega, permittivity)`` triple and reused for
   arbitrarily many right-hand sides (forward, adjoint and normalization solves
   are triangular back-substitutions against the same LU).  Given a device's
-  design region, it factors the fixed exterior once and each design only
-  on the region (the Schur complement), which is how labels are made; port
-  solves then read the exterior only through its port block.
+  design region, a solve that names its port rows and whose right-hand
+  sides vanish off the region and those rows *condenses*: the fixed exterior
+  is factored once, each design only on the region (the Schur complement),
+  and the exterior is read only through its port block.  That is how labels
+  are made; every other solve is one full-grid solve.
 * :class:`RecycledEngine` — the optimization-loop tier: keeps the exact LU of
   a *reference* permittivity and solves nearby permittivities (consecutive
   Adam iterates differ only on the operator diagonal) by iterative
   refinement against that LU, then LU-preconditioned BiCGStab, refactorizing
   only when the design drifts too far or the iteration counts creep up.
-  Given a device's design region, the same loop runs on the region's Schur
-  complement against an exterior that stays resident.
+  It recycles on a device's design region only: the loop runs on the
+  region's Schur complement against an exterior that stays resident.
 * ``"neural"`` — a trained surrogate registered by
   :mod:`repro.surrogate.neural_solver` (see :class:`NeuralEngine` there).
 * ``"service"`` — the coalescing async front-end registered by
@@ -213,8 +215,8 @@ def update_system_diagonal(
 
     ``matrix`` must come from :func:`assemble_system_matrix` for the same
     ``(grid, omega)`` (same sparsity template).  This is the zero-allocation
-    path used by :class:`RecycledEngine`, whose optimization-loop solves see a
-    new diagonal every iteration but an otherwise identical operator.
+    path of :class:`~repro.fdfd.nonlinear.KerrSolver`'s residuals, which see
+    a new diagonal every iteration but an otherwise identical operator.
     """
     eps_r = np.asarray(eps_r)
     if eps_r.shape != grid.shape:
@@ -769,7 +771,8 @@ class _Exterior:
     * full recovery, only when a caller reads a full field:
       ``x_E = A_EE^{-1} (b_E - A_EI x_I)``, one back-substitution (:meth:`fill`).
 
-    Any other right-hand side takes :meth:`reduce` and :meth:`recover`.
+    Those are the only solves an exterior serves (:meth:`serves`); an engine
+    solves any other right-hand side on the full grid.
     """
 
     def __init__(self, grid: Grid, omega: float, eps_r: np.ndarray, region: tuple, ports):
@@ -848,21 +851,9 @@ class _Exterior:
         data[self.diag_positions] = self.base_diagonal + diagonal
         return sp.csc_matrix((data, self.schur.indices, self.schur.indptr), shape=self.schur.shape)
 
-    def reduce(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(b_I - A_IE y, y)`` with ``y = A_EE^{-1} b_E``, for 1-D or column right-hand sides."""
-        y = self.lu.solve(b[self.exterior])
-        return b[self.interior] - self.a_ie @ y, y
-
-    def recover(self, x_interior: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The full solution from ``x_I``: ``x_E = y - A_EE^{-1} A_EI x_I``."""
-        x = np.empty((self.interior.size + self.exterior.size, *y.shape[1:]), dtype=y.dtype)
-        x[self.interior] = x_interior
-        x[self.exterior] = y - self.lu.solve(self.a_ei @ x_interior)
-        return x
-
     # -- the port block (row stacks ``(n_rhs, n)``) ------------------------------
     def serves(self, flat: np.ndarray) -> bool:
-        """Whether the port block applies: every exterior entry of ``flat`` lies on ``P``."""
+        """Whether the port block applies: every row of ``flat`` vanishes off ``I ∪ P``."""
         return not np.any(flat[:, self._off_ports])
 
     def port_reduce(self, b_interior: np.ndarray, b_ports: np.ndarray) -> np.ndarray:
@@ -918,11 +909,10 @@ def iterative_refine(
 ) -> tuple[np.ndarray, int, int]:
     """Iterative refinement of a flat RHS stack ``(n_rhs, n)`` to ``rtol``.
 
-    The inner loop of :class:`RecycledEngine`, on the full grid and on a
-    design region's Schur complement alike.  ``apply_inverse`` is the exact
-    LU of a reference operator ``M`` and the target is ``A = M +
-    diag(delta)`` (the diagonal drift between Adam iterates), so each sweep
-    is::
+    The inner loop of :class:`RecycledEngine` on a design region's Schur
+    complement.  ``apply_inverse`` is the exact LU of a reference operator
+    ``M`` and the target is ``A = M + diag(delta)`` (the diagonal drift
+    between Adam iterates), so each sweep is::
 
         x += M^{-1} r              # correction through the reference LU
         r <- -delta * correction   # matvec-free residual recurrence
@@ -1022,10 +1012,12 @@ class SolverEngine:
     #: :class:`SolveWorkspace` through their solves is worth the bookkeeping.
     supports_warm_start: bool = False
 
-    #: The region (a device's ``design_slice``) the engine condenses onto.
-    #: An engine with one takes ``port_rows`` (the grid rows a caller reads)
-    #: in ``solve_batch``, condenses the solves that pass them and may
-    #: return a :class:`~repro.fdfd.lazy.Deferred` stack.
+    #: The region ``I`` (a device's ``design_slice``) the engine condenses
+    #: onto.  An engine with one takes ``port_rows`` (the grid rows ``P`` a
+    #: caller reads) in ``solve_batch``; a solve that passes them and whose
+    #: right-hand sides all vanish off ``I ∪ P`` condenses and may return a
+    #: :class:`~repro.fdfd.lazy.Deferred` stack, and every other solve is
+    #: one exact full-grid solve.
     design_region: tuple[slice, slice] | None = None
 
     @property
@@ -1099,25 +1091,25 @@ class DirectEngine(SolverEngine):
     ``lu.solve`` call on a 2-D RHS matrix, and the factorization itself is
     shared across batches (and across engine instances using the same cache).
 
-    With a ``design_region`` (a device's ``design_slice``), every solve that
-    passes ``port_rows`` is *condensed*: it is an exact hit of the
-    :class:`RecycledEngine` region path.  The exterior is factored once per
-    ``(grid, omega, exterior permittivity, port rows)`` with its port block
-    (tag ``"exterior"``, see :class:`_Exterior`), shared with any recycled
-    engine naming the same rows, and each design factors only its Schur
-    complement ``S`` on the region (tag ``"condensed:<exterior key>"``, so
-    engines with different regions never share one).  A right-hand side
-    supported on the region and the port rows costs a port reduce, one
-    back-substitution through ``S`` and a port readout; the result is a
-    :class:`~repro.fdfd.lazy.Deferred` stack whose one exterior
-    back-substitution runs when a caller reads the full field.  Labels read
-    the forward field in full, and the adjoint gradient only on the region,
-    so a labelled design back-substitutes through the exterior once.  Other
-    right-hand sides reduce and recover through the exterior LU.  Solves
-    without ``port_rows`` (the normalization runs) factor in full under
-    ``"direct"``.  Every path is exact.  The rule reads the call, never the
-    process's history, so serial, pooled and resumed label runs agree byte
-    for byte.
+    With a ``design_region`` (a device's ``design_slice``), a solve is
+    *condensed* when it passes ``port_rows`` and every right-hand side
+    vanishes off ``I ∪ P`` (the region and the port rows): it is then an
+    exact hit of the :class:`RecycledEngine` region path.  The exterior is
+    factored once per ``(grid, omega, exterior permittivity, port rows)``
+    with its port block (tag ``"exterior"``, see :class:`_Exterior`), shared
+    with any recycled engine naming the same rows, and each design factors
+    only its Schur complement ``S`` on the region (tag ``"condensed:<exterior
+    key>"``, so engines with different regions never share one).  A
+    condensed solve costs a port reduce, one back-substitution through ``S``
+    and a port readout; the result is a :class:`~repro.fdfd.lazy.Deferred`
+    stack whose one exterior back-substitution runs when a caller reads the
+    full field.  Labels read the forward field in full, and the adjoint
+    gradient only on the region, so a labelled design back-substitutes
+    through the exterior once.  Every other solve (the normalization runs,
+    which pass no ``port_rows``, or a right-hand side off ``I ∪ P``) is one
+    full-grid solve through the cached :meth:`factorize` (tag ``"direct"``).
+    Every path is exact.  The rule reads the call, never the process's
+    history, so serial, pooled and resumed label runs agree byte for byte.
     """
 
     name = "direct"
@@ -1156,20 +1148,17 @@ class DirectEngine(SolverEngine):
         # accepted (and ignored) so call sites can thread warm starts
         # engine-agnostically.
         flat = rhs.reshape(rhs.shape[0], -1)
-        if self.design_region is None or port_rows is None:
+        frame = _port_frame(self, grid, omega, eps_r, flat, port_rows)
+        if frame is None:
             # One back-substitution on an (n_points, n_rhs) matrix.
             solutions = self.factorize(grid, omega, eps_r, fingerprint).solve(flat.T)
             return np.ascontiguousarray(solutions.T).reshape(rhs.shape)
         if fingerprint is None:
             fingerprint = eps_fingerprint(eps_r)
-        omega = float(omega)
-        exterior, key = _resident_exterior(
-            self.cache, grid, omega, eps_r, self.design_region, port_rows
-        )
-        frame = _Frame(grid, omega, exterior, key)
         reduced, back = frame.reduce(flat)
         lu = self.cache.get_or_build(
-            grid, omega, fingerprint, lambda: frame.factor(eps_r), tag=f"condensed:{key}"
+            grid, frame.omega, fingerprint, lambda: frame.factor(eps_r),
+            tag=f"condensed:{frame.exterior_key}",
         )
         return back(lu.solve(reduced.T).T)
 
@@ -1198,46 +1187,30 @@ class _RecycledReference:
 
 
 class _Frame:
-    """The unknowns a solve works on: the full grid, or the region's ``S``.
+    """A condensed solve's unknowns: the design region's ``S`` over a resident exterior.
 
     The recycling loop sees a reference LU, the current matrix and the
-    diagonal drift, all in the frame's unknowns.  On the full grid
-    (``exterior`` None) :meth:`reduce` passes right-hand sides and solutions
-    through.  Over a resident :class:`_Exterior` the loop between reduce and
-    recovery factors, refines and iterates on the Schur complement of the
-    design region only, and a :class:`DirectEngine` factors that ``S`` once
-    per design.  A ``one_off`` frame (a solve on a region engine that names
-    no port rows) solves on the full grid and keeps no reference.  Stacks
-    are rows, ``(n_rhs, n)``.
+    diagonal drift, all on the region: between reduce and recovery it
+    factors, refines and iterates on the Schur complement of the design
+    region only, and a :class:`DirectEngine` factors that ``S`` once per
+    design.  Stacks are rows, ``(n_rhs, n)``.
     """
 
-    __slots__ = ("grid", "omega", "exterior", "one_off", "key", "tag")
+    __slots__ = ("grid", "omega", "exterior", "exterior_key", "key", "tag")
 
-    def __init__(
-        self,
-        grid: Grid,
-        omega: float,
-        exterior: _Exterior | None = None,
-        exterior_key: str | None = None,
-        one_off: bool = False,
-    ):
+    def __init__(self, grid: Grid, omega: float, exterior: _Exterior, exterior_key: str):
         self.grid = grid
         self.omega = omega
         self.exterior = exterior
-        self.one_off = one_off
-        if exterior is None:
-            self.key, self.tag = (grid, omega), "recycled"
-        else:
-            self.key = (grid, omega, exterior_key)
-            self.tag = f"recycled_schur:{exterior_key}"
+        self.exterior_key = exterior_key
+        self.key = (grid, omega, exterior_key)
+        self.tag = f"recycled_schur:{exterior_key}"
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
-        """The frame's unknowns of grid-flat values (last axis)."""
-        return values if self.exterior is None else values[..., self.exterior.interior]
+        """The region's unknowns of grid-flat values (last axis)."""
+        return values[..., self.exterior.interior]
 
     def factor(self, eps_r: np.ndarray):
-        if self.exterior is None:
-            return factor_lu(assemble_system_matrix(self.grid, self.omega, eps_r))
         # The exterior numbers S in its fill-reducing order already: no
         # ordering step, unless the natural-order factor fails its probe.
         schur = self.exterior.schur_complement(self.omega, eps_r)
@@ -1245,25 +1218,15 @@ class _Frame:
         return lu if lu is not None else factor_lu(schur)
 
     def reduce(self, flat: np.ndarray):
-        """The frame's right-hand sides, and the map from its solutions to grid-shaped stacks.
+        """The region's right-hand sides, and the map from its solutions to grid-shaped stacks.
 
-        Over an exterior, right-hand sides the port block serves map to a
-        :class:`Deferred` stack, computed on ``I ∪ P`` (NaN elsewhere) and
-        fully recovered on first request; the others take the exterior's two
-        back-substitutions and map to full solutions.
+        Solutions map to a :class:`Deferred` stack, computed on ``I ∪ P``
+        (NaN elsewhere) and fully recovered on first request.
         """
         exterior = self.exterior
-        if exterior is None:
-            return flat, self._stack
-        if not exterior.serves(flat):
-            reduced, y = exterior.reduce(flat.T)
-            return reduced.T, lambda x: self._stack(exterior.recover(x.T, y).T)
         b_ports = flat[:, exterior.ports]
         reduced = exterior.port_reduce(flat[:, exterior.interior], b_ports)
         return reduced, lambda x: self._port_stack(b_ports, x)
-
-    def _stack(self, flat: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(flat).reshape(flat.shape[0], *self.grid.shape)
 
     def _port_stack(self, b_ports: np.ndarray, x: np.ndarray) -> Deferred:
         exterior = self.exterior
@@ -1277,6 +1240,24 @@ class _Frame:
             return stack
 
         return Deferred(stack, recover)
+
+
+def _port_frame(
+    engine: SolverEngine, grid: Grid, omega: float, eps_r: np.ndarray, flat: np.ndarray, port_rows
+) -> _Frame | None:
+    """The frame of a solve that condenses, or None for a full-grid solve.
+
+    The one condensing rule of both exact engines: a solve on an engine
+    with a ``design_region`` condenses when it names ``port_rows`` and every
+    right-hand side (a row of ``flat``) vanishes off ``I ∪ P``.
+    """
+    if engine.design_region is None or port_rows is None:
+        return None
+    omega = float(omega)
+    exterior, key = _resident_exterior(
+        engine.cache, grid, omega, eps_r, engine.design_region, port_rows
+    )
+    return _Frame(grid, omega, exterior, key) if exterior.serves(flat) else None
 
 
 class RecycledEngine(SolverEngine):
@@ -1300,9 +1281,23 @@ class RecycledEngine(SolverEngine):
     3. refactorization when both fail — so results are always converged to
        ``rtol`` relative residual, or exact.
 
-    Per ``(grid, omega)`` the engine keeps a small LRU of reference
-    permittivities (so e.g. the design operator and the constant normalization
-    waveguide recycle independently instead of thrashing one slot).  A solve
+    The engine recycles on a device's ``design_region`` only
+    (``InverseDesignProblem`` passes its ``design_slice`` for
+    ``engine="recycled"``; elsewhere build it with
+    ``resolve_engine("recycled", design_region=device.geometry.design_slice)``).
+    A solve condenses when it passes ``port_rows`` (the rows port
+    measurements and objectives read) and every right-hand side vanishes off
+    ``I ∪ P`` (the region and the port rows): the exterior is factored once
+    (tag ``"exterior"``) with a port block for those rows (see
+    :class:`_Exterior`), reduce and port readout are products with that
+    block, and the loop runs on the region's Schur complement ``S``.  The
+    result is a :class:`~repro.fdfd.lazy.Deferred` stack, exact on ``I ∪ P``
+    and NaN elsewhere, whose one exterior back-substitution runs when a
+    caller reads the full field; the full residual equals the reduced one,
+    so the contract above holds on the full system.
+
+    Per ``(grid, omega, exterior)`` the engine keeps a small LRU of
+    reference permittivities.  A condensed solve
 
     * whose fingerprint matches a reference exactly is a pure (exact)
       back-substitution,
@@ -1315,31 +1310,15 @@ class RecycledEngine(SolverEngine):
     * otherwise triggers a refactorization: the current permittivity becomes a
       new reference and the batch is solved exactly against its fresh LU.
 
-    Given a device's ``design_region`` (``InverseDesignProblem`` passes its
-    ``design_slice`` for ``engine="recycled"``), every solve that passes
-    ``port_rows`` (the rows port measurements and objectives read) runs on
-    the region: the exterior is factored once (tag ``"exterior"``) with a
-    port block for those rows (see :class:`_Exterior`), and each solve
-    *reduces* the right-hand sides to the region, recycles on the Schur
-    complement ``S`` (references keyed by ``(grid, omega, exterior)``) and
-    *recovers* the exterior exactly, so the full residual equals the reduced
-    one and the contract above holds unchanged.  A right-hand side supported
-    on the region and the port rows never touches the exterior LU: reduce
-    and port readout are products with the port block, and the result is a
-    :class:`~repro.fdfd.lazy.Deferred` stack, exact on ``I ∪ P`` and NaN
-    elsewhere, whose one exterior back-substitution runs when a caller reads
-    the full field.  Other right-hand sides take the exterior's two
-    back-substitutions.  A
-    region engine's solve without ``port_rows`` (a normalization run) is one
-    exact full-grid solve that keeps nothing.  Without a region the loop
-    recycles on the full grid.
+    Every other solve (a normalization run, which passes no ``port_rows``,
+    or a right-hand side off ``I ∪ P``) is one exact full-grid solve that
+    keeps nothing.
 
     A recycled solve that fails to converge falls back to refactorization, so
     results are always converged to ``rtol`` (or exact).  Warm starts
     (``x0``, threaded from a :class:`SolveWorkspace`) cut the iteration count
     further.  Reference LUs live in the shared :class:`FactorizationCache`
-    under the ``"recycled"`` tag (``"recycled_schur:<exterior key>"`` on a
-    region), so
+    under the tag ``"recycled_schur:<exterior key>"``, so
     ``Simulation.set_permittivity`` eviction and cache-size limits apply to
     them like to any other factorization.
     """
@@ -1358,6 +1337,12 @@ class RecycledEngine(SolverEngine):
         cache: FactorizationCache | None = None,
         design_region: tuple[slice, slice] | None = None,
     ):
+        if design_region is None:
+            raise ValueError(
+                "RecycledEngine recycles on a design region and needs design_region: "
+                "build it with resolve_engine(name, design_region=device.geometry."
+                "design_slice), or solve without a region on the exact 'direct' engine"
+            )
         if max_references < 1:
             raise ValueError(f"max_references must be at least 1, got {max_references}")
         self.rtol = float(rtol)
@@ -1369,7 +1354,6 @@ class RecycledEngine(SolverEngine):
         self.cache = cache if cache is not None else default_factorization_cache
         self.design_region = design_region
         self._references: dict[tuple, OrderedDict[str, _RecycledReference]] = {}
-        self._scratch: dict[tuple, sp.csr_matrix] = {}
         self.stats = RecycleStats()
 
     @property
@@ -1394,20 +1378,6 @@ class RecycledEngine(SolverEngine):
             frame.grid, frame.omega, reference.fingerprint, build, tag=frame.tag
         )
 
-    def _frame(
-        self, grid: Grid, omega: float, eps_r: np.ndarray, port_rows: np.ndarray | None = None
-    ) -> _Frame:
-        """The full grid, a one-off full-grid solve, or the region's ``S`` for ``port_rows``."""
-        omega = float(omega)
-        if self.design_region is None:
-            return _Frame(grid, omega)
-        if port_rows is None:
-            return _Frame(grid, omega, one_off=True)
-        exterior, key = _resident_exterior(
-            self.cache, grid, omega, eps_r, self.design_region, port_rows
-        )
-        return _Frame(grid, omega, exterior, key)
-
     @staticmethod
     def _nearest_reference(
         references: OrderedDict[str, _RecycledReference], eps_r: np.ndarray
@@ -1420,22 +1390,6 @@ class RecycledEngine(SolverEngine):
             if drift < best_drift:
                 best, best_drift = reference, drift
         return best, best_drift
-
-    def _system_matrix(self, frame: _Frame, eps_r: np.ndarray) -> sp.spmatrix:
-        """The current operator in the frame's unknowns.
-
-        On the full grid one scratch matrix per ``(grid, omega)`` has its
-        diagonal refreshed in place per solve.
-        """
-        if frame.exterior is not None:
-            return frame.exterior.schur_complement(frame.omega, eps_r)
-        scratch = self._scratch.get(frame.key)
-        if scratch is None:
-            self._scratch[frame.key] = scratch = assemble_system_matrix(
-                frame.grid, frame.omega, eps_r
-            )
-            return scratch
-        return update_system_diagonal(scratch, frame.grid, frame.omega, eps_r)
 
     def _reference_solve(
         self, frame: _Frame, reference: _RecycledReference, rhs: np.ndarray
@@ -1451,10 +1405,6 @@ class RecycledEngine(SolverEngine):
         fingerprint: str,
         rhs: np.ndarray,
     ) -> np.ndarray:
-        if frame.one_off:
-            # A normalization run (cached by cross-section): keep nothing.
-            self.stats.factorizations += 1
-            return frame.factor(eps_r).solve(rhs.T).T
         reference = _RecycledReference(fingerprint, eps_r)
         references[fingerprint] = reference
         while len(references) > self.max_references:
@@ -1512,7 +1462,7 @@ class RecycledEngine(SolverEngine):
         exterior is shared, so ``S - S_ref`` is that same diagonal).
         """
         lu = self._lu(frame, reference)
-        matrix = self._system_matrix(frame, eps_r)
+        matrix = frame.exterior.schur_complement(frame.omega, eps_r)
         drift = eps_r.ravel() - reference.eps.ravel()
         delta = (frame.omega**2 * EPSILON_0 * drift).astype(complex)
         try:
@@ -1536,17 +1486,19 @@ class RecycledEngine(SolverEngine):
     # -- the solve ---------------------------------------------------------------
     def solve_batch(self, grid, omega, eps_r, rhs, fingerprint=None, x0=None, port_rows=None):
         eps_r, rhs = self._check_batch(grid, eps_r, rhs)
+        full_rhs = rhs.reshape(rhs.shape[0], -1)
+        frame = _port_frame(self, grid, omega, eps_r, full_rhs, port_rows)
+        if frame is None:
+            # Off the port path: one exact full-grid solve that keeps nothing
+            # (a normalization run is cached by cross-section instead).
+            self.stats.factorizations += 1
+            lu = factor_lu(assemble_system_matrix(grid, float(omega), eps_r))
+            return np.ascontiguousarray(lu.solve(full_rhs.T).T).reshape(rhs.shape)
         if fingerprint is None:
             fingerprint = eps_fingerprint(eps_r)
-        frame = self._frame(grid, omega, eps_r, port_rows)
-        full_rhs = rhs.reshape(rhs.shape[0], -1)
         reduced, back = frame.reduce(full_rhs)
         if x0 is not None:
             x0 = frame.restrict(np.asarray(x0, dtype=complex).reshape(full_rhs.shape))
-            if not np.isfinite(x0).all():
-                # Port-solve fields read outside I ∪ P (a full-grid frame):
-                # no guess rather than a NaN one.
-                x0 = None
         return back(self._solve_reduced(frame, eps_r, fingerprint, reduced, full_rhs, x0))
 
     def _solve_reduced(self, frame, eps_r, fingerprint, rhs, full_rhs, x0) -> np.ndarray:

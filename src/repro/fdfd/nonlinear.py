@@ -17,12 +17,17 @@ outside the nonlinear material).  Two fixed-point strategies are provided:
   ``dF/dE* = omega^2 eps0 chi3 E^2``, handled by a few cheap inner sweeps
   against the same operator.
 
-Every inner solve goes through the ordinary engine registry
-(``engine="direct" | "recycled" | ...``), and consecutive iterations differ
-*only on the operator diagonal* — exactly the update
+Every inner solve goes through the ordinary engine seam (any
+:class:`~repro.fdfd.engine.SolverEngine` or registry name), and consecutive
+iterations differ *only on the operator diagonal* — exactly the update
 :class:`~repro.fdfd.engine.RecycledEngine` refines against its reference LU
 instead of refactorizing, which is what makes the nonlinear loop cheap.
 ``direct`` remains the oracle: every iteration is an exact solve.
+
+Given ``port_rows`` and an engine with a design region (where ``chi3``
+lives), every inner solve condenses onto the region and takes the engine's
+port block: Newton residuals are zeroed on the linear exterior equations,
+which hold only LU roundoff.
 
 Adjoint gradients go *through* the converged fixed point via the
 implicit-function theorem.  At convergence ``F(E, E*, eps) = 0``, so for a
@@ -173,8 +178,11 @@ class KerrSolver:
         The (linear) FDFD problem the nonlinearity perturbs.
     engine:
         Inner linear engine or registry name; None solves exactly
-        (``direct``).  ``engine="recycled"`` turns every iteration's
-        diagonal-only operator update into a reference-LU refinement.
+        (``direct``).  A :class:`~repro.fdfd.engine.RecycledEngine` (built
+        with the device's design region, e.g. ``resolve_engine("recycled",
+        design_region=device.geometry.design_slice)``) turns every
+        iteration's diagonal-only operator update into a reference-LU
+        refinement on the region.
     method:
         ``"born"`` (damped fixed point) or ``"newton"`` (quadratic near the
         solution; roughly ``1 + coupling sweeps`` inner solves per step).
@@ -199,7 +207,9 @@ class KerrSolver:
         step already factorized; the sweeps stop early once the update is
         ``rtol``-stationary).
     port_rows:
-        Grid rows the caller reads; inner solves pass them as ``FdfdSolver`` does.
+        Grid rows the caller reads; inner solves pass them as ``FdfdSolver``
+        does, and condense on an engine with a ``design_region`` (see
+        :meth:`_newton_step`).
     """
 
     def __init__(
@@ -310,14 +320,28 @@ class KerrSolver:
 
         stats = NonlinearStats(method=self.method, final_damping=self.damping)
         holders = self._stats_holders()
+        # Started from the linear solve, every iterate satisfies the linear
+        # exterior equations (the rows off the engine's region and chi3's
+        # support) to roundoff; a seed need not.
+        exterior_rows = self._exterior_rows(chi3) if x0 is None else None
         with scoped_stats(*holders) as scopes:
             try:
-                ez = self._run_fixed_point(stats, eps_r, chi3, rhs, rhs_flat, b_norm, x0)
+                ez = self._run_fixed_point(
+                    stats, eps_r, chi3, rhs, rhs_flat, b_norm, x0, exterior_rows
+                )
             finally:
                 self._record_engine_stats(stats, holders, scopes)
         return ez, stats
 
-    def _run_fixed_point(self, stats, eps_r, chi3, rhs, rhs_flat, b_norm, x0):
+    def _exterior_rows(self, chi3: np.ndarray) -> np.ndarray | None:
+        """Flat mask of the rows off the engine's region and ``supp(chi3)``; None without ports."""
+        if not self._ports:
+            return None
+        rows = chi3 == 0.0
+        rows[self.engine.design_region] = False
+        return rows.ravel()
+
+    def _run_fixed_point(self, stats, eps_r, chi3, rhs, rhs_flat, b_norm, x0, exterior_rows):
         if x0 is None:
             ez = self._inner_solve(stats, eps_r, rhs)
         else:
@@ -341,7 +365,7 @@ class KerrSolver:
             if self.method == "born":
                 step = self._born_step(stats, eps_r, chi3, rhs, ez)
             else:
-                step = self._newton_step(stats, eps_r, chi3, rhs_flat, ez)
+                step = self._newton_step(stats, eps_r, chi3, rhs_flat, ez, exterior_rows)
 
             step_norm = float(np.linalg.norm(step.ravel()))
             if step_norm <= self.rtol * float(np.linalg.norm(ez.ravel())):
@@ -392,7 +416,7 @@ class KerrSolver:
         candidate = self._inner_solve(stats, eps_eff, rhs, x0=ez)
         return candidate - ez
 
-    def _newton_step(self, stats, eps_r, chi3, rhs_flat, ez) -> np.ndarray:
+    def _newton_step(self, stats, eps_r, chi3, rhs_flat, ez, exterior_rows=None) -> np.ndarray:
         """Newton update through the conjugate-coupled Kerr Jacobian.
 
         ``F(E) = A(eps_r + chi3 |E|^2) E - b`` has ``dF/dE = A(eps_r +
@@ -401,11 +425,20 @@ class KerrSolver:
         omega^2 eps0 chi3 E^2``.  The coupled 2x2 system is solved by fixed
         point on the conjugate term: every sweep is one more solve against
         the *same* already-factorized Newton operator.
+
+        ``exterior_rows`` (given when the inner solves condense) are the rows
+        off the engine's region and ``supp(chi3)``: linear exterior equations,
+        which the exterior recovery satisfies exactly.  ``F`` holds only LU
+        roundoff there, and zeroing it keeps every right-hand side on ``I ∪
+        P``, the engine's port path.  Where ``chi3`` reaches outside the
+        region those rows stay, and the solve is a full-grid one.
         """
         intensity = np.abs(ez) ** 2
         eps_now = eps_r + chi3 * intensity
         eps_newton = eps_r + 2.0 * chi3 * intensity
         f_flat = self._operator(eps_now) @ ez.ravel() - rhs_flat
+        if exterior_rows is not None:
+            f_flat[exterior_rows] = 0.0
         coupling = (self.omega**2 * EPSILON_0) * chi3 * ez**2
 
         de = self._inner_solve(stats, eps_newton, -f_flat.reshape(self.grid.shape))

@@ -6,7 +6,7 @@ transmissions and S-parameters of a device described by a permittivity map and
 a list of ports.
 
 All linear solves go through the pluggable engine layer
-(:mod:`repro.fdfd.engine`): ``Simulation(..., engine="recycled")`` or
+(:mod:`repro.fdfd.engine`): ``Simulation(..., engine=<engine>)`` or
 ``engine="neural:<checkpoint.npz>"`` swaps the solver tier without touching
 any other code.
 :meth:`Simulation.solve_multi` batches every excitation of a device into one
@@ -343,8 +343,10 @@ class Simulation:
     ports:
         All device ports.  The first port is the default source port.
     engine:
-        Solver engine, engine name (``"direct"``, ``"recycled"``,
+        Solver engine, engine name (``"direct"``,
         ``"neural:<checkpoint.npz>"``, ...) or None for exact direct solves.
+        The recycled tier needs the device's design region, so it is passed
+        as an instance (``resolve_engine("recycled", design_region=...)``).
     """
 
     def __init__(

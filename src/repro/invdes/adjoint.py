@@ -476,8 +476,9 @@ def evaluate_specs(
         the implicit-function adjoint; each evaluation carries its
         :class:`~repro.fdfd.nonlinear.NonlinearStats` and its scaled
         nonlinearity.  The Kerr path is engine-backed only: the inner solves
-        ride ``backend.engine`` through the ordinary registry
-        (``"recycled"`` makes the outer iterations diagonal-update cheap);
+        ride ``backend.engine`` through the ordinary registry (a recycled
+        engine on the design region makes the outer iterations
+        diagonal-update cheap);
         neural field backends are not supported.
     """
     sweep.check_gradient(compute_gradient)

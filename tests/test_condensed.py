@@ -1,9 +1,11 @@
 """Condensed solves: the design-region Schur complement paths of the engines.
 
 Both exact engines follow one rule: given a device's design region, a solve
-that passes ``port_rows`` condenses onto the region from the first solve on,
-against an exterior factored once and keyed by content.  Every other solve
-(the normalization runs) is a full-grid one.
+that passes ``port_rows`` and whose right-hand sides vanish off the region
+and those rows (``I ∪ P``) condenses onto the region from the first solve
+on, against an exterior factored once and keyed by content.  Every other
+solve (the normalization runs, right-hand sides off ``I ∪ P``) is one exact
+full-grid solve.
 
 A ``DirectEngine`` then factors each design's condensed operator on the
 region.  These tests pin that the condensed factor solves the same systems as
@@ -14,7 +16,7 @@ are factored in full, and that label extraction actually takes the path.
 A ``RecycledEngine`` recycles on the Schur complement.  Its tests pin the
 full-system residual of every path (reference hit, refinement, BiCGStab,
 refactorization), exterior residency in the cache, the one-off full-grid
-solve without ``port_rows`` and the optimization loop's FoM history against
+solve outside the rule and the optimization loop's FoM history against
 exact solves.
 """
 
@@ -41,7 +43,7 @@ from repro.fdfd.engine import (
 )
 from repro.fdfd.lazy import Deferred
 from repro.fdfd.monitors import port_rows
-from repro.fdfd.nonlinear import KerrNonlinearity
+from repro.fdfd.nonlinear import KerrNonlinearity, KerrSolver
 import repro.fdfd.simulation as simulation_module
 from repro.fdfd.simulation import (
     Simulation,
@@ -69,6 +71,14 @@ def _region_engine(device, cache=None) -> DirectEngine:
 
 def _rows(device):
     return port_rows(tuple(device.geometry.ports), device.grid)
+
+
+def _on_region_and_ports(device, stack: np.ndarray) -> np.ndarray:
+    """``stack`` zeroed off ``I ∪ P``: right-hand sides a region solve condenses."""
+    keep = np.zeros(device.grid.shape, dtype=bool)
+    keep[device.geometry.design_slice] = True
+    keep.ravel()[_rows(device)] = True
+    return np.where(keep, stack, 0.0)
 
 
 def _tags(cache) -> set[str]:
@@ -184,7 +194,7 @@ class TestFallbacks:
         eps = getattr(self, variant)(device, device.eps_with_design(density))
         omega = wavelength_to_omega(device.specs[0].wavelength)
         fingerprint = eps_fingerprint(eps)
-        rhs = np.ones((1, *device.grid.shape), dtype=complex)
+        rhs = _on_region_and_ports(device, np.ones((1, *device.grid.shape), dtype=complex))
         engine.solve_batch(device.grid, omega, eps, rhs)
         assert engine.cache.peek(device.grid, omega, fingerprint, tag="direct") is not None
         assert _tags(engine.cache) == {"direct"}
@@ -271,13 +281,14 @@ def test_condensed_recycling_meets_the_full_residual(name, dl, monkeypatch):
     sim = Simulation(grid, eps, spec.wavelength, device.geometry.ports)
     forward = 1j * omega * sim.mode_source(spec.source_port, spec.source_mode)
     noise = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    noise = _on_region_and_ports(device, noise)
     rhs = np.stack([forward, noise * np.abs(forward).max()])
     engine = _region_recycled(device)
     stats = engine.stats
 
     def solve(eps_r, counter):
         before = getattr(stats, counter)
-        solution = engine.solve_batch(grid, omega, eps_r, rhs, port_rows=_rows(device))
+        solution = np.asarray(engine.solve_batch(grid, omega, eps_r, rhs, port_rows=_rows(device)))
         assert getattr(stats, counter) == before + 1, counter
         _assert_full_residual(grid, omega, eps_r, rhs, solution, engine.rtol)
         return solution
@@ -473,19 +484,17 @@ def test_problem_gives_the_named_recycled_tier_the_design_region(tiny_bend):
         named = InverseDesignProblem(tiny_bend, engine=name).backend.engine
         assert type(named) is kind
         assert named.design_region == tiny_bend.geometry.design_slice
-    instance = RecycledEngine(cache=FactorizationCache())
+    sx, sy = tiny_bend.geometry.design_slice
+    own_region = (slice(sx.start + 3, sx.stop - 3), sy)
+    instance = RecycledEngine(cache=FactorizationCache(), design_region=own_region)
     assert InverseDesignProblem(tiny_bend, engine=instance).backend.engine is instance
-    assert instance.design_region is None
+    assert instance.design_region == own_region
 
 
 def test_quickstart_loop_foms_match_exact_solves():
     """The quickstart loop at the perfbench scale: FoM histories agree to 1e-6."""
     device = make_device("bending", fidelity="high", domain=3.5, design_size=1.8)
-    engines = {
-        "direct": DirectEngine(cache=FactorizationCache()),
-        "full_grid": RecycledEngine(cache=FactorizationCache()),
-        "region": "recycled",
-    }
+    engines = {"direct": DirectEngine(cache=FactorizationCache()), "region": "recycled"}
     foms = {}
     for label, engine in engines.items():
         problem = InverseDesignProblem(device, engine=engine)
@@ -498,7 +507,6 @@ def test_quickstart_loop_foms_match_exact_solves():
         if label == "region":
             assert "recycled_schur" in _tags(problem.backend.engine.cache)
     assert np.max(np.abs(foms["region"] - foms["direct"])) <= 1e-6
-    assert np.max(np.abs(foms["region"] - foms["full_grid"])) <= 1e-6
 
 
 # --------------------------------------------------------------------------- #
@@ -772,7 +780,7 @@ def test_region_engines_never_share_a_schur_factor():
     sim = Simulation(grid, eps, device.specs[0].wavelength, device.geometry.ports)
     on_ports = 1j * omega * sim.mode_source(device.specs[0].source_port)
     noise = np.random.default_rng(5).normal(size=grid.shape).astype(complex)
-    for rhs in (on_ports[None], np.stack([on_ports, noise])):  # port path, full reduction
+    for rhs in (on_ports[None], np.stack([on_ports, noise])):  # port path, full grid
         for engine in engines + engines:
             solution = engine.solve_batch(grid, omega, eps, rhs, port_rows=_rows(device))
             _assert_full_residual(grid, omega, eps, rhs, np.asarray(solution), 1e-9)
@@ -789,6 +797,27 @@ def test_labels_back_substitute_through_the_exterior_once_per_design(exterior_so
         assert np.isfinite(labels[0].ez).all() and np.isfinite(labels[0].hy).all()
         assert labels[0].maxwell_residual <= 1e-8
         assert len(exterior_solves) == count
+
+
+@pytest.mark.parametrize("name", ["kerr_switch", "kerr_limiter"])
+def test_kerr_labels_back_substitute_once_per_inner_solve(name, exterior_solves, monkeypatch):
+    """Every Kerr inner solve takes the port block and recovers its field with one
+    exterior back-substitution: Newton residuals carry no roundoff off ``I ∪ P``."""
+    device = make_device(name, dl=0.1, **DEVICE_SIZE)
+    density = np.random.default_rng(5).uniform(0.2, 0.8, device.design_shape)
+    inner_solves = []
+    inner_solve = KerrSolver._inner_solve
+
+    def counting(self, *args, **kwargs):
+        inner_solves.append(1)
+        return inner_solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(KerrSolver, "_inner_solve", counting)
+    extract_labels_batch(
+        device, density, engine="direct", sweep=Sweep(nonlinearity=KerrNonlinearity(rtol=1e-10))
+    )
+    assert len(inner_solves) > len(device.specs)
+    assert len(exterior_solves) == len(inner_solves)
 
 
 def test_reading_every_deferred_field_curls_once(monkeypatch):
@@ -828,6 +857,7 @@ def test_schur_factor_failing_its_probe_falls_back_to_factor_lu(monkeypatch):
     eps = device.eps_with_design(np.random.default_rng(6).uniform(0, 1, device.design_shape))
     omega = wavelength_to_omega(device.specs[0].wavelength)
     rhs = np.random.default_rng(7).normal(size=(2, *grid.shape)).astype(complex)
+    rhs = _on_region_and_ports(device, rhs)
     # Build the exterior first, so only the Schur factor meets the patches.
     engine.solve_batch(grid, omega, device.eps_with_design(np.zeros(device.design_shape)),
                        rhs, port_rows=_rows(device))
@@ -862,7 +892,8 @@ def test_schur_factor_failing_its_probe_falls_back_to_factor_lu(monkeypatch):
     _assert_full_residual(grid, omega, eps, rhs, np.asarray(solution), 1e-9)
 
 
-def test_right_hand_sides_off_the_ports_take_the_full_reduction():
+def test_right_hand_sides_off_the_ports_solve_on_the_full_grid():
+    """Off ``I ∪ P``, or without the rows they cover, right-hand sides take exact full solves."""
     device = make_device("crossing", dl=0.1, **DEVICE_SIZE)
     grid = device.grid
     engine = _region_recycled(device)
@@ -893,8 +924,41 @@ def test_right_hand_sides_off_the_ports_take_the_full_reduction():
         _assert_full_residual(grid, omega, eps, on_ports, np.asarray(solution), engine.rtol)
 
 
+@BOTH_ENGINES
+def test_off_port_solves_skip_the_exterior(make, exterior_solves):
+    """A right-hand side off ``I ∪ P`` is one exact full-grid solve: no exterior
+    back-substitution, and no reference kept."""
+    device = make_device("crossing", dl=0.1, **DEVICE_SIZE)
+    grid = device.grid
+    engine = make(device)
+    eps = device.eps_with_design(np.random.default_rng(6).uniform(0, 1, device.design_shape))
+    omega = wavelength_to_omega(device.specs[0].wavelength)
+    sim = Simulation(grid, eps, device.specs[0].wavelength, device.geometry.ports)
+    on_ports = 1j * omega * sim.mode_source(device.specs[0].source_port)[None]
+    # The port solve builds the exterior; its Deferred field stays unread.
+    solution = engine.solve_batch(grid, omega, eps, on_ports, port_rows=_rows(device))
+    assert isinstance(solution, Deferred)
+    references = [dict(refs) for refs in getattr(engine, "_references", {}).values()]
+    rng = np.random.default_rng(3)
+    off_ports = on_ports.copy()
+    off_ports[0, 2, 2] = np.abs(on_ports).max()  # one cell off the ports, in the PML
+    for rhs in (off_ports, rng.normal(size=(2, *grid.shape)).astype(complex)):
+        solution = engine.solve_batch(grid, omega, eps, rhs, port_rows=_rows(device))
+        assert isinstance(solution, np.ndarray)
+        _assert_full_residual(grid, omega, eps, rhs, solution, 1e-9)
+    assert exterior_solves == []
+    assert [dict(refs) for refs in getattr(engine, "_references", {}).values()] == references
+
+
+def test_recycled_engine_needs_a_region():
+    with pytest.raises(ValueError, match=r"resolve_engine\(name, design_region="):
+        RecycledEngine(cache=FactorizationCache())
+    with pytest.raises(ValueError, match="design_region"):
+        resolve_engine("recycled")
+
+
 def test_no_partial_field_leaks(monkeypatch):
-    """NaN never reaches a public field, the result cache or a full-grid frame's guess."""
+    """NaN never reaches a public field, the result cache or a solve's guess."""
     device = make_device("bending", dl=0.1, **DEVICE_SIZE)
     cache = FactorizationCache()
     engine = _region_recycled(device, cache=cache)
@@ -908,18 +972,17 @@ def test_no_partial_field_leaks(monkeypatch):
     solve_reduced = RecycledEngine._solve_reduced
 
     def spy(self, frame, eps_r, fingerprint, rhs, full_rhs, x0):
-        if frame.exterior is None:
-            guesses_seen.append(x0)
+        guesses_seen.append(x0)
         return solve_reduced(self, frame, eps_r, fingerprint, rhs, full_rhs, x0)
 
     monkeypatch.setattr(RecycledEngine, "_solve_reduced", spy)
-    # A region-less engine solves on the full grid, against the same workspace.
-    backend = NumericalFieldBackend(RecycledEngine(cache=cache), workspace=workspace)
+    # The partial fields guess the next solves on the region, which read them on I only.
+    backend = NumericalFieldBackend(engine, workspace=workspace)
     for scale in (0.0, 0.01):
         drifted = np.clip(density + scale, 0.0, 1.0)
         evaluations = evaluate_specs(device, drifted, backend=backend)
-    assert guesses_seen and any(x0 is None for x0 in guesses_seen)
-    assert all(x0 is None or np.isfinite(x0).all() for x0 in guesses_seen)
+    assert guesses_seen and all(x0 is not None for x0 in guesses_seen)
+    assert all(np.isfinite(x0).all() for x0 in guesses_seen)
 
     evaluations = _port_loop(device, engine, SolveWorkspace())[1]
     for evaluation in evaluations:

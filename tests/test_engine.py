@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 from repro import constants
 from repro.devices.factory import available_devices, make_device
 from repro.fdfd import Grid, Port, Simulation
+from repro.fdfd.monitors import port_rows
 from repro.fdfd.engine import (
     CountingEngine,
     DirectEngine,
@@ -45,6 +46,39 @@ def _straight_waveguide(dl=0.1, domain=3.0, width=0.48):
         Port("out", "x", position=grid.size_x - margin, center=grid.size_y / 2, span=3 * width, direction=+1),
     ]
     return grid, eps, ports
+
+
+#: A design region between the straight guide's ports: the recycled tier
+#: recycles on a region only, so its tests drive point sources and
+#: permittivity changes inside it and name the port rows.
+_REGION = (slice(16, 30), slice(16, 30))
+
+
+def _rows(grid, ports):
+    return port_rows(tuple(ports), grid)
+
+
+def _region_recycled(**kwargs) -> RecycledEngine:
+    return RecycledEngine(cache=FactorizationCache(), design_region=_REGION, **kwargs)
+
+
+def _in_region(eps, change):
+    """``eps`` plus ``change`` (a scalar or grid-shaped) on :data:`_REGION` only."""
+    changed = np.array(eps, copy=True)
+    changed[_REGION] += np.broadcast_to(change, changed.shape)[_REGION]
+    return changed
+
+
+def _region_sources(grid, count, seed=0):
+    """Point sources inside :data:`_REGION`."""
+    rng = np.random.default_rng(seed)
+    sources = []
+    for _ in range(count):
+        source = np.zeros(grid.shape, dtype=complex)
+        source[rng.integers(_REGION[0].start, _REGION[0].stop),
+               rng.integers(_REGION[1].start, _REGION[1].stop)] = 1.0 + 0.5j
+        sources.append(source)
+    return sources
 
 
 def _point_sources(grid, count, seed=0):
@@ -367,7 +401,7 @@ class TestRegistry:
     def test_make_engine(self):
         assert isinstance(make_engine("direct"), DirectEngine)
         assert isinstance(make_engine("high"), DirectEngine)
-        assert isinstance(make_engine("recycled"), RecycledEngine)
+        assert isinstance(make_engine("recycled", design_region=_REGION), RecycledEngine)
 
     def test_unknown_engine_rejected(self):
         # A name no tier registers fails loudly, never falls back to a tier.
@@ -380,7 +414,7 @@ class TestRegistry:
         engine = DirectEngine()
         assert resolve_engine(engine) is engine
         assert isinstance(resolve_engine(None), DirectEngine)
-        assert isinstance(resolve_engine("recycled"), RecycledEngine)
+        assert isinstance(resolve_engine("recycled", design_region=_REGION), RecycledEngine)
         with pytest.raises(TypeError):
             resolve_engine(42)
 
@@ -666,7 +700,9 @@ class TestEngineEquivalence:
         exact = self._evaluate(device, density, DirectEngine(cache=FactorizationCache()))
         # A nearby design installs the reference LU, so the evaluation under
         # test runs the recycled (refinement) path, not a fresh factorization.
-        engine = RecycledEngine(rtol=1e-12, cache=FactorizationCache())
+        engine = RecycledEngine(
+            rtol=1e-12, cache=FactorizationCache(), design_region=device.geometry.design_slice
+        )
         self._evaluate(device, np.clip(density + 0.01, 0, 1), engine)
         approx = self._evaluate(device, density, engine)
         assert engine.stats.recycled_solves > 0
@@ -829,7 +865,7 @@ class TestRecycledEngine:
         from repro.fdfd.engine import RecycledEngine
 
         assert "recycled" in available_engines()
-        engine = make_engine("recycled")
+        engine = make_engine("recycled", design_region=_REGION)
         assert isinstance(engine, RecycledEngine)
         assert engine.supports_warm_start
 
@@ -837,35 +873,31 @@ class TestRecycledEngine:
         from repro.fdfd.engine import RecycledEngine
 
         with pytest.raises(ValueError):
-            RecycledEngine(max_references=0)
+            RecycledEngine(max_references=0, design_region=_REGION)
         # One solve chain and one factor precision: no method or precision knob.
         for knob in (dict(method="gmres"), dict(precision="fp32")):
             with pytest.raises(TypeError):
-                RecycledEngine(**knob)
+                RecycledEngine(design_region=_REGION, **knob)
 
     def test_exact_fingerprint_match_is_direct(self):
-        from repro.fdfd.engine import RecycledEngine
-
-        grid, eps, _ = _straight_waveguide()
-        rhs = np.stack(_point_sources(grid, 2))
-        engine = RecycledEngine(cache=FactorizationCache())
+        grid, eps, ports = _straight_waveguide()
+        rhs = np.stack(_region_sources(grid, 2))
+        engine = _region_recycled()
         exact = DirectEngine(cache=FactorizationCache()).solve_batch(grid, OMEGA, eps, rhs)
-        first = engine.solve_batch(grid, OMEGA, eps, rhs)
-        second = engine.solve_batch(grid, OMEGA, eps, rhs)
+        first = engine.solve_batch(grid, OMEGA, eps, rhs, port_rows=_rows(grid, ports))
+        second = engine.solve_batch(grid, OMEGA, eps, rhs, port_rows=_rows(grid, ports))
         assert engine.stats.factorizations == 1
         assert engine.stats.exact_solves == 1
         np.testing.assert_allclose(first, exact, rtol=1e-12, atol=1e-18)
         np.testing.assert_allclose(second, exact, rtol=1e-12, atol=1e-18)
 
     def test_recycled_solve_matches_direct_on_nearby_eps(self):
-        from repro.fdfd.engine import RecycledEngine
-
-        grid, eps, _ = _straight_waveguide()
-        rhs = np.stack(_point_sources(grid, 2))
-        engine = RecycledEngine(cache=FactorizationCache())
-        engine.solve_batch(grid, OMEGA, eps, rhs)  # creates the reference
-        perturbed = eps + 0.01 * np.random.default_rng(0).random(eps.shape)
-        recycled = engine.solve_batch(grid, OMEGA, perturbed, rhs)
+        grid, eps, ports = _straight_waveguide()
+        rhs = np.stack(_region_sources(grid, 2))
+        engine = _region_recycled()
+        engine.solve_batch(grid, OMEGA, eps, rhs, port_rows=_rows(grid, ports))  # the reference
+        perturbed = _in_region(eps, 0.01 * np.random.default_rng(0).random(eps.shape))
+        recycled = engine.solve_batch(grid, OMEGA, perturbed, rhs, port_rows=_rows(grid, ports))
         assert engine.stats.recycled_solves == 1
         assert engine.stats.factorizations == 1  # no refactorization
         exact = DirectEngine(cache=FactorizationCache()).solve_batch(
@@ -875,46 +907,36 @@ class TestRecycledEngine:
         np.testing.assert_allclose(recycled, exact, atol=2e-6 * scale)
 
     def test_large_drift_triggers_refactorization(self):
-        from repro.fdfd.engine import RecycledEngine
-
-        grid, eps, _ = _straight_waveguide()
-        rhs = np.stack(_point_sources(grid, 1))
-        engine = RecycledEngine(drift_threshold=0.01, cache=FactorizationCache())
-        engine.solve_batch(grid, OMEGA, eps, rhs)
-        far = eps + 3.0  # relative drift far above the threshold
-        result = engine.solve_batch(grid, OMEGA, far, rhs)
+        grid, eps, ports = _straight_waveguide()
+        rhs = np.stack(_region_sources(grid, 1))
+        engine = _region_recycled(drift_threshold=0.01)
+        engine.solve_batch(grid, OMEGA, eps, rhs, port_rows=_rows(grid, ports))
+        far = _in_region(eps, 3.0)  # relative drift far above the threshold
+        result = engine.solve_batch(grid, OMEGA, far, rhs, port_rows=_rows(grid, ports))
         assert engine.stats.factorizations == 2
         assert engine.stats.recycled_solves == 0
         exact = DirectEngine(cache=FactorizationCache()).solve_batch(grid, OMEGA, far, rhs)
         np.testing.assert_allclose(result, exact, rtol=1e-12, atol=1e-18)
 
     def test_reference_lru_is_bounded(self):
-        from repro.fdfd.engine import RecycledEngine
-
-        grid, eps, _ = _straight_waveguide()
-        rhs = np.stack(_point_sources(grid, 1))
-        engine = RecycledEngine(
-            drift_threshold=1e-9, max_references=2, cache=FactorizationCache()
-        )
+        grid, eps, ports = _straight_waveguide()
+        rhs = np.stack(_region_sources(grid, 1))
+        engine = _region_recycled(drift_threshold=1e-9, max_references=2)
         for shift in (0.0, 1.0, 2.0, 3.0):
-            engine.solve_batch(grid, OMEGA, eps + shift, rhs)
-        references = engine._references[(grid, float(OMEGA))]
+            shifted = _in_region(eps, shift)
+            engine.solve_batch(grid, OMEGA, shifted, rhs, port_rows=_rows(grid, ports))
+        (references,) = engine._references.values()
         assert len(references) == 2
 
     def test_failed_recycle_falls_back_to_refactorization(self):
-        from repro.fdfd.engine import RecycledEngine
-
-        grid, eps, _ = _straight_waveguide()
-        rhs = np.stack(_point_sources(grid, 1))
+        grid, eps, ports = _straight_waveguide()
+        rhs = np.stack(_region_sources(grid, 1))
         # A huge drift threshold forces the recycle attempt even for a big
         # perturbation; tiny sweep/iteration budgets make it fail.
-        engine = RecycledEngine(
-            drift_threshold=100.0, max_sweeps=1, maxiter=1, max_krylov=10**6,
-            cache=FactorizationCache(),
-        )
-        engine.solve_batch(grid, OMEGA, eps, rhs)
-        hard = eps + 5.0 * np.random.default_rng(1).random(eps.shape)
-        result = engine.solve_batch(grid, OMEGA, hard, rhs)
+        engine = _region_recycled(drift_threshold=100.0, max_sweeps=1, maxiter=1, max_krylov=10**6)
+        engine.solve_batch(grid, OMEGA, eps, rhs, port_rows=_rows(grid, ports))
+        hard = _in_region(eps, 5.0 * np.random.default_rng(1).random(eps.shape))
+        result = engine.solve_batch(grid, OMEGA, hard, rhs, port_rows=_rows(grid, ports))
         assert engine.stats.fallbacks == 1
         assert engine.stats.factorizations == 2
         exact = DirectEngine(cache=FactorizationCache()).solve_batch(grid, OMEGA, hard, rhs)
@@ -934,16 +956,14 @@ class TestRecycledEngine:
                 raise
 
         monkeypatch.setattr(engine_module, "iterative_refine", spy)
-        grid, eps, _ = _straight_waveguide()
-        rhs = np.stack(_point_sources(grid, 1))
-        engine = RecycledEngine(
-            drift_threshold=100.0, max_krylov=10**6, cache=FactorizationCache()
-        )
-        engine.solve_batch(grid, OMEGA, eps, rhs)
+        grid, eps, ports = _straight_waveguide()
+        rhs = np.stack(_region_sources(grid, 1))
+        engine = _region_recycled(drift_threshold=100.0, max_krylov=10**6)
+        engine.solve_batch(grid, OMEGA, eps, rhs, port_rows=_rows(grid, ports))
         fallbacks, krylov_iterations = engine.stats.fallbacks, engine.stats.krylov_iterations
         # Far outside the reference LU's contraction radius.
-        hard = eps + 5.0 * np.random.default_rng(1).random(eps.shape)
-        result = engine.solve_batch(grid, OMEGA, hard, rhs)
+        hard = _in_region(eps, 5.0 * np.random.default_rng(1).random(eps.shape))
+        result = engine.solve_batch(grid, OMEGA, hard, rhs, port_rows=_rows(grid, ports))
         assert stalls
         assert (
             engine.stats.fallbacks > fallbacks
@@ -953,18 +973,20 @@ class TestRecycledEngine:
         np.testing.assert_allclose(result, exact, atol=1e-5 * np.max(np.abs(exact)))
 
     def test_warm_start_does_not_change_solution(self):
-        from repro.fdfd.engine import RecycledEngine
-
-        grid, eps, _ = _straight_waveguide()
-        rhs = np.stack(_point_sources(grid, 1))
-        perturbed = eps + 0.02
-        cold = RecycledEngine(cache=FactorizationCache())
-        cold.solve_batch(grid, OMEGA, eps, rhs)
-        cold_result = cold.solve_batch(grid, OMEGA, perturbed, rhs)
-        warm = RecycledEngine(cache=FactorizationCache())
-        warm.solve_batch(grid, OMEGA, eps, rhs)
+        grid, eps, ports = _straight_waveguide()
+        rhs = np.stack(_region_sources(grid, 1))
+        perturbed = _in_region(eps, 0.02)
+        cold = _region_recycled()
+        cold.solve_batch(grid, OMEGA, eps, rhs, port_rows=_rows(grid, ports))
+        cold_result = np.asarray(
+            cold.solve_batch(grid, OMEGA, perturbed, rhs, port_rows=_rows(grid, ports))
+        )
+        warm = _region_recycled()
+        warm.solve_batch(grid, OMEGA, eps, rhs, port_rows=_rows(grid, ports))
         guess = cold_result * (1.0 + 1e-3 * np.random.default_rng(2).random(rhs.shape))
-        warm_result = warm.solve_batch(grid, OMEGA, perturbed, rhs, x0=guess)
+        warm_result = warm.solve_batch(
+            grid, OMEGA, perturbed, rhs, x0=guess, port_rows=_rows(grid, ports)
+        )
         scale = np.max(np.abs(cold_result))
         np.testing.assert_allclose(warm_result, cold_result, atol=5e-6 * scale)
 
@@ -979,7 +1001,9 @@ class TestRecycledTrajectoryEquivalence:
         density = np.clip(
             0.5 + 0.2 * rng.normal(size=tiny_bend.design_shape), 0, 1
         )
-        engine = RecycledEngine(cache=FactorizationCache())
+        engine = RecycledEngine(
+            cache=FactorizationCache(), design_region=tiny_bend.geometry.design_slice
+        )
         backend = NumericalFieldBackend(engine=engine)
         for step in range(5):
             reference = evaluate_spec(
@@ -1034,9 +1058,9 @@ class TestFidelitySignature:
         assert DirectEngine().fidelity_signature == DirectEngine().fidelity_signature
 
     def test_recycled_signature_tracks_parameters(self):
-        a = RecycledEngine(rtol=1e-8, cache=FactorizationCache())
-        b = RecycledEngine(rtol=1e-8, cache=FactorizationCache())
-        c = RecycledEngine(rtol=1e-3, cache=FactorizationCache())
+        a = _region_recycled(rtol=1e-8)
+        b = _region_recycled(rtol=1e-8)
+        c = _region_recycled(rtol=1e-3)
         assert a.fidelity_signature == b.fidelity_signature
         assert a.fidelity_signature != c.fidelity_signature
         # rtol-converged solves never share results with exact ones.

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.devices.factory import make_device
-from repro.fdfd.engine import make_engine
+from repro.fdfd.engine import make_engine, resolve_engine
 from repro.fdfd.nonlinear import NonlinearSimulation
 from repro.fdfd.simulation import Simulation
 from repro.invdes.adjoint import NumericalFieldBackend, Sweep, evaluate_specs
@@ -61,7 +61,8 @@ def parity_reference():
 class TestEngineParity:
     def _case(self, parity_reference, case_id, engine_name):
         device, density, reference = parity_reference[case_id]
-        evaluations = _evaluate(device, density, make_engine(engine_name))
+        engine = resolve_engine(engine_name, design_region=device.geometry.design_slice)
+        evaluations = _evaluate(device, density, engine)
         assert len(evaluations) == len(reference) == len(device.specs)
         return reference, evaluations
 
@@ -143,7 +144,11 @@ class TestNonlinearParity:
         device, _, eps = kerr_cases[case_id]
         _, direct = self._solve(device, eps, engine=make_engine("direct"))
         recycled_sim, recycled = self._solve(
-            device, eps, engine=make_engine("recycled", rtol=1e-12)
+            device,
+            eps,
+            engine=resolve_engine(
+                "recycled", design_region=device.geometry.design_slice, rtol=1e-12
+            ),
         )
         scale = np.linalg.norm(direct.ez)
         assert np.linalg.norm(recycled.ez - direct.ez) / scale < 1e-8

@@ -18,6 +18,7 @@ from repro.invdes import (
     evaluate_spec,
     initial_density,
 )
+from repro.fdfd.engine import resolve_engine
 from repro.invdes.adjoint import evaluate_all_specs
 from repro.invdes.objectives import objective_for_spec
 from repro.parametrization.transforms import (
@@ -275,6 +276,10 @@ class TestVariationAware:
             RobustInverseDesignProblem(InverseDesignProblem(tiny_bend), corners=[])
 
 
+def _region_recycled(device):
+    return resolve_engine("recycled", design_region=device.geometry.design_slice)
+
+
 class TestSolveWorkspaceWiring:
     """The warm-start workspace created per problem and threaded to the backend."""
 
@@ -286,7 +291,7 @@ class TestSolveWorkspaceWiring:
     def test_explicit_backend_adopts_problem_workspace(self, tiny_bend):
         from repro.invdes import NumericalFieldBackend
 
-        backend = NumericalFieldBackend(engine="recycled")
+        backend = NumericalFieldBackend(engine=_region_recycled(tiny_bend))
         problem = InverseDesignProblem(tiny_bend, backend=backend)
         assert backend.workspace is problem.workspace
 
@@ -295,7 +300,7 @@ class TestSolveWorkspaceWiring:
         from repro.invdes import NumericalFieldBackend
 
         workspace = SolveWorkspace()
-        backend = NumericalFieldBackend(engine="recycled", workspace=workspace)
+        backend = NumericalFieldBackend(engine=_region_recycled(tiny_bend), workspace=workspace)
         problem = InverseDesignProblem(tiny_bend, backend=backend)
         assert problem.workspace is workspace
 
@@ -361,7 +366,9 @@ class TestRecycledOptimization:
         from repro.fdfd.engine import SolveWorkspace
         from repro.invdes import NumericalFieldBackend
 
-        backend = NumericalFieldBackend(engine="recycled", workspace=SolveWorkspace())
+        backend = NumericalFieldBackend(
+            engine=_region_recycled(tiny_bend), workspace=SolveWorkspace()
+        )
         mine = SolveWorkspace()
         problem = InverseDesignProblem(tiny_bend, backend=backend, workspace=mine)
         assert problem.workspace is mine

@@ -27,6 +27,7 @@ from repro.fdfd.engine import (
     CacheStats,
     RecycleStats,
     make_engine,
+    resolve_engine,
     scoped_stats,
 )
 from repro.fdfd.nonlinear import (
@@ -57,6 +58,10 @@ def kerr_limiter():
 
 def _uniform_eps(device, value: float = 0.5):
     return device.eps_with_design(np.full(device.geometry.design_shape, value))
+
+
+def _region_recycled(device):
+    return resolve_engine("recycled", design_region=device.geometry.design_slice)
 
 
 def _solve(device, eps, power, method="born", engine=None, **kwargs):
@@ -137,10 +142,26 @@ class TestConvergenceProperties:
             kerr_switch,
             _uniform_eps(kerr_switch),
             1.0,
-            engine=make_engine("recycled"),
+            engine=_region_recycled(kerr_switch),
             rtol=1e-8,
         )
         assert sim.last_stats[0].converged
+
+    def test_seeded_newton_on_condensed_solves_reaches_the_fixed_point(self, kerr_switch):
+        """A seed need not satisfy the exterior equations, so its Newton
+        residuals keep every row: the seeded solve lands on the same field."""
+        sim, _ = _solve(
+            kerr_switch,
+            _uniform_eps(kerr_switch),
+            3.0,
+            method="newton",
+            engine=resolve_engine("direct", design_region=kerr_switch.geometry.design_slice),
+        )
+        source = sim.mode_source(kerr_switch.specs[0].source_port)
+        ez, _ = sim.kerr.solve(sim.eps_r, sim.chi3, source)
+        seeded, stats = sim.kerr.solve(sim.eps_r, sim.chi3, source, x0=0.8 * ez)
+        assert stats.residuals[-1] <= sim.kerr.rtol
+        assert np.linalg.norm(seeded - ez) / np.linalg.norm(ez) < 1e-8
 
     def test_invalid_method_rejected(self, kerr_switch):
         with pytest.raises(ValueError, match="unknown nonlinear method"):
@@ -253,7 +274,7 @@ class TestStatsScoping:
             CacheStats().merge(RecycleStats())
 
     def test_scoped_stats_isolates_and_restores(self):
-        engine = make_engine("recycled")
+        engine = make_engine("recycled", design_region=(slice(2, 4), slice(2, 4)))
         engine.stats.factorizations = 5
         with scoped_stats(engine) as (scope,):
             assert scope.factorizations == 0
@@ -262,7 +283,7 @@ class TestStatsScoping:
         assert engine.stats.recycled_solves == 3
 
     def test_scoped_stats_restores_on_error(self):
-        engine = make_engine("recycled")
+        engine = make_engine("recycled", design_region=(slice(2, 4), slice(2, 4)))
         engine.stats.exact_solves = 2
         with pytest.raises(RuntimeError, match="boom"):
             with scoped_stats(engine):
@@ -278,7 +299,7 @@ class TestStatsScoping:
     def test_nonlinear_solves_report_per_solve_counters(self, kerr_switch):
         """Two consecutive solves each see only their own inner work, while
         the engine's cumulative counters keep the running total."""
-        engine = make_engine("recycled")
+        engine = _region_recycled(kerr_switch)
         eps = _uniform_eps(kerr_switch)
         first_sim, _ = _solve(kerr_switch, eps, 1.0, engine=engine)
         first = first_sim.last_stats[0].engine_stats["recycled"]
