@@ -53,7 +53,6 @@ import inspect
 import itertools
 import os
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import ClassVar
@@ -872,21 +871,34 @@ class _Exterior:
         return self.lu.solve(b_exterior).T
 
 
+# Exterior keys by the full fingerprint of the permittivity they were derived
+# from, so the adjoint solve of a design reuses its forward solve's key
+# instead of hashing the exterior values again.  The full fingerprint is
+# content, so an in-place edit of the permittivity is a new key.
+_EXTERIOR_KEYS = BoundedCache(32)
+
+
 def _resident_exterior(
-    cache, grid: Grid, omega: float, eps_r: np.ndarray, region: tuple, ports
+    cache, grid: Grid, omega: float, eps_r: np.ndarray, fingerprint: str, region: tuple, ports
 ) -> tuple[_Exterior, str]:
     """``(exterior, key)``: the cached :class:`_Exterior` of ``eps_r`` outside ``region``.
 
     The key digests everything the exterior's bytes depend on: the values
     outside the region, the region and the port rows.  Whichever engine
     builds an exterior first, every engine naming the same rows reads it.
+    ``fingerprint`` is :func:`eps_fingerprint` of ``eps_r``.
     """
-    outside = np.ones(eps_r.shape, dtype=bool)
-    outside[region] = False
-    digest = hashlib.sha1(eps_fingerprint(eps_r[outside]).encode())
-    digest.update(repr(region).encode())
-    digest.update(eps_fingerprint(np.asarray(ports, dtype=np.int64)).encode())
-    key = digest.hexdigest()
+    ports_bytes = np.asarray(ports, dtype=np.int64).tobytes()
+    identity = (fingerprint, repr(region), ports_bytes)
+    key = _EXTERIOR_KEYS.get(identity)
+    if key is None:
+        outside = np.ones(eps_r.shape, dtype=bool)
+        outside[region] = False
+        digest = hashlib.sha1(eps_fingerprint(eps_r[outside]).encode())
+        digest.update(repr(region).encode())
+        digest.update(ports_bytes)
+        key = digest.hexdigest()
+        _EXTERIOR_KEYS.put(identity, key)
     exterior = cache.get_or_build(
         grid, omega, key, lambda: _Exterior(grid, omega, eps_r, region, ports), tag="exterior"
     )
@@ -1147,14 +1159,14 @@ class DirectEngine(SolverEngine):
         # Exact solves have nothing to gain from an initial guess; x0 is
         # accepted (and ignored) so call sites can thread warm starts
         # engine-agnostically.
+        if fingerprint is None:
+            fingerprint = eps_fingerprint(eps_r)
         flat = rhs.reshape(rhs.shape[0], -1)
-        frame = _port_frame(self, grid, omega, eps_r, flat, port_rows)
+        frame = _port_frame(self, grid, omega, eps_r, fingerprint, flat, port_rows)
         if frame is None:
             # One back-substitution on an (n_points, n_rhs) matrix.
             solutions = self.factorize(grid, omega, eps_r, fingerprint).solve(flat.T)
             return np.ascontiguousarray(solutions.T).reshape(rhs.shape)
-        if fingerprint is None:
-            fingerprint = eps_fingerprint(eps_r)
         reduced, back = frame.reduce(flat)
         lu = self.cache.get_or_build(
             grid, frame.omega, fingerprint, lambda: frame.factor(eps_r),
@@ -1243,7 +1255,13 @@ class _Frame:
 
 
 def _port_frame(
-    engine: SolverEngine, grid: Grid, omega: float, eps_r: np.ndarray, flat: np.ndarray, port_rows
+    engine: SolverEngine,
+    grid: Grid,
+    omega: float,
+    eps_r: np.ndarray,
+    fingerprint: str,
+    flat: np.ndarray,
+    port_rows,
 ) -> _Frame | None:
     """The frame of a solve that condenses, or None for a full-grid solve.
 
@@ -1255,7 +1273,7 @@ def _port_frame(
         return None
     omega = float(omega)
     exterior, key = _resident_exterior(
-        engine.cache, grid, omega, eps_r, engine.design_region, port_rows
+        engine.cache, grid, omega, eps_r, fingerprint, engine.design_region, port_rows
     )
     return _Frame(grid, omega, exterior, key) if exterior.serves(flat) else None
 
@@ -1296,7 +1314,8 @@ class RecycledEngine(SolverEngine):
     caller reads the full field; the full residual equals the reduced one,
     so the contract above holds on the full system.
 
-    Per ``(grid, omega, exterior)`` the engine keeps a small LRU of
+    Per ``(grid, omega, exterior)`` the engine keeps a
+    :class:`~repro.utils.cache.BoundedCache` of at most ``max_references``
     reference permittivities.  A condensed solve
 
     * whose fingerprint matches a reference exactly is a pure (exact)
@@ -1353,7 +1372,7 @@ class RecycledEngine(SolverEngine):
         self.max_references = int(max_references)
         self.cache = cache if cache is not None else default_factorization_cache
         self.design_region = design_region
-        self._references: dict[tuple, OrderedDict[str, _RecycledReference]] = {}
+        self._references: dict[tuple, BoundedCache] = {}
         self.stats = RecycleStats()
 
     @property
@@ -1380,10 +1399,11 @@ class RecycledEngine(SolverEngine):
 
     @staticmethod
     def _nearest_reference(
-        references: OrderedDict[str, _RecycledReference], eps_r: np.ndarray
+        references: BoundedCache, eps_r: np.ndarray
     ) -> tuple[_RecycledReference | None, float]:
         best, best_drift = None, float("inf")
         flat = eps_r.ravel()
+        # A snapshot: scanning must not refresh the references it passes.
         for reference in references.values():
             drift = float(np.linalg.norm(flat - reference.eps.ravel()))
             drift /= max(reference.eps_norm, 1e-300)
@@ -1399,16 +1419,14 @@ class RecycledEngine(SolverEngine):
 
     def _refactorize(
         self,
-        references: OrderedDict[str, _RecycledReference],
+        references: BoundedCache,
         frame: _Frame,
         eps_r: np.ndarray,
         fingerprint: str,
         rhs: np.ndarray,
     ) -> np.ndarray:
         reference = _RecycledReference(fingerprint, eps_r)
-        references[fingerprint] = reference
-        while len(references) > self.max_references:
-            stale_fp, _ = references.popitem(last=False)
+        for stale_fp, _ in references.put(fingerprint, reference):
             self.cache.evict(frame.grid, frame.omega, stale_fp, tag=frame.tag)
         return self._reference_solve(frame, reference, rhs)
 
@@ -1486,16 +1504,16 @@ class RecycledEngine(SolverEngine):
     # -- the solve ---------------------------------------------------------------
     def solve_batch(self, grid, omega, eps_r, rhs, fingerprint=None, x0=None, port_rows=None):
         eps_r, rhs = self._check_batch(grid, eps_r, rhs)
+        if fingerprint is None:
+            fingerprint = eps_fingerprint(eps_r)
         full_rhs = rhs.reshape(rhs.shape[0], -1)
-        frame = _port_frame(self, grid, omega, eps_r, full_rhs, port_rows)
+        frame = _port_frame(self, grid, omega, eps_r, fingerprint, full_rhs, port_rows)
         if frame is None:
             # Off the port path: one exact full-grid solve that keeps nothing
             # (a normalization run is cached by cross-section instead).
             self.stats.factorizations += 1
             lu = factor_lu(assemble_system_matrix(grid, float(omega), eps_r))
             return np.ascontiguousarray(lu.solve(full_rhs.T).T).reshape(rhs.shape)
-        if fingerprint is None:
-            fingerprint = eps_fingerprint(eps_r)
         reduced, back = frame.reduce(full_rhs)
         if x0 is not None:
             x0 = frame.restrict(np.asarray(x0, dtype=complex).reshape(full_rhs.shape))
@@ -1503,13 +1521,12 @@ class RecycledEngine(SolverEngine):
 
     def _solve_reduced(self, frame, eps_r, fingerprint, rhs, full_rhs, x0) -> np.ndarray:
         """Reference hit, recycled solve or refactorization, in the frame's unknowns."""
-        references = self._references.setdefault(frame.key, OrderedDict())
+        references = self._references.setdefault(frame.key, BoundedCache(self.max_references))
 
         reference = references.get(fingerprint)
         if reference is not None:
             # Exact fingerprint match (e.g. the unchanged normalization
             # waveguide): a pure back-substitution, exact like DirectEngine.
-            references.move_to_end(fingerprint)
             self.stats.exact_solves += 1
             return self._reference_solve(frame, reference, rhs)
 
@@ -1559,8 +1576,9 @@ class CountingEngine(SolverEngine):
     @property
     def fidelity_signature(self) -> tuple:
         # Per-instance on purpose: counting wrappers exist to observe their
-        # own solves, so process-wide result caches must never serve a hit
-        # recorded through a *different* wrapper (or none) as this one's.
+        # own solves, so the process-wide normalization cache must never
+        # serve a hit recorded through a *different* wrapper (or none) as
+        # this one's.
         token = getattr(self, "_fidelity_token", None)
         if token is None:
             token = self._fidelity_token = next(_FIDELITY_TOKENS)

@@ -513,11 +513,8 @@ class NonlinearSimulation(Simulation):
     outside the nonlinear material) and is rescaled to the injected power, so
     transmissions remain fractions of the actual input power.
 
-    Nonlinear results are never served from the linear result cache: the
-    fixed point depends on ``chi3``, the injected power and the solver
-    configuration, none of which the linear cache key encodes.  Each
-    excitation is its own fixed point — superposition does not hold — so
-    excitations are converged one at a time.
+    Each excitation is its own fixed point — superposition does not hold —
+    so excitations are converged one at a time.
     """
 
     def __init__(

@@ -21,21 +21,14 @@ backend — produces its fields its own way and hands them to it, together with
 the incident flux and overlap that :func:`measure_incident` takes from the
 source port's reference waveguide.
 
-On top of the factorization sharing, fully *identical* queries — same design
-fingerprint, excitation spec, wavelength, port geometry and engine fidelity —
-are served from a process-wide result cache without touching the solver at
-all (sized by ``REPRO_RESULT_CACHE_SIZE``; see :func:`result_cache_stats`).
-That is the serving-side memoization layer: a fleet of clients replaying the
-same foundry-PDK device, or the label extractor re-walking a dataset, pays
-for each distinct query once per process.
+Results are not memoized: every :meth:`Simulation.solve_multi` call solves,
+and fingerprints the permittivity once (:func:`~repro.fdfd.engine.eps_fingerprint`)
+so that an in-place edit of ``eps_r`` never reads a stale factorization.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,76 +52,13 @@ from repro.utils.cache import BoundedCache
 _NORMALIZATION_CACHE = BoundedCache(256)
 
 
-# Process-wide cache of complete solve results, keyed end-to-end: design
-# fingerprint, excitation spec (port, mode, explicit-source digest, monitor
-# set), wavelength/grid, port geometry and the engine's fidelity signature.
-# Entries are full SimulationResults (field maps included), so the default
-# capacity is deliberately modest; serving deployments with memory to spare
-# raise REPRO_RESULT_CACHE_SIZE (read on every use), and 0 disables the cache
-# entirely.  Entries are copied on both store and hit — callers may mutate
-# what they receive without corrupting what later callers are served.
-_RESULT_CACHE = BoundedCache(32)
-_RESULT_CACHE_LOCK = threading.Lock()
-_RESULT_CACHE_HITS = 0
-_RESULT_CACHE_MISSES = 0
-
-
-def _result_cache() -> BoundedCache | None:
-    """The result cache at its ``REPRO_RESULT_CACHE_SIZE`` capacity (None: disabled).
-
-    A changed size re-homes the most recent entries into a cache of the new
-    capacity.
-    """
-    global _RESULT_CACHE
-    maxsize = int(os.environ.get("REPRO_RESULT_CACHE_SIZE", "32"))
-    if maxsize <= 0:
-        return None
-    with _RESULT_CACHE_LOCK:
-        if _RESULT_CACHE.maxsize != maxsize:
-            resized = BoundedCache(maxsize)
-            for key in _RESULT_CACHE.keys():
-                resized.put(key, _RESULT_CACHE.get(key))
-            _RESULT_CACHE = resized
-        return _RESULT_CACHE
-
-
-def _copy_result(result: "SimulationResult") -> "SimulationResult":
-    return replace(
-        result,
-        ez=result.ez.copy(),
-        hx=result.hx.copy(),
-        hy=result.hy.copy(),
-        source=result.source.copy(),
-        fluxes=dict(result.fluxes),
-        s_params=dict(result.s_params),
-        transmissions=dict(result.transmissions),
-    )
-
-
-def _count_result_lookups(hits: int, misses: int) -> None:
-    global _RESULT_CACHE_HITS, _RESULT_CACHE_MISSES
-    with _RESULT_CACHE_LOCK:
-        _RESULT_CACHE_HITS += hits
-        _RESULT_CACHE_MISSES += misses
-
-
 def result_cache_stats() -> dict:
-    """Hit/miss/size counters of the process-wide result cache."""
-    with _RESULT_CACHE_LOCK:
-        return {
-            "hits": _RESULT_CACHE_HITS,
-            "misses": _RESULT_CACHE_MISSES,
-            "size": len(_RESULT_CACHE),
-        }
+    """Counters of the deleted end-to-end result cache: always zero.
 
-
-def clear_result_cache() -> None:
-    """Drop every cached result and reset the counters (tests, benchmarks)."""
-    global _RESULT_CACHE_HITS, _RESULT_CACHE_MISSES
-    with _RESULT_CACHE_LOCK:
-        _RESULT_CACHE.clear()
-        _RESULT_CACHE_HITS = 0
-        _RESULT_CACHE_MISSES = 0
+    Kept only until a benchmark-only change drops the import of this name
+    from ``perfbench/episode.py``.
+    """
+    return {"hits": 0, "misses": 0, "size": 0}
 
 
 def normalization_geometry(
@@ -366,7 +296,7 @@ class Simulation:
         self.wavelength = float(wavelength)
         self.omega = wavelength_to_omega(wavelength)
         self.solver = FdfdSolver(grid, self.omega, engine=engine)
-        self._eps_fingerprint = eps_fingerprint(eps_r)
+        self._fingerprint: str | None = None
 
     @property
     def engine(self) -> SolverEngine:
@@ -378,17 +308,16 @@ class Simulation:
         """Grid rows the port measurements and objectives read (:func:`~repro.fdfd.monitors.port_rows`)."""
         return port_rows(tuple(self.ports.values()), self.grid)
 
-    def _current_fingerprint(self) -> str:
-        """Fingerprint of the permittivity as it is *now*.
+    @property
+    def _eps_fingerprint(self) -> str:
+        """The fingerprint the last solve took of the permittivity, taken now if none did.
 
-        Recomputed from content on every solve so that in-place mutation of
-        ``eps_r`` (instead of :meth:`set_permittivity`) can never hit a stale
-        cached factorization.  Port modes and normalizations need no such
-        check: their process-wide caches are keyed by port cross-section
-        content.
+        An adjoint solve following a forward solve of the same permittivity
+        reuses it instead of hashing the permittivity again.
         """
-        self._eps_fingerprint = eps_fingerprint(self.eps_r)
-        return self._eps_fingerprint
+        if self._fingerprint is None:
+            self._fingerprint = eps_fingerprint(self.eps_r)
+        return self._fingerprint
 
     # -- permittivity handling ----------------------------------------------------
     def set_permittivity(self, eps_r: np.ndarray) -> None:
@@ -402,9 +331,11 @@ class Simulation:
             raise ValueError(
                 f"eps_r shape {eps_r.shape} does not match grid {self.grid.shape}"
             )
-        old_fingerprint = self._eps_fingerprint
+        old_fingerprint = self._fingerprint
         self.eps_r = eps_r
-        self._eps_fingerprint = eps_fingerprint(eps_r)
+        self._fingerprint = None
+        if old_fingerprint is None:
+            return  # no solve took a fingerprint: this simulation cached nothing
         # Evict only the superseded design operator — but *every* engine tag
         # of it (tag=None): a direct LU and a recycled reference LU of the
         # old permittivity are equally superseded,
@@ -543,47 +474,24 @@ class Simulation:
         recycled engine.  ``guess_keys`` (one hashable per excitation) defaults to
         ``(source_port, mode_index, wavelength)``; callers sharing one
         workspace across device states or corner variants must pass keys that
-        disambiguate them.  Workspace-driven solves bypass the result cache
-        (they belong to optimization loops, whose design changes every call).
+        disambiguate them.
 
-        Solves pass :attr:`port_rows`, so an engine with a ``design_region``
-        condenses them; the fields then recover in full on first read.
-        Results entering the result cache are copied, which reads them.
+        Every call solves every excitation; the permittivity is fingerprinted
+        once per call.  Solves pass :attr:`port_rows`, so an engine with a
+        ``design_region`` condenses them.  The ports are measured on the
+        condensed solution; the fields are then recovered in full, at once
+        without a workspace and on first read with one.
 
         Returns the :class:`SimulationResult` per excitation, in order.
         """
         specs = self._excitation_specs(excitations)
         if not specs:
             return []
-
-        # Fingerprint the permittivity once (catching in-place mutation),
-        # then consult the end-to-end result cache: excitations whose complete
-        # query — design, spec, wavelength, port geometry, engine fidelity —
-        # was answered before skip the solver entirely.  Only the leftover
-        # subset is solved below.
-        fingerprint = self._current_fingerprint()
-        result_cache = _result_cache() if workspace is None else None
-        cached: dict[int, SimulationResult] = {}
-        cache_keys: dict[int, tuple] = {}
-        if result_cache is not None:
-            signature = self.solver.engine.fidelity_signature
-            for index, spec in enumerate(specs):
-                key = self._result_key(fingerprint, signature, spec)
-                cache_keys[index] = key
-                hit = result_cache.get(key)
-                if hit is not None:
-                    cached[index] = _copy_result(hit)
-            _count_result_lookups(hits=len(cached), misses=len(specs) - len(cached))
-        pending = [index for index in range(len(specs)) if index not in cached]
-        if not pending:
-            return [cached[index] for index in range(len(specs))]
-        pending_specs = [specs[index] for index in pending]
-        sources = self._excitation_sources(pending_specs)
+        sources = self._excitation_sources(specs)
 
         x0 = None
         keys = None
         if workspace is not None:
-            # The result cache is off here, so pending_specs is the full batch.
             keys = guess_keys
             if keys is None:
                 keys = [(spec.source_port, spec.mode_index, self.wavelength) for spec in specs]
@@ -594,23 +502,27 @@ class Simulation:
                 )
             x0 = workspace.guess_stack(keys, self.grid.shape)
 
+        # Fingerprinted from content on every solve, so an in-place edit of
+        # eps_r (instead of set_permittivity) never reads a stale factorization.
+        # Port modes and normalizations are keyed by cross-section content.
+        self._fingerprint = eps_fingerprint(self.eps_r)
         solutions = self.solver.solve_batch(
-            self.eps_r, sources, fingerprint=fingerprint, x0=x0, port_rows=self.port_rows
+            self.eps_r, sources, fingerprint=self._fingerprint, x0=x0, port_rows=self.port_rows
         )
         if workspace is not None:
             for key, solution in zip(keys, solutions):
                 workspace.store(key, known(solution, "ez"))
 
-        results: list[SimulationResult | None] = [None] * len(specs)
-        for index, result in cached.items():
-            results[index] = result
-        for index, spec, source, solution in zip(pending, pending_specs, sources, solutions):
-            # The fields as stored, so deferred ones stay deferred in the result.
+        results = []
+        for spec, source, solution in zip(specs, sources, solutions):
+            # Measured on the fields as stored: deferred ones on their port rows.
             fields = vars(solution)
             result = self._measure(spec, source, fields["ez"], fields["hx"], fields["hy"])
-            if result_cache is not None:
-                result_cache.put(cache_keys[index], _copy_result(result))
-            results[index] = result
+            if workspace is None:
+                # A one-off solve hands out its fields in full, so objectives
+                # and adjoint sources read the recovered fields a label stores.
+                vars(result).update(ez=result.ez, hx=result.hx, hy=result.hy)
+            results.append(result)
         return results
 
     @staticmethod
@@ -659,47 +571,6 @@ class Simulation:
                     )
                 sources.append(source)
         return sources
-
-    def _result_key(self, fingerprint: str, signature: tuple, spec: ExcitationSpec) -> tuple:
-        """End-to-end cache key of one excitation against the current design.
-
-        Everything that shapes the :class:`SimulationResult` is keyed: the
-        design content, grid and wavelength, the engine fidelity signature
-        (a surrogate's answer must never be served as an exact one), the
-        excitation itself (explicit sources by content digest) and the
-        geometry of the source and monitor ports.
-        """
-        monitors = spec.monitor_ports
-        if monitors is None:
-            monitors = tuple(name for name in self.ports if name != spec.source_port)
-
-        def port_identity(name: str) -> tuple:
-            port = self._port(name)
-            return (
-                port.name,
-                port.normal_axis,
-                port.position,
-                port.center,
-                port.span,
-                port.direction,
-            )
-
-        if spec.source is None:
-            source_token = None
-        else:
-            source = np.ascontiguousarray(np.asarray(spec.source, dtype=complex))
-            source_token = hashlib.sha1(source.tobytes()).hexdigest()
-        return (
-            self.grid,
-            self.wavelength,
-            signature,
-            fingerprint,
-            spec.source_port,
-            spec.mode_index,
-            source_token,
-            port_identity(spec.source_port),
-            tuple(port_identity(name) for name in monitors),
-        )
 
     def _measure(
         self,

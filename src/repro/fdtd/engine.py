@@ -73,8 +73,8 @@ class FdtdFrequencyEngine(SolverEngine):
     @property
     def fidelity_signature(self) -> tuple:
         # Deterministic across instances: two engines with identical stepping
-        # parameters produce identical fields, so their normalization and
-        # result cache entries are safely interchangeable — but never with
+        # parameters produce identical fields, so their normalization cache
+        # entries are safely interchangeable — but never with
         # another tier's ("exact" direct solves in particular).
         return (
             "fdtd",

@@ -152,6 +152,12 @@ class NumericalFieldBackend(FieldBackend):
     def adjoint_fields(
         self, sim: Simulation, specs: list[TargetSpec], adjoint_sources: list[np.ndarray]
     ) -> list[np.ndarray]:
+        """Adjoint fields against the operator of the forward solve they follow.
+
+        The solve reuses the permittivity fingerprint that forward solve of
+        ``sim`` took, so ``sim.eps_r`` must not be edited in place between the
+        two (:meth:`Simulation.set_permittivity` starts afresh).
+        """
         workspace = self._active_workspace(sim)
         x0 = None
         keys = None
@@ -161,7 +167,7 @@ class NumericalFieldBackend(FieldBackend):
         lams = sim.solver.solve_adjoint_batch(
             sim.eps_r,
             adjoint_sources,
-            fingerprint=sim._current_fingerprint(),
+            fingerprint=sim._eps_fingerprint,
             x0=x0,
             port_rows=sim.port_rows,
         )

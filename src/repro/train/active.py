@@ -84,7 +84,8 @@ class ActiveLearningConfig:
     two is the acquisition pressure.  ``acquisition`` picks the score
     (``"disagreement"``, ``"residual"`` or the ``"random"`` baseline);
     ``cheap_engine`` is the tier the disagreement score solves against (the
-    exact ``"direct"`` tier by default).
+    exact ``"direct"`` tier by default), resolved on the device's design
+    region.
     With ``weight_by_score`` the acquired labels carry their normalized
     acquisition score as a per-sample loss weight (clipped to
     ``[1, max_weight]``), so the trainer leans into the samples the loop
@@ -278,7 +279,9 @@ class ActiveLearningLoop:
             **(generator_config.device_kwargs or {}),
         )
         self._cheap_engine = (
-            resolve_engine(self.config.cheap_engine)
+            resolve_engine(
+                self.config.cheap_engine, design_region=self._device.geometry.design_slice
+            )
             if self.config.acquisition == "disagreement"
             else None
         )

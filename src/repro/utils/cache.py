@@ -1,11 +1,11 @@
 """The bounded LRU map behind every process-wide memo of the solver stack.
 
-Operators, factorizations, normalizations, port modes and solve results are
+Operators, factorizations, exterior keys, normalizations and port modes are
 all reused across designs by content key; each of those memos is one
-:class:`BoundedCache`, and so is the decoded-shard cache of
-:class:`repro.data.loader.ShardDataLoader`.  What a memo adds on top (hit
-counters, byte accounting, a "solved for enough modes" rule) stays with its
-owner.
+:class:`BoundedCache`, and so are the recycled engine's reference tables and
+the decoded-shard cache of :class:`repro.data.loader.ShardDataLoader`.  What
+a memo adds on top (hit counters, byte accounting, a "solved for enough
+modes" rule) stays with its owner.
 """
 
 from __future__ import annotations
@@ -62,6 +62,11 @@ class BoundedCache:
         """Snapshot of the keys, least recently used first."""
         with self._lock:
             return list(self._entries)
+
+    def values(self) -> list:
+        """Snapshot of the values, least recently used first; refreshes nothing."""
+        with self._lock:
+            return list(self._entries.values())
 
     def clear(self) -> None:
         with self._lock:

@@ -34,6 +34,7 @@ resolution (:func:`effective_workers`) size the fan-out.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import os
 import random
@@ -193,17 +194,20 @@ def effective_workers(workers: int | None, num_tasks: int | None = None) -> int:
 # its hook.
 
 
-def _openblas_thread_calls() -> list[tuple[Callable[[int], None], Callable[[], int]]]:
+@functools.cache
+def _openblas_thread_calls() -> tuple[tuple[Callable[[int], None], Callable[[], int]], ...]:
     """``(set_num_threads, get_num_threads)`` of each OpenBLAS this process has loaded.
 
     NumPy and SciPy each bundle one, under prefixed names such as
     ``scipy_openblas_set_num_threads64_``; they are found in ``/proc/self/maps``.
+    Resolved once per process; a forked worker inherits the parent's handles,
+    which stay valid there.
     """
     try:
         with open("/proc/self/maps") as maps:
             fields = [line.split(maxsplit=5) for line in maps]
     except OSError:  # no procfs: nothing to pin
-        return []
+        return ()
     paths = sorted(
         {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].rsplit("/", 1)[-1]}
     )
@@ -217,7 +221,7 @@ def _openblas_thread_calls() -> list[tuple[Callable[[int], None], Callable[[], i
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 calls.append((setter, getter))
-    return calls
+    return tuple(calls)
 
 
 @contextmanager
@@ -228,6 +232,8 @@ def one_blas_thread():
     multi-threaded OpenBLAS oversubscribed the cores (two ran ~9x slower
     than serial on 2 CPUs), and dense kernels round differently at other
     thread counts, while a task's result must not depend on where it ran.
+    The libraries are looked up on the first call in a process, so an
+    OpenBLAS loaded after that call is not pinned.
     """
     calls = _openblas_thread_calls()
     saved = [get_num_threads() for _, get_num_threads in calls]

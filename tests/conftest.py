@@ -28,21 +28,6 @@ def update_golden(request) -> bool:
     return bool(request.config.getoption("--update-golden"))
 
 
-@pytest.fixture(autouse=True)
-def _isolate_result_cache():
-    """Start every test with an empty end-to-end result cache.
-
-    The cache is process-wide and keyed on query content, so without this a
-    test solving a device another test already solved would be served the
-    memoized result — and tests asserting on solver side effects (cache
-    entries, solve counts) would see none.
-    """
-    from repro.fdfd.simulation import clear_result_cache
-
-    clear_result_cache()
-    yield
-
-
 @pytest.fixture(scope="session")
 def tiny_bend() -> WaveguideBend:
     """A small, fast-to-simulate bend used across the physics tests."""

@@ -266,6 +266,18 @@ class TestActiveLearningLoop:
         assert set(Path(again.generator_config.shard_dir).glob("shard_*.npz")) == seed_paths
         assert again._next_design_id == 2
 
+    def test_recycled_cheap_engine_scores_like_direct(self, tmp_path):
+        """The cheap tier is resolved on the device's design region, so the
+        recycled tier builds and scores as the exact one does."""
+        scores = {}
+        for cheap_engine in ("direct", "recycled"):
+            loop = tiny_loop(tmp_path / cheap_engine, cheap_engine=cheap_engine)
+            loop._ensure_seed_data()
+            _, scores[cheap_engine], cheap_solves = loop._acquire(0)
+            assert cheap_solves > 0
+        assert np.isfinite(scores["recycled"]).all()
+        np.testing.assert_allclose(scores["recycled"], scores["direct"], rtol=1e-4)
+
     def test_score_candidates_validation(self, tiny_bend):
         with pytest.raises(ValueError, match="disagreement"):
             score_candidates(tiny_bend, [], None, acquisition="entropy")

@@ -29,6 +29,13 @@ class TestBoundedCache:
         assert cache.keys() == ["c", "d", "e"]
         assert len(cache) == 3
 
+    def test_values_snapshot_refreshes_nothing(self):
+        cache = BoundedCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.values() == [1, 2]
+        assert cache.put("c", 3) == [("a", 1)]  # reading values left "a" oldest
+
     def test_reput_replaces_and_evicts_nothing(self):
         cache = BoundedCache(2)
         cache.put("a", 1)

@@ -47,7 +47,6 @@ from repro.fdfd.nonlinear import KerrNonlinearity, KerrSolver
 import repro.fdfd.simulation as simulation_module
 from repro.fdfd.simulation import (
     Simulation,
-    clear_result_cache,
     normalization_geometry,
     port_mode_source,
 )
@@ -113,7 +112,6 @@ def test_condensed_factor_matches_full_lu(name, dl):
     engine = _region_engine(device)
     evaluations = {}
     for label, solver in (("condensed", engine), ("full", DirectEngine(cache=FactorizationCache()))):
-        clear_result_cache()  # both exact engines share cached results
         evaluations[label] = evaluate_specs(
             device, density, backend=NumericalFieldBackend(solver)
         )
@@ -754,7 +752,6 @@ def test_labels_do_not_depend_on_who_built_the_exterior(monkeypatch):
     for loop_first in (False, True):
         cache = FactorizationCache()
         monkeypatch.setattr(engine_module, "default_factorization_cache", cache)
-        clear_result_cache()
         if loop_first:
             _, evaluations = _port_loop(device, _region_recycled(device, cache=cache))
             assert all(isinstance(vars(e.result)["ez"], Deferred) for e in evaluations)
@@ -763,6 +760,49 @@ def test_labels_do_not_depend_on_who_built_the_exterior(monkeypatch):
         # The labels built no exterior of their own after the loop's.
         assert [key[3] for key in cache.keys()].count("exterior") == max(exteriors, 1)
     assert runs[0] == runs[1]
+
+
+def test_labels_and_adam_steps_hash_the_permittivity_twice(monkeypatch, tiny_bend):
+    """Once in full and once outside the design region, per labelled design
+    and per recycled Adam step: the adjoint reuses its forward solve's
+    fingerprint and the exterior key is derived once per fingerprint."""
+    import repro.fdfd.nonlinear as nonlinear_module
+    import repro.fdfd.solver as solver_module
+
+    hashed = []
+    original = engine_module.eps_fingerprint
+
+    def counting(eps_r):
+        hashed.append(np.size(eps_r))
+        return original(eps_r)
+
+    for module in (engine_module, simulation_module, solver_module, nonlinear_module):
+        monkeypatch.setattr(module, "eps_fingerprint", counting)
+    full = tiny_bend.grid.n_points
+    outside = full - np.ones(tiny_bend.grid.shape)[tiny_bend.geometry.design_slice].size
+
+    rng = np.random.default_rng(0)
+    per_design = []
+    for _ in range(3):
+        hashed.clear()
+        density = rng.uniform(size=tiny_bend.design_shape)
+        extract_labels_batch(tiny_bend, density, with_gradient=True)
+        per_design.append(list(hashed))
+    # The first design may also run (and hash) the normalization solves.
+    assert per_design[1:] == [[full, outside]] * 2
+
+    problem = InverseDesignProblem(tiny_bend, engine="recycled")
+    per_step = []
+
+    def step(*_):
+        per_step.append(list(hashed))
+        hashed.clear()
+
+    hashed.clear()
+    AdjointOptimizer(problem, learning_rate=0.2).run(
+        problem.initial_theta("waveguide"), iterations=3, callback=step
+    )
+    assert per_step[1:] == [[full, outside]] * 2
 
 
 def test_region_engines_never_share_a_schur_factor():
@@ -938,7 +978,14 @@ def test_off_port_solves_skip_the_exterior(make, exterior_solves):
     # The port solve builds the exterior; its Deferred field stays unread.
     solution = engine.solve_batch(grid, omega, eps, on_ports, port_rows=_rows(device))
     assert isinstance(solution, Deferred)
-    references = [dict(refs) for refs in getattr(engine, "_references", {}).values()]
+
+    def tables():
+        return [
+            dict(zip(refs.keys(), refs.values()))
+            for refs in getattr(engine, "_references", {}).values()
+        ]
+
+    references = tables()
     rng = np.random.default_rng(3)
     off_ports = on_ports.copy()
     off_ports[0, 2, 2] = np.abs(on_ports).max()  # one cell off the ports, in the PML
@@ -947,7 +994,7 @@ def test_off_port_solves_skip_the_exterior(make, exterior_solves):
         assert isinstance(solution, np.ndarray)
         _assert_full_residual(grid, omega, eps, rhs, solution, 1e-9)
     assert exterior_solves == []
-    assert [dict(refs) for refs in getattr(engine, "_references", {}).values()] == references
+    assert tables() == references
 
 
 def test_recycled_engine_needs_a_region():
@@ -958,7 +1005,7 @@ def test_recycled_engine_needs_a_region():
 
 
 def test_no_partial_field_leaks(monkeypatch):
-    """NaN never reaches a public field, the result cache or a solve's guess."""
+    """NaN never reaches a public field or a solve's guess."""
     device = make_device("bending", dl=0.1, **DEVICE_SIZE)
     cache = FactorizationCache()
     engine = _region_recycled(device, cache=cache)
@@ -991,15 +1038,10 @@ def test_no_partial_field_leaks(monkeypatch):
             assert np.isfinite(getattr(result, name)).all(), name
         assert np.isfinite(evaluation.adjoint_field).all()
 
-    # Results entering the result cache are read in full first.
-    clear_result_cache()
+    # A solve without a workspace hands out its fields read in full.
     sim = Simulation(device.grid, device.eps_with_design(density), device.specs[0].wavelength,
                      device.geometry.ports, engine=engine)
-    for _ in range(2):
-        sim.solve(device.specs[0].source_port)
-    entries = [simulation_module._RESULT_CACHE.get(key) for key in simulation_module._RESULT_CACHE.keys()]
-    assert entries
-    for entry in entries:
-        for name in ("ez", "hx", "hy"):
-            value = vars(entry)[name]
-            assert isinstance(value, np.ndarray) and np.isfinite(value).all(), name
+    result = sim.solve(device.specs[0].source_port)
+    for name in ("ez", "hx", "hy"):
+        value = vars(result)[name]
+        assert isinstance(value, np.ndarray) and np.isfinite(value).all(), name

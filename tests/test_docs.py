@@ -178,6 +178,29 @@ def test_docs_name_no_factorization_store():
         assert not found, f"{path.relative_to(REPO)} names the deleted store: {found}"
 
 
+_RESULT_CACHE_NAME = re.compile(r"REPRO_RESULT_CACHE_SIZE|clear_result_cache|_RESULT_CACHE\b")
+
+
+def test_docs_name_no_result_cache():
+    """No doc or example reaches for the deleted end-to-end result cache."""
+    import repro.fdfd.simulation as simulation_module
+
+    assert _RESULT_CACHE_NAME.findall(
+        "REPRO_RESULT_CACHE_SIZE=0; clear_result_cache(); _RESULT_CACHE.get(key)"
+    ) == ["REPRO_RESULT_CACHE_SIZE", "clear_result_cache", "_RESULT_CACHE"]
+    assert not _RESULT_CACHE_NAME.findall("_NORMALIZATION_CACHE; result_cache_stats()")
+    assert not hasattr(simulation_module, "clear_result_cache")
+    assert not hasattr(simulation_module, "_RESULT_CACHE")
+    sources = [
+        README,
+        *sorted((REPO / "docs").glob("*.md")),
+        *sorted((REPO / "examples").glob("*.py")),
+    ]
+    for path in sources:
+        found = sorted(set(_RESULT_CACHE_NAME.findall(path.read_text())))
+        assert not found, f"{path.relative_to(REPO)} names the deleted result cache: {found}"
+
+
 def test_examples_documented_and_quick_capable():
     examples_doc = (REPO / "docs" / "examples.md").read_text()
     scripts = sorted((REPO / "examples").glob("*.py"))

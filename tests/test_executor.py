@@ -17,6 +17,7 @@ from repro.utils.executor import (
     WorkerCrashError,
     _openblas_thread_calls,
     execute_tasks,
+    one_blas_thread,
 )
 
 
@@ -253,6 +254,17 @@ class TestBlasThreads:
         finally:
             for (set_num_threads, _), count in zip(calls, saved):
                 set_num_threads(count)
+
+    def test_libraries_are_looked_up_once_per_process(self, monkeypatch):
+        import repro.utils.executor as executor_module
+
+        with one_blas_thread():
+            pass
+        opened = []
+        monkeypatch.setattr(executor_module, "open", lambda *args: opened.append(args), raising=False)
+        with one_blas_thread():
+            pass
+        assert opened == []  # no second scan of the process's mappings
 
 
 def _die_forever_on_one(task):

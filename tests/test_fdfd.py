@@ -232,10 +232,11 @@ class TestModes:
         with pytest.raises(ValueError):
             solve_slab_modes_batch([self._slab_eps(), np.ones(2)], 0.05, OMEGA)
 
-    def test_simulation_batches_port_mode_solves(self):
+    def test_simulation_batches_port_mode_solves(self, monkeypatch):
         """One batched eigendecomposition pass per permittivity, not per call."""
-        import repro.fdfd.simulation as simulation_module
+        import repro.fdfd.modes as modes_module
         from repro.fdfd import Grid, Port, Simulation
+        from repro.utils.cache import BoundedCache
 
         grid = Grid(nx=40, ny=40, dl=0.1, npml=8)
         eps = np.full(grid.shape, constants.EPS_SIO2)
@@ -249,23 +250,22 @@ class TestModes:
         sim = Simulation(grid, eps, 1.55, ports)
 
         calls = []
-        original = simulation_module.solve_slab_modes_batch
+        original = np.linalg.eigh
 
-        def counting(lines, *args, **kwargs):
-            calls.append(len(lines))
-            return original(lines, *args, **kwargs)
+        def counting(stack, *args, **kwargs):
+            calls.append(len(stack))
+            return original(stack, *args, **kwargs)
 
-        simulation_module.solve_slab_modes_batch = counting
-        try:
-            sim.solve("in")
-            assert calls == [2]  # source + monitor lines in one batch
-            sim.solve("in")
-            assert calls == [2]  # cached: no further eigendecompositions
-            sim.eps_r[:, :2] = 1.0  # in-place mutation invalidates the cache
-            sim.solve("in")
-            assert calls == [2, 2]
-        finally:
-            simulation_module.solve_slab_modes_batch = original
+        # An empty mode cache, so lines other tests solved still count.
+        monkeypatch.setattr(modes_module, "_MODE_CACHE", BoundedCache(512))
+        monkeypatch.setattr(modes_module.np.linalg, "eigh", counting)
+        sim.solve("in")
+        assert calls == [2]  # source + monitor lines in one batch
+        sim.solve("in")
+        assert calls == [2]  # cached: no further eigendecompositions
+        sim.eps_r[:, grid.ny // 2] += 0.1  # in-place mutation of both port lines
+        sim.solve("in")
+        assert calls == [2, 2]
 
 
 # --------------------------------------------------------------------------- #

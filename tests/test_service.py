@@ -1,8 +1,8 @@
 """Tests for the solve service.
 
 Covers the serving seam end to end: request coalescing bit-identity, the
-engine-shaped service front-end through :class:`Simulation`, the end-to-end
-result cache, request deadlines and batch retries.
+engine-shaped service front-end through :class:`Simulation`, repeated
+simulation queries, request deadlines and batch retries.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.fdfd.engine import (
     make_engine,
     resolve_engine,
 )
-from repro.fdfd.simulation import clear_result_cache, result_cache_stats
 from repro.service import ServiceEngine, SolveService, SolveTimeoutError
 
 OMEGA = constants.wavelength_to_omega(1.55)
@@ -215,24 +214,10 @@ class TestServiceEngine:
 
 
 # --------------------------------------------------------------------------- #
-# end-to-end result cache
+# repeated queries of one simulation
 # --------------------------------------------------------------------------- #
-class TestResultCache:
-    def test_identical_query_served_from_cache(self):
-        grid, eps, ports = _tiny_waveguide()
-        counting = CountingEngine()
-        sim = Simulation(grid, eps, 1.55, ports, engine=counting)
-        first = sim.solve("in")
-        calls = len(counting.solve_log)
-        before = result_cache_stats()
-        second = sim.solve("in")
-        after = result_cache_stats()
-        assert len(counting.solve_log) == calls  # engine never consulted
-        assert after["hits"] == before["hits"] + 1
-        assert second.transmissions == first.transmissions
-        np.testing.assert_array_equal(second.ez, first.ez)
-
-    def test_cached_results_are_mutation_safe(self):
+class TestRepeatedSimulationQueries:
+    def test_results_are_mutation_safe(self):
         grid, eps, ports = _tiny_waveguide()
         sim = Simulation(grid, eps, 1.55, ports)
         first = sim.solve("in")
@@ -243,7 +228,7 @@ class TestResultCache:
         np.testing.assert_array_equal(second.ez, pristine)
         assert second.fluxes["out"] != -1.0
 
-    def test_different_query_misses(self):
+    def test_different_query_solves(self):
         grid, eps, ports = _tiny_waveguide()
         counting = CountingEngine()
         sim = Simulation(grid, eps, 1.55, ports, engine=counting)
@@ -252,7 +237,7 @@ class TestResultCache:
         sim.solve("out")  # different source port: genuinely new work
         assert len(counting.solve_log) > calls
 
-    def test_permittivity_change_misses(self):
+    def test_permittivity_change_solves(self):
         grid, eps, ports = _tiny_waveguide()
         counting = CountingEngine()
         sim = Simulation(grid, eps, 1.55, ports, engine=counting)
@@ -262,35 +247,6 @@ class TestResultCache:
         ez_after = sim.solve("in").ez
         assert len(counting.solve_log) > calls
         assert not np.array_equal(ez_after, ez_before)
-
-    def test_size_knob_disables_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULT_CACHE_SIZE", "0")
-        grid, eps, ports = _tiny_waveguide()
-        counting = CountingEngine()
-        sim = Simulation(grid, eps, 1.55, ports, engine=counting)
-        sim.solve("in")
-        calls = len(counting.solve_log)
-        sim.solve("in")
-        assert len(counting.solve_log) > calls
-        assert result_cache_stats()["size"] == 0
-
-    def test_lru_bounded_by_size_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULT_CACHE_SIZE", "1")
-        clear_result_cache()
-        grid, eps, ports = _tiny_waveguide()
-        sim = Simulation(grid, eps, 1.55, ports)
-        sim.solve("in")
-        sim.solve("out")
-        assert result_cache_stats()["size"] == 1
-
-    def test_distinct_counting_engines_never_share_hits(self):
-        """Per-instance fidelity tokens keep observing wrappers honest."""
-        grid, eps, ports = _tiny_waveguide()
-        first = CountingEngine()
-        Simulation(grid, eps, 1.55, ports, engine=first).solve("in")
-        second = CountingEngine()
-        Simulation(grid, eps, 1.55, ports, engine=second).solve("in")
-        assert second.solve_log  # not served from the first wrapper's entry
 
 
 # --------------------------------------------------------------------------- #
