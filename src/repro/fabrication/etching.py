@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
-from repro.parametrization.transforms import Transform, _conic_kernel
+from repro.parametrization.transforms import Transform, _conic_kernel, fixed_kernel_filter
 
 
 class EtchModel(Transform):
@@ -39,12 +38,7 @@ class EtchModel(Transform):
     def apply(self, density: Tensor) -> Tensor:
         if self.bias_cells == 0.0:
             return density
-        kernel = Tensor(self._kernel[None, None])
-        pad = self._kernel.shape[0] // 2
-        image = density.reshape(1, 1, *density.shape)
-        padded = F.pad2d(image, (pad, pad, pad, pad), value=0.0)
-        blurred = F.conv2d(padded, kernel, bias=None, stride=1, padding=0)
-        blurred = blurred.reshape(*density.shape)
+        blurred = fixed_kernel_filter(density, self._kernel, 0.0)
         return ((blurred - self.threshold) * self.sharpness).sigmoid()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

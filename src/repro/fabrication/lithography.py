@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
-from repro.parametrization.transforms import Transform
+from repro.parametrization.transforms import Transform, fixed_kernel_filter
 
 
 def _gaussian_kernel(sigma_cells: float) -> np.ndarray:
@@ -69,12 +68,7 @@ class LithographyModel(Transform):
         return float(np.clip(0.5 / self.dose, 0.05, 0.95))
 
     def apply(self, density: Tensor) -> Tensor:
-        kernel = Tensor(self._kernel[None, None])
-        pad = self._kernel.shape[0] // 2
-        image = density.reshape(1, 1, *density.shape)
-        padded = F.pad2d(image, (pad, pad, pad, pad), value=0.0)
-        aerial = F.conv2d(padded, kernel, bias=None, stride=1, padding=0)
-        aerial = aerial.reshape(*density.shape)
+        aerial = fixed_kernel_filter(density, self._kernel, 0.0)
         # Smoothed resist threshold.
         return ((aerial - self.threshold) * self.sharpness).sigmoid()
 

@@ -49,6 +49,11 @@ class ProblemEvaluation:
     spec_evaluations: list[SpecEvaluation] = field(default_factory=list)
 
 
+def latent_gradient(theta: Tensor) -> np.ndarray:
+    """``theta``'s gradient after a backward pass (zeros when nothing reached it)."""
+    return theta.grad if theta.grad is not None else np.zeros_like(theta.data)
+
+
 class InverseDesignProblem:
     """Adjoint inverse-design problem for one benchmark device.
 
@@ -70,8 +75,8 @@ class InverseDesignProblem:
         Solver engine or engine name (``"direct"``, ``"recycled"``, ...) for
         the default numerical backend — the one-line solver swap.
         ``engine="recycled"`` is the optimization-loop tier: consecutive
-        iterations refine against the previous factorization (BiCGStab
-        preconditioned by it as the fallback) instead of refactorizing.
+        iterations refine against the previous factorization instead of
+        refactorizing (a failed refinement refactorizes).
         None and registry names of the exact tiers get the device's design
         region (:func:`~repro.fdfd.engine.resolve_engine`), so design solves
         work only on the region's Schur complement against an exterior
@@ -146,13 +151,14 @@ class InverseDesignProblem:
     def _density_tensor(self, theta: Tensor) -> Tensor:
         return self.transforms(self.parametrization(theta))
 
-    def set_binarization_beta(self, beta: float) -> None:
+    def set_binarization_beta(self, beta: float) -> bool:
         """Update the sharpness of every binarization stage (beta schedule).
 
         A beta step moves the projected density (and hence the operator and
         its fields) discontinuously, so the warm-start workspace is
         invalidated: the stored previous-iteration fields would be poor
-        initial guesses for the post-step solves.
+        initial guesses for the post-step solves.  Returns whether any
+        stage's beta changed.
         """
         changed = False
         for index, transform in enumerate(self.transforms):
@@ -162,6 +168,7 @@ class InverseDesignProblem:
                 self.transforms.replace(index, transform.with_beta(beta))
         if changed and self.workspace is not None:
             self.workspace.invalidate()
+        return changed
 
     def reset_workspace(self) -> None:
         """Drop warm-start state (called by the optimizer at the start of a run)."""
@@ -174,8 +181,24 @@ class InverseDesignProblem:
         theta_tensor = Tensor(np.asarray(theta, dtype=float), requires_grad=compute_gradient)
         density_tensor = self._density_tensor(theta_tensor)
         density = np.clip(density_tensor.data, 0.0, 1.0)
+        fom, grad_density, evaluations = self.solve_density(density, compute_gradient)
+        grad_theta = None
+        if compute_gradient:
+            density_tensor.backward(grad=grad_density)
+            grad_theta = latent_gradient(theta_tensor)
+        return ProblemEvaluation(
+            fom=fom,
+            grad_theta=grad_theta,
+            density=density,
+            transmissions=self.transmission_labels(evaluations),
+            spec_evaluations=evaluations,
+        )
 
-        fom, grad_density, evaluations = evaluate_all_specs(
+    def solve_density(
+        self, density: np.ndarray, compute_gradient: bool
+    ) -> tuple[float, np.ndarray | None, list[SpecEvaluation]]:
+        """``(fom, dF/d density, spec evaluations)`` of a projected density: the solves alone."""
+        return evaluate_all_specs(
             self.device,
             density,
             backend=self.backend,
@@ -185,34 +208,25 @@ class InverseDesignProblem:
             sweep=self.sweep,
         )
 
+    def transmission_labels(self, evaluations: list[SpecEvaluation]) -> dict[str, float]:
+        """Transmissions keyed ``"<source>[<state>]@<wavelength>/m<mode>-><port>"``.
+
+        The state, wavelength and mode parts appear only when they tell specs apart.
+        """
+        several_wavelengths = len(set(s.wavelength for s in self.device.specs)) > 1
         transmissions: dict[str, float] = {}
         for evaluation in evaluations:
             label = evaluation.spec.source_port
             if evaluation.spec.state:
                 state = ",".join(f"{k}={v:g}" for k, v in sorted(evaluation.spec.state.items()))
                 label = f"{label}[{state}]"
-            if len(set(s.wavelength for s in self.device.specs)) > 1:
+            if several_wavelengths:
                 label = f"{label}@{evaluation.spec.wavelength:g}um"
             if evaluation.spec.source_mode:
                 label = f"{label}/m{evaluation.spec.source_mode}"
             for port, value in evaluation.transmissions.items():
                 transmissions[f"{label}->{port}"] = value
-
-        grad_theta = None
-        if compute_gradient:
-            density_tensor.backward(grad=grad_density)
-            grad_theta = (
-                theta_tensor.grad
-                if theta_tensor.grad is not None
-                else np.zeros_like(theta_tensor.data)
-            )
-        return ProblemEvaluation(
-            fom=fom,
-            grad_theta=grad_theta,
-            density=density,
-            transmissions=transmissions,
-            spec_evaluations=evaluations,
-        )
+        return transmissions
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Convenience wrapper returning just ``(fom, d fom / d theta)``."""

@@ -9,13 +9,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd.tensor import Tensor
 from repro.fabrication.corners import FabricationCorner, standard_corners
-from repro.invdes.problem import InverseDesignProblem, ProblemEvaluation
+from repro.invdes.problem import InverseDesignProblem, ProblemEvaluation, latent_gradient
 from repro.parametrization.transforms import TransformPipeline
 
 
 class RobustInverseDesignProblem:
     """Expected figure of merit over fabrication/operation corners.
+
+    A step builds one design graph for all corners: the parametrization and
+    the base problem's transforms run once, then each distinct prefix of the
+    corners' ``pattern_transforms`` runs once (prefixes are keyed by
+    transform identity, so the corners of :func:`standard_corners`, which
+    share one nominal lithography model, share its output).  Each corner
+    then solves its density, and one backward pass from ``sum_k share_k
+    <rho_k, dF_k/d rho_k>`` yields the gradient.  The beta schedule
+    (:meth:`set_binarization_beta`) edits the base pipeline only; corner
+    pattern transforms are fixed fabrication models.
 
     Parameters
     ----------
@@ -38,10 +49,8 @@ class RobustInverseDesignProblem:
         self._corner_problems = [self._make_corner_problem(c) for c in self.corners]
 
     def _make_corner_problem(self, corner: FabricationCorner) -> InverseDesignProblem:
+        """The corner's solves; its design graph is part of :meth:`evaluate`'s."""
         base = self.base_problem
-        transforms = TransformPipeline(
-            list(base.transforms) + list(corner.pattern_transforms)
-        )
         backend = base.backend
         # Corners share the base backend's *engine* (factorizations and
         # recycling references are reusable physics) but must not share its
@@ -56,7 +65,7 @@ class RobustInverseDesignProblem:
         return InverseDesignProblem(
             device=base.device,
             parametrization=base.parametrization,
-            transforms=transforms,
+            transforms=TransformPipeline(),
             backend=backend,
             eps_postprocess=corner.temperature_drift.apply_eps
             if corner.temperature_drift.delta_kelvin
@@ -74,9 +83,9 @@ class RobustInverseDesignProblem:
         return self.base_problem.initial_theta(kind=kind, rng=rng)
 
     def set_binarization_beta(self, beta: float) -> None:
-        for problem in self._corner_problems:
-            problem.set_binarization_beta(beta)
-        self.base_problem.set_binarization_beta(beta)
+        if self.base_problem.set_binarization_beta(beta):
+            for problem in self._corner_problems:
+                problem.reset_workspace()
 
     def reset_workspace(self) -> None:
         """Drop warm-start state of every corner problem (and the nominal one)."""
@@ -84,33 +93,59 @@ class RobustInverseDesignProblem:
             problem.reset_workspace()
         self.base_problem.reset_workspace()
 
+    def _solve_corners(self, theta: np.ndarray, compute_gradient: bool):
+        """The shared design graph and every corner's solves.
+
+        Returns ``theta`` as a tensor and, per corner, ``(rho_k, density,
+        fom, dF/d density, spec evaluations)`` with ``rho_k`` the corner's
+        node of the graph.
+        """
+        theta_tensor = Tensor(np.asarray(theta, dtype=float), requires_grad=compute_gradient)
+        designs = {(): self.base_problem._density_tensor(theta_tensor)}
+        solved = []
+        for corner, problem in zip(self.corners, self._corner_problems):
+            key = ()
+            for transform in corner.pattern_transforms:
+                parent = designs[key]
+                key += (id(transform),)
+                if key not in designs:
+                    designs[key] = transform(parent)
+            tensor = designs[key]
+            density = np.clip(tensor.data, 0.0, 1.0)
+            solved.append((tensor, density, *problem.solve_density(density, compute_gradient)))
+        return theta_tensor, solved
+
     def corner_foms(self, theta: np.ndarray) -> dict[str, float]:
         """Figure of merit of every corner (no gradients)."""
-        return {
-            corner.name: problem.figure_of_merit(theta)
-            for corner, problem in zip(self.corners, self._corner_problems)
-        }
+        _, solved = self._solve_corners(theta, compute_gradient=False)
+        return {corner.name: fom for corner, (_, _, fom, _, _) in zip(self.corners, solved)}
 
     def evaluate(self, theta: np.ndarray, compute_gradient: bool = True) -> ProblemEvaluation:
         """Weighted-average evaluation across all corners."""
+        theta_tensor, solved = self._solve_corners(theta, compute_gradient)
         total_weight = sum(c.weight for c in self.corners)
         fom = 0.0
-        grad = None
+        objective = None
         transmissions: dict[str, float] = {}
         spec_evaluations = []
         density = None
-        for corner, problem in zip(self.corners, self._corner_problems):
-            evaluation = problem.evaluate(theta, compute_gradient=compute_gradient)
+        for corner, problem, (tensor, corner_density, corner_fom, grad_density, evaluations) in zip(
+            self.corners, self._corner_problems, solved
+        ):
             share = corner.weight / total_weight
-            fom += share * evaluation.fom
+            fom += share * corner_fom
             if compute_gradient:
-                contribution = share * evaluation.grad_theta
-                grad = contribution if grad is None else grad + contribution
-            for key, value in evaluation.transmissions.items():
+                term = (tensor * (share * grad_density)).sum()
+                objective = term if objective is None else objective + term
+            for key, value in problem.transmission_labels(evaluations).items():
                 transmissions[f"{corner.name}:{key}"] = value
-            spec_evaluations.extend(evaluation.spec_evaluations)
+            spec_evaluations.extend(evaluations)
             if corner.name == "nominal" or density is None:
-                density = evaluation.density
+                density = corner_density
+        grad = None
+        if compute_gradient:
+            objective.backward()
+            grad = latent_gradient(theta_tensor)
         return ProblemEvaluation(
             fom=float(fom),
             grad_theta=grad,

@@ -10,8 +10,8 @@ variables follows automatically.
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
 
-from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 
 
@@ -45,6 +45,21 @@ def _conic_kernel(radius_cells: float) -> np.ndarray:
     return kernel / total
 
 
+def fixed_kernel_filter(density: Tensor, kernel: np.ndarray, cval: float) -> Tensor:
+    """``density`` cross-correlated with a constant odd-sized ``kernel``, ``cval`` outside.
+
+    The filter of the fabrication transforms.  Its adjoint is the convolution
+    with the same kernel over a zero border, so the backward pass is one
+    filter too and no gradient is formed for the kernel.
+    """
+    out = ndimage.correlate(density.data, kernel, mode="constant", cval=cval)
+
+    def backward(grad, accumulate):
+        accumulate(density, ndimage.convolve(np.asarray(grad), kernel, mode="constant", cval=0.0))
+
+    return density._make_child(out, (density,), backward)
+
+
 class BlurTransform(Transform):
     """Sub-pixel smoothing / density filtering with a conic kernel.
 
@@ -60,15 +75,9 @@ class BlurTransform(Transform):
         self._kernel = _conic_kernel(self.radius_cells)
 
     def apply(self, density: Tensor) -> Tensor:
-        kernel = Tensor(self._kernel[None, None])
-        pad = self._kernel.shape[0] // 2
-        image = density.reshape(1, 1, *density.shape)
-        # Edge padding via replication is approximated by reflecting the mean
-        # density: constant padding with 0.5 keeps the filter unbiased at the
-        # design-region boundary.
-        padded = F.pad2d(image, (pad, pad, pad, pad), value=0.5)
-        blurred = F.conv2d(padded, kernel, bias=None, stride=1, padding=0)
-        return blurred.reshape(*density.shape)
+        # Constant padding with the mean density 0.5 keeps the filter
+        # unbiased at the design-region boundary.
+        return fixed_kernel_filter(density, self._kernel, 0.5)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"BlurTransform(radius_cells={self.radius_cells})"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.fabrication import EtchModel, FabricationCorner, LithographyModel, WavelengthDrift
+from repro.fabrication.corners import standard_corners
 from repro.invdes import (
     AdjointOptimizer,
     InverseDesignProblem,
@@ -19,7 +20,7 @@ from repro.invdes import (
     initial_density,
 )
 from repro.fdfd.engine import resolve_engine
-from repro.invdes.adjoint import evaluate_all_specs
+from repro.invdes.adjoint import NumericalFieldBackend, evaluate_all_specs
 from repro.invdes.objectives import objective_for_spec
 from repro.parametrization.transforms import (
     BinarizationProjection,
@@ -270,6 +271,76 @@ class TestVariationAware:
         fom, grad = robust.value_and_grad(theta)
         assert grad.shape == theta.shape
         assert np.isfinite(fom)
+
+    def test_shared_graph_gradient_is_the_sum_of_corner_gradients(self, tiny_bend):
+        """One design graph and one backward pass give the weighted sum of the
+        per-corner problems' gradients (base plus corner pipeline, each with
+        its own backward), a finite-difference-correct gradient and the same
+        transmission keys."""
+        base = InverseDesignProblem(tiny_bend)
+        robust = RobustInverseDesignProblem(base, corners=standard_corners())
+        rng = np.random.default_rng(5)
+        theta = robust.initial_theta("waveguide") + 0.3 * rng.normal(size=base.parametrization.shape)
+        evaluation = robust.evaluate(theta)
+
+        total = sum(corner.weight for corner in robust.corners)
+        reference = np.zeros_like(theta)
+        keys = []
+        for corner in robust.corners:
+            drift = corner.temperature_drift
+            problem = InverseDesignProblem(
+                tiny_bend,
+                parametrization=base.parametrization,
+                transforms=TransformPipeline(list(base.transforms) + list(corner.pattern_transforms)),
+                backend=NumericalFieldBackend(engine=base.backend.engine),
+                eps_postprocess=drift.apply_eps if drift.delta_kelvin else None,
+                wavelength_shift=corner.wavelength_drift.delta_um,
+            )
+            corner_evaluation = problem.evaluate(theta)
+            reference += corner.weight / total * corner_evaluation.grad_theta
+            keys += [f"{corner.name}:{key}" for key in corner_evaluation.transmissions]
+
+        error = np.linalg.norm(evaluation.grad_theta - reference) / np.linalg.norm(reference)
+        assert error <= 1e-12
+        assert list(evaluation.transmissions) == keys
+        assert keys == [f"{corner.name}:in->out" for corner in robust.corners]
+        assert_gradient_matches_fd(
+            robust.figure_of_merit, theta, evaluation.grad_theta, rng=1, step=1e-4, rel=1e-3
+        )
+
+    def test_corner_transform_prefixes_run_once(self, tiny_bend, monkeypatch):
+        """The standard corners share one nominal lithography model: a step
+        filters with 1 blur, 3 lithography and 2 etch models, not 16."""
+        calls = {}
+        for cls in (BlurTransform, LithographyModel, EtchModel):
+            original = cls.apply
+
+            def counted(self, density, cls=cls, original=original):
+                calls[cls.__name__] = calls.get(cls.__name__, 0) + 1
+                return original(self, density)
+
+            monkeypatch.setattr(cls, "apply", counted)
+        robust = RobustInverseDesignProblem(InverseDesignProblem(tiny_bend))
+        theta = robust.initial_theta("waveguide")
+        robust.evaluate(theta)
+        assert calls == {"BlurTransform": 1, "LithographyModel": 3, "EtchModel": 2}
+        calls.clear()
+        foms = robust.corner_foms(theta)
+        assert calls == {"BlurTransform": 1, "LithographyModel": 3, "EtchModel": 2}
+        assert list(foms) == [corner.name for corner in robust.corners]
+
+    def test_beta_schedule_edits_one_pipeline(self, tiny_bend):
+        """A beta step edits the base pipeline and drops every corner's warm starts."""
+        base = InverseDesignProblem(tiny_bend, engine="recycled")
+        robust = RobustInverseDesignProblem(base)
+        robust.evaluate(robust.initial_theta("waveguide"))
+        workspaces = [problem.workspace for problem in robust._corner_problems]
+        assert all(len(workspace) for workspace in workspaces)
+        robust.set_binarization_beta(16.0)
+        betas = [t.beta for t in base.transforms if isinstance(t, BinarizationProjection)]
+        assert betas == [16.0]
+        assert not any(len(problem.transforms) for problem in robust._corner_problems)
+        assert not any(len(workspace) for workspace in workspaces)
 
     def test_empty_corner_list_rejected(self, tiny_bend):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor, check_gradient
+from repro.autograd import functional as F
+from repro.fabrication.lithography import _gaussian_kernel
 from repro.parametrization import (
     BinarizationProjection,
     BlurTransform,
@@ -19,6 +21,7 @@ from repro.parametrization import (
     minimum_feature_size,
 )
 from repro.parametrization.analysis import solid_fraction
+from repro.parametrization.transforms import _conic_kernel, fixed_kernel_filter
 
 densities = hnp.arrays(np.float64, (8, 9), elements=st.floats(0.0, 1.0))
 
@@ -173,6 +176,52 @@ class TestTransforms:
             SymmetryTransform("diagonal")
         with pytest.raises(ValueError):
             MinimumFeatureSizeTransform(mfs_cells=0.0)
+
+
+KERNELS = {
+    "conic-1.5": _conic_kernel(1.5),
+    "conic-2.0": _conic_kernel(2.0),
+    "gaussian-13x13": _gaussian_kernel(float(np.sqrt(1.5**2 + 1.0**2))),
+}
+
+
+class TestFixedKernelFilter:
+    """The fabrication transforms' filter: correlate forward, convolve backward."""
+
+    @pytest.mark.parametrize("cval", [0.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_matches_pad_and_conv2d(self, name, cval):
+        kernel = KERNELS[name]
+        rng = np.random.default_rng(2)
+        data = rng.uniform(0.0, 1.0, (23, 17))
+        grad = rng.normal(size=data.shape)
+        pad = kernel.shape[0] // 2
+        results = {}
+        for path in ("filter", "conv2d"):
+            x = Tensor(data, requires_grad=True)
+            if path == "filter":
+                y = fixed_kernel_filter(x, kernel, cval)
+            else:
+                padded = F.pad2d(x.reshape(1, 1, *data.shape), (pad,) * 4, value=cval)
+                y = F.conv2d(padded, Tensor(kernel[None, None])).reshape(*data.shape)
+            y.backward(grad)
+            results[path] = (y.data, x.grad)
+        for got, want in zip(results["filter"], results["conv2d"]):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("cval", [0.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_backward_is_the_adjoint(self, name, cval):
+        """``<K x, y> = <x, K^T y>`` for the linear part ``K x = f(x) - f(0)``."""
+        kernel = KERNELS[name]
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(19, 21)), requires_grad=True)
+        y = rng.normal(size=x.shape)
+        out = fixed_kernel_filter(x, kernel, cval)
+        linear = out.data - fixed_kernel_filter(Tensor(np.zeros(x.shape)), kernel, cval).data
+        out.backward(y)
+        lhs, rhs = np.vdot(linear, y), np.vdot(x.data, x.grad)
+        assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
 
 
 class TestAnalysis:
