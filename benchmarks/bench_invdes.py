@@ -4,8 +4,8 @@ Every Adam step of an adjoint optimization changes the permittivity, so the
 content-keyed factorization cache never hits and the direct engine pays a full
 SuperLU factorization per iteration — the hot path this benchmark measures.
 The recycled engine instead keeps the LU of a reference permittivity and
-serves nearby iterates with matvec-free diagonal-update refinement (Krylov
-fallback), warm-started from the previous iteration's fields through the
+serves nearby iterates with matvec-free diagonal-update refinement
+(refactorizing when it fails), warm-started from the previous iteration's fields through the
 optimizer's :class:`~repro.fdfd.engine.SolveWorkspace`.  Like the quickstart's
 ``engine="recycled"``, it is given the device's design region, so it factors
 and refines only the region's Schur complement against a resident exterior.

@@ -133,10 +133,18 @@ def conv2d(
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad, accumulate):
+        # Only what a parent needs: no weight gradient for a constant weight,
+        # no input gradient (nor its scatter loop) for a data input.
         grad = np.asarray(grad).reshape(batch, c_out, h_out * w_out)
-        # Weight gradient: one GEMM per sample over Ho*Wo, summed over the
-        # batch; BLAS reads the transposed columns without a copy.
-        grad_w = (grad @ columns.transpose(0, 2, 1)).sum(axis=0)
+        if weight.requires_grad:
+            # One GEMM per sample over Ho*Wo, summed over the batch; BLAS
+            # reads the transposed columns without a copy.
+            grad_w = np.matmul(grad, columns.transpose(0, 2, 1)).sum(axis=0)
+            accumulate(weight, grad_w.reshape(weight.shape))
+        if bias is not None and bias.requires_grad:
+            accumulate(bias, grad.sum(axis=(0, 2)))
+        if not x.requires_grad:
+            return
         grad_columns = kernel_matrix.T @ grad
         if k_h == k_w == stride == 1:
             # Each column is one input pixel: no patches overlap.
@@ -153,9 +161,6 @@ def conv2d(
         if padding:
             grad_xp = grad_xp[:, :, padding:-padding, padding:-padding]
         accumulate(x, grad_xp)
-        accumulate(weight, grad_w.reshape(weight.shape))
-        if bias is not None:
-            accumulate(bias, grad.sum(axis=(0, 2)))
 
     return x._make_child(out, parents, backward)
 

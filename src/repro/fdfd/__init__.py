@@ -21,8 +21,8 @@ Every linear solve in the package flows through the pluggable engine layer in
   every other solve is one full-grid solve.
 * :class:`~repro.fdfd.engine.RecycledEngine` — the optimization-loop tier,
   on a device's design region only: the exact LU of a reference Schur
-  complement refines (then preconditions BiCGStab for) the nearby
-  operators an optimizer visits, with warm starts threaded through a
+  complement refines the nearby operators an optimizer visits
+  (refactorizing when refinement fails), with warm starts threaded through a
   :class:`~repro.fdfd.engine.SolveWorkspace`.
 * ``"neural"`` — a trained surrogate (registered by :mod:`repro.surrogate`),
   making the switch between an exact tier and a learned one a one-line

@@ -19,8 +19,8 @@ the fidelity tier:
 * :class:`RecycledEngine` — the optimization-loop tier: keeps the exact LU of
   a *reference* permittivity and solves nearby permittivities (consecutive
   Adam iterates differ only on the operator diagonal) by iterative
-  refinement against that LU, then LU-preconditioned BiCGStab, refactorizing
-  only when the design drifts too far or the iteration counts creep up.
+  refinement against that LU, refactorizing when refinement fails, the
+  design drifts too far or the sweep counts creep up.
   It recycles on a device's design region only: the loop runs on the
   region's Schur complement against an exterior that stays resident.
 * ``"neural"`` — a trained surrogate registered by
@@ -504,7 +504,7 @@ can release the memory explicitly with ``default_factorization_cache.clear()``.
 # warm-start workspace
 # --------------------------------------------------------------------------- #
 class SolveWorkspace:
-    """Cross-iteration store of fields reused as Krylov initial guesses.
+    """Cross-iteration store of fields reused as refinement initial guesses.
 
     Optimization loops solve an almost-identical system every iteration; the
     previous iteration's forward and adjoint fields are excellent initial
@@ -906,7 +906,7 @@ def _resident_exterior(
 
 
 class RefinementError(RuntimeError):
-    """Iterative refinement stopped contracting or ran out of sweeps."""
+    """Iterative refinement stopped contracting or cannot reach its tolerance in its sweeps."""
 
 
 def iterative_refine(
@@ -936,9 +936,12 @@ def iterative_refine(
     (``(n, k)``) like ``SuperLU.solve``; the whole active stack sweeps
     together through one multi-RHS call.  ``matrix`` (``A``) is needed only
     to form the starting residual of a warm guess ``x0``.  Returns ``(x,
-    sweeps, back_substitutions)``.  Raises :class:`RefinementError` as soon
-    as any active row fails to contract, or when the sweep budget runs out,
-    so the caller can escalate to a stronger solver.
+    sweeps, back_substitutions)``.
+
+    Raises :class:`RefinementError` as soon as any active row fails to
+    contract, or its last contraction ``q`` predicts that the sweeps left
+    cannot reach the tolerance (``||r|| q^left > tol``), so the caller can
+    escalate without spending the rest of the budget.
     """
     flat = np.asarray(rhs, dtype=np.complex128)
     if flat.ndim != 2:
@@ -960,26 +963,29 @@ def iterative_refine(
         if not active.any():
             return x, sweeps, back_substitutions
         if sweeps >= max_sweeps:
-            raise RefinementError(
-                f"refinement did not reach rtol={rtol} in {max_sweeps} sweeps "
-                f"(worst relative residual "
-                f"{float(np.max(norms / np.maximum(b_norms, 1e-300))):.3e})"
-            )
+            raise RefinementError(f"refinement has no sweeps left to reach rtol={rtol}")
         # A slice keeps the all-active sweep free of fancy-index copies.
         rows = slice(None) if active.all() else active
         correction = np.asarray(apply_inverse(residual[rows].T)).T
         x[rows] += correction
         new_residual = -delta[None, :] * correction
         new_norms = np.linalg.norm(new_residual, axis=1)
-        if np.any(new_norms >= norms[rows]):
+        contraction = new_norms / norms[rows]
+        if np.any(contraction >= 1.0):
             raise RefinementError(
                 f"refinement stopped contracting (residual {float(new_norms.max()):.3e}); "
                 "the factorization does not precondition this operator"
             )
+        sweeps += 1
+        predicted = new_norms * contraction ** (max_sweeps - sweeps)
+        if np.any(predicted > tol[rows]):
+            raise RefinementError(
+                f"refinement cannot reach rtol={rtol} in {max_sweeps} sweeps (contraction "
+                f"{float(contraction.max()):.3f} per sweep after {sweeps})"
+            )
         residual[rows] = new_residual
         norms[rows] = new_norms
         back_substitutions += int(active.sum())
-        sweeps += 1
 
 
 # --------------------------------------------------------------------------- #
@@ -1177,7 +1183,13 @@ class DirectEngine(SolverEngine):
 
 @dataclass
 class RecycleStats(StatsCounters):
-    """What a :class:`RecycledEngine` actually did, for tests and benchmarks."""
+    """What a :class:`RecycledEngine` actually did, for tests and benchmarks.
+
+    ``krylov_iterations`` keeps its historical name but counts the
+    back-substitutions of converged refinements (one per right-hand side
+    per sweep); ``fallbacks`` counts recycled solves whose refinement failed
+    and that refactorized instead.
+    """
 
     factorizations: int = 0
     exact_solves: int = 0
@@ -1244,11 +1256,15 @@ class _Frame:
         exterior = self.exterior
         flat = np.full((x.shape[0], self.grid.n_points), np.nan, dtype=complex)
         flat[:, exterior.interior] = x
-        flat[:, exterior.ports] = exterior.port_readout(b_ports, x)
+        readout = flat[:, exterior.ports] = exterior.port_readout(b_ports, x)
         stack = flat.reshape(x.shape[0], *self.grid.shape)
 
         def recover():
+            # The fill agrees with the readout only to roundoff: keep the port
+            # rows callers may already have read, so no value depends on
+            # whether the field was read in full first.
             flat[:, exterior.exterior] = exterior.fill(b_ports, x)
+            flat[:, exterior.ports] = readout
             return stack
 
         return Deferred(stack, recover)
@@ -1279,7 +1295,7 @@ def _port_frame(
 
 
 class RecycledEngine(SolverEngine):
-    """Exact-LU-preconditioned Krylov solves recycled across nearby operators.
+    """Exact LUs recycled across nearby operators by iterative refinement.
 
     The optimization-loop tier.  Every Adam step of an inverse-design run
     changes ``eps_r``, so content-keyed factorization caching never hits and
@@ -1292,12 +1308,11 @@ class RecycledEngine(SolverEngine):
        each sweep is one back-substitution against the reference LU plus an
        elementwise product (the diagonal structure of the perturbation makes
        the residual recurrence matvec-free), vectorized over the RHS stack;
-    2. BiCGStab preconditioned with the same reference LU when
-       refinement does not contract (each Krylov iteration costs matvecs and
-       back-substitutions, but converges for any drift the LU still roughly
-       preconditions);
-    3. refactorization when both fail — so results are always converged to
-       ``rtol`` relative residual, or exact.
+    2. refactorization at the current permittivity when refinement stalls
+       or its contraction predicts it cannot reach ``rtol`` within
+       ``max_sweeps`` — so results are always converged to ``rtol`` relative
+       residual, or exact.  The refactorized design becomes a reference, so
+       its adjoint solve is an exact hit.
 
     The engine recycles on a device's ``design_region`` only
     (``InverseDesignProblem`` passes its ``design_slice`` for
@@ -1322,10 +1337,9 @@ class RecycledEngine(SolverEngine):
       back-substitution,
     * whose nearest reference is within ``drift_threshold`` (relative L2
       ``||eps - eps_ref|| / ||eps_ref||``) and whose last recycled solve
-      stayed under ``max_krylov`` inner iterations (refinement sweeps or
-      Krylov iterations, whichever ran — an inner iteration costs roughly one
-      back-substitution, so this is the knob trading per-solve iteration work
-      against refactorization frequency) is recycled,
+      stayed under ``max_krylov`` refinement sweeps (a sweep costs one
+      back-substitution per right-hand side, so this is the knob trading
+      per-solve sweeps against refactorization frequency) is recycled,
     * otherwise triggers a refactorization: the current permittivity becomes a
       new reference and the batch is solved exactly against its fresh LU.
 
@@ -1348,7 +1362,6 @@ class RecycledEngine(SolverEngine):
     def __init__(
         self,
         rtol: float = 1e-6,
-        maxiter: int = 200,
         max_sweeps: int = 16,
         drift_threshold: float = 0.1,
         max_krylov: int = 6,
@@ -1365,7 +1378,6 @@ class RecycledEngine(SolverEngine):
         if max_references < 1:
             raise ValueError(f"max_references must be at least 1, got {max_references}")
         self.rtol = float(rtol)
-        self.maxiter = int(maxiter)
         self.max_sweeps = int(max_sweeps)
         self.drift_threshold = float(drift_threshold)
         self.max_krylov = int(max_krylov)
@@ -1430,77 +1442,6 @@ class RecycledEngine(SolverEngine):
             self.cache.evict(frame.grid, frame.omega, stale_fp, tag=frame.tag)
         return self._reference_solve(frame, reference, rhs)
 
-    def _krylov_solve(
-        self, lu, matrix, rhs: np.ndarray, full_rhs: np.ndarray, x0: np.ndarray | None
-    ) -> tuple[np.ndarray | None, float]:
-        """LU-preconditioned BiCGStab; ``(None, inf)`` on non-convergence.
-
-        Converged means ``||r|| <= rtol ||b||`` for the full right-hand side
-        ``b`` (a row of ``full_rhs``), which on a region is the same bound on
-        the full residual.
-        """
-        preconditioner = spla.LinearOperator(matrix.shape, lu.solve, dtype=complex)
-        solutions = np.empty_like(rhs)
-        worst = 0
-        for index, b in enumerate(rhs):
-            iterations = [0]
-
-            def callback(_):
-                iterations[0] += 1
-
-            x, info = spla.bicgstab(
-                matrix, b, x0=None if x0 is None else x0[index], rtol=0.0,
-                atol=self.rtol * np.linalg.norm(full_rhs[index]), maxiter=self.maxiter,
-                M=preconditioner, callback=callback,
-            )
-            if info != 0:
-                return None, float("inf")
-            solutions[index] = x
-            self.stats.krylov_iterations += iterations[0]
-            worst = max(worst, iterations[0])
-        return solutions, float(worst)
-
-    def _recycled_solve(
-        self,
-        frame: _Frame,
-        eps_r: np.ndarray,
-        rhs: np.ndarray,
-        full_rhs: np.ndarray,
-        reference: _RecycledReference,
-        x0: np.ndarray | None,
-    ) -> tuple[np.ndarray | None, float]:
-        """The recycled path: cheap refinement first, Krylov as the fallback.
-
-        ``A = A_ref + diag(delta)`` with ``delta = omega^2 eps0 (eps - eps_ref)``,
-        so refinement against the exact reference LU runs the matvec-free
-        residual recurrence and converges linearly at rate
-        ``rho(A_ref^{-1} diag(delta))``.  A stall or the sweep cap escalates
-        to Krylov against the same LU.  On a region ``A``, ``A_ref`` and
-        ``delta`` are ``S``, ``S_ref`` and the drift inside the region (the
-        exterior is shared, so ``S - S_ref`` is that same diagonal).
-        """
-        lu = self._lu(frame, reference)
-        matrix = frame.exterior.schur_complement(frame.omega, eps_r)
-        drift = eps_r.ravel() - reference.eps.ravel()
-        delta = (frame.omega**2 * EPSILON_0 * drift).astype(complex)
-        try:
-            x, sweeps, back_substitutions = iterative_refine(
-                lu.solve,
-                rhs,
-                self.rtol,
-                self.max_sweeps,
-                frame.restrict(delta),
-                matrix=matrix,
-                x0=x0,
-                b_norms=np.linalg.norm(full_rhs, axis=1),
-            )
-        except RefinementError:
-            pass
-        else:
-            self.stats.krylov_iterations += back_substitutions
-            return x, float(sweeps)
-        return self._krylov_solve(lu, matrix, rhs, full_rhs, x0)
-
     # -- the solve ---------------------------------------------------------------
     def solve_batch(self, grid, omega, eps_r, rhs, fingerprint=None, x0=None, port_rows=None):
         eps_r, rhs = self._check_batch(grid, eps_r, rhs)
@@ -1538,17 +1479,31 @@ class RecycledEngine(SolverEngine):
         ):
             return self._refactorize(references, frame, eps_r, fingerprint, rhs)
 
-        solutions, iterations = self._recycled_solve(
-            frame, eps_r, rhs, full_rhs, reference, x0
-        )
-        if solutions is None:
-            # Neither refinement nor Krylov converged: the reference no longer
-            # preconditions well.  Refactorize at the current permittivity —
-            # the result stays exact.
+        # A = A_ref + diag(delta), delta = omega^2 eps0 (eps - eps_ref): refinement
+        # against the exact reference LU converges linearly at rate
+        # rho(A_ref^{-1} diag(delta)).  On the region these are S, S_ref and the
+        # drift inside it (the exterior is shared, so S - S_ref is that diagonal).
+        drift = eps_r.ravel() - reference.eps.ravel()
+        delta = (frame.omega**2 * EPSILON_0 * drift).astype(complex)
+        try:
+            solutions, sweeps, back_substitutions = iterative_refine(
+                self._lu(frame, reference).solve,
+                rhs,
+                self.rtol,
+                self.max_sweeps,
+                frame.restrict(delta),
+                matrix=None if x0 is None else frame.exterior.schur_complement(frame.omega, eps_r),
+                x0=x0,
+                b_norms=np.linalg.norm(full_rhs, axis=1),
+            )
+        except RefinementError:
+            # The reference no longer preconditions well.  Refactorize at the
+            # current permittivity — the result stays exact.
             self.stats.fallbacks += 1
             reference.last_iterations = float("inf")
             return self._refactorize(references, frame, eps_r, fingerprint, rhs)
-        reference.last_iterations = iterations
+        reference.last_iterations = sweeps
+        self.stats.krylov_iterations += back_substitutions
         self.stats.recycled_solves += 1
         return solutions
 

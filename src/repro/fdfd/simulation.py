@@ -469,7 +469,7 @@ class Simulation:
         tuples.
 
         With a ``workspace`` (:class:`~repro.fdfd.engine.SolveWorkspace`),
-        previously stored fields become refinement and Krylov initial guesses
+        previously stored fields become refinement initial guesses
         and the new fields are stored back — the warm-start loop of the
         recycled engine.  ``guess_keys`` (one hashable per excitation) defaults to
         ``(source_port, mode_index, wavelength)``; callers sharing one
@@ -519,8 +519,8 @@ class Simulation:
             fields = vars(solution)
             result = self._measure(spec, source, fields["ez"], fields["hx"], fields["hy"])
             if workspace is None:
-                # A one-off solve hands out its fields in full, so objectives
-                # and adjoint sources read the recovered fields a label stores.
+                # A one-off solve hands out its fields in full (a recovered
+                # field keeps the port rows it was measured on).
                 vars(result).update(ez=result.ez, hx=result.hx, hy=result.hy)
             results.append(result)
         return results

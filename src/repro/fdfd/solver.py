@@ -214,7 +214,7 @@ class FdfdSolver:
         """Batched adjoint solves against one (cached) factorization.
 
         ``x0`` optionally stacks previous adjoint fields as warm starts for
-        Krylov engines (ignored by exact engines).  With ``port_rows`` (see
+        the recycled engine's refinement (ignored by exact engines).  With ``port_rows`` (see
         :meth:`solve_batch`) the entries may be
         :class:`~repro.fdfd.lazy.Deferred`: exact on the engine's design
         region and those rows, resolved in full on request.

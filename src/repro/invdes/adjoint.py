@@ -90,7 +90,7 @@ class NumericalFieldBackend(FieldBackend):
     workspace:
         Optional :class:`~repro.fdfd.engine.SolveWorkspace` threading
         previous-iteration forward and adjoint fields into the next solve as
-        Krylov initial guesses, keyed by ``(spec, wavelength, device state)``.
+        refinement initial guesses, keyed by ``(spec, wavelength, device state)``.
         Only consulted when the engine advertises ``supports_warm_start``.
     """
 

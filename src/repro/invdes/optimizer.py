@@ -122,7 +122,7 @@ class AdjointOptimizer:
         )
         # Fresh run: previous-run fields are stale warm starts.  One workspace
         # is then reused across all iterations of this run, so consecutive
-        # evaluations seed each other's Krylov solves.
+        # evaluations seed each other's refinement solves.
         reset_workspace = getattr(self.problem, "reset_workspace", None)
         if reset_workspace is not None:
             reset_workspace()

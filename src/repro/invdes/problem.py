@@ -209,18 +209,14 @@ class InverseDesignProblem:
         )
 
     def transmission_labels(self, evaluations: list[SpecEvaluation]) -> dict[str, float]:
-        """Transmissions keyed ``"<source>[<state>]@<wavelength>/m<mode>-><port>"``.
-
-        The state, wavelength and mode parts appear only when they tell specs apart.
-        """
-        several_wavelengths = len(set(s.wavelength for s in self.device.specs)) > 1
+        """Transmissions keyed ``"<source>[<state>]@<wavelength>/m<mode>-><port>"``."""
         transmissions: dict[str, float] = {}
         for evaluation in evaluations:
             label = evaluation.spec.source_port
             if evaluation.spec.state:
                 state = ",".join(f"{k}={v:g}" for k, v in sorted(evaluation.spec.state.items()))
                 label = f"{label}[{state}]"
-            if several_wavelengths:
+            if len(set(s.wavelength for s in self.device.specs)) > 1:
                 label = f"{label}@{evaluation.spec.wavelength:g}um"
             if evaluation.spec.source_mode:
                 label = f"{label}/m{evaluation.spec.source_mode}"

@@ -7,26 +7,34 @@ design stays inside a manufacturable, operating-condition-tolerant subspace.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.fabrication.corners import FabricationCorner, standard_corners
+from repro.invdes.adjoint import NumericalFieldBackend, SpecEvaluation
 from repro.invdes.problem import InverseDesignProblem, ProblemEvaluation, latent_gradient
 from repro.parametrization.transforms import TransformPipeline
+
+
+class _CornerSolve(NamedTuple):
+    rho: Tensor  # the corner's node of the design graph
+    density: np.ndarray
+    fom: float
+    grad_density: np.ndarray | None
+    evaluations: list[SpecEvaluation]
 
 
 class RobustInverseDesignProblem:
     """Expected figure of merit over fabrication/operation corners.
 
-    A step builds one design graph for all corners: the parametrization and
-    the base problem's transforms run once, then each distinct prefix of the
-    corners' ``pattern_transforms`` runs once (prefixes are keyed by
-    transform identity, so the corners of :func:`standard_corners`, which
-    share one nominal lithography model, share its output).  Each corner
-    then solves its density, and one backward pass from ``sum_k share_k
-    <rho_k, dF_k/d rho_k>`` yields the gradient.  The beta schedule
-    (:meth:`set_binarization_beta`) edits the base pipeline only; corner
-    pattern transforms are fixed fabrication models.
+    A step builds one design graph: the parametrization and base pipeline
+    run once, then each distinct prefix of the corners' ``pattern_transforms``
+    once, keyed by transform identity (:func:`standard_corners` share one
+    lithography model).  Each corner solves its density, and one backward
+    pass from ``sum_k share_k <rho_k, dF_k/d rho_k>`` gives the gradient.
+    The beta schedule edits the base pipeline only.
 
     Parameters
     ----------
@@ -58,8 +66,6 @@ class RobustInverseDesignProblem:
         # permittivity under the same spec keys, and mixed-corner fields make
         # worse-than-cold initial guesses.  Rebuild the backend with a
         # per-corner workspace when possible.
-        from repro.invdes.adjoint import NumericalFieldBackend
-
         if isinstance(backend, NumericalFieldBackend):
             backend = NumericalFieldBackend(engine=backend.engine)
         return InverseDesignProblem(
@@ -94,64 +100,49 @@ class RobustInverseDesignProblem:
         self.base_problem.reset_workspace()
 
     def _solve_corners(self, theta: np.ndarray, compute_gradient: bool):
-        """The shared design graph and every corner's solves.
-
-        Returns ``theta`` as a tensor and, per corner, ``(rho_k, density,
-        fom, dF/d density, spec evaluations)`` with ``rho_k`` the corner's
-        node of the graph.
-        """
+        """``theta`` as a tensor, and every corner's :class:`_CornerSolve` over one design graph."""
         theta_tensor = Tensor(np.asarray(theta, dtype=float), requires_grad=compute_gradient)
         designs = {(): self.base_problem._density_tensor(theta_tensor)}
         solved = []
         for corner, problem in zip(self.corners, self._corner_problems):
-            key = ()
+            key, rho = (), designs[()]
             for transform in corner.pattern_transforms:
-                parent = designs[key]
                 key += (id(transform),)
                 if key not in designs:
-                    designs[key] = transform(parent)
-            tensor = designs[key]
-            density = np.clip(tensor.data, 0.0, 1.0)
-            solved.append((tensor, density, *problem.solve_density(density, compute_gradient)))
+                    designs[key] = transform(rho)
+                rho = designs[key]
+            density = np.clip(rho.data, 0.0, 1.0)
+            solves = problem.solve_density(density, compute_gradient)
+            solved.append(_CornerSolve(rho, density, *solves))
         return theta_tensor, solved
 
     def corner_foms(self, theta: np.ndarray) -> dict[str, float]:
         """Figure of merit of every corner (no gradients)."""
         _, solved = self._solve_corners(theta, compute_gradient=False)
-        return {corner.name: fom for corner, (_, _, fom, _, _) in zip(self.corners, solved)}
+        return {corner.name: s.fom for corner, s in zip(self.corners, solved)}
 
     def evaluate(self, theta: np.ndarray, compute_gradient: bool = True) -> ProblemEvaluation:
         """Weighted-average evaluation across all corners."""
         theta_tensor, solved = self._solve_corners(theta, compute_gradient)
         total_weight = sum(c.weight for c in self.corners)
-        fom = 0.0
-        objective = None
-        transmissions: dict[str, float] = {}
-        spec_evaluations = []
-        density = None
-        for corner, problem, (tensor, corner_density, corner_fom, grad_density, evaluations) in zip(
-            self.corners, self._corner_problems, solved
-        ):
-            share = corner.weight / total_weight
-            fom += share * corner_fom
-            if compute_gradient:
-                term = (tensor * (share * grad_density)).sum()
-                objective = term if objective is None else objective + term
-            for key, value in problem.transmission_labels(evaluations).items():
-                transmissions[f"{corner.name}:{key}"] = value
-            spec_evaluations.extend(evaluations)
-            if corner.name == "nominal" or density is None:
-                density = corner_density
+        shares = [corner.weight / total_weight for corner in self.corners]
         grad = None
         if compute_gradient:
-            objective.backward()
+            sum(
+                (s.rho * (share * s.grad_density)).sum() for share, s in zip(shares, solved)
+            ).backward()
             grad = latent_gradient(theta_tensor)
+        densities = {corner.name: s.density for corner, s in zip(self.corners, solved)}
         return ProblemEvaluation(
-            fom=float(fom),
+            fom=float(sum(share * s.fom for share, s in zip(shares, solved))),
             grad_theta=grad,
-            density=density,
-            transmissions=transmissions,
-            spec_evaluations=spec_evaluations,
+            density=densities.get("nominal", solved[0].density),
+            transmissions={
+                f"{corner.name}:{key}": value
+                for corner, problem, s in zip(self.corners, self._corner_problems, solved)
+                for key, value in problem.transmission_labels(s.evaluations).items()
+            },
+            spec_evaluations=[e for s in solved for e in s.evaluations],
         )
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:

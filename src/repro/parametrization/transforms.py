@@ -46,11 +46,9 @@ def _conic_kernel(radius_cells: float) -> np.ndarray:
 
 
 def fixed_kernel_filter(density: Tensor, kernel: np.ndarray, cval: float) -> Tensor:
-    """``density`` cross-correlated with a constant odd-sized ``kernel``, ``cval`` outside.
+    """``density`` correlated with a constant odd-sized ``kernel``, padded with ``cval``.
 
-    The filter of the fabrication transforms.  Its adjoint is the convolution
-    with the same kernel over a zero border, so the backward pass is one
-    filter too and no gradient is formed for the kernel.
+    The backward pass is the adjoint: the convolution with ``kernel`` over a zero border.
     """
     out = ndimage.correlate(density.data, kernel, mode="constant", cval=cval)
 

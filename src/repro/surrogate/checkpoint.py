@@ -176,7 +176,7 @@ def promote_to_engine(
     a live model plus its :class:`CheckpointMeta`.  The returned engine honors
     the normalization convention (``field_scale``) the model was trained
     under and advertises ``supports_warm_start=False`` — a one-shot network
-    prediction has no Krylov iteration to warm-start.
+    prediction has no refinement iteration to warm-start.
 
     Examples
     --------

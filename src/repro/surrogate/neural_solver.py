@@ -90,7 +90,7 @@ class NeuralEngine(SolverEngine):
         fingerprint: str | None = None,
         x0: np.ndarray | None = None,
     ) -> np.ndarray:
-        # x0 (a Krylov warm start) is meaningless for a one-shot network
+        # x0 (a refinement warm start) is meaningless for a one-shot network
         # prediction; accepted so callers can thread guesses engine-agnostically.
         eps_r, rhs = self._check_batch(grid, eps_r, rhs)
         wavelength = omega_to_wavelength(omega)

@@ -288,6 +288,8 @@ class Trainer:
         # Re-snapshot targets/weights: the data source may have grown since
         # construction (or the previous train() call).
         self._bind_data_arrays()
+        # Targets in the model's dtype keep the loss graph out of float64.
+        target_dtype = next(self.model.parameters()).dtype
         for epoch in range(self.epochs):
             self.model.train()
             epoch_losses = []
@@ -297,20 +299,21 @@ class Trainer:
             for inputs, targets, indices, weight, fidelity in self._epoch_batches(epoch):
                 if self.target == "transmission":
                     targets = self._transmission_targets[indices]
+                targets = Tensor(targets, dtype=target_dtype)
                 prediction = self.model(Tensor(inputs))
                 if self._sample_weights is not None:
                     # Weighted mean of the per-sample losses: sample weights
                     # shift each sample's pull on the gradient, the weighted
                     # normalization keeps the loss scale comparable across
                     # batches with different weight mass.
-                    per_sample = self.loss.per_sample(prediction, Tensor(targets))
+                    per_sample = self.loss.per_sample(prediction, targets)
                     batch_weights = self._sample_weights[indices]
                     loss = (per_sample * batch_weights).sum() * (
                         1.0 / float(batch_weights.sum())
                     )
                     raw_loss = float(np.mean(per_sample.data))
                 else:
-                    loss = self.loss(prediction, Tensor(targets))
+                    loss = self.loss(prediction, targets)
                     raw_loss = loss.item()
                 if weight != 1.0:
                     loss = loss * weight

@@ -129,6 +129,57 @@ class TestConv2d:
         for tensor, expected_grad in zip((x, w, b), reference_backward(grad_out)):
             assert_rel_close(tensor.grad, expected_grad)
 
+    @staticmethod
+    def _backward_counting(monkeypatch, x, w, b, grad):
+        """Run one conv2d backward; count weight GEMMs and input scatter buffers."""
+        out = F.conv2d(x, w, b, stride=1, padding=1)
+        calls = {"matmul": 0, "zeros_like": 0}
+        for name in calls:
+            original = getattr(np, name)
+
+            def spy(*args, name=name, original=original, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, spy)
+        out.backward(grad)
+        monkeypatch.undo()
+        return calls
+
+    def test_backward_skips_what_no_parent_needs(self, monkeypatch):
+        """A data input gets no input gradient, a constant weight no weight
+        gradient; the gradients that are formed stay bitwise identical."""
+        rng = np.random.default_rng(4)
+        x_data, w_data, b_data = (
+            rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+        )
+        grad = rng.normal(size=(2, 4, 7, 6))
+
+        def tensors(x_grad, w_grad):
+            return (
+                Tensor(x_data, requires_grad=x_grad),
+                Tensor(w_data, requires_grad=w_grad),
+                Tensor(b_data, requires_grad=w_grad),
+            )
+
+        full = tensors(True, True)
+        assert self._backward_counting(monkeypatch, *full, grad) == {"matmul": 1, "zeros_like": 1}
+
+        data_input = tensors(False, True)
+        assert self._backward_counting(monkeypatch, *data_input, grad) == {
+            "matmul": 1, "zeros_like": 0
+        }
+        assert data_input[0].grad is None
+        for got, want in zip(data_input[1:], full[1:]):
+            assert np.array_equal(got.grad, want.grad)
+
+        fixed_filter = tensors(True, False)
+        assert self._backward_counting(monkeypatch, *fixed_filter, grad) == {
+            "matmul": 0, "zeros_like": 1
+        }
+        assert fixed_filter[1].grad is None and fixed_filter[2].grad is None
+        assert np.array_equal(fixed_filter[0].grad, full[0].grad)
+
     @pytest.mark.parametrize(
         "kwargs,argument", [(dict(stride=0), "stride"), (dict(padding=-1), "padding")]
     )

@@ -504,6 +504,41 @@ class TestIterativeRefine:
             iterative_refine(lambda r: 1e-3 * r, problem["rhs"], 1e-10, 5, problem["delta"])
 
 
+class _CountingIdentity:
+    """``M = I``: refinement towards ``I + diag(delta)`` contracts by ``|delta|`` per sweep."""
+
+    def __init__(self):
+        self.back_substitutions = 0
+
+    def solve(self, rhs):
+        rhs = np.asarray(rhs)
+        self.back_substitutions += rhs.shape[1]
+        return rhs.copy()
+
+
+@pytest.mark.parametrize("rate", [0.25, 0.9])
+def test_refinement_that_cannot_reach_rtol_gives_up_after_one_sweep(rate):
+    """``rate**16 > rtol``: the first sweep's contraction predicts the miss, so
+    refinement raises after it instead of spending all 16 sweeps."""
+    rhs = np.random.default_rng(0).normal(size=(2, 50)) + 0j
+    inverse = _CountingIdentity()
+    with pytest.raises(RefinementError, match="cannot reach"):
+        iterative_refine(inverse.solve, rhs, 1e-10, 16, np.full(50, rate, dtype=complex))
+    assert inverse.back_substitutions == 2  # one sweep of both rows, not 16
+
+
+@pytest.mark.parametrize("rate,sweeps", [(0.02, 6), (0.2, 15)])
+def test_refinement_that_reaches_rtol_sweeps_to_convergence(rate, sweeps):
+    """``rate**16 <= rtol``: refinement runs the sweeps convergence needs, as before."""
+    rhs = np.random.default_rng(0).normal(size=(2, 50)) + 0j
+    delta = np.full(50, rate, dtype=complex)
+    inverse = _CountingIdentity()
+    x, done, back_substitutions = iterative_refine(inverse.solve, rhs, 1e-10, 16, delta)
+    assert done == sweeps
+    assert back_substitutions == inverse.back_substitutions == 2 * sweeps
+    np.testing.assert_allclose(x, rhs / (1.0 + delta), rtol=1e-9)
+
+
 # --------------------------------------------------------------------------- #
 # simulation batching
 # --------------------------------------------------------------------------- #
@@ -874,8 +909,9 @@ class TestRecycledEngine:
 
         with pytest.raises(ValueError):
             RecycledEngine(max_references=0, design_region=_REGION)
-        # One solve chain and one factor precision: no method or precision knob.
-        for knob in (dict(method="gmres"), dict(precision="fp32")):
+        # One solve chain without a Krylov tier and one factor precision: no
+        # method, precision or maxiter knob.
+        for knob in (dict(method="gmres"), dict(precision="fp32"), dict(maxiter=200)):
             with pytest.raises(TypeError):
                 RecycledEngine(design_region=_REGION, **knob)
 
@@ -932,8 +968,8 @@ class TestRecycledEngine:
         grid, eps, ports = _straight_waveguide()
         rhs = np.stack(_region_sources(grid, 1))
         # A huge drift threshold forces the recycle attempt even for a big
-        # perturbation; tiny sweep/iteration budgets make it fail.
-        engine = _region_recycled(drift_threshold=100.0, max_sweeps=1, maxiter=1, max_krylov=10**6)
+        # perturbation; a one-sweep budget makes it fail.
+        engine = _region_recycled(drift_threshold=100.0, max_sweeps=1, max_krylov=10**6)
         engine.solve_batch(grid, OMEGA, eps, rhs, port_rows=_rows(grid, ports))
         hard = _in_region(eps, 5.0 * np.random.default_rng(1).random(eps.shape))
         result = engine.solve_batch(grid, OMEGA, hard, rhs, port_rows=_rows(grid, ports))
@@ -943,7 +979,7 @@ class TestRecycledEngine:
         np.testing.assert_allclose(result, exact, rtol=1e-12, atol=1e-18)
 
     def test_non_contracting_refinement_escalates(self, monkeypatch):
-        """A refinement stall is caught and escalated, never propagated."""
+        """A refinement stall is caught and escalated to a refactorization, never propagated."""
         import repro.fdfd.engine as engine_module
 
         stalls = []
@@ -960,17 +996,16 @@ class TestRecycledEngine:
         rhs = np.stack(_region_sources(grid, 1))
         engine = _region_recycled(drift_threshold=100.0, max_krylov=10**6)
         engine.solve_batch(grid, OMEGA, eps, rhs, port_rows=_rows(grid, ports))
-        fallbacks, krylov_iterations = engine.stats.fallbacks, engine.stats.krylov_iterations
+        before = (engine.stats.fallbacks, engine.stats.factorizations)
         # Far outside the reference LU's contraction radius.
         hard = _in_region(eps, 5.0 * np.random.default_rng(1).random(eps.shape))
         result = engine.solve_batch(grid, OMEGA, hard, rhs, port_rows=_rows(grid, ports))
         assert stalls
-        assert (
-            engine.stats.fallbacks > fallbacks
-            or engine.stats.krylov_iterations > krylov_iterations
-        )
+        after = (engine.stats.fallbacks, engine.stats.factorizations)
+        assert after == (before[0] + 1, before[1] + 1)
+        assert engine.stats.recycled_solves == 0
         exact = DirectEngine(cache=FactorizationCache()).solve_batch(grid, OMEGA, hard, rhs)
-        np.testing.assert_allclose(result, exact, atol=1e-5 * np.max(np.abs(exact)))
+        np.testing.assert_allclose(result, exact, rtol=1e-12, atol=1e-18)
 
     def test_warm_start_does_not_change_solution(self):
         grid, eps, ports = _straight_waveguide()

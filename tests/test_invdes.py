@@ -280,7 +280,8 @@ class TestVariationAware:
         base = InverseDesignProblem(tiny_bend)
         robust = RobustInverseDesignProblem(base, corners=standard_corners())
         rng = np.random.default_rng(5)
-        theta = robust.initial_theta("waveguide") + 0.3 * rng.normal(size=base.parametrization.shape)
+        theta = robust.initial_theta("waveguide")
+        theta = theta + 0.3 * rng.normal(size=theta.shape)
         evaluation = robust.evaluate(theta)
 
         total = sum(corner.weight for corner in robust.corners)
@@ -291,7 +292,7 @@ class TestVariationAware:
             problem = InverseDesignProblem(
                 tiny_bend,
                 parametrization=base.parametrization,
-                transforms=TransformPipeline(list(base.transforms) + list(corner.pattern_transforms)),
+                transforms=TransformPipeline([*base.transforms, *corner.pattern_transforms]),
                 backend=NumericalFieldBackend(engine=base.backend.engine),
                 eps_postprocess=drift.apply_eps if drift.delta_kelvin else None,
                 wavelength_shift=corner.wavelength_drift.delta_um,

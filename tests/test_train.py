@@ -180,6 +180,28 @@ class TestTrainer:
         history = trainer.train()
         assert "train_mae" in history.final()
 
+    @pytest.mark.parametrize(
+        "kind,target", [("fno", "field"), ("blackbox", "transmission")]
+    )
+    def test_float32_model_trains_a_float32_loss(self, tiny_splits, kind, target):
+        """Targets take the model's dtype: no float64 island in the loss graph."""
+        train, _ = tiny_splits
+        kwargs = dict(width=8, modes=(4, 4), depth=1) if kind == "fno" else dict(width=8)
+        trainer = Trainer(
+            make_model(kind, rng=0, **kwargs), train, target=target, epochs=1, batch_size=3, seed=0
+        )
+        dtypes = []
+        loss = trainer.loss
+
+        def recorded(prediction, targets):
+            value = loss(prediction, targets)
+            dtypes.append((prediction.dtype, targets.dtype, value.dtype))
+            return value
+
+        trainer.loss = recorded
+        trainer.train()
+        assert dtypes and set(dtypes) == {(np.dtype(np.float32),) * 3}
+
     def test_transmission_targets_precomputed_once(self, tiny_splits):
         """Scalar targets are built in __init__ and indexed per batch."""
         train, _ = tiny_splits
