@@ -1483,8 +1483,7 @@ class RecycledEngine(SolverEngine):
         # against the exact reference LU converges linearly at rate
         # rho(A_ref^{-1} diag(delta)).  On the region these are S, S_ref and the
         # drift inside it (the exterior is shared, so S - S_ref is that diagonal).
-        drift = eps_r.ravel() - reference.eps.ravel()
-        delta = (frame.omega**2 * EPSILON_0 * drift).astype(complex)
+        delta = (frame.omega**2 * EPSILON_0 * (eps_r - reference.eps).ravel()).astype(complex)
         try:
             solutions, sweeps, back_substitutions = iterative_refine(
                 self._lu(frame, reference).solve,
