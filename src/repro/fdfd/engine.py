@@ -33,12 +33,14 @@ Every LU a tier builds is an exact complex128 SuperLU factor from
 :func:`factor_lu`.  Fidelity in the MAPS sense is a device's grid step, not
 an approximate solver.
 
-Engines are stateless with respect to the problem: all per-operator state
-lives in the process-wide :class:`FactorizationCache`, keyed by the grid, the
-angular frequency and a cheap content fingerprint of the permittivity
-(:func:`eps_fingerprint`).  The cache is what lets independent call sites —
-a ``Simulation``, its normalization run, ``evaluate_spec``'s adjoint solve,
-the dataset generator — share one LU decomposition without coordinating.
+Exact engines are stateless with respect to the problem: all per-operator
+state lives in the process-wide :class:`FactorizationCache`, keyed by the
+grid, the angular frequency and a cheap content fingerprint of the
+permittivity (:func:`eps_fingerprint`).  The cache is what lets independent
+call sites — a ``Simulation``, its normalization run, ``evaluate_spec``'s
+adjoint solve, the dataset generator — share one LU decomposition without
+coordinating.  The recycled tier shares only its exteriors through it; each
+of its references owns its LU.
 
 New backends (GPU solvers, sharded solvers, ...) register themselves with
 :func:`register_engine` and become available by name everywhere an engine is
@@ -363,14 +365,15 @@ class FactorizationCache:
     cache is deliberately engine-agnostic: entries are namespaced by a
     ``tag`` so every engine's factorizations of the same operator coexist.
     Schur-complement factors carry their exterior's key in the tag
-    (``"condensed:<key>"``, ``"recycled_schur:<key>"``), so engines with
-    different design regions never read each other's.
+    (``"condensed:<key>"``), so engines with different design regions never
+    read each other's.
 
     Factored exteriors (tag ``"exterior"``, keyed by the exterior's digest)
     are built once per device and frequency and serve every design after
     that, so they live in a second LRU of the same ``maxsize``: churn among
-    per-design entries (``"direct"``, the Schur factors, the recycled tier's
-    references) can never evict an exterior.
+    per-design entries (``"direct"``, the Schur factors) can never evict an
+    exterior.  The recycled tier's reference LUs are not cached here: each
+    reference owns its LU.
 
     Most code never touches the cache directly — engines share
     :data:`default_factorization_cache` unless given their own.  Direct use
@@ -450,14 +453,11 @@ class FactorizationCache:
         cached = self._table(key).get(key)
         return None if cached is None else cached[0]
 
-    def evict(self, grid: Grid, omega: float, fingerprint: str, tag: str | None = None) -> int:
-        """Drop entries for one operator (all tags unless one is given)."""
+    def evict(self, grid: Grid, omega: float, fingerprint: str) -> int:
+        """Drop the entries of one operator, under every tag."""
         with self._lock:
-            if tag is not None:
-                keys = [self._key(grid, omega, fingerprint, tag)]
-            else:
-                prefix = (grid, float(omega), fingerprint)
-                keys = [key for key in self.keys() if key[:3] == prefix]
+            prefix = (grid, float(omega), fingerprint)
+            keys = [key for key in self.keys() if key[:3] == prefix]
             dropped = 0
             for key in keys:
                 cached = self._table(key).pop(key)
@@ -1199,14 +1199,14 @@ class RecycleStats(StatsCounters):
 
 
 class _RecycledReference:
-    """A frozen permittivity snapshot whose exact LU preconditions nearby solves."""
+    """A frozen permittivity snapshot with its own exact LU, which preconditions nearby solves."""
 
-    __slots__ = ("fingerprint", "eps", "eps_norm", "last_iterations")
+    __slots__ = ("eps", "eps_norm", "lu", "last_iterations")
 
-    def __init__(self, fingerprint: str, eps: np.ndarray):
-        self.fingerprint = fingerprint
+    def __init__(self, eps: np.ndarray, lu):
         self.eps = np.array(eps, copy=True)
         self.eps_norm = float(np.linalg.norm(self.eps.ravel()))
+        self.lu = lu
         self.last_iterations = 0.0
 
 
@@ -1220,7 +1220,7 @@ class _Frame:
     design.  Stacks are rows, ``(n_rhs, n)``.
     """
 
-    __slots__ = ("grid", "omega", "exterior", "exterior_key", "key", "tag")
+    __slots__ = ("grid", "omega", "exterior", "exterior_key", "key")
 
     def __init__(self, grid: Grid, omega: float, exterior: _Exterior, exterior_key: str):
         self.grid = grid
@@ -1228,7 +1228,6 @@ class _Frame:
         self.exterior = exterior
         self.exterior_key = exterior_key
         self.key = (grid, omega, exterior_key)
-        self.tag = f"recycled_schur:{exterior_key}"
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
         """The region's unknowns of grid-flat values (last axis)."""
@@ -1294,6 +1293,17 @@ def _port_frame(
     return _Frame(grid, omega, exterior, key) if exterior.serves(flat) else None
 
 
+# The recycling policy of :class:`RecycledEngine`.
+#: Refinement sweeps one recycled solve may spend before it refactorizes.
+_MAX_SWEEPS = 16
+#: Relative L2 drift from the nearest reference beyond which a solve refactorizes.
+_DRIFT_THRESHOLD = 0.1
+#: A reference whose last recycled solve took more sweeps is not recycled again.
+_MAX_REFERENCE_SWEEPS = 6
+#: References, each owning its LU, kept per exterior and frequency.
+_MAX_REFERENCES = 4
+
+
 class RecycledEngine(SolverEngine):
     """Exact LUs recycled across nearby operators by iterative refinement.
 
@@ -1310,7 +1320,7 @@ class RecycledEngine(SolverEngine):
        the residual recurrence matvec-free), vectorized over the RHS stack;
     2. refactorization at the current permittivity when refinement stalls
        or its contraction predicts it cannot reach ``rtol`` within
-       ``max_sweeps`` — so results are always converged to ``rtol`` relative
+       :data:`_MAX_SWEEPS` — so results are always converged to ``rtol`` relative
        residual, or exact.  The refactorized design becomes a reference, so
        its adjoint solve is an exact hit.
 
@@ -1330,15 +1340,16 @@ class RecycledEngine(SolverEngine):
     so the contract above holds on the full system.
 
     Per ``(grid, omega, exterior)`` the engine keeps a
-    :class:`~repro.utils.cache.BoundedCache` of at most ``max_references``
-    reference permittivities.  A condensed solve
+    :class:`~repro.utils.cache.BoundedCache` of at most
+    :data:`_MAX_REFERENCES` references, each a permittivity snapshot that
+    owns its LU, so dropping a reference drops its LU.  A condensed solve
 
     * whose fingerprint matches a reference exactly is a pure (exact)
       back-substitution,
-    * whose nearest reference is within ``drift_threshold`` (relative L2
-      ``||eps - eps_ref|| / ||eps_ref||``) and whose last recycled solve
-      stayed under ``max_krylov`` refinement sweeps (a sweep costs one
-      back-substitution per right-hand side, so this is the knob trading
+    * whose nearest reference is within :data:`_DRIFT_THRESHOLD` (relative
+      L2 ``||eps - eps_ref|| / ||eps_ref||``) and whose last recycled solve
+      took at most :data:`_MAX_REFERENCE_SWEEPS` refinement sweeps (a sweep
+      costs one back-substitution per right-hand side, so this trades
       per-solve sweeps against refactorization frequency) is recycled,
     * otherwise triggers a refactorization: the current permittivity becomes a
       new reference and the batch is solved exactly against its fresh LU.
@@ -1350,10 +1361,9 @@ class RecycledEngine(SolverEngine):
     A recycled solve that fails to converge falls back to refactorization, so
     results are always converged to ``rtol`` (or exact).  Warm starts
     (``x0``, threaded from a :class:`SolveWorkspace`) cut the iteration count
-    further.  Reference LUs live in the shared :class:`FactorizationCache`
-    under the tag ``"recycled_schur:<exterior key>"``, so
-    ``Simulation.set_permittivity`` eviction and cache-size limits apply to
-    them like to any other factorization.
+    further.  The shared ``cache`` holds only the engine's exteriors; the
+    reference LUs (at most :data:`_MAX_REFERENCES` per exterior and
+    frequency) live and die with their references.
     """
 
     name = "recycled"
@@ -1362,10 +1372,6 @@ class RecycledEngine(SolverEngine):
     def __init__(
         self,
         rtol: float = 1e-6,
-        max_sweeps: int = 16,
-        drift_threshold: float = 0.1,
-        max_krylov: int = 6,
-        max_references: int = 4,
         cache: FactorizationCache | None = None,
         design_region: tuple[slice, slice] | None = None,
     ):
@@ -1375,13 +1381,7 @@ class RecycledEngine(SolverEngine):
                 "build it with resolve_engine(name, design_region=device.geometry."
                 "design_slice), or solve without a region on the exact 'direct' engine"
             )
-        if max_references < 1:
-            raise ValueError(f"max_references must be at least 1, got {max_references}")
         self.rtol = float(rtol)
-        self.max_sweeps = int(max_sweeps)
-        self.drift_threshold = float(drift_threshold)
-        self.max_krylov = int(max_krylov)
-        self.max_references = int(max_references)
         self.cache = cache if cache is not None else default_factorization_cache
         self.design_region = design_region
         self._references: dict[tuple, BoundedCache] = {}
@@ -1394,21 +1394,6 @@ class RecycledEngine(SolverEngine):
         return (self.name, self.rtol)
 
     # -- reference bookkeeping --------------------------------------------------
-    def _lu(self, frame: _Frame, reference: _RecycledReference):
-        """The reference LU, shared (and evictable) through the cache.
-
-        Counting factorizations here (not in :meth:`_refactorize`) keeps the
-        stats truthful when an evicted reference LU has to be rebuilt.
-        """
-
-        def build():
-            self.stats.factorizations += 1
-            return frame.factor(reference.eps)
-
-        return self.cache.get_or_build(
-            frame.grid, frame.omega, reference.fingerprint, build, tag=frame.tag
-        )
-
     @staticmethod
     def _nearest_reference(
         references: BoundedCache, eps_r: np.ndarray
@@ -1423,11 +1408,10 @@ class RecycledEngine(SolverEngine):
                 best, best_drift = reference, drift
         return best, best_drift
 
-    def _reference_solve(
-        self, frame: _Frame, reference: _RecycledReference, rhs: np.ndarray
-    ) -> np.ndarray:
+    @staticmethod
+    def _reference_solve(reference: _RecycledReference, rhs: np.ndarray) -> np.ndarray:
         """Solve at the reference permittivity itself: one exact back-substitution."""
-        return self._lu(frame, reference).solve(rhs.T).T
+        return reference.lu.solve(rhs.T).T
 
     def _refactorize(
         self,
@@ -1437,10 +1421,10 @@ class RecycledEngine(SolverEngine):
         fingerprint: str,
         rhs: np.ndarray,
     ) -> np.ndarray:
-        reference = _RecycledReference(fingerprint, eps_r)
-        for stale_fp, _ in references.put(fingerprint, reference):
-            self.cache.evict(frame.grid, frame.omega, stale_fp, tag=frame.tag)
-        return self._reference_solve(frame, reference, rhs)
+        self.stats.factorizations += 1
+        reference = _RecycledReference(eps_r, frame.factor(eps_r))
+        references.put(fingerprint, reference)  # the LRU reference leaves with its LU
+        return self._reference_solve(reference, rhs)
 
     # -- the solve ---------------------------------------------------------------
     def solve_batch(self, grid, omega, eps_r, rhs, fingerprint=None, x0=None, port_rows=None):
@@ -1462,20 +1446,20 @@ class RecycledEngine(SolverEngine):
 
     def _solve_reduced(self, frame, eps_r, fingerprint, rhs, full_rhs, x0) -> np.ndarray:
         """Reference hit, recycled solve or refactorization, in the frame's unknowns."""
-        references = self._references.setdefault(frame.key, BoundedCache(self.max_references))
+        references = self._references.setdefault(frame.key, BoundedCache(_MAX_REFERENCES))
 
         reference = references.get(fingerprint)
         if reference is not None:
             # Exact fingerprint match (e.g. the unchanged normalization
             # waveguide): a pure back-substitution, exact like DirectEngine.
             self.stats.exact_solves += 1
-            return self._reference_solve(frame, reference, rhs)
+            return self._reference_solve(reference, rhs)
 
         reference, drift = self._nearest_reference(references, eps_r)
         if (
             reference is None
-            or drift > self.drift_threshold
-            or reference.last_iterations > self.max_krylov
+            or drift > _DRIFT_THRESHOLD
+            or reference.last_iterations > _MAX_REFERENCE_SWEEPS
         ):
             return self._refactorize(references, frame, eps_r, fingerprint, rhs)
 
@@ -1486,10 +1470,10 @@ class RecycledEngine(SolverEngine):
         delta = (frame.omega**2 * EPSILON_0 * (eps_r - reference.eps).ravel()).astype(complex)
         try:
             solutions, sweeps, back_substitutions = iterative_refine(
-                self._lu(frame, reference).solve,
+                reference.lu.solve,
                 rhs,
                 self.rtol,
-                self.max_sweeps,
+                _MAX_SWEEPS,
                 frame.restrict(delta),
                 matrix=None if x0 is None else frame.exterior.schur_complement(frame.omega, eps_r),
                 x0=x0,

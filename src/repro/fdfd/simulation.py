@@ -336,16 +336,17 @@ class Simulation:
         self._fingerprint = None
         if old_fingerprint is None:
             return  # no solve took a fingerprint: this simulation cached nothing
-        # Evict only the superseded design operator — but *every* engine tag
-        # of it (tag=None): a direct LU and a recycled reference LU of the
-        # old permittivity are equally superseded,
-        # and must not squat in the LRU.  Normalization factorizations solved
-        # through the same solver are left to LRU aging: they are keyed by
-        # content, other simulations of the same device may share them, and
-        # they stay correct regardless of this design change.
+        # Evict only the superseded design operator — but under *every*
+        # engine tag: its direct LU and its condensed Schur factor are equally
+        # superseded, and must not squat in the LRU.  (A recycled engine's
+        # reference LUs are not cached; they age out of its own tables.)
+        # Normalization factorizations solved through the same solver are left
+        # to LRU aging: they are keyed by content, other simulations of the
+        # same device may share them, and they stay correct regardless of this
+        # design change.
         cache = getattr(self.solver.engine, "cache", None)
         if cache is not None:
-            cache.evict(self.grid, self.omega, old_fingerprint, tag=None)
+            cache.evict(self.grid, self.omega, old_fingerprint)
         self.solver._solved_fingerprints.discard(old_fingerprint)
 
     # -- sources ----------------------------------------------------------------------

@@ -293,7 +293,7 @@ def test_condensed_recycling_meets_the_full_residual(name, dl, monkeypatch):
         return solution
 
     solve(eps, "factorizations")  # the first solve: a reference on S
-    assert _tags(engine.cache) == {"exterior", "recycled_schur"}
+    assert _tags(engine.cache) == {"exterior"}
     solve(eps, "exact_solves")
     solve(_drifted(device, density, rng, 0.01), "recycled_solves")
 
@@ -311,7 +311,7 @@ def test_condensed_recycling_meets_the_full_residual(name, dl, monkeypatch):
     assert stats.fallbacks == 1
     keys = engine.cache.keys()
     assert [key[3] for key in keys].count("exterior") == 1
-    assert _tags(engine.cache) == {"exterior", "recycled_schur"}
+    assert _tags(engine.cache) == {"exterior"}
 
 
 class _CountingExterior(engine_module._Exterior):
@@ -406,8 +406,9 @@ def test_the_first_port_solve_condenses(make, counting_exteriors):
     outside = np.ones(grid.shape, dtype=bool)
     outside[device.geometry.design_slice] = False
     np.testing.assert_array_equal(counting_exteriors[0][1], eps[outside])
-    per_design = "condensed" if isinstance(engine, DirectEngine) else "recycled_schur"
-    assert _tags(engine.cache) == {"exterior", per_design}
+    # A recycled engine's reference LU belongs to its reference, not the cache.
+    per_design = {"condensed"} if isinstance(engine, DirectEngine) else set()
+    assert _tags(engine.cache) == {"exterior", *per_design}
 
 
 @BOTH_ENGINES
@@ -445,8 +446,28 @@ def test_kerr_robust_corners_condense(counting_exteriors):
         if label == "region":
             cache = base.backend.engine.cache
             assert len(counting_exteriors) == 2  # one per corner exterior
-            assert _tags(cache) == {"exterior", "recycled_schur"}
+            assert _tags(cache) == {"exterior"}
     assert foms["region"] == pytest.approx(foms["full"], rel=1e-6)
+
+
+def test_recycled_loop_does_not_depend_on_the_cache_size(monkeypatch):
+    """References own their LUs, so a one-slot shared cache (which evicts
+    every exterior but the last) changes neither the FoM history nor what the
+    engine did.  The robust corners share the nominal exterior's references."""
+    device = make_device("bending", dl=0.1, **DEVICE_SIZE)
+    runs = {}
+    for maxsize in (1, None):
+        # Cold normalizations in both runs, so both count the same solves.
+        monkeypatch.setattr(simulation_module, "_NORMALIZATION_CACHE", BoundedCache(256))
+        engine = _region_recycled(device, cache=FactorizationCache(maxsize=maxsize))
+        problem = RobustInverseDesignProblem(InverseDesignProblem(device, engine=engine))
+        optimizer = AdjointOptimizer(problem, learning_rate=0.2)
+        result = optimizer.run(problem.initial_theta("waveguide"), iterations=4)
+        runs[maxsize] = (np.asarray(result.foms), engine.stats)
+    (small_foms, small_stats), (foms, stats) = runs[1], runs[None]
+    assert small_foms.tobytes() == foms.tobytes()
+    assert small_stats == stats
+    assert stats.factorizations > 3 and stats.recycled_solves > 0
 
 
 @pytest.mark.parametrize(
@@ -531,7 +552,11 @@ def test_quickstart_loop_foms_match_exact_solves():
             optimizer.run(problem.initial_theta("waveguide"), iterations=20).foms
         )
         if label == "region":
-            assert "recycled_schur" in _tags(problem.backend.engine.cache)
+            # The loop condensed: its exterior is cached, its references own their LUs.
+            engine = problem.backend.engine
+            assert "exterior" in _tags(engine.cache)
+            references = [ref for refs in engine._references.values() for ref in refs.values()]
+            assert references and all(ref.lu is not None for ref in references)
     assert np.max(np.abs(foms["region"] - foms["direct"])) <= 1e-6
 
 
@@ -574,7 +599,7 @@ def exterior_solves(monkeypatch):
 @pytest.mark.parametrize(
     "name,dl", PARITY_CASES, ids=[f"{name}-dl{dl:.2f}" for name, dl in PARITY_CASES]
 )
-def test_port_solves_match_full_lu(name, dl, kind):
+def test_port_solves_match_full_lu(name, dl, kind, monkeypatch):
     """Objectives and gradients from port solves equal full LU, on exact hits and refactorizations."""
     device = make_device(name, dl=dl, **DEVICE_SIZE)
     rng = np.random.default_rng(13)
@@ -583,7 +608,8 @@ def test_port_solves_match_full_lu(name, dl, kind):
     objectives = {i: objective_for_spec(spec, kind) for i, spec in enumerate(device.specs)}
     # Every new design refactorizes; the first evaluation builds the exterior.
     # A workspace keeps the forward results out of the result cache, as in a loop.
-    engine = _region_recycled(device, drift_threshold=0.0)
+    monkeypatch.setattr(engine_module, "_DRIFT_THRESHOLD", 0.0)
+    engine = _region_recycled(device)
     port = NumericalFieldBackend(engine, workspace=SolveWorkspace())
     exact = NumericalFieldBackend(DirectEngine(cache=FactorizationCache()))
     evaluate_specs(device, near, backend=port, objectives=objectives)

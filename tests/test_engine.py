@@ -11,6 +11,7 @@ from repro import constants
 from repro.devices.factory import available_devices, make_device
 from repro.fdfd import Grid, Port, Simulation
 from repro.fdfd.monitors import port_rows
+import repro.fdfd.engine as engine_module
 from repro.fdfd.engine import (
     CountingEngine,
     DirectEngine,
@@ -907,11 +908,17 @@ class TestRecycledEngine:
     def test_invalid_parameters(self):
         from repro.fdfd.engine import RecycledEngine
 
-        with pytest.raises(ValueError):
-            RecycledEngine(max_references=0, design_region=_REGION)
         # One solve chain without a Krylov tier and one factor precision: no
-        # method, precision or maxiter knob.
-        for knob in (dict(method="gmres"), dict(precision="fp32"), dict(maxiter=200)):
+        # method, precision or maxiter knob; the recycling policy is fixed.
+        for knob in (
+            dict(method="gmres"),
+            dict(precision="fp32"),
+            dict(maxiter=200),
+            dict(max_sweeps=16),
+            dict(drift_threshold=0.1),
+            dict(max_krylov=6),
+            dict(max_references=4),
+        ):
             with pytest.raises(TypeError):
                 RecycledEngine(design_region=_REGION, **knob)
 
@@ -942,10 +949,11 @@ class TestRecycledEngine:
         scale = np.max(np.abs(exact))
         np.testing.assert_allclose(recycled, exact, atol=2e-6 * scale)
 
-    def test_large_drift_triggers_refactorization(self):
+    def test_large_drift_triggers_refactorization(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_DRIFT_THRESHOLD", 0.01)
         grid, eps, ports = _straight_waveguide()
         rhs = np.stack(_region_sources(grid, 1))
-        engine = _region_recycled(drift_threshold=0.01)
+        engine = _region_recycled()
         engine.solve_batch(grid, OMEGA, eps, rhs, port_rows=_rows(grid, ports))
         far = _in_region(eps, 3.0)  # relative drift far above the threshold
         result = engine.solve_batch(grid, OMEGA, far, rhs, port_rows=_rows(grid, ports))
@@ -954,22 +962,54 @@ class TestRecycledEngine:
         exact = DirectEngine(cache=FactorizationCache()).solve_batch(grid, OMEGA, far, rhs)
         np.testing.assert_allclose(result, exact, rtol=1e-12, atol=1e-18)
 
-    def test_reference_lru_is_bounded(self):
+    def test_reference_lru_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_DRIFT_THRESHOLD", 1e-9)
+        monkeypatch.setattr(engine_module, "_MAX_REFERENCES", 2)
         grid, eps, ports = _straight_waveguide()
         rhs = np.stack(_region_sources(grid, 1))
-        engine = _region_recycled(drift_threshold=1e-9, max_references=2)
+        engine = _region_recycled()
         for shift in (0.0, 1.0, 2.0, 3.0):
             shifted = _in_region(eps, shift)
             engine.solve_batch(grid, OMEGA, shifted, rhs, port_rows=_rows(grid, ports))
         (references,) = engine._references.values()
         assert len(references) == 2
 
-    def test_failed_recycle_falls_back_to_refactorization(self):
+    def test_references_own_their_lus(self):
+        """Past the reference bound, each kept reference holds its own LU and the
+        shared cache holds nothing but the exterior."""
         grid, eps, ports = _straight_waveguide()
         rhs = np.stack(_region_sources(grid, 1))
+        engine = _region_recycled()
+        kept = engine_module._MAX_REFERENCES
+        # Steps of 3.0 on the region drift 0.22 relative, past the threshold.
+        designs = [_in_region(eps, 3.0 * step) for step in range(kept + 2)]
+        for design in designs:
+            engine.solve_batch(grid, OMEGA, design, rhs, port_rows=_rows(grid, ports))
+        assert engine.stats.factorizations == len(designs)
+        assert engine.stats.fallbacks == 0
+        (references,) = engine._references.values()
+        assert len(references) == kept
+        lus = [reference.lu for reference in references.values()]
+        assert len({id(lu) for lu in lus}) == kept
+        assert {key[3] for key in engine.cache.keys()} == {"exterior"}
+        # Each kept reference's LU serves its design exactly; the dropped ones
+        # left with their LUs and refactorize.
+        for design in designs[-kept:]:
+            engine.solve_batch(grid, OMEGA, design, rhs, port_rows=_rows(grid, ports))
+        assert engine.stats.exact_solves == kept
+        assert engine.stats.factorizations == len(designs)
+        engine.solve_batch(grid, OMEGA, designs[0], rhs, port_rows=_rows(grid, ports))
+        assert engine.stats.factorizations == len(designs) + 1
+
+    def test_failed_recycle_falls_back_to_refactorization(self, monkeypatch):
         # A huge drift threshold forces the recycle attempt even for a big
         # perturbation; a one-sweep budget makes it fail.
-        engine = _region_recycled(drift_threshold=100.0, max_sweeps=1, max_krylov=10**6)
+        monkeypatch.setattr(engine_module, "_DRIFT_THRESHOLD", 100.0)
+        monkeypatch.setattr(engine_module, "_MAX_SWEEPS", 1)
+        monkeypatch.setattr(engine_module, "_MAX_REFERENCE_SWEEPS", 10**6)
+        grid, eps, ports = _straight_waveguide()
+        rhs = np.stack(_region_sources(grid, 1))
+        engine = _region_recycled()
         engine.solve_batch(grid, OMEGA, eps, rhs, port_rows=_rows(grid, ports))
         hard = _in_region(eps, 5.0 * np.random.default_rng(1).random(eps.shape))
         result = engine.solve_batch(grid, OMEGA, hard, rhs, port_rows=_rows(grid, ports))
@@ -980,8 +1020,6 @@ class TestRecycledEngine:
 
     def test_non_contracting_refinement_escalates(self, monkeypatch):
         """A refinement stall is caught and escalated to a refactorization, never propagated."""
-        import repro.fdfd.engine as engine_module
-
         stalls = []
 
         def spy(*args, **kwargs):
@@ -994,7 +1032,9 @@ class TestRecycledEngine:
         monkeypatch.setattr(engine_module, "iterative_refine", spy)
         grid, eps, ports = _straight_waveguide()
         rhs = np.stack(_region_sources(grid, 1))
-        engine = _region_recycled(drift_threshold=100.0, max_krylov=10**6)
+        monkeypatch.setattr(engine_module, "_DRIFT_THRESHOLD", 100.0)
+        monkeypatch.setattr(engine_module, "_MAX_REFERENCE_SWEEPS", 10**6)
+        engine = _region_recycled()
         engine.solve_batch(grid, OMEGA, eps, rhs, port_rows=_rows(grid, ports))
         before = (engine.stats.fallbacks, engine.stats.factorizations)
         # Far outside the reference LU's contraction radius.
