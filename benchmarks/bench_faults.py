@@ -14,6 +14,10 @@ each injected failure actually costs:
 * ``corrupt-shard`` — truncate a shard artifact right after its atomic
   rename (a torn write that raced through).  The generator quarantines the
   corpse to ``*.bad`` and recomputes exactly that shard in-process.
+* ``corrupt-shard-serial`` — the same truncation at ``workers=1``, where the
+  artifact is written on the background writer thread while the next shard
+  solves.  The run returns its in-memory labels; a resumed run quarantines
+  the torn artifact and recomputes exactly that shard.
 * ``permanent-failure`` — a task that fails every attempt surfaces in the
   :class:`~repro.utils.executor.TaskReport` without aborting its siblings
   (demonstrated on :func:`~repro.utils.executor.execute_tasks` directly).
@@ -46,7 +50,9 @@ from repro.utils.executor import ExecutorConfig, cpu_count, execute_tasks
 DEVICE_KWARGS = dict(domain=3.0, design_size=1.4, dl=0.1)
 
 
-def _generate(root: Path, label: str, num_designs: int, plan=None, task_timeout=None):
+def _generate(
+    root: Path, label: str, num_designs: int, plan=None, task_timeout=None, workers=2
+):
     """One generation run under ``plan``; returns (dataset, generator, seconds)."""
     default_factorization_cache.clear()
     config = GeneratorConfig(
@@ -66,10 +72,10 @@ def _generate(root: Path, label: str, num_designs: int, plan=None, task_timeout=
     generator = DatasetGenerator(config)
     start = time.perf_counter()
     if plan is None:
-        dataset = generator.generate(workers=2)
+        dataset = generator.generate(workers=workers)
     else:
         with faults.active_plan(plan):
-            dataset = generator.generate(workers=2)
+            dataset = generator.generate(workers=workers)
     return dataset, generator, time.perf_counter() - start
 
 
@@ -170,6 +176,32 @@ def main() -> None:
                 "detail": (
                     f"quarantined={quarantined} "
                     f"in_process_recoveries={generator.last_shard_recoveries}"
+                ),
+            }
+        )
+
+        # Serial run: the torn artifact is only found by the next resume,
+        # which must recompute that one shard and nothing else.
+        plan = faults.FaultPlan(truncate_shard=1, scratch=str(root / "scratch-serial"))
+        dataset, _, seconds = _generate(
+            root, "corrupt-shard-serial", num_designs, plan=plan, workers=1
+        )
+        resumed, generator, resume_seconds = _generate(
+            root, "corrupt-shard-serial", num_designs, workers=1
+        )
+        recomputed = len(generator.last_task_report.attempts)
+        quarantined = len(list((root / "corrupt-shard-serial").glob("*.bad*")))
+        results.append(
+            {
+                "scenario": "corrupt-shard-serial",
+                "seconds": seconds + resume_seconds,
+                "bit_identical": datasets_bit_identical(baseline, dataset)
+                and datasets_bit_identical(baseline, resumed),
+                "faults_injected": 1,
+                "wasted_shards": recomputed,
+                "detail": (
+                    f"workers=1 quarantined_on_resume={quarantined} "
+                    f"recomputed_on_resume={recomputed}"
                 ),
             }
         )

@@ -33,6 +33,7 @@ from repro.data.labels import RichLabels
 from repro.data.sampling import DesignSample, SamplingStrategy, make_sampler
 from repro.data.shards import (
     ShardTask,
+    ShardWriter,
     discard_stale_partials,
     engine_for_fidelity,
     engine_tag,
@@ -329,11 +330,6 @@ class DatasetGenerator:
                 "engine instances cannot cross process boundaries; pass the "
                 "engine by registry name for parallel generation"
             )
-        if num_workers <= 1:
-            # In-process execution: artifacts are still written for resume,
-            # but labels come back in memory (no compress/decompress detour).
-            for task in pending:
-                task.return_labels = True
         self._execute(pending, results, num_workers)
 
         # Merge in plan order (fidelity-major, ascending design blocks): the
@@ -365,58 +361,83 @@ class DatasetGenerator:
         """Run the pending shards and collect their labels into ``results``.
 
         Failed shards are salvaged from a complete artifact when one exists;
-        the rest surface together in a :class:`ShardExecutionError`.
+        the rest surface together in a :class:`ShardExecutionError`.  Shards
+        run in this process hand their artifacts to one
+        :class:`~repro.data.shards.ShardWriter`; every handed-off write has
+        finished before an artifact is read and before this returns or raises.
         """
         config = self.config
+        max_retries = max(int(config.max_retries), 0)
         executor_config = ExecutorConfig(
             timeout=config.task_timeout,
-            max_retries=max(int(config.max_retries), 0),
+            max_retries=max_retries,
             backoff=float(config.retry_backoff),
             seed=int(config.seed),
         )
-        report = execute_tasks(
-            run_shard,
-            pending,
-            workers=num_workers,
-            config=executor_config,
-        )
-        self.last_task_report = report
-        self.last_shard_recoveries = 0
-        failures_by_position = {failure.index: failure for failure in report.failures}
         shard_failures: list[tuple[ShardTask, TaskFailure]] = []
-        for position, (task, output) in enumerate(zip(pending, report.results)):
-            failure = failures_by_position.get(position)
-            if failure is not None:
-                if task.shard_path is not None:
-                    # Whatever the failed attempts left behind must never be
-                    # mistaken for a finished shard on the next resume.
-                    discard_stale_partials(task.shard_path)
-                    salvaged = try_load_shard(task.shard_path, task.fingerprint)
-                    if salvaged is not None:
-                        # Complete, valid artifact: the final attempt died
-                        # *after* its atomic rename.  Keep the work.
-                        results[task.spec.index] = salvaged
-                        continue
-                    quarantine_artifact(task.shard_path)
-                shard_failures.append((task, failure))
-                continue
-            if isinstance(output, str):
-                loaded = try_load_shard(output, task.fingerprint)
-                if loaded is None:
-                    # The worker reported success but its artifact does not
-                    # read back (e.g. storage truncated it mid-write).
-                    # Quarantine the corpse and recompute this one shard
-                    # in-process — exactly one shard of wasted work.
-                    quarantine_artifact(output)
-                    with one_blas_thread():  # as every task runs
-                        labels_ids = run_shard(replace(task, return_labels=True))
-                    self.last_shard_recoveries += 1
-                    results[task.spec.index] = labels_ids
+        with ShardWriter(max_retries) as writer:
+            if num_workers <= 1:
+                # In-process execution: artifacts are still written for
+                # resume, but labels come back in memory (no compress /
+                # decompress detour) while the writer persists them.
+                for task in pending:
+                    task.writer = writer
+            report = execute_tasks(
+                run_shard,
+                pending,
+                workers=num_workers,
+                config=executor_config,
+            )
+            self.last_task_report = report
+            self.last_shard_recoveries = 0
+            write_failures = writer.wait()
+            failures_by_position = {failure.index: failure for failure in report.failures}
+            for position, (task, output) in enumerate(zip(pending, report.results)):
+                failure = failures_by_position.get(position)
+                if failure is not None:
+                    if task.shard_path is not None:
+                        # Whatever the failed attempts left behind must never
+                        # be mistaken for a finished shard on the next resume.
+                        discard_stale_partials(task.shard_path)
+                        salvaged = try_load_shard(task.shard_path, task.fingerprint)
+                        if salvaged is not None:
+                            # Complete, valid artifact: the final attempt died
+                            # *after* its atomic rename.  Keep the work.
+                            results[task.spec.index] = salvaged
+                            continue
+                        quarantine_artifact(task.shard_path)
+                    shard_failures.append((task, failure))
                     continue
-                results[task.spec.index] = loaded
-            else:
-                results[task.spec.index] = output
+                if isinstance(output, str):
+                    loaded = try_load_shard(output, task.fingerprint)
+                    if loaded is None:
+                        # The worker reported success but its artifact does
+                        # not read back (e.g. storage truncated it
+                        # mid-write).  Quarantine the corpse and recompute
+                        # this one shard in-process — exactly one shard of
+                        # wasted work.
+                        quarantine_artifact(output)
+                        with one_blas_thread():  # as every task runs
+                            labels_ids = run_shard(replace(task, writer=writer))
+                        self.last_shard_recoveries += 1
+                        results[task.spec.index] = labels_ids
+                        continue
+                    results[task.spec.index] = loaded
+                else:
+                    results[task.spec.index] = output
+            write_failures += writer.wait()
+        positions = {task.spec.index: position for position, task in enumerate(pending)}
+        for task, error in write_failures:
+            # save_shard removed each attempt's temp file; nothing persisted.
+            failure = TaskFailure(
+                index=positions[task.spec.index],
+                attempts=max_retries + 1,
+                error=error,
+                kind="error",
+            )
+            shard_failures.append((task, failure))
         if shard_failures:
+            shard_failures.sort(key=lambda pair: pair[0].spec.index)
             raise ShardExecutionError(shard_failures, report)
 
     def _has_engine_instance(self) -> bool:

@@ -69,6 +69,7 @@ from repro.fdfd.derivatives import derivative_operators
 from repro.fdfd.grid import Grid
 from repro.fdfd.lazy import Deferred
 from repro.utils.cache import BoundedCache
+from repro.utils.executor import one_blas_thread
 
 __all__ = [
     "eps_fingerprint",
@@ -391,6 +392,12 @@ class FactorizationCache:
     one cold key may therefore both build — last insert wins; both entries
     solve the same operator.  (Collapsing that duplicated work is what
     :class:`~repro.service.SolveService` request coalescing is for.)
+
+    Builds run at one BLAS thread (:func:`~repro.utils.executor.one_blas_thread`):
+    an entry serves every later caller in the process, and forked workers
+    inherit it, so its bytes must not depend on the thread count of whichever
+    caller built it.  The pin is process-global: while a build runs, a
+    concurrent caller's dense kernels run at one thread too.
     """
 
     def __init__(self, maxsize: int | None = None):
@@ -431,7 +438,8 @@ class FactorizationCache:
                 self.stats.hits += 1
                 return cached[0]
             self.stats.misses += 1
-        entry = build()
+        with one_blas_thread():
+            entry = build()
         self._insert(key, entry)
         return entry
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.constants import C_0
 from repro.utils.cache import BoundedCache
+from repro.utils.executor import one_blas_thread
 
 
 @dataclass
@@ -209,7 +210,8 @@ def solve_slab_modes_batch(
 
     for indices in by_length.values():
         stack = np.stack([_slab_operator(lines[i], dl_m, k0) for i in indices], axis=0)
-        eigvals, eigvecs = np.linalg.eigh(stack)
+        with one_blas_thread():  # cached process-wide: independent of the caller
+            eigvals, eigvecs = np.linalg.eigh(stack)
         for position, index in enumerate(indices):
             modes = _guided_modes(
                 eigvals[position], eigvecs[position], lines[index], dl_um, k0, num_modes

@@ -40,6 +40,7 @@ from repro.fdfd.lazy import LazyField, known
 from repro.fdfd.monitors import Port, mode_overlap, port_rows, poynting_flux_through_port
 from repro.fdfd.solver import FdfdSolver
 from repro.utils.cache import BoundedCache
+from repro.utils.executor import one_blas_thread
 
 
 # Process-wide cache of normalization results.  The normalization structure is
@@ -394,7 +395,9 @@ class Simulation:
         factorization cache instead of re-factorizing.  The *result* is cached
         process-wide too, keyed by the cross-section content: optimization
         loops (whose design never touches the port lines) and sibling
-        Simulation instances skip the normalization solve entirely.
+        Simulation instances skip the normalization solve entirely.  Like
+        every process-wide cached artifact, the entry is computed at one BLAS
+        thread, so it does not depend on the caller's thread count.
         """
         port = self._port(port_name)
         eps_line = port.eps_line(self.eps_r, self.grid)
@@ -418,7 +421,8 @@ class Simulation:
             return cached
         eps_norm, monitor = normalization_geometry(self.grid, port, eps_line)
         source = port_mode_source(port, eps_norm, self.grid, self.omega, mode_index)
-        solution = self.solver.solve(eps_norm, source)
+        with one_blas_thread():
+            solution = self.solver.solve(eps_norm, source)
         fields = (solution.ez, solution.hx, solution.hy)
         result = measure_incident(*fields, eps_norm, monitor, self.grid, self.omega, mode_index)
         _NORMALIZATION_CACHE.put(key, result)

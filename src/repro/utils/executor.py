@@ -233,7 +233,9 @@ def one_blas_thread():
     than serial on 2 CPUs), and dense kernels round differently at other
     thread counts, while a task's result must not depend on where it ran.
     The libraries are looked up on the first call in a process, so an
-    OpenBLAS loaded after that call is not pinned.
+    OpenBLAS loaded after that call is not pinned.  The count is
+    process-global: other threads' dense kernels run at one thread too
+    while the block runs.
     """
     calls = _openblas_thread_calls()
     saved = [get_num_threads() for _, get_num_threads in calls]

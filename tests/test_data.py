@@ -1,9 +1,11 @@
 """Tests for MAPS-Data: labels, sampling strategies, datasets and analysis."""
 
 import struct
+import threading
 import time
 import zipfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +28,12 @@ from repro.data.analysis import (
     pattern_embedding,
     transmission_histogram,
 )
+import repro.data.generator as generator_module
+import repro.data.shards as shards_module
+from repro.data.dataset import datasets_bit_identical
 from repro.data.generator import (
     GeneratorConfig,
+    ShardExecutionError,
     _parse_engine,
     generate_dataset,
     main as generator_main,
@@ -584,6 +590,122 @@ class TestShardWriter:
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
             assert got.transmissions == want.transmissions
             assert got.figure_of_merit == want.figure_of_merit
+
+    def test_failed_write_leaves_no_temp_file(self, labels, tmp_path, monkeypatch):
+        def failing_write(path, arrays):
+            path.write_bytes(b"partial")
+            raise OSError("injected write failure")
+
+        monkeypatch.setattr(shards_module, "_write_npz", failing_write)
+        with pytest.raises(OSError, match="injected write failure"):
+            save_shard(tmp_path / "shard.npz", labels, list(range(len(labels))), "f")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestBackgroundShardWrites:
+    """In-process shards hand their artifacts to one background writer thread."""
+
+    CONFIG_KWARGS = {
+        **TestShardedGeneration.CONFIG_KWARGS,
+        "with_gradient": True,
+        "max_retries": 1,
+    }
+
+    @staticmethod
+    def _artifacts(shard_dir: Path) -> dict[str, bytes]:
+        """Every file in ``shard_dir``; the names must all be finished shards."""
+        files = {path.name: path.read_bytes() for path in shard_dir.iterdir()}
+        assert all(name.startswith("shard_") for name in files), sorted(files)
+        return files
+
+    def test_serial_artifacts_match_save_shard_and_pooled_run(self, tmp_path, monkeypatch):
+        pooled_dir, serial_dir = tmp_path / "pooled", tmp_path / "serial"
+        DatasetGenerator(
+            GeneratorConfig(**self.CONFIG_KWARGS, shard_dir=str(pooled_dir))
+        ).generate(workers=2)
+
+        real_run_shard, real_write = generator_module.run_shard, shards_module._write_npz
+        returned, writer_threads = {}, set()
+
+        def recording_run_shard(task):
+            output = real_run_shard(task)
+            returned[task.spec.index] = (task, output)
+            return output
+
+        def tracking_write(path, arrays):
+            writer_threads.add(threading.current_thread())
+            real_write(path, arrays)
+
+        monkeypatch.setattr(generator_module, "run_shard", recording_run_shard)
+        monkeypatch.setattr(shards_module, "_write_npz", tracking_write)
+        threads = threading.active_count()
+        DatasetGenerator(
+            GeneratorConfig(**self.CONFIG_KWARGS, shard_dir=str(serial_dir))
+        ).generate(workers=1)
+        serial = self._artifacts(serial_dir)  # all durable once generate returns
+        assert threading.active_count() == threads
+        (writer,) = writer_threads
+        assert writer is not threading.current_thread() and not writer.is_alive()
+
+        assert len(serial) == len(returned) == 2
+        assert serial == self._artifacts(pooled_dir)
+        for task, (labels, design_ids) in returned.values():
+            direct = save_shard(tmp_path / "direct.npz", labels, design_ids, task.fingerprint)
+            assert direct.read_bytes() == serial[Path(task.shard_path).name]
+
+    def test_failed_write_is_retried_from_memory(self, tmp_path, monkeypatch):
+        reference = DatasetGenerator(GeneratorConfig(**self.CONFIG_KWARGS)).generate()
+        real_write, calls = shards_module._write_npz, []
+
+        def flaky_write(path, arrays):
+            calls.append(path)
+            if len(calls) == 1:
+                path.write_bytes(b"partial")
+                raise OSError("injected write failure")
+            real_write(path, arrays)
+
+        monkeypatch.setattr(shards_module, "_write_npz", flaky_write)
+        threads = threading.active_count()
+        generator = DatasetGenerator(
+            GeneratorConfig(**self.CONFIG_KWARGS, shard_dir=str(tmp_path))
+        )
+        dataset = generator.generate(workers=1)
+        assert threading.active_count() == threads
+        assert len(calls) == 3  # shard 0 twice, then shard 1
+        assert generator.last_task_report.attempts == {0: 1, 1: 1}  # nothing re-solved
+        assert datasets_bit_identical(reference, dataset)
+        artifacts = sorted(tmp_path.iterdir())
+        assert len(self._artifacts(tmp_path)) == 2
+        assert all(try_load_shard(path) is not None for path in artifacts)
+
+    def test_write_failing_every_attempt_names_its_shard(self, tmp_path, monkeypatch):
+        real_write, targets = shards_module._write_npz, []
+
+        def failing_write(path, arrays):
+            if path not in targets:
+                targets.append(path)
+            if len(targets) > 1 and path == targets[1]:  # shard 1's temp file
+                path.write_bytes(b"partial")
+                raise OSError("injected write failure")
+            real_write(path, arrays)
+
+        monkeypatch.setattr(shards_module, "_write_npz", failing_write)
+        config = GeneratorConfig(
+            **{**self.CONFIG_KWARGS, "num_designs": 6}, shard_dir=str(tmp_path)
+        )
+        threads = threading.active_count()
+        with pytest.raises(ShardExecutionError, match="shard 1 ") as excinfo:
+            DatasetGenerator(config).generate(workers=1)
+        assert threading.active_count() == threads
+        ((task, failure),) = excinfo.value.shard_failures
+        assert task.spec.index == 1
+        assert failure.attempts == 2  # the first write and max_retries=1 more
+        assert isinstance(failure.error, OSError)
+        assert excinfo.value.report.attempts == {0: 1, 1: 1, 2: 1}  # nothing re-solved
+        assert not Path(task.shard_path).exists()
+        siblings = self._artifacts(tmp_path)
+        assert len(siblings) == 2
+        assert all(try_load_shard(tmp_path / name) is not None for name in siblings)
 
 
 class TestSweep:

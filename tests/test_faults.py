@@ -248,3 +248,72 @@ class TestGeneratorFaultRecovery:
         assert datasets_bit_identical(baseline, dataset)
         assert len(resumed.last_task_report.attempts) == 1  # one shard ran
         assert artifacts[0].stat().st_mtime_ns == mtime_before  # untouched
+
+    def test_truncated_serial_shard_resumes_exactly_it(self, baseline, tmp_path):
+        """At ``workers=1`` the artifact is written on the background writer,
+        and the truncation fires after its rename: the returned labels are the
+        in-memory ones, and a resumed run recomputes exactly that shard."""
+        shard_dir = tmp_path / "shards"
+        config = GeneratorConfig(shard_dir=str(shard_dir), **BASE_CONFIG)
+        plan = faults.FaultPlan(truncate_shard=1, scratch=str(tmp_path / "scratch"))
+        with faults.active_plan(plan):
+            dataset = DatasetGenerator(config).generate(workers=1)
+        assert datasets_bit_identical(baseline, dataset)
+
+        resumed = DatasetGenerator(config)
+        dataset2 = resumed.generate(workers=1)
+        assert datasets_bit_identical(baseline, dataset2)
+        assert len(list(shard_dir.glob("*.bad*"))) == 1
+        assert resumed.last_task_report.attempts == {0: 1}  # shard 1 alone ran
+
+    def test_caches_warmed_at_two_blas_threads_keep_results_bitwise(self, tmp_path):
+        """Process-wide cached artifacts (exterior factorizations, port modes,
+        normalizations) are built at one BLAS thread, so a cache warmed by an
+        in-process label at two threads changes neither what forked workers
+        nor what an in-process recovery compute."""
+        import numpy as np
+        import numpy.linalg, scipy.linalg  # noqa: F401  (both bundled OpenBLAS copies)
+        from repro.data.labels import extract_labels_batch
+        from repro.devices.factory import make_device
+        from repro.fdfd import modes, simulation
+        from repro.utils.executor import _openblas_thread_calls
+
+        calls = _openblas_thread_calls()
+        if not calls:
+            pytest.skip("no OpenBLAS loaded in this process")
+        device_kwargs = {**TINY_DEVICE_KWARGS, "dl": 0.05}
+        config = {**BASE_CONFIG, "device_kwargs": device_kwargs}
+
+        def clear_caches():
+            default_factorization_cache.clear()
+            simulation._NORMALIZATION_CACHE.clear()
+            modes._MODE_CACHE.clear()
+
+        clear_caches()
+        cold = DatasetGenerator(
+            GeneratorConfig(shard_dir=str(tmp_path / "cold"), **config)
+        ).generate(workers=2)
+        clear_caches()
+        saved = [get_num_threads() for _, get_num_threads in calls]
+        try:
+            for set_num_threads, _ in calls:
+                set_num_threads(2)
+            device = make_device("bending", fidelity="low", **device_kwargs)
+            density = np.random.default_rng(0).uniform(0.0, 1.0, device.design_shape)
+            extract_labels_batch(device, density, with_gradient=False)
+            warm = DatasetGenerator(
+                GeneratorConfig(shard_dir=str(tmp_path / "warm"), **config)
+            ).generate(workers=2)
+            plan = faults.FaultPlan(truncate_shard=1, scratch=str(tmp_path / "scratch"))
+            with faults.active_plan(plan):
+                generator = DatasetGenerator(
+                    GeneratorConfig(shard_dir=str(tmp_path / "recovered"), **config)
+                )
+                recovered = generator.generate(workers=2)
+        finally:
+            for (set_num_threads, _), count in zip(calls, saved):
+                set_num_threads(count)
+            clear_caches()
+        assert generator.last_shard_recoveries == 1
+        assert datasets_bit_identical(cold, warm)
+        assert datasets_bit_identical(cold, recovered)
