@@ -37,6 +37,8 @@ import io
 import json
 import logging
 import os
+import sys
+import threading
 import zipfile
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -302,6 +304,13 @@ def run_shard(task: ShardTask):
     return task.shard_path
 
 
+def _yield_cpu() -> None:
+    """Give the calling thread the lowest CPU priority, where that is per thread."""
+    if sys.platform.startswith("linux"):  # elsewhere a thread id is no pid
+        with contextlib.suppress(OSError):
+            os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
+
+
 class ShardWriter:
     """One background thread that persists the artifacts of in-process shards.
 
@@ -312,11 +321,20 @@ class ShardWriter:
     labels, at most ``max_retries`` more times.  :meth:`wait` blocks until
     every handed-off write has finished; leaving the ``with`` block waits too
     and ends the thread.
+
+    On Linux the thread runs at the lowest CPU priority (nice 19): a write is
+    only needed once :meth:`wait` is called, so on a busy host, where it
+    would take its share of a core from the thread that solves, it waits
+    instead.  Without it, on a 2-CPU host with one core taken by another
+    process, the median design of a serial 64-design run took 7.1-10.8 ms
+    from one run to the next, against 7.2-7.8 ms for a synchronous write.
     """
 
     def __init__(self, max_retries: int = 0):
         self.max_retries = max_retries
-        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="shard-writer")
+        self._pool = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="shard-writer", initializer=_yield_cpu
+        )
         self._writes: list[tuple[ShardTask, Future]] = []
 
     def __enter__(self) -> "ShardWriter":

@@ -1,11 +1,14 @@
 """Tests for MAPS-Data: labels, sampling strategies, datasets and analysis."""
 
+import os
 import struct
+import sys
 import threading
 import time
 import zipfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +43,7 @@ from repro.data.generator import (
 )
 from repro.data.labels import extract_labels_batch, field_target, spec_figure_of_merit
 from repro.data.shards import (
+    ShardWriter,
     engine_for_fidelity,
     load_shard,
     plan_shards,
@@ -600,6 +604,25 @@ class TestShardWriter:
         with pytest.raises(OSError, match="injected write failure"):
             save_shard(tmp_path / "shard.npz", labels, list(range(len(labels))), "f")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="per-thread nice is Linux's")
+    def test_writer_thread_runs_at_lowest_cpu_priority(self, tmp_path, monkeypatch):
+        def priority():
+            return os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
+
+        caller = priority()
+        seen = []
+        monkeypatch.setattr(
+            shards_module, "save_shard", lambda *args, **kwargs: seen.append(priority())
+        )
+        task = SimpleNamespace(
+            shard_path=tmp_path / "shard.npz", fingerprint="f", spec=SimpleNamespace(index=0)
+        )
+        with ShardWriter() as writer:
+            writer.submit(task, [], [])
+            assert writer.wait() == []
+        assert seen == [19]
+        assert priority() == caller
 
 
 class TestBackgroundShardWrites:
